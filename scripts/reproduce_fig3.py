@@ -9,6 +9,7 @@ import argparse
 import math
 from pathlib import Path
 
+from fsocdma.cli import fig3_point_index
 from fsocdma.montecarlo import RunConfig, estimate_ber
 from fsocdma.phylink import SystemParams
 from fsocdma.sensing import DetectorConfig
@@ -36,7 +37,7 @@ def main() -> None:
                 trials_min=50_000,
                 master_seed=args.seed,
             )
-            rows.append((k, estimate_ber(cfg, snr, point_index=64 * si + k)))
+            rows.append((k, estimate_ber(cfg, snr, point_index=fig3_point_index(si, k))))
         path = Path(args.outdir) / f"fig3_snr{snr:g}.csv"
         lines = [f"# reproduce_fig3 snr={snr:g} seed={args.seed}",
                  "k_users,ber_analytic,ber_sim,ci_halfwidth,trials,errors"]

@@ -34,7 +34,7 @@ import numpy as np
 from scipy.special import erfc
 
 from .orthocodes import ModifiedSignature, build, largest_supported_order
-from .phylink import SystemParams
+from .phylink import SystemParams, signature_matrix
 from .sensing import OccupancyModel
 
 PLACEMENT_MODES = ("exact", "sample")
@@ -371,39 +371,15 @@ def average_pe_enumerated(
             continue
         est_busy = np.array([s == 1 for s in states])
         lam = [i for i, s in enumerate(states) if s == 2]
-        sigs = _signatures_for_mask(n, k, est_busy, code_policy)
-        if sigs is None:
+        chips, energies = signature_matrix(est_busy[np.newaxis], k, code_policy)
+        if energies[0, 0] == 0:
             total += w * 0.5
             continue
+        sigs = tuple(
+            ModifiedSignature(length=n, chips=c, free_mask=c != 0, energy=int(e))
+            for c, e in zip(chips[0], energies[0])
+        )
         v = variance_terms(sigs[0], sigs, lam, eb, params.noise_psd, params.interference_power)
         total += w * conditional_pe(v, eb)
     return total
 
-
-def _signatures_for_mask(n, k, est_busy, code_policy):
-    """Concrete signatures for a busy mask, or None when untransmittable."""
-    from .orthocodes import embed  # local import keeps module load light
-
-    free_idx = np.flatnonzero(~est_busy)
-    if code_policy == "rechoose":
-        n_active = largest_supported_order(free_idx.size)
-        if n_active < k:
-            return None
-        family = build(n_active)
-        busy_for_embed = np.ones(n, dtype=bool)
-        busy_for_embed[free_idx[:n_active]] = False
-        return tuple(embed(family.entries[i], busy_for_embed) for i in range(k))
-    if free_idx.size == 0:
-        return None
-    family = build(n)
-    free_mask = ~est_busy
-    sigs = []
-    for i in range(k):
-        chips = np.where(free_mask, family.entries[i], 0)
-        energy = int(np.sum(chips.astype(object) ** 2))
-        sigs.append(
-            ModifiedSignature(
-                length=n, chips=chips, free_mask=free_mask.copy(), energy=energy
-            )
-        )
-    return tuple(sigs)

@@ -22,6 +22,7 @@ from scipy.special import gammaincc
 from . import __version__
 from .ber_analysis import average_pe, average_pe_enumerated
 from .montecarlo import (
+    STREAM_VERSION,
     BerCurve,
     RunConfig,
     analytic_point,
@@ -33,6 +34,7 @@ from .montecarlo import (
     trace_csv,
 )
 from .orthocodes import (
+    ORDER_LIMIT,
     SUPPORTED_PRIMES,
     UnsupportedOrderError,
     build,
@@ -190,6 +192,20 @@ def config_comments(conf: dict, rerun: str, derived: tuple[str, ...] = ()) -> tu
     return tuple(lines)
 
 
+def _ber_comments(conf: dict, rerun: str, derived: tuple[str, ...] = ()) -> tuple[str, ...]:
+    """config_comments plus the stream version every ber output depends on."""
+    head, *rest = config_comments(conf, rerun, derived)
+    return (head, f"stream_version={STREAM_VERSION}", *rest)
+
+
+def fig3_point_index(snr_row: int, k: int) -> int:
+    """Stream index of the fig3 point at SNR row snr_row with k users.
+
+    k never exceeds ORDER_LIMIT, so no two (row, k) pairs share an index.
+    """
+    return snr_row * ORDER_LIMIT + k
+
+
 def _write_output(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -304,7 +320,7 @@ def cmd_ber(args) -> int:
             for k in (4, 8):
                 rc = build_run_config(conf, n_users=k)
                 curve = sweep(rc, threads=threads, simulate=(mode != "analytic"))
-                comments = config_comments(
+                comments = _ber_comments(
                     conf, rerun, (f"params.n_users={k}",) + _derived_sensing_comments(rc)
                 )
                 text = (
@@ -331,12 +347,12 @@ def cmd_ber(args) -> int:
                     if mode == "analytic":
                         point = analytic_point(rc, snr)
                     else:
-                        point = estimate_ber(rc, snr, point_index=64 * si + k)
+                        point = estimate_ber(rc, snr, point_index=fig3_point_index(si, k))
                     rows.append((k, point))
                 outputs.append((snr, rows))
             bundle = hashlib.sha256("\n".join(digests).encode()).hexdigest()
             for snr, rows in outputs:
-                comments = config_comments(conf, rerun, (f"fig3.snr_db={snr!r}",))
+                comments = _ber_comments(conf, rerun, (f"fig3.snr_db={snr!r}",))
                 lines = [f"# {c}" for c in comments]
                 lines.append(f"# digest={bundle}")
                 lines.append("k_users,ber_analytic,ber_sim,ci_halfwidth,trials,errors")
@@ -358,18 +374,18 @@ def cmd_ber(args) -> int:
             return 1
         if mode == "analytic":
             curve = sweep(rc, threads=threads, simulate=False)
-            text = _analytic_csv(curve, config_comments(conf, rerun, _derived_sensing_comments(rc)))
+            text = _analytic_csv(curve, _ber_comments(conf, rerun, _derived_sensing_comments(rc)))
         elif args.trace:
             rows: list = []
             point = estimate_ber(rc, rc.snr_grid_db[0], point_index=0, trace=rows)
             curve = BerCurve(points=(point,), config_digest=config_digest(rc), elapsed=0.0)
-            text = curve_csv(curve, config_comments(conf, rerun, _derived_sensing_comments(rc)))
-            trace_text = trace_csv(rows, config_comments(conf, rerun))
+            text = curve_csv(curve, _ber_comments(conf, rerun, _derived_sensing_comments(rc)))
+            trace_text = trace_csv(rows, _ber_comments(conf, rerun))
             _write_output(args.trace, trace_text)
             print(f"wrote trace {args.trace}")
         else:
             curve = sweep(rc, threads=threads, simulate=True)
-            text = curve_csv(curve, config_comments(conf, rerun, _derived_sensing_comments(rc)))
+            text = curve_csv(curve, _ber_comments(conf, rerun, _derived_sensing_comments(rc)))
         _write_output(args.out or "ber.csv", text)
         print(f"wrote {args.out or 'ber.csv'}")
         return 0
@@ -382,28 +398,12 @@ def cmd_ber(args) -> int:
 # selftest
 
 
-def _build_uncached(n: int):
-    """Compose the order-n matrix straight from the prime table (no caches)."""
-    factors = []
-    rest = n
-    for p in SUPPORTED_PRIMES:
-        while rest % p == 0:
-            factors.append(p)
-            rest //= p
-    if rest != 1:
-        raise UnsupportedOrderError(rest, n=n)
-    running = prime_base(factors[0])
-    for p in factors[1:]:
-        running = compose(prime_base(p), running)
-    return running
-
-
 def _selftest_codes() -> str:
     bases = {p: prime_base(p) for p in SUPPORTED_PRIMES}
     for n in supported_orders(32):
         if n == 1:
             continue
-        code = _build_uncached(n)
+        code = build.__wrapped__(n)  # straight from the prime table, no cache
         report = verify(code.entries)
         if not (report.is_orthogonal and report.all_nonzero):
             raise AssertionError(f"order-{n} matrix failed verification")
@@ -528,7 +528,8 @@ def make_parser() -> argparse.ArgumentParser:
     p_roc.set_defaults(func=cmd_sensing_roc)
 
     p_ber = sub.add_parser("ber", help="analytic and simulated BER curves")
-    p_ber.add_argument("--mode", choices=("analytic", "simulate", "both"), default="both")
+    p_ber.add_argument("--mode", choices=("analytic", "both"), default="both",
+                       help="closed form only, or closed form and simulation")
     p_ber.add_argument("--figure", choices=("fig2", "fig3"), default=None,
                        help="preset sweeps (SNR sweep for K=4,8; K sweep at two SNRs)")
     p_ber.add_argument("--trace", default=None,

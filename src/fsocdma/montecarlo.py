@@ -1,11 +1,17 @@
 """Deterministic Monte Carlo BER estimation over slots and SNR sweeps.
 
-Every slot gets its own counter-based random stream (Philox keyed by
-master seed, sweep-point index and slot index), so results are bitwise
-independent of evaluation order, thread count and batch size.  Error and
-bit counters are plain integers aggregated in slot order; the stopping
-rule is evaluated at fixed batch boundaries, keeping the set of
-simulated slots a pure function of the configuration.
+Slots are simulated in stop-rule batches of batch_slots slots, and every
+batch draws from its own counter-based random stream (Philox keyed by
+master seed, sweep-point index and batch index).  Results are therefore
+bitwise independent of evaluation order and thread count; they depend on
+batch_slots, which is part of the config digest.  Error and bit counters
+are plain integers aggregated in slot order; the stopping rule is
+evaluated at batch boundaries, keeping the set of simulated slots a pure
+function of the configuration.
+
+A slot's bits share one fading draw, so the slots, not the bits, are the
+independent samples: the reported interval is the slot-level (cluster)
+interval on the mean error count per slot.
 
 SNR is the per-bit ratio energy_per_bit / noise_psd; a sweep rescales
 the noise PSD per point and keeps the configured interference-to-noise
@@ -24,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .ber_analysis import BerPoint, average_pe
-from .phylink import CapacityError, SensingProbs, SystemParams, draw_slot, transmit_block
+from .phylink import SensingProbs, SystemParams, draw_slots, project, receive
 from .sensing import (
     DetectorConfig,
     FusionResult,
@@ -37,8 +43,16 @@ from .sensing import (
     solve_threshold,
 )
 
+# Version of the mapping from (config, seed) to random draws.  Bump it
+# whenever a change alters which numbers a run draws or how it uses them;
+# every ber CSV header records it.  Version 1 drew one stream per slot and
+# the full per-subcarrier noise; version 2 draws one stream per batch and
+# the receiver's projections only.
+STREAM_VERSION = 2
+
 _MASK64 = (1 << 64) - 1
-_PURPOSE_SLOT = 1
+_POINT_LIMIT = 1 << 32
+_PURPOSE_BATCH = 2  # purpose 1 keyed the per-slot streams of version 1
 
 
 @dataclass(frozen=True)
@@ -63,6 +77,8 @@ class RunConfig:
             raise ValueError("trials_min and target_error_events must be >= 1")
         if self.max_trials < self.trials_min:
             raise ValueError("max_trials must be >= trials_min")
+        if self.batch_slots < 1:
+            raise ValueError("batch_slots must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -95,26 +111,30 @@ def config_digest(cfg: RunConfig) -> str:
     return hashlib.sha256("\n".join(sorted(parts)).encode()).hexdigest()
 
 
-@lru_cache(maxsize=64)
 def derive_sensing(cfg: RunConfig) -> SensingDerivation:
     """Solve the detector threshold for the fused detection target.
 
     The per-user local detection probability is the K-th OR-root of the
     fused target; the threshold is solved against the Rayleigh-averaged
     closed form and the resulting false-alarm rate is carried through,
-    never assumed zero.
+    never assumed zero.  Configs that agree on the inputs below share one
+    solve.
     """
-    k = cfg.params.n_users
-    pd_local = local_probability(cfg.target_pd, k)
-    zeta = solve_threshold(
-        cfg.detector.samples, pd_local, "for_pd", cfg.detector.mean_snr_db
-    )
+    return _solve_sensing(cfg.params.n_users, cfg.target_pd, cfg.detector, cfg.params.pr_h1)
+
+
+@lru_cache(maxsize=64)
+def _solve_sensing(
+    k: int, target_pd: float, detector: DetectorConfig, pr_h1: float
+) -> SensingDerivation:
+    pd_local = local_probability(target_pd, k)
+    zeta = solve_threshold(detector.samples, pd_local, "for_pd", detector.mean_snr_db)
     solved = DetectorConfig(
-        samples=cfg.detector.samples, threshold=zeta, mean_snr_db=cfg.detector.mean_snr_db
+        samples=detector.samples, threshold=zeta, mean_snr_db=detector.mean_snr_db
     )
     pfa_local = pfa(solved)
     fused = fuse_or([SensingOutcome(pfa=pfa_local, pd=pd_local)] * k)
-    model = occupancy_model(cfg.params.pr_h1, fused)
+    model = occupancy_model(pr_h1, fused)
     return SensingDerivation(
         probs=SensingProbs(pd=pd_local, pfa=pfa_local),
         threshold=zeta,
@@ -132,47 +152,80 @@ def point_params(cfg: RunConfig, snr_db: float) -> SystemParams:
     )
 
 
-def _slot_rng(master_seed: int, point_index: int, slot_index: int) -> np.random.Generator:
+def _stream(
+    master_seed: int, purpose: int, point_index: int, batch_index: int
+) -> np.random.Generator:
+    """The random stream of one (purpose, sweep point, batch); the only Philox key."""
+    if not 0 <= point_index < _POINT_LIMIT:
+        raise ValueError(f"point index {point_index} outside [0, 2^32)")
     key = np.array(
-        [master_seed & _MASK64, ((_PURPOSE_SLOT << 32) | point_index) & _MASK64],
-        dtype=np.uint64,
+        [master_seed & _MASK64, (purpose << 32) | point_index], dtype=np.uint64
     )
-    counter = np.array([0, slot_index & _MASK64, 0, 0], dtype=np.uint64)
+    counter = np.array([0, batch_index & _MASK64, 0, 0], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(counter=counter, key=key))
 
 
-def _run_slot(params, probs, code_policy, rng, n_bits, trace, slot_index):
-    """Simulate one slot's worth of bits; returns (errors, bits, infeasible)."""
-    try:
-        slot = draw_slot(params, probs, rng, code_policy)
-    except CapacityError:
-        # untransmittable slot: every bit is a coin flip
-        errors = int(np.sum(rng.integers(0, 2, n_bits)))
-        return errors, n_bits, 1
-    bits = rng.integers(0, 2, (n_bits, params.n_users)) * 2 - 1
-    out = transmit_block(slot, params, bits, rng)
-    errors = int(np.count_nonzero(out["decided"] != bits[:, 0]))
+def _run_batch(params, probs, code_policy, rng, n_slots, trace, first_slot):
+    """Simulate one batch of slots; returns (errors per slot, infeasible slots).
+
+    Draw order: the slots, then every slot's bits and receiver normals,
+    then the coin flips of the slots that cannot carry all users (their
+    bits are all counted as coin flips).
+    """
+    n_bits = params.bits_per_slot
+    batch = draw_slots(params, probs, rng, n_slots, code_policy)
+    bits = rng.integers(0, 2, (n_slots, n_bits, params.n_users), dtype=np.int8) * 2 - 1
+    z = rng.standard_normal((n_slots, n_bits, 2))
+    out = receive(project(batch, params.energy_per_bit), params, bits, z)
+    errors = np.count_nonzero(out["decided"] != bits[:, :, 0], axis=1)
+    bad = ~batch.feasible
+    n_bad = int(np.count_nonzero(bad))
+    if n_bad:
+        errors[bad] = np.sum(rng.integers(0, 2, (n_bad, n_bits)), axis=1)
     if trace is not None:
-        n_busy = int(np.count_nonzero(slot.occupancy))
-        n_est = int(np.count_nonzero(slot.est_busy))
-        n_mis = int(np.count_nonzero(slot.misdetected))
-        for i in range(n_bits):
-            trace.append(
-                (
-                    slot_index,
-                    n_busy,
-                    n_est,
-                    n_mis,
-                    float(out["decision"][i]),
-                    float(out["r_signal"][i]),
-                    float(out["r_mai"][i]),
-                    float(out["r_gi"][i]),
-                    float(out["r_noise"][i]),
-                    int(bits[i, 0]),
-                    int(out["decided"][i]),
+        counts = zip(
+            np.count_nonzero(batch.occupancy, axis=1),
+            np.count_nonzero(batch.est_busy, axis=1),
+            np.count_nonzero(batch.misdetected, axis=1),
+        )
+        for s, (n_busy, n_est, n_mis) in enumerate(counts):
+            if bad[s]:
+                continue
+            for i in range(n_bits):
+                trace.append(
+                    (
+                        first_slot + s,
+                        int(n_busy),
+                        int(n_est),
+                        int(n_mis),
+                        float(out["decision"][s, i]),
+                        float(out["r_signal"][s, i]),
+                        float(out["r_mai"][s, i]),
+                        float(out["r_gi"][s, i]),
+                        float(out["r_noise"][s, i]),
+                        int(bits[s, i, 0]),
+                        int(out["decided"][s, i]),
+                    )
                 )
-            )
-    return errors, n_bits, 0
+    return errors, n_bad
+
+
+def slot_interval(sum_e: int, sum_e2: int, slots: int, bits_per_slot: int) -> float:
+    """Half-width of the 95% interval on the BER from per-slot error counts.
+
+    sum_e and sum_e2 are the sums of e_s and e_s^2 over the slots, e_s
+    being slot s's bit errors.  The slots are the independent samples, so
+    the half-width is 1.96 * sd(e_s) / (bits_per_slot * sqrt(slots)).  At
+    zero errors it is the rule of three, 3 / bits; a single slot gives no
+    spread estimate, so its interval is the whole probability range.
+    """
+    if sum_e == 0:
+        return 3.0 / (slots * bits_per_slot)
+    if slots < 2:
+        return 1.0
+    # exact integer numerator: S * sum e^2 - (sum e)^2 = S (S - 1) var(e_s)
+    var = (slots * sum_e2 - sum_e * sum_e) / (slots * (slots - 1))
+    return float(1.96 * np.sqrt(var / slots) / bits_per_slot)
 
 
 def estimate_ber(
@@ -185,48 +238,46 @@ def estimate_ber(
 
     Stops at the first batch boundary where at least trials_min bits and
     target_error_events errors have accumulated, or at the max_trials cap.
-    Fully determined by (cfg, snr_db, point_index).
+    Fully determined by (cfg, snr_db, point_index); point_index defaults to
+    the position of snr_db on the grid, and an SNR off the grid needs one.
     """
     if point_index is None:
-        point_index = (
-            cfg.snr_grid_db.index(snr_db) if snr_db in cfg.snr_grid_db else 0
-        )
+        if snr_db not in cfg.snr_grid_db:
+            raise ValueError(f"snr {snr_db!r} dB is not on the grid; pass a point_index")
+        point_index = cfg.snr_grid_db.index(snr_db)
     params = point_params(cfg, snr_db)
     derived = derive_sensing(cfg)
     analytic = average_pe(params, derived.model, cfg.code_policy)
 
     bits_per_slot = params.bits_per_slot
-    errors = 0
-    bits_done = 0
+    sum_e = 0
+    sum_e2 = 0
     infeasible = 0
-    slot_index = 0
+    slots = 0
+    batch_index = 0
     while True:
-        for _ in range(cfg.batch_slots):
-            rng = _slot_rng(cfg.master_seed, point_index, slot_index)
-            e, b, bad = _run_slot(
-                params, derived.probs, cfg.code_policy, rng, bits_per_slot, trace, slot_index
-            )
-            errors += e
-            bits_done += b
-            infeasible += bad
-            slot_index += 1
+        rng = _stream(cfg.master_seed, _PURPOSE_BATCH, point_index, batch_index)
+        errors, bad = _run_batch(
+            params, derived.probs, cfg.code_policy, rng, cfg.batch_slots, trace, slots
+        )
+        sum_e += int(errors.sum())
+        sum_e2 += int(np.dot(errors, errors))
+        infeasible += bad
+        slots += cfg.batch_slots
+        batch_index += 1
+        bits_done = slots * bits_per_slot
         if bits_done >= cfg.max_trials:
             break
-        if bits_done >= cfg.trials_min and errors >= cfg.target_error_events:
+        if bits_done >= cfg.trials_min and sum_e >= cfg.target_error_events:
             break
 
-    p_hat = errors / bits_done
-    if errors == 0:
-        ci = 3.0 / bits_done  # rule-of-three upper bound
-    else:
-        ci = 1.96 * np.sqrt(p_hat * (1.0 - p_hat) / bits_done)
     return BerPoint(
         snr_db=snr_db,
         ber_analytic=analytic,
-        ber_simulated=p_hat,
-        ci_halfwidth=float(ci),
+        ber_simulated=sum_e / bits_done,
+        ci_halfwidth=slot_interval(sum_e, sum_e2, slots, bits_per_slot),
         trials=bits_done,
-        errors=errors,
+        errors=sum_e,
         infeasible_slots=infeasible,
     )
 

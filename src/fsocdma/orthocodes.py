@@ -79,9 +79,6 @@ class CodeMatrix:
     entries: np.ndarray  # (n, n) int64, read-only
     gram_diag: np.ndarray  # (n,) int64, read-only
 
-    def row(self, i: int) -> np.ndarray:
-        return self.entries[i]
-
 
 @dataclass(frozen=True)
 class GramReport:

@@ -1,4 +1,4 @@
-"""Frequency-domain simulation of one transmission slot.
+"""Frequency-domain simulation of transmission slots, a batch at a time.
 
 A slot: primary-user occupancy is drawn per subcarrier, every CR user
 senses and the coordinator OR-fuses the decisions, signature codes are
@@ -11,26 +11,31 @@ forms the combining decision variable
 split into its desired-signal, multiple-access-interference, primary-
 interference and noise components.  Each subcarrier is flat; no time
 domain waveform is synthesized.
+
+Once a slot's masks, chips and gains are fixed, R is linear in the bits,
+the noise and the primary interference, so the receiver draws only its
+projections.  With w_n = sqrt(P_1) c_1n conj(beta_1n),
+
+    R = b_1 S + sum_{k>=2} b_k m_k
+        + sqrt(sigma_n^2/2 ||w||^2) z_1 + sqrt(sigma_s^2/2 ||w_Lambda||^2) z_2
+
+where S = ||w||^2, m_k = Re sum_n sqrt(P_k) beta_kn c_kn w_n, Lambda is
+the misdetected set and z_1, z_2 are standard normals.  This has exactly
+the distribution of drawing complex noise on every subcarrier and
+interference on Lambda and projecting them onto w, at two normals per
+bit interval instead of 2N plus the interference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .orthocodes import (
-    ModifiedSignature,
-    build,
-    embed,
-    largest_supported_order,
-)
+from .orthocodes import build, largest_supported_order
 
 CODE_POLICIES = ("rechoose", "fixed")
-
-
-class CapacityError(Exception):
-    """The slot cannot carry all users (too few usable subcarriers)."""
 
 
 @dataclass(frozen=True)
@@ -89,205 +94,165 @@ class SensingProbs:
                 raise ValueError(f"{name}={v} outside [0, 1]")
 
 
-@dataclass(frozen=True)
-class SlotRealization:
-    """Ground truth and randomness of one slot.
+@lru_cache(maxsize=None)
+def _placement(n_free: int, k: int, n: int) -> np.ndarray:
+    """Rechosen chips of the first k users indexed by free rank.
 
-    misdetected marks subcarriers that are occupied but estimated free;
-    signatures carry zeros exactly where a chip was deactivated (estimated
-    busy, plus any free subcarriers dropped to reach a supported code
-    order).
+    The family has the largest supported order n' <= n_free.  Column r
+    holds the chips for the r-th estimated-free subcarrier; columns from
+    n' on are zero, so the excess free subcarriers idle.  All zero when
+    the family has fewer than k rows.
     """
-
-    occupancy: np.ndarray  # (N,) bool, true primary occupancy
-    decisions: np.ndarray  # (K, N) bool, per-user busy decisions
-    est_busy: np.ndarray  # (N,) bool, OR fusion of decisions
-    misdetected: np.ndarray  # (N,) bool, occupancy & ~est_busy
-    gains: np.ndarray  # (K, N) complex, unit-variance channel gains
-    signatures: tuple[ModifiedSignature, ...]
-
-    @property
-    def lambda_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.misdetected)
-
-    @property
-    def n_active(self) -> int:
-        return int(self.signatures[0].free_count)
+    n_active = largest_supported_order(n_free)
+    table = np.zeros((k, n), dtype=np.int64)
+    if n_active >= k:
+        table[:, :n_active] = build(n_active).entries[:k]
+    table.setflags(write=False)
+    return table
 
 
-@dataclass(frozen=True)
-class ReceiverOutput:
-    """First user's combining output for one bit interval."""
+def signature_matrix(est_busy, k: int, code_policy: str = "rechoose"):
+    """Chips and energies of the first k users for a batch of busy masks.
 
-    test_statistics: np.ndarray  # (N,) complex per-subcarrier projections
-    decision_variable: float
-    r_signal: float
-    r_mai: float
-    r_gi: float
-    r_noise: float
-    decided_bit: int
-
-
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
-
-
-def draw_slot(
-    params: SystemParams,
-    probs: SensingProbs,
-    rng: np.random.Generator,
-    code_policy: str = "rechoose",
-) -> SlotRealization:
-    """Draw one slot: occupancy, sensing decisions, codes and channel gains.
-
-    Draw order is fixed (occupancy, decisions, gains) so a seeded stream
-    reproduces the slot bit for bit.  Sensing uses the Bernoulli shortcut:
-    each user reports busy with probability pd on occupied subcarriers and
-    pfa on idle ones.
+    est_busy has shape (B, N).  Returns chips (B, k, N) int64, zero on
+    every deactivated subcarrier, and energies (B, k) int64, the sums of
+    the squared chips.  A slot that cannot carry k users gets all-zero
+    chips and energies.
 
     rechoose policy: a fresh orthogonal family of the largest supported
-    order n' <= n_free is embedded onto the first n' free subcarriers; the
+    order n' <= n_free is laid out over the first n' free subcarriers; the
     trailing excess free subcarriers are deactivated.  fixed policy: the
     rows of the fixed length-N family keep their positions and the chips
     on estimated-busy subcarriers are zeroed (loses row orthogonality).
-
-    Raises CapacityError when fewer orthogonal rows than users remain.
     """
-    if code_policy not in CODE_POLICIES:
+    busy = np.asarray(est_busy, dtype=bool)
+    if busy.ndim != 2:
+        raise ValueError(f"est_busy must have shape (B, N), got {busy.shape}")
+    n = busy.shape[1]
+    free = ~busy
+    if code_policy == "rechoose":
+        n_free = np.count_nonzero(free, axis=1)
+        tables = np.stack([_placement(int(f), k, n) for f in n_free])
+        rank = np.maximum(np.cumsum(free, axis=1) - 1, 0)
+        chips = np.take_along_axis(tables, rank[:, np.newaxis, :], axis=2)
+        chips *= free[:, np.newaxis, :]
+    elif code_policy == "fixed":
+        chips = build(n).entries[:k] * free[:, np.newaxis, :]
+    else:
         raise ValueError(f"unknown code policy {code_policy!r}")
+    # a row's squares over any subset stay below its Gram diagonal, which
+    # build bounds to int64, so the sums cannot overflow
+    energies = np.einsum("bkn,bkn->bk", chips, chips)
+    return chips, energies
+
+
+@dataclass(frozen=True)
+class SlotBatch:
+    """Ground truth and channel of B slots.
+
+    misdetected marks subcarriers that are occupied but estimated free;
+    chips carry zeros exactly where a chip was deactivated (estimated
+    busy, plus any free subcarriers dropped to reach a supported code
+    order).  A slot with zero energies cannot carry all users.
+    """
+
+    occupancy: np.ndarray  # (B, N) bool, true primary occupancy
+    est_busy: np.ndarray  # (B, N) bool, OR fusion of the users' decisions
+    misdetected: np.ndarray  # (B, N) bool, occupancy & ~est_busy
+    chips: np.ndarray  # (B, K, N) int64
+    energies: np.ndarray  # (B, K) int64, sum of squared chips per user
+    gains: np.ndarray  # (B, K, N) complex, unit-variance channel gains
+
+    @property
+    def feasible(self) -> np.ndarray:
+        return self.energies[:, 0] > 0
+
+
+def draw_slots(
+    params: SystemParams,
+    probs: SensingProbs,
+    rng: np.random.Generator,
+    n_slots: int,
+    code_policy: str = "rechoose",
+) -> SlotBatch:
+    """Draw n_slots slots: occupancy, sensing decisions, codes and channel gains.
+
+    Draw order is fixed (occupancy, decisions, gains) so a seeded stream
+    reproduces the batch bit for bit.  Sensing uses the Bernoulli
+    shortcut: each user reports busy with probability pd on occupied
+    subcarriers and pfa on idle ones.
+    """
     n = params.n_subcarriers
     k = params.n_users
-    occupancy = rng.random(n) < params.pr_h1
+    shape = (n_slots, k, n)
+    occupancy = rng.random((n_slots, n)) < params.pr_h1
     p_busy = np.where(occupancy, probs.pd, probs.pfa)
-    decisions = rng.random((k, n)) < p_busy[np.newaxis, :]
-    est_busy = np.any(decisions, axis=0)
-    misdetected = occupancy & ~est_busy
-
-    free_idx = np.flatnonzero(~est_busy)
-    if code_policy == "rechoose":
-        n_active = largest_supported_order(free_idx.size)
-        if n_active < k:
-            raise CapacityError(
-                f"{k} users but only {n_active} orthogonal rows available "
-                f"({free_idx.size} estimated-free subcarriers)"
-            )
-        family = build(n_active)
-        busy_for_embed = np.ones(n, dtype=bool)
-        busy_for_embed[free_idx[:n_active]] = False
-        signatures = tuple(embed(family.entries[i], busy_for_embed) for i in range(k))
-    else:
-        if free_idx.size == 0:
-            raise CapacityError("no estimated-free subcarriers to transmit on")
-        family = build(n)
-        free_mask = ~est_busy
-        signatures = []
-        for i in range(k):
-            chips = np.where(free_mask, family.entries[i], 0)
-            energy = int(np.sum(chips.astype(object) ** 2))
-            signatures.append(
-                ModifiedSignature(
-                    length=n,
-                    chips=_freeze(chips),
-                    free_mask=_freeze(free_mask.copy()),
-                    energy=energy,
-                )
-            )
-        signatures = tuple(signatures)
-
-    gains = (rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))) / np.sqrt(2.0)
-    return SlotRealization(
-        occupancy=_freeze(occupancy),
-        decisions=_freeze(decisions),
-        est_busy=_freeze(est_busy),
-        misdetected=_freeze(misdetected),
-        gains=_freeze(gains),
-        signatures=signatures,
+    est_busy = np.any(rng.random(shape) < p_busy[:, np.newaxis, :], axis=1)
+    chips, energies = signature_matrix(est_busy, k, code_policy)
+    gains = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    return SlotBatch(
+        occupancy=occupancy,
+        est_busy=est_busy,
+        misdetected=occupancy & ~est_busy,
+        chips=chips,
+        energies=energies,
+        gains=gains,
     )
 
 
-def transmit_block(
-    slot: SlotRealization,
-    params: SystemParams,
-    bits: np.ndarray,
-    rng: np.random.Generator,
-):
-    """Run the first user's receiver over a block of bit intervals.
+@dataclass(frozen=True)
+class Projection:
+    """Per-slot projections of everything the first user's decision uses.
 
-    bits has shape (I, K) with entries +-1; the channel gains are held for
-    the whole block (slot coherence) while noise, primary interference and
-    the other users' bits are fresh per interval.  Returns a dict with the
-    per-interval test statistics, decision variables, the four components
-    and the decided bits.  Noise is drawn before interference.
+    signal is the desired-signal gain S, which equals ||w||^2 and so also
+    scales the noise; mai holds m_k for k >= 2; w2_lambda is the squared
+    norm of w on the misdetected subcarriers.
+    """
+
+    signal: np.ndarray  # (B,)
+    mai: np.ndarray  # (B, K-1)
+    w2_lambda: np.ndarray  # (B,)
+
+
+def project(batch: SlotBatch, energy_per_bit: float) -> Projection:
+    """S, m_k and ||w_Lambda||^2 of every slot (all zero where infeasible)."""
+    chips = batch.chips.astype(np.float64)
+    # unit energy in place of zero keeps an infeasible slot's sums at zero
+    amp = np.sqrt(energy_per_bit / np.maximum(batch.energies, 1))  # sqrt(P_n) per user
+    w = np.conj(batch.gains[:, 0]) * (chips[:, 0] * amp[:, :1])  # (B, N)
+    w2 = w.real**2 + w.imag**2
+    tx = batch.gains[:, 1:] * (chips[:, 1:] * amp[:, 1:, np.newaxis])
+    return Projection(
+        signal=w2.sum(axis=1),
+        mai=np.einsum("bkn,bn->bk", tx, w).real,
+        w2_lambda=np.sum(w2, axis=1, where=batch.misdetected),
+    )
+
+
+def receive(proj: Projection, params: SystemParams, bits: np.ndarray, z: np.ndarray) -> dict:
+    """First user's decisions over a block of bit intervals per slot.
+
+    bits has shape (B, I, K) with entries +-1 and z shape (B, I, 2) holds
+    standard normals for the noise and the primary interference; the
+    slot's projections are held for the whole block (slot coherence).
+    Returns a dict of (B, I) arrays: the decision variables, the four
+    components and the decided bits.
     """
     bits = np.asarray(bits, dtype=np.float64)
-    if bits.ndim != 2 or bits.shape[1] != params.n_users:
-        raise ValueError(f"bits must have shape (I, {params.n_users})")
-    n_bits = bits.shape[0]
-    n = params.n_subcarriers
-
-    chips = np.stack([s.chips for s in slot.signatures]).astype(np.float64)
-    energies = np.array([s.energy for s in slot.signatures], dtype=np.float64)
-    if np.any(energies <= 0):
-        raise CapacityError("signature with zero energy cannot carry a bit")
-    amp = np.sqrt(params.energy_per_bit / energies)  # sqrt(P_n) per user
-
-    tx = slot.gains * chips * amp[:, np.newaxis]  # (K, N)
-    signal = bits @ tx  # (I, N) complex
-
-    noise = (
-        rng.standard_normal((n_bits, n)) + 1j * rng.standard_normal((n_bits, n))
-    ) * np.sqrt(params.noise_psd / 2.0)
-    lam = slot.lambda_indices
-    r = signal + noise
-    if lam.size:
-        interf = (
-            rng.standard_normal((n_bits, lam.size))
-            + 1j * rng.standard_normal((n_bits, lam.size))
-        ) * np.sqrt(params.interference_power / 2.0)
-        r[:, lam] += interf
-
-    weight = np.conj(slot.gains[0]) * chips[0] * amp[0]  # (N,)
-    decision = (r @ weight).real
-
-    r_signal = bits[:, 0] * float(
-        np.sum(np.abs(slot.gains[0]) ** 2 * chips[0] ** 2) * amp[0] ** 2
-    )
-    r_mai = ((bits[:, 1:] @ tx[1:]) @ weight).real if params.n_users > 1 else np.zeros(n_bits)
-    r_gi = (interf @ weight[lam]).real if lam.size else np.zeros(n_bits)
-    r_noise = (noise @ weight).real
-
+    if bits.ndim != 3 or bits.shape[2] != params.n_users:
+        raise ValueError(f"bits must have shape (B, I, {params.n_users})")
+    r_signal = bits[:, :, 0] * proj.signal[:, np.newaxis]
+    r_mai = (bits[:, :, 1:] @ proj.mai[:, :, np.newaxis])[:, :, 0]
+    r_noise = np.sqrt(0.5 * params.noise_psd * proj.signal)[:, np.newaxis] * z[:, :, 0]
+    r_gi = np.sqrt(0.5 * params.interference_power * proj.w2_lambda)[:, np.newaxis] * z[:, :, 1]
+    decision = r_signal + r_mai + r_gi + r_noise
     if not np.all(np.isfinite(decision)):
         raise FloatingPointError("non-finite decision variable")
-    decided = np.where(decision >= 0.0, 1, -1)
     return {
-        "test_statistics": r,
         "decision": decision,
         "r_signal": r_signal,
         "r_mai": r_mai,
         "r_gi": r_gi,
         "r_noise": r_noise,
-        "decided": decided,
+        "decided": np.where(decision >= 0.0, 1, -1),
     }
-
-
-def transmit_and_receive(
-    slot: SlotRealization,
-    params: SystemParams,
-    bits: np.ndarray,
-    rng: np.random.Generator,
-) -> ReceiverOutput:
-    """Single bit interval: every user sends one +-1 bit, user 1 is decoded."""
-    bits = np.asarray(bits, dtype=np.float64)
-    if bits.shape != (params.n_users,):
-        raise ValueError(f"bits must have shape ({params.n_users},)")
-    out = transmit_block(slot, params, bits[np.newaxis, :], rng)
-    return ReceiverOutput(
-        test_statistics=out["test_statistics"][0],
-        decision_variable=float(out["decision"][0]),
-        r_signal=float(out["r_signal"][0]),
-        r_mai=float(out["r_mai"][0]),
-        r_gi=float(out["r_gi"][0]),
-        r_noise=float(out["r_noise"][0]),
-        decided_bit=int(out["decided"][0]),
-    )

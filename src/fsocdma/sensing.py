@@ -169,25 +169,6 @@ def pd_rayleigh(cfg: DetectorConfig) -> float:
     return t1 + math.exp(min(log_t2, 0.0))
 
 
-def detect_sample_level(cfg: DetectorConfig, occupied: bool, rng: np.random.Generator) -> bool:
-    """One sample-level energy detection decision.
-
-    Sums 2*samples squared unit normals; when occupied, the instantaneous
-    SNR is drawn exponential with the configured mean and enters as a
-    noncentrality shift sqrt(2*gamma) on the first component.  Exists to
-    validate the closed forms, not for bulk simulation.
-    """
-    u = cfg.samples
-    shift = 0.0
-    if occupied:
-        gamma = rng.exponential(cfg.mean_snr_linear)
-        shift = math.sqrt(2.0 * gamma)
-    z = rng.standard_normal(2 * u)
-    z[0] += shift
-    energy = float(np.sum(z * z))
-    return energy > cfg.threshold
-
-
 def sample_level_rate(
     cfg: DetectorConfig,
     occupied: bool,

@@ -5,8 +5,9 @@ code paths than the library: direct summation for variance terms,
 scipy's normal survival function instead of the erfc route, scipy's
 incomplete gamma instead of Poisson partial sums, and a literal
 state-by-state enumeration for the averaged error probability.  Beside
-these references to the Gaussian surrogate stands the exact error
-probability of the receiver the simulator implements.
+these references to the Gaussian surrogate stand the exact error
+probability of the receiver the simulator implements and a literal
+per-subcarrier version of that receiver.
 """
 
 import itertools
@@ -51,6 +52,55 @@ def chips_for_configuration(n, k, busy, policy):
     chips = build(n).entries[:k].astype(float).copy()
     chips[:, list(busy)] = 0.0
     return chips
+
+
+def literal_receiver(chips, gains, lam, bits, eb, sn2, ss2, rng):
+    """One slot's combining receiver written out per subcarrier, full noise drawn.
+
+    chips (k, n) and gains (k, n) fix the slot, lam lists the misdetected
+    subcarriers and bits (I, k) holds +-1.  Every interval draws complex
+    noise of variance sn2 on each subcarrier and primary interference of
+    variance ss2 on lam, forms
+    r_n = sum_j b_j amp_j beta_jn c_jn + noise_n + interference_n and
+    decides on R = Re(sum_n r_n w_n) with w_n = amp_1 c_1n conj(beta_1n).
+    Returns R (I,), its parts (R_s, R_MAI, R_GI, R_n) per interval (I, 4)
+    and the slot sums S, m_j (j >= 2), ||w||^2 and ||w_lam||^2, each
+    summed over subcarriers one at a time.
+    """
+    chips = np.asarray(chips, dtype=float)
+    gains = np.asarray(gains, dtype=complex)
+    k, n = chips.shape
+    amp = [math.sqrt(eb / sum(c * c for c in chips[j])) for j in range(k)]
+    w = [amp[0] * chips[0, i] * np.conj(gains[0, i]) for i in range(n)]
+    sums = {
+        "signal": sum(amp[0] ** 2 * chips[0, i] ** 2 * abs(gains[0, i]) ** 2 for i in range(n)),
+        "mai": np.array(
+            [sum((amp[j] * gains[j, i] * chips[j, i] * w[i]).real for i in range(n))
+             for j in range(1, k)]
+        ),
+        "w2": sum(abs(w[i]) ** 2 for i in range(n)),
+        "w2_lambda": sum(abs(w[i]) ** 2 for i in lam),
+    }
+    decisions, parts = [], []
+    for b in bits:
+        noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * math.sqrt(sn2 / 2)
+        interf = np.zeros(n, dtype=complex)
+        interf[list(lam)] = (
+            rng.standard_normal(len(lam)) + 1j * rng.standard_normal(len(lam))
+        ) * math.sqrt(ss2 / 2)
+        r = [
+            sum(b[j] * amp[j] * gains[j, i] * chips[j, i] for j in range(k)) + noise[i] + interf[i]
+            for i in range(n)
+        ]
+        decisions.append(sum((r[i] * w[i]).real for i in range(n)))
+        parts.append((
+            sum(b[0] * amp[0] * (gains[0, i] * chips[0, i] * w[i]).real for i in range(n)),
+            sum(b[j] * amp[j] * (gains[j, i] * chips[j, i] * w[i]).real
+                for j in range(1, k) for i in range(n)),
+            sum((interf[i] * w[i]).real for i in lam),
+            sum((noise[i] * w[i]).real for i in range(n)),
+        ))
+    return np.array(decisions), np.array(parts), sums
 
 
 def conditional_pe_from_chips(chips, lam, eb, sn2, ss2):

@@ -18,10 +18,10 @@ from fsocdma import montecarlo as mc
 from fsocdma import orthocodes as oc
 from fsocdma import sensing as sn
 from fsocdma.ber_analysis import average_pe, pe_of_counts, q_function
-from fsocdma.phylink import SensingProbs, SystemParams, transmit_block
+from fsocdma.phylink import SystemParams
 from fsocdma.sensing import DetectorConfig, FusionResult, occupancy_model
 from oracles import enum_average_pe, exact_average_pe
-from test_phylink import manual_slot
+from test_phylink import fixed_mask_components
 
 MASTER_SEED = 24601
 
@@ -327,13 +327,7 @@ def test_criterion_7_receiver_moment_checks():
     est[:m] = True
     lam = list(range(m, m + n_lam))
     rng = np.random.default_rng(MASTER_SEED)
-    comps = np.empty((trials, 4))
-    bits = np.ones((1, k))
-    for t in range(trials):
-        gains = (rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))) / np.sqrt(2)
-        slot = manual_slot(params, est, lam, gains)
-        out = transmit_block(slot, params, bits, rng)
-        comps[t] = (out["r_signal"][0], out["r_mai"][0], out["r_gi"][0], out["r_noise"][0])
+    comps = fixed_mask_components(params, est, lam, trials, rng)
     want = np.array(
         [
             eb**2 / n_free,

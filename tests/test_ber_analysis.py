@@ -12,7 +12,7 @@ from scipy.stats import norm
 
 from fsocdma import ber_analysis as ba
 from fsocdma.orthocodes import build, embed
-from fsocdma.phylink import SystemParams, transmit_block
+from fsocdma.phylink import SystemParams, project, receive
 from fsocdma.sensing import FusionResult, occupancy_model
 from oracles import (
     chips_for_configuration,
@@ -21,7 +21,7 @@ from oracles import (
     exact_average_pe,
     exact_conditional_pe,
 )
-from test_phylink import manual_slot
+from test_phylink import fresh_gains, manual_slot
 
 
 class TestQFunction:
@@ -322,12 +322,11 @@ class TestExactOracle:
         assert want >= 1e-2
         rng = np.random.default_rng(17)
         slots, bits_per_slot = 4000, 90
-        rates = np.empty(slots)
-        for t in range(slots):
-            gains = (rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))) / np.sqrt(2)
-            bits = rng.integers(0, 2, (bits_per_slot, k)) * 2 - 1
-            out = transmit_block(manual_slot(params, est, lam, gains), params, bits, rng)
-            rates[t] = np.mean(out["decided"] != bits[:, 0])
+        gains = fresh_gains(rng, (slots, k, n))
+        bits = rng.integers(0, 2, (slots, bits_per_slot, k)) * 2 - 1
+        proj = project(manual_slot(params, est, lam, gains), 1.0)
+        out = receive(proj, params, bits, rng.standard_normal((slots, bits_per_slot, 2)))
+        rates = np.mean(out["decided"] != bits[:, :, 0], axis=1)
         se = float(np.std(rates, ddof=1)) / math.sqrt(slots)
         assert abs(float(np.mean(rates)) - want) <= 3 * se
         assert time.perf_counter() - t0 < 60.0

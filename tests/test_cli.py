@@ -136,6 +136,29 @@ class TestBer:
         assert lines[0] == "slot,n_busy_true,n_est_busy,n_misdetected,R,R_s,R_MAI,R_GI,R_n,bit,decided"
         assert len(lines) > 90
 
+    def test_ber_headers_carry_stream_version(self, tmp_path):
+        from fsocdma.montecarlo import STREAM_VERSION
+
+        line = f"# stream_version={STREAM_VERSION}"
+        sim, ana, trace = tmp_path / "s.csv", tmp_path / "a.csv", tmp_path / "t.csv"
+        assert run_cli(["ber", "--out", str(sim), "--trace", str(trace),
+                        "--set", "run.snr_grid_db=5",
+                        "--set", "run.trials_min=100",
+                        "--set", "run.target_error_events=5"]) == 0
+        assert run_cli(["ber", "--mode", "analytic", "--figure", "fig3",
+                        "--out", str(ana)]) == 0
+        for path in (sim, trace, tmp_path / "a_snr10.csv", tmp_path / "a_snr20.csv"):
+            assert line in path.read_text().splitlines()
+
+    def test_fig3_point_indices_never_collide(self):
+        indices = {
+            cli.fig3_point_index(row, k)
+            for row in (0, 1)
+            for k in range(1, oc.ORDER_LIMIT + 1)
+        }
+        assert len(indices) == 2 * oc.ORDER_LIMIT
+        assert max(indices) < 2**32
+
     def test_trace_needs_single_point(self, tmp_path, capsys):
         rc = run_cli(["ber", "--trace", str(tmp_path / "t.csv"),
                       "--set", "run.snr_grid_db=5,10"])

@@ -40,6 +40,17 @@ class TestDeriveSensing:
         )
         assert achieved == pytest.approx(d.probs.pd, abs=1e-9)
 
+    def test_one_solve_per_sensing_input(self, monkeypatch):
+        # the threshold depends on K, the target, the detector and pr_h1
+        # only, so configs that differ in their SNR grid share one solve
+        calls = []
+        solve = mc.solve_threshold
+        monkeypatch.setattr(mc, "solve_threshold", lambda *a: calls.append(a) or solve(*a))
+        a = make_config(target_pd=0.9371, snr_grid_db=(10.0,))
+        b = make_config(target_pd=0.9371, snr_grid_db=(20.0,))
+        assert mc.derive_sensing(a) is mc.derive_sensing(b)
+        assert len(calls) == 1
+
 
 class TestPointParams:
     def test_snr_definition_and_inr(self):
@@ -95,6 +106,20 @@ class TestEstimateBer:
         assert abs(p.ber_simulated - p.ber_analytic) <= max(
             3 * p.ci_halfwidth, 0.2 * p.ber_analytic
         )
+
+    def test_off_grid_snr_needs_point_index(self):
+        cfg = make_config(trials_min=500, target_error_events=20)
+        with pytest.raises(ValueError, match="7.5"):
+            mc.estimate_ber(cfg, 7.5)
+        p = mc.estimate_ber(cfg, 7.5, point_index=5)
+        assert p.trials >= 500
+
+    def test_point_index_must_fit_the_key(self):
+        cfg = make_config(trials_min=500, target_error_events=20)
+        for bad in (-1, 2**32):
+            with pytest.raises(ValueError, match="point index"):
+                mc.estimate_ber(cfg, 5.0, point_index=bad)
+        assert mc.estimate_ber(cfg, 5.0, point_index=2**32 - 1).trials >= 500
 
     def test_trace_rows(self):
         cfg = make_config(snr_grid_db=(5.0,), trials_min=100, target_error_events=5)
@@ -160,6 +185,29 @@ class TestStatistics:
             covered += int(abs(p_hat - p_true) <= ci)
         assert covered / reps >= 0.93
 
+    def test_slot_interval_covers_clustered_errors(self):
+        # every slot's 90 bits share a random error rate (Beta(1, 19), mean
+        # 0.05), as a slot's bits share one fading draw: the slot-level
+        # interval keeps its coverage, the Wald interval over bits loses it
+        rng = np.random.default_rng(2025)
+        p_true, slots, bits, reps = 0.05, 1_000, 90, 1_000
+        errs = rng.binomial(bits, rng.beta(1.0, 19.0, (reps, slots)))
+        covered = wald_covered = 0
+        for e in errs:
+            p_hat = e.sum() / (slots * bits)
+            ci = mc.slot_interval(int(e.sum()), int(np.dot(e, e)), slots, bits)
+            wald = 1.96 * math.sqrt(p_hat * (1 - p_hat) / (slots * bits))
+            covered += int(abs(p_hat - p_true) <= ci)
+            wald_covered += int(abs(p_hat - p_true) <= wald)
+        assert covered / reps >= 0.93
+        assert wald_covered / reps < 0.8
+
+    def test_slot_interval_edge_cases(self):
+        assert mc.slot_interval(0, 0, 10, 90) == pytest.approx(3.0 / 900)
+        assert mc.slot_interval(5, 25, 1, 90) == 1.0
+        # equal counts in every slot: no spread between slots
+        assert mc.slot_interval(20, 40, 10, 90) == 0.0
+
     def test_error_floor_contrast_simulated(self):
         # K=8 is interference-limited: tenfold noise reduction barely helps
         cfg = make_config(k=8, snr_grid_db=(20.0, 30.0), trials_min=20_000)
@@ -183,3 +231,7 @@ class TestRunConfigValidation:
     def test_cap_below_minimum_rejected(self):
         with pytest.raises(ValueError):
             make_config(trials_min=1_000, max_trials=500)
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ValueError, match="batch_slots"):
+            make_config(batch_slots=0)

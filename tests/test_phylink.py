@@ -4,50 +4,52 @@ import numpy as np
 import pytest
 
 from fsocdma import phylink as pl
-from fsocdma.orthocodes import build, embed
+from fsocdma.orthocodes import build
+from oracles import chips_for_configuration, literal_receiver
 
 
 def manual_slot(params, est_busy, lam_indices, gains, code_policy="rechoose"):
-    """Slot with fixed masks and given gains (no randomness)."""
-    n, k = params.n_subcarriers, params.n_users
-    est_busy = np.asarray(est_busy, dtype=bool)
-    occupancy = est_busy.copy()
-    occupancy[list(lam_indices)] = True
-    misdetected = np.zeros(n, dtype=bool)
-    misdetected[list(lam_indices)] = True
-    decisions = np.tile(est_busy, (k, 1))
-    free_idx = np.flatnonzero(~est_busy)
-    if code_policy == "rechoose":
-        from fsocdma.orthocodes import largest_supported_order
+    """Slots with fixed masks and given gains (no randomness).
 
-        n_active = largest_supported_order(free_idx.size)
-        family = build(n_active)
-        busy_for_embed = np.ones(n, dtype=bool)
-        busy_for_embed[free_idx[:n_active]] = False
-        sigs = tuple(embed(family.entries[i], busy_for_embed) for i in range(k))
-    else:
-        family = build(n)
-        free_mask = ~est_busy
-        sigs = []
-        for i in range(k):
-            chips = np.where(free_mask, family.entries[i], 0)
-            sigs.append(
-                pl.ModifiedSignature(
-                    length=n,
-                    chips=chips,
-                    free_mask=free_mask.copy(),
-                    energy=int(np.sum(chips.astype(object) ** 2)),
-                )
-            )
-        sigs = tuple(sigs)
-    return pl.SlotRealization(
-        occupancy=occupancy,
-        decisions=decisions,
+    gains has shape (K, N) for one slot or (B, K, N) for B slots that
+    share the masks.
+    """
+    gains = np.asarray(gains, dtype=complex)
+    if gains.ndim == 2:
+        gains = gains[np.newaxis]
+    est_busy = np.tile(np.asarray(est_busy, dtype=bool), (gains.shape[0], 1))
+    misdetected = np.zeros_like(est_busy)
+    misdetected[:, list(lam_indices)] = True
+    chips, energies = pl.signature_matrix(est_busy, params.n_users, code_policy)
+    return pl.SlotBatch(
+        occupancy=est_busy | misdetected,
         est_busy=est_busy,
         misdetected=misdetected,
-        gains=np.asarray(gains, dtype=complex),
-        signatures=sigs,
+        chips=chips,
+        energies=energies,
+        gains=gains,
     )
+
+
+def fresh_gains(rng, shape):
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+
+
+def fixed_mask_components(params, est_busy, lam_indices, trials, rng, chunk=10_000):
+    """(trials, 4) parts R_s, R_MAI, R_GI, R_n of one all-ones bit interval per
+    slot; every slot has the given masks and fresh gains."""
+    k, n = params.n_users, params.n_subcarriers
+    comps = []
+    for start in range(0, trials, chunk):
+        b = min(chunk, trials - start)
+        slot = manual_slot(params, est_busy, lam_indices, fresh_gains(rng, (b, k, n)))
+        bits = np.ones((b, 1, k))
+        out = pl.receive(pl.project(slot, params.energy_per_bit), params, bits,
+                         rng.standard_normal((b, 1, 2)))
+        comps.append(np.column_stack(
+            [out[name][:, 0] for name in ("r_signal", "r_mai", "r_gi", "r_noise")]
+        ))
+    return np.concatenate(comps)
 
 
 PARAMS = pl.SystemParams(
@@ -78,27 +80,29 @@ class TestDrawSlot:
     def test_all_free_when_no_primary_and_no_false_alarm(self):
         rng = np.random.default_rng(0)
         params = dataclasses.replace(PARAMS, pr_h1=0.0)
-        slot = pl.draw_slot(params, pl.SensingProbs(pd=0.9, pfa=0.0), rng)
+        slot = pl.draw_slots(params, pl.SensingProbs(pd=0.9, pfa=0.0), rng, 1)
         assert not slot.est_busy.any()
         assert not slot.misdetected.any()
-        assert slot.n_active == 32
+        assert np.count_nonzero(slot.chips[0, 0]) == 32
 
     def test_perfect_detection_means_no_misdetection(self):
         rng = np.random.default_rng(1)
-        for _ in range(50):
-            slot = pl.draw_slot(PARAMS, pl.SensingProbs(pd=1.0, pfa=0.05), rng)
-            assert not slot.misdetected.any()
+        slots = pl.draw_slots(PARAMS, pl.SensingProbs(pd=1.0, pfa=0.05), rng, 50)
+        assert not slots.misdetected.any()
 
     def test_invariants_hold(self):
         rng = np.random.default_rng(2)
-        for _ in range(100):
-            slot = pl.draw_slot(PARAMS, pl.SensingProbs(pd=0.5, pfa=0.1), rng)
-            assert np.array_equal(slot.est_busy, slot.decisions.any(axis=0))
-            assert np.array_equal(slot.misdetected, slot.occupancy & ~slot.est_busy)
-            for sig in slot.signatures:
-                assert not sig.chips[slot.est_busy].any()
-                assert np.array_equal(sig.chips != 0, sig.free_mask)
-                assert sig.energy == int(np.sum(sig.chips.astype(object) ** 2))
+        slots = pl.draw_slots(PARAMS, pl.SensingProbs(pd=0.5, pfa=0.1), rng, 100)
+        assert np.array_equal(slots.misdetected, slots.occupancy & ~slots.est_busy)
+        assert slots.feasible.all()
+        for s in range(100):
+            chips = slots.chips[s]
+            assert not chips[:, slots.est_busy[s]].any()
+            # every user transmits on the same active subcarriers
+            assert np.array_equal((chips != 0).all(axis=0), (chips != 0).any(axis=0))
+            assert np.array_equal(slots.energies[s], np.sum(chips.astype(object) ** 2, axis=1))
+            gram = chips @ chips.T
+            assert not np.any(gram[~np.eye(4, dtype=bool)])  # rechosen rows stay orthogonal
 
     def test_misdetection_count_mean(self):
         # E[#misdetected] = N * (1 - qd) * pr_h1 with qd the OR-fused rate
@@ -108,17 +112,22 @@ class TestDrawSlot:
         expect = PARAMS.n_subcarriers * p_mis
         rng = np.random.default_rng(3)
         total = 0
-        for _ in range(slots):
-            slot = pl.draw_slot(PARAMS, pl.SensingProbs(pd=pd_local, pfa=0.0), rng)
-            total += int(slot.misdetected.sum())
+        for _ in range(slots // 1_000):
+            batch = pl.draw_slots(PARAMS, pl.SensingProbs(pd=pd_local, pfa=0.0), rng, 1_000)
+            total += int(batch.misdetected.sum())
         mean = total / slots
         se = np.sqrt(PARAMS.n_subcarriers * p_mis * (1 - p_mis) / slots)
         assert abs(mean - expect) <= 3 * se
 
     def test_capacity_error(self):
+        # every subcarrier reported busy: nothing can be transmitted
         rng = np.random.default_rng(4)
-        with pytest.raises(pl.CapacityError):
-            pl.draw_slot(PARAMS, pl.SensingProbs(pd=1.0, pfa=1.0), rng)
+        slots = pl.draw_slots(PARAMS, pl.SensingProbs(pd=1.0, pfa=1.0), rng, 5)
+        assert not slots.feasible.any()
+        assert not slots.chips.any()
+        for policy in pl.CODE_POLICIES:
+            chips, energies = pl.signature_matrix(np.ones((1, 32), bool), 4, policy)
+            assert not chips.any() and not energies.any()
 
     def test_fallback_deactivates_excess(self):
         # 31 free -> largest supported order is 30, one free subcarrier idles
@@ -126,18 +135,38 @@ class TestDrawSlot:
         est = np.zeros(32, dtype=bool)
         est[7] = True
         slot = manual_slot(params, est, [], np.ones((4, 32), complex))
-        assert slot.n_active == 30
-        free_positions = np.flatnonzero(slot.signatures[0].chips != 0)
+        free_positions = np.flatnonzero(slot.chips[0, 0] != 0)
         assert free_positions.size == 30
         assert 7 not in free_positions
+        assert 31 not in free_positions  # the trailing free subcarrier idles
 
     def test_fixed_policy_zeroes_in_place(self):
         rng = np.random.default_rng(6)
-        slot = pl.draw_slot(PARAMS, pl.SensingProbs(pd=0.6, pfa=0.1), rng, "fixed")
+        slots = pl.draw_slots(PARAMS, pl.SensingProbs(pd=0.6, pfa=0.1), rng, 20, "fixed")
         family = build(32)
-        for i, sig in enumerate(slot.signatures):
-            assert np.array_equal(sig.chips[~slot.est_busy], family.entries[i][~slot.est_busy])
-            assert not sig.chips[slot.est_busy].any()
+        for s in range(20):
+            free = ~slots.est_busy[s]
+            for i in range(4):
+                assert np.array_equal(slots.chips[s, i, free], family.entries[i][free])
+                assert not slots.chips[s, i, ~free].any()
+
+    @pytest.mark.parametrize("policy", pl.CODE_POLICIES)
+    def test_signature_matrix_matches_oracle(self, policy):
+        rng = np.random.default_rng(13)
+        n, k = 32, 4
+        masks = rng.random((300, n)) < rng.random((300, 1))
+        chips, energies = pl.signature_matrix(masks, k, policy)
+        for s in range(300):
+            want = chips_for_configuration(n, k, set(np.flatnonzero(masks[s])), policy)
+            if want is None:
+                assert not chips[s].any() and not energies[s].any()
+            else:
+                assert np.array_equal(chips[s], want)
+                assert np.array_equal(energies[s], np.sum(want * want, axis=1))
+
+    def test_unknown_policy_rejected(self):
+        with pytest.raises(ValueError):
+            pl.signature_matrix(np.zeros((1, 4), bool), 1, "bogus")
 
 
 class TestTransmitAndReceive:
@@ -147,78 +176,105 @@ class TestTransmitAndReceive:
             noise_psd=1e-300, interference_power=0.0,
         )
         slot = manual_slot(params, np.zeros(4, bool), [], np.ones((1, 4), complex))
-        out = pl.transmit_and_receive(slot, params, np.array([1.0]), np.random.default_rng(0))
-        assert out.decision_variable == 1.0
-        assert out.decided_bit == 1
+        z = np.random.default_rng(0).standard_normal((1, 1, 2))
+        out = pl.receive(pl.project(slot, 1.0), params, np.ones((1, 1, 1)), z)
+        assert out["decision"][0, 0] == 1.0
+        assert out["decided"][0, 0] == 1
 
     def test_flat_channel_mai_vanishes_with_rechosen_codes(self):
         gains = np.tile(np.array([[1.0 + 0.5j], [0.3 - 1j], [-0.7 + 0.2j], [1.1 + 0j]]), (1, 32))
         est = np.zeros(32, bool)
         est[[3, 11]] = True  # 30 free, supported
         slot = manual_slot(PARAMS, est, [], gains)
-        out = pl.transmit_and_receive(
-            slot, PARAMS, np.array([1.0, -1.0, 1.0, -1.0]), np.random.default_rng(1)
-        )
-        assert abs(out.r_mai) < 1e-12
+        proj = pl.project(slot, PARAMS.energy_per_bit)
+        out = pl.receive(proj, PARAMS, np.array([[[1.0, -1.0, 1.0, -1.0]]]),
+                         np.random.default_rng(1).standard_normal((1, 1, 2)))
+        assert abs(out["r_mai"][0, 0]) < 1e-12
 
     def test_flat_channel_mai_survives_with_fixed_zeroed_codes(self):
         gains = np.tile(np.array([[1.0 + 0.5j], [0.3 - 1j], [-0.7 + 0.2j], [1.1 + 0j]]), (1, 32))
         est = np.zeros(32, bool)
         est[[3, 11, 17]] = True
         slot = manual_slot(PARAMS, est, [], gains, code_policy="fixed")
-        out = pl.transmit_and_receive(
-            slot, PARAMS, np.array([1.0, -1.0, 1.0, -1.0]), np.random.default_rng(1)
-        )
-        assert abs(out.r_mai) > 1e-6
+        proj = pl.project(slot, PARAMS.energy_per_bit)
+        out = pl.receive(proj, PARAMS, np.array([[[1.0, -1.0, 1.0, -1.0]]]),
+                         np.random.default_rng(1).standard_normal((1, 1, 2)))
+        assert abs(out["r_mai"][0, 0]) > 1e-6
 
     def test_power_accounting(self):
         rng = np.random.default_rng(7)
-        for _ in range(20):
-            slot = pl.draw_slot(PARAMS, pl.SensingProbs(pd=0.5, pfa=0.1), rng)
-            sig = slot.signatures[0]
-            p_n = PARAMS.energy_per_bit / sig.energy
-            total = p_n * float(np.sum(sig.chips.astype(float) ** 2))
+        slots = pl.draw_slots(PARAMS, pl.SensingProbs(pd=0.5, pfa=0.1), rng, 20)
+        for s in range(20):
+            p_n = PARAMS.energy_per_bit / slots.energies[s, 0]
+            total = p_n * float(np.sum(slots.chips[s, 0].astype(float) ** 2))
             assert total == pytest.approx(PARAMS.energy_per_bit, rel=1e-12)
 
     def test_components_sum_to_decision(self):
         rng = np.random.default_rng(8)
-        for _ in range(200):
-            slot = pl.draw_slot(PARAMS, pl.SensingProbs(pd=0.5, pfa=0.1), rng)
-            bits = rng.integers(0, 2, 4) * 2.0 - 1.0
-            out = pl.transmit_and_receive(slot, PARAMS, bits, rng)
-            parts = out.r_signal + out.r_mai + out.r_gi + out.r_noise
-            scale = max(1.0, abs(out.r_signal) + abs(out.r_mai) + abs(out.r_gi) + abs(out.r_noise))
-            assert abs(out.decision_variable - parts) <= 1e-10 * scale
-            assert out.decided_bit == (1 if out.decision_variable >= 0 else -1)
+        slots = pl.draw_slots(PARAMS, pl.SensingProbs(pd=0.5, pfa=0.1), rng, 200)
+        bits = rng.integers(0, 2, (200, 1, 4)) * 2.0 - 1.0
+        out = pl.receive(pl.project(slots, PARAMS.energy_per_bit), PARAMS, bits,
+                         rng.standard_normal((200, 1, 2)))
+        names = ("r_signal", "r_mai", "r_gi", "r_noise")
+        parts = sum(out[name] for name in names)
+        scale = np.maximum(1.0, sum(np.abs(out[name]) for name in names))
+        assert np.all(np.abs(out["decision"] - parts) <= 1e-10 * scale)
+        assert np.array_equal(out["decided"], np.where(out["decision"] >= 0, 1, -1))
 
     def test_seeded_slot_recompute_oracle(self):
-        # reassemble the combining sum by hand from the returned projections
+        # the literal per-subcarrier receiver, fed a drawn slot and the same
+        # bits, reproduces the signal and MAI parts of the decision
         rng = np.random.default_rng(9)
-        slot = pl.draw_slot(PARAMS, pl.SensingProbs(pd=0.5, pfa=0.1), rng)
-        bits = np.array([1.0, 1.0, -1.0, 1.0])
-        out = pl.transmit_and_receive(slot, PARAMS, bits, rng)
-        sig = slot.signatures[0]
-        amp = np.sqrt(PARAMS.energy_per_bit / sig.energy)
-        recomputed = 0.0
-        for n in range(PARAMS.n_subcarriers):
-            w = amp * sig.chips[n] * np.conj(slot.gains[0, n])
-            recomputed += (w * out.test_statistics[n]).real
-        assert out.decision_variable == pytest.approx(recomputed, rel=1e-12)
-        # signal and MAI parts recomputable from the slot alone
-        rs = float(np.sum(np.abs(slot.gains[0]) ** 2 * sig.chips.astype(float) ** 2)) * amp**2
-        assert out.r_signal == pytest.approx(bits[0] * rs, rel=1e-12)
+        slot = pl.draw_slots(PARAMS, pl.SensingProbs(pd=0.5, pfa=0.1), rng, 1)
+        bits = np.array([[1.0, 1.0, -1.0, 1.0], [-1.0, 1.0, 1.0, -1.0]])
+        out = pl.receive(pl.project(slot, PARAMS.energy_per_bit), PARAMS, bits[np.newaxis],
+                         rng.standard_normal((1, 2, 2)))
+        _, parts, _ = literal_receiver(
+            slot.chips[0], slot.gains[0], np.flatnonzero(slot.misdetected[0]), bits,
+            PARAMS.energy_per_bit, PARAMS.noise_psd, PARAMS.interference_power, rng,
+        )
+        assert out["r_signal"][0] == pytest.approx(parts[:, 0], rel=1e-12)
+        assert out["r_mai"][0] == pytest.approx(parts[:, 1], rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("policy", pl.CODE_POLICIES)
+    def test_projections_match_literal_receiver(self, policy):
+        # fixed masks with misdetections, gains and chips: the batched sums
+        # equal the per-subcarrier ones, and the literal receiver's four
+        # parts add up to its R
+        rng = np.random.default_rng(19)
+        est = np.zeros(32, bool)
+        est[[0, 4, 5, 22]] = True
+        lam = [2, 9, 30]
+        gains = fresh_gains(rng, (3, 4, 32))
+        slots = manual_slot(PARAMS, est, lam, gains, code_policy=policy)
+        proj = pl.project(slots, PARAMS.energy_per_bit)
+        bits = rng.integers(0, 2, (5, 4)) * 2.0 - 1.0
+        for s in range(3):
+            decisions, parts, sums = literal_receiver(
+                slots.chips[s], gains[s], lam, bits, PARAMS.energy_per_bit,
+                PARAMS.noise_psd, PARAMS.interference_power, rng,
+            )
+            assert proj.signal[s] == pytest.approx(sums["signal"], rel=1e-12)
+            assert proj.signal[s] == pytest.approx(sums["w2"], rel=1e-12)
+            assert proj.w2_lambda[s] == pytest.approx(sums["w2_lambda"], rel=1e-12)
+            scale = np.sqrt(proj.signal[s] * np.max(slots.energies[s])) * 1e-12
+            assert proj.mai[s] == pytest.approx(sums["mai"], rel=1e-12, abs=scale)
+            assert decisions == pytest.approx(parts.sum(axis=1), rel=1e-12, abs=1e-12)
 
     def test_block_matches_single(self):
-        # block mode with one interval reproduces the scalar entry point
-        rng1 = np.random.default_rng(10)
-        slot = pl.draw_slot(PARAMS, pl.SensingProbs(pd=0.5, pfa=0.1), rng1)
-        bits = np.array([1.0, -1.0, -1.0, 1.0])
-        state = rng1.bit_generator.state
-        single = pl.transmit_and_receive(slot, PARAMS, bits, rng1)
-        rng1.bit_generator.state = state
-        block = pl.transmit_block(slot, PARAMS, bits[np.newaxis, :], rng1)
-        assert single.decision_variable == block["decision"][0]
-        assert single.r_noise == block["r_noise"][0]
+        # a batch of slots reproduces each slot received on its own
+        rng = np.random.default_rng(10)
+        slots = pl.draw_slots(PARAMS, pl.SensingProbs(pd=0.5, pfa=0.1), rng, 6)
+        bits = rng.integers(0, 2, (6, 3, 4)) * 2.0 - 1.0
+        z = rng.standard_normal((6, 3, 2))
+        block = pl.receive(pl.project(slots, PARAMS.energy_per_bit), PARAMS, bits, z)
+        for s in range(6):
+            one = manual_slot(PARAMS, slots.est_busy[s], np.flatnonzero(slots.misdetected[s]),
+                              slots.gains[s])
+            single = pl.receive(pl.project(one, PARAMS.energy_per_bit), PARAMS,
+                                bits[s : s + 1], z[s : s + 1])
+            for name in ("decision", "r_noise", "r_gi", "decided"):
+                assert np.array_equal(single[name][0], block[name][s])
 
 
 class TestEmpiricalMoments:
@@ -230,13 +286,7 @@ class TestEmpiricalMoments:
         lam = [1, 5]
         est = np.zeros(n, bool)
         rng = np.random.default_rng(11)
-        comps = np.empty((trials, 4))
-        bits = np.ones((1, k))
-        for t in range(trials):
-            gains = (rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))) / np.sqrt(2)
-            slot = manual_slot(params, est, lam, gains)
-            out = pl.transmit_block(slot, params, bits, rng)
-            comps[t] = (out["r_signal"][0], out["r_mai"][0], out["r_gi"][0], out["r_noise"][0])
+        comps = fixed_mask_components(params, est, lam, trials, rng)
         want = np.array(
             [
                 eb**2 / n,
@@ -257,13 +307,7 @@ class TestEmpiricalMoments:
         trials = 20_000
         rng = np.random.default_rng(12)
         est = np.zeros(32, bool)
-        comps = np.empty((trials, 3))
-        bits = np.ones((1, 4))
-        for t in range(trials):
-            gains = (rng.standard_normal((4, 32)) + 1j * rng.standard_normal((4, 32))) / np.sqrt(2)
-            slot = manual_slot(params, est, [2, 9], gains)
-            out = pl.transmit_block(slot, params, bits, rng)
-            comps[t] = (out["r_mai"][0], out["r_gi"][0], out["r_noise"][0])
+        comps = fixed_mask_components(params, est, [2, 9], trials, rng)[:, 1:]
         corr = np.corrcoef(comps.T)
         limit = 4.0 / np.sqrt(trials)
         for i in range(3):

@@ -101,7 +101,7 @@ class TestSampleLevel:
     def test_zero_threshold_always_true(self):
         rng = np.random.default_rng(0)
         cfg = sn.DetectorConfig(5, 0.0, 2.3)
-        assert all(sn.detect_sample_level(cfg, False, rng) for _ in range(50))
+        assert sn.sample_level_rate(cfg, False, 50, rng) == 1.0
 
     def test_idle_rate_matches_pfa(self):
         cfg = sn.DetectorConfig(5, 10.0, 2.3)
