@@ -18,7 +18,7 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--outdir", default=".", help="output directory")
     ap.add_argument("--seed", type=int, default=24601)
-    ap.add_argument("--threads", type=int, default=2)
+    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--events", type=int, default=100, help="error events per point")
     args = ap.parse_args()
 

@@ -15,10 +15,26 @@ subcarrier gives the slot-average error probability.  Cells that cannot
 carry all users contribute the erasure value 1/2, matching the
 simulator's convention.
 
-The conditional variance depends on which chips are hit whenever chip
-magnitudes are non-constant, so the (m, l) cell value averages over
-placements: exactly, via the cached subset-sum distribution of the
-squared chips, or by seeded subset sampling for cross-checks.
+average_pe evaluates this as one table per sweep point.  Under the
+rechoose policy every cell with n_free = N - m free subcarriers uses the
+family of order n_active = largest_supported_order(n_free), and only the
+number j of misdetections that land on its active chips, and which chips
+they hit, moves the variance.  So:
+
+- q[j], j = 0..n_active, is the error probability with j misdetected
+  active chips averaged over their placement, one vector per order and
+  point: a closed form in j for constant-magnitude (Walsh) chips, and one
+  Q evaluation over the exact subset-sum distribution of the squared
+  chips, reduced per j, for multi-level ones;
+- the cached hypergeometric table H[l, j] = P(j | l) of (n_free,
+  n_active) turns q into the cells of row m, H @ q;
+- the trinomial weights of (m, l) sum the cells.
+
+pe_of_counts returns one cell of the same table (or, on request, the cell
+with q estimated by seeded placement sampling).  The fixed policy keeps
+its length-N family: with unit-magnitude chips every cell is one closed
+form in (n_free, l), and a multi-level family enumerates (or samples) the
+zeroed and misdetected placements cell by cell.
 """
 
 from __future__ import annotations
@@ -33,7 +49,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import erfc
 
-from .orthocodes import ModifiedSignature, build, largest_supported_order
+from .orthocodes import INT64_MAX, ModifiedSignature, build, largest_supported_order
 from .phylink import SystemParams, signature_matrix
 from .sensing import OccupancyModel
 
@@ -125,50 +141,128 @@ def conditional_pe(v: VarianceBreakdown, energy_per_bit: float) -> float:
 
 @lru_cache(maxsize=None)
 def _subset_sum_distributions(n_active: int) -> tuple:
-    """Exact subset-sum distribution of the squared first-row chips.
+    """Exact subset-sum distributions of the order-n_active family's squared chips.
 
-    For the order-n_active family, returns per subset size j a pair
-    (sums, probabilities): the possible values of sum_{i in S} c1_i^2 over
-    uniformly random j-subsets S and their exact probabilities.  Computed
-    by dynamic programming in exact integer arithmetic, then normalized.
+    Returns flat (sums, probs, starts): sums[starts[j]:starts[j+1]] are the
+    values of sum_{i in S} c1_i^2 over uniformly random j-subsets S,
+    ascending, and probs the matching probabilities, so that one Q
+    evaluation covers every j.  A 0/1 knapsack over a (subset size, sum)
+    count array, in int64 while no count can exceed it (every count is at
+    most comb(n, n//2)) and in Python integers beyond; each probability is
+    one correctly rounded int / int division.
     """
-    family = build(n_active)
-    sq = [int(v) ** 2 for v in family.entries[0]]
-    # counts[j][s] = number of j-subsets summing to s
-    counts: list[dict[int, int]] = [dict() for _ in range(n_active + 1)]
-    counts[0][0] = 1
-    for value in sq:
-        for j in range(min(len(counts) - 2, n_active), -1, -1):
-            if not counts[j]:
-                continue
-            tgt = counts[j + 1]
-            for s, c in counts[j].items():
-                tgt[s + value] = tgt.get(s + value, 0) + c
-    out = []
+    sq = [int(v) ** 2 for v in build(n_active).entries[0]]
+    top = sum(sq)
+    exact = np.int64 if comb(n_active, n_active // 2) <= INT64_MAX else object
+    counts = np.zeros((n_active + 1, top + 1), dtype=exact)
+    counts[0, 0] = 1
+    reach = 0  # largest sum of the chips added so far
+    for i, value in enumerate(sq):
+        # descending j reads row j before this chip is added to it
+        for j in range(i, -1, -1):
+            counts[j + 1, value : reach + value + 1] += counts[j, : reach + 1]
+        reach += value
+    sums, probs, starts = [], [], []
+    size = 0
     for j in range(n_active + 1):
         total = comb(n_active, j)
-        sums = np.array(sorted(counts[j]), dtype=np.float64)
-        probs = np.array([counts[j][int(s)] / total for s in sums], dtype=np.float64)
-        out.append((sums, probs))
-    return tuple(out)
+        attained = np.flatnonzero(counts[j])
+        row = counts[j, attained]
+        if total <= 2**53:
+            # both operands are exact doubles, so IEEE division rounds as int / int
+            p = row.astype(np.float64) / total
+        else:
+            p = np.fromiter((c / total for c in row.tolist()), np.float64, row.size)
+        starts.append(size)
+        size += attained.size
+        sums.append(attained)
+        probs.append(p)
+    return np.concatenate(sums).astype(np.float64), np.concatenate(probs), np.array(starts)
 
 
-def _pe_binary_counts(n_active, j_misdetected, k_users, eb, sn2, ss2):
-    """Count-only conditional error probability for unit-magnitude chips."""
-    var_s = eb * eb / n_active
-    var_mai = 0.5 * eb * eb * (k_users - 1) / n_active
-    var_gi = 0.5 * eb * j_misdetected * ss2 / n_active
+@lru_cache(maxsize=256)
+def _hypergeom_matrix(n_free: int, n_active: int) -> np.ndarray:
+    """H[l, j] = P(j of l misdetected free subcarriers land on the n_active active ones).
+
+    The rechoose layout keeps n_active of the n_free free subcarriers, so
+    j is hypergeometric; each entry is one exact integer ratio.  A sweep
+    point at N subcarriers uses N + 1 tables, (N + 1)^3 / 3 floats in all.
+    """
+    table = np.zeros((n_free + 1, n_active + 1))
+    idle = n_free - n_active
+    for l in range(n_free + 1):
+        denom = comb(n_free, l)
+        for j in range(max(0, l - idle), min(l, n_active) + 1):
+            table[l, j] = comb(n_active, j) * comb(idle, l - j) / denom
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=None)
+def _constant_magnitude(order: int) -> bool:
+    """Whether the order's family has chips of one magnitude (the Walsh orders)."""
+    sq = build(order).entries[0] ** 2
+    return bool(np.all(sq == sq[0]))
+
+
+def _unit_chip_pe(order, hits, k_users, eb, sn2, ss2):
+    """Conditional error probability for chips of one magnitude; arrays broadcast.
+
+    order chips carry the signal and hits of them see primary
+    interference; the normalized terms reduce to counts.
+    """
+    var_s = eb * eb / order
+    var_mai = 0.5 * eb * eb * (k_users - 1) / order
+    var_gi = 0.5 * eb * hits * ss2 / order
     var_n = 0.5 * eb * sn2
-    return float(q_function(eb / math.sqrt(var_s + var_mai + var_gi + var_n)))
+    return q_function(eb / np.sqrt(var_s + var_mai + var_gi + var_n))
 
 
-def _hypergeom_weights(n_free: int, l: int, n_active: int):
-    """P(j of the l misdetected free subcarriers land among the n_active kept)."""
-    denom = comb(n_free, l)
-    lo = max(0, l - (n_free - n_active))
-    hi = min(l, n_active)
-    for j in range(lo, hi + 1):
-        yield j, comb(n_active, j) * comb(n_free - n_active, l - j) / denom
+def _multilevel_pe(n_active, k_users, eb, sn2, ss2, gi_sums):
+    """Conditional error probability of the rechosen multi-level family.
+
+    gi_sums holds sums of squared first-row chips on misdetected active
+    subcarriers, one value per placement.
+    """
+    family = build(n_active)
+    c1 = family.entries[0].astype(np.float64)
+    energy = float(family.gram_diag[0])
+    var_s = eb * eb * float(np.sum(c1**4)) / (energy * energy)
+    cross = float(np.sum((c1 * family.entries[1:k_users]) ** 2)) if k_users > 1 else 0.0
+    var_mai = 0.5 * eb * eb * cross / (energy * energy)
+    var_n = 0.5 * eb * sn2
+    gi_scale = 0.5 * eb * ss2 / energy
+    return q_function(eb / np.sqrt(var_s + var_mai + var_n + gi_scale * gi_sums))
+
+
+def _rechoose_q(n_active, k_users, eb, sn2, ss2) -> np.ndarray:
+    """q[j], j = 0..n_active: error probability with j misdetected active chips.
+
+    Averaged over the uniform placement of the j hits: a closed form in j
+    for constant-magnitude chips, the exact subset-sum distribution of the
+    squared chips otherwise.
+    """
+    hits = np.arange(n_active + 1)
+    if _constant_magnitude(n_active):
+        return _unit_chip_pe(n_active, hits, k_users, eb, sn2, ss2)
+    sums, probs, starts = _subset_sum_distributions(n_active)
+    pe = _multilevel_pe(n_active, k_users, eb, sn2, ss2, sums)
+    return np.add.reduceat(probs * pe, starts)
+
+
+def _sampled_q(n_active, k_users, eb, sn2, ss2, hits, rng, sample_count) -> np.ndarray:
+    """_rechoose_q of a multi-level family by placement sampling, at the given hits only."""
+    sq1 = build(n_active).entries[0].astype(np.float64) ** 2
+    q = np.zeros(n_active + 1)
+    for j in hits:
+        if j == 0:
+            gi_sums = np.zeros(1)
+        else:
+            keys = rng.random((sample_count, n_active))
+            idx = np.argpartition(keys, j - 1, axis=1)[:, :j]
+            gi_sums = sq1[idx].sum(axis=1)
+        q[j] = np.mean(_multilevel_pe(n_active, k_users, eb, sn2, ss2, gi_sums))
+    return q
 
 
 def pe_of_counts(
@@ -190,7 +284,8 @@ def pe_of_counts(
     chip magnitudes the conditional variance is averaged over placements
     (exact subset-sum distribution by default, seeded sampling on request).
     Infeasible cells (all busy, or fewer orthogonal rows than users) return
-    the erasure value 1/2.
+    the erasure value 1/2.  The value is the (m, l) cell of the table that
+    average_pe sums.
     """
     if m < 0 or l < 0 or m + l > n_subcarriers:
         raise ValueError("need 0 <= m, 0 <= l, m + l <= n_subcarriers")
@@ -198,9 +293,7 @@ def pe_of_counts(
         raise ValueError("k_users must be >= 1")
     if placement_mode not in PLACEMENT_MODES:
         raise ValueError(f"unknown placement mode {placement_mode!r}")
-    eb = energy_per_bit
-    sn2 = noise_psd
-    ss2 = interference_power
+    terms = (k_users, energy_per_bit, noise_psd, interference_power)
     n_free = n_subcarriers - m
     if n_free == 0:
         return 0.5
@@ -209,70 +302,34 @@ def pe_of_counts(
         n_active = largest_supported_order(n_free)
         if n_active < k_users:
             return 0.5
-        family = build(n_active)
-        sq1 = family.entries[0].astype(np.float64) ** 2
-        if np.all(sq1 == sq1[0]):
-            # constant chip magnitude: only the count j matters and the
-            # normalized terms reduce to the unit-magnitude forms
-            pe = 0.0
-            for j, w in _hypergeom_weights(n_free, l, n_active):
-                pe += w * _pe_binary_counts(n_active, j, k_users, eb, sn2, ss2)
-            return pe
-        energy = float(family.gram_diag[0])
-        var_s = eb * eb * float(np.sum(sq1**2)) / (energy * energy)
-        cross = float(
-            np.sum((family.entries[0].astype(np.float64) * family.entries[1:k_users].astype(np.float64)) ** 2)
-        ) if k_users > 1 else 0.0
-        var_mai = 0.5 * eb * eb * cross / (energy * energy)
-        var_n = 0.5 * eb * sn2
-        gi_scale = 0.5 * eb * ss2 / energy
-
-        pe = 0.0
-        if placement_mode == "exact":
-            dists = _subset_sum_distributions(n_active)
-            for j, w in _hypergeom_weights(n_free, l, n_active):
-                sums, probs = dists[j]
-                args = eb / np.sqrt(var_s + var_mai + var_n + gi_scale * sums)
-                pe += w * float(np.dot(probs, q_function(args)))
+        row = _hypergeom_matrix(n_free, n_active)[l]
+        if placement_mode == "exact" or _constant_magnitude(n_active):
+            q = _rechoose_q(n_active, *terms)
         else:
             rng = np.random.default_rng(
                 np.random.SeedSequence((seed, n_subcarriers, m, l, k_users))
             )
-            for j, w in _hypergeom_weights(n_free, l, n_active):
-                if j == 0:
-                    gi_sums = np.zeros(1)
-                else:
-                    keys = rng.random((sample_count, n_active))
-                    idx = np.argpartition(keys, j - 1, axis=1)[:, :j]
-                    gi_sums = sq1[idx].sum(axis=1)
-                args = eb / np.sqrt(var_s + var_mai + var_n + gi_scale * gi_sums)
-                pe += w * float(np.mean(q_function(args)))
-        return pe
+            q = _sampled_q(n_active, *terms, np.flatnonzero(row), rng, sample_count)
+        return float(row @ q)
 
     if code_policy == "fixed":
+        if _constant_magnitude(n_subcarriers):
+            return float(_unit_chip_pe(n_free, l, *terms))
         return _pe_of_counts_fixed(
-            n_subcarriers, m, l, k_users, eb, sn2, ss2, placement_mode, sample_count, seed
+            n_subcarriers, m, l, *terms, placement_mode, sample_count, seed
         )
     raise ValueError(f"unknown code policy {code_policy!r}")
 
 
 def _pe_of_counts_fixed(n, m, l, k_users, eb, sn2, ss2, placement_mode, sample_count, seed):
-    """Fixed length-N family with zeroed chips; placement-averaged.
+    """Fixed length-N multi-level family with zeroed chips; placement-averaged.
 
-    With constant chip magnitudes only counts matter (the zeroed rows stay
-    equal-energy); otherwise both the zeroed set and the misdetected set
-    are enumerated or sampled.
+    The conditional variance depends on which chips are zeroed and which
+    are misdetected, so both sets are enumerated, or sampled when there
+    are more than 100k placements.
     """
-    family = build(n)
-    entries = family.entries.astype(np.float64)
-    sq1 = entries[0] ** 2
+    entries = build(n).entries.astype(np.float64)
     n_free = n - m
-    if np.all(sq1 == sq1[0]):
-        var_s = eb * eb / n_free
-        var_mai = 0.5 * eb * eb * (k_users - 1) / n_free
-        var_n = 0.5 * eb * sn2
-        var_gi = 0.5 * eb * l * ss2 / n_free
-        return float(q_function(eb / math.sqrt(var_s + var_mai + var_gi + var_n)))
 
     def cell(busy_idx, lam_idx):
         free = np.ones(n, dtype=bool)
@@ -307,11 +364,55 @@ def _pe_of_counts_fixed(n, m, l, k_users, eb, sn2, ss2, placement_mode, sample_c
     return total / sample_count
 
 
+def _trinomial_weights(n: int, p0: float, pm: float, pf: float) -> np.ndarray:
+    """W[m, l] = P(m estimated busy, l misdetected, the rest free); zero where m + l > n."""
+    pm_l = np.array([pm**l for l in range(n + 1)])
+    pf_r = np.array([pf**r for r in range(n + 1)])
+    weights = np.zeros((n + 1, n + 1))
+    for m in range(n + 1):
+        r = n - m
+        combs = np.array([comb(r, l) for l in range(r + 1)], dtype=np.float64)
+        weights[m, : r + 1] = comb(n, m) * p0**m * combs * pm_l[: r + 1] * pf_r[r::-1]
+    return weights
+
+
+def _cell_table(n, k_users, eb, sn2, ss2, code_policy, needed) -> np.ndarray:
+    """Error probability of every (m, l) cell; zero where m + l > n.
+
+    needed, a boolean (n+1, n+1) mask inside that triangle, limits the
+    cells that the fixed policy's multi-level family enumerates one by
+    one; every other branch fills the whole triangle at once.
+    """
+    terms = (k_users, eb, sn2, ss2)
+    cells = np.zeros((n + 1, n + 1))
+    if code_policy == "rechoose":
+        qs: dict[int, np.ndarray] = {}
+        for m in range(n + 1):
+            n_free = n - m
+            n_active = largest_supported_order(n_free)
+            if n_active < k_users:
+                cells[m, : n_free + 1] = 0.5
+                continue
+            if n_active not in qs:
+                qs[n_active] = _rechoose_q(n_active, *terms)
+            cells[m, : n_free + 1] = _hypergeom_matrix(n_free, n_active) @ qs[n_active]
+        return cells
+    if code_policy != "fixed":
+        raise ValueError(f"unknown code policy {code_policy!r}")
+    m, l = np.indices(cells.shape)
+    n_free = n - m
+    if _constant_magnitude(n):
+        pe = _unit_chip_pe(np.maximum(n_free, 1), l, *terms)
+        return np.where(l > n_free, 0.0, np.where(n_free == 0, 0.5, pe))
+    for mi, li in zip(*np.nonzero(needed)):
+        cells[mi, li] = _pe_of_counts_fixed(n, int(mi), int(li), *terms, "exact", 10_000, 0)
+    return cells
+
+
 def average_pe(
     params: SystemParams,
     model: OccupancyModel,
     code_policy: str = "rechoose",
-    placement_mode: str = "exact",
 ) -> float:
     """Slot-average error probability over the per-subcarrier trinomial.
 
@@ -323,27 +424,17 @@ def average_pe(
         raise ValueError("p_zero + p_mis exceeds 1")
     pf = max(pf, 0.0)
     n = params.n_subcarriers
-    total = 0.0
-    for m in range(n + 1):
-        w_m = comb(n, m) * p0**m
-        if w_m == 0.0:
-            continue
-        for l in range(n - m + 1):
-            w = w_m * comb(n - m, l) * pm**l * pf ** (n - m - l)
-            if w == 0.0:
-                continue
-            total += w * pe_of_counts(
-                n,
-                m,
-                l,
-                params.n_users,
-                params.energy_per_bit,
-                params.noise_psd,
-                params.interference_power,
-                code_policy=code_policy,
-                placement_mode=placement_mode,
-            )
-    return total
+    weights = _trinomial_weights(n, p0, pm, pf)
+    cells = _cell_table(
+        n,
+        params.n_users,
+        params.energy_per_bit,
+        params.noise_psd,
+        params.interference_power,
+        code_policy,
+        needed=weights > 0.0,
+    )
+    return float(np.sum(weights * cells))
 
 
 def average_pe_enumerated(

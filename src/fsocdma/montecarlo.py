@@ -30,7 +30,14 @@ from functools import lru_cache
 import numpy as np
 
 from .ber_analysis import BerPoint, average_pe
-from .phylink import SensingProbs, SystemParams, draw_slots, project, receive
+from .phylink import (
+    SensingProbs,
+    SystemParams,
+    check_code_policy,
+    draw_slots,
+    project,
+    receive,
+)
 from .sensing import (
     DetectorConfig,
     FusionResult,
@@ -79,6 +86,7 @@ class RunConfig:
             raise ValueError("max_trials must be >= trials_min")
         if self.batch_slots < 1:
             raise ValueError("batch_slots must be >= 1")
+        check_code_policy(self.code_policy, self.params.n_subcarriers)
 
 
 @dataclass(frozen=True)

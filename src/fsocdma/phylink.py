@@ -33,7 +33,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .orthocodes import build, largest_supported_order
+from .orthocodes import (
+    ORDER_LIMIT,
+    SUPPORTED_PRIMES,
+    build,
+    is_supported_order,
+    largest_supported_order,
+)
 
 CODE_POLICIES = ("rechoose", "fixed")
 
@@ -79,6 +85,28 @@ class SystemParams:
         """Bits transmitted per user in the slot's transmission phase."""
         # epsilon guards the floor against float representation error
         return int((self.slot_duration - self.sensing_duration) / self.bit_duration + 1e-9)
+
+
+def check_code_policy(code_policy: str, n_subcarriers: int) -> None:
+    """Raise a ValueError naming the configuration key if the policy cannot code N.
+
+    The fixed policy spreads over one length-N family, so N itself must be
+    a supported order.
+    """
+    if code_policy not in CODE_POLICIES:
+        raise ValueError(
+            f"codes.policy={code_policy!r} is not one of {', '.join(CODE_POLICIES)}"
+        )
+    if code_policy == "fixed" and not is_supported_order(n_subcarriers):
+        why = (
+            f"exceeds the order limit {ORDER_LIMIT}"
+            if n_subcarriers > ORDER_LIMIT
+            else f"has a prime factor outside {SUPPORTED_PRIMES}"
+        )
+        raise ValueError(
+            f"params.n_subcarriers={n_subcarriers} {why}, so codes.policy=fixed "
+            "has no code family for it"
+        )
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ These recompute expected values from first principles along different
 code paths than the library: direct summation for variance terms,
 scipy's normal survival function instead of the erfc route, scipy's
 incomplete gamma instead of Poisson partial sums, and a literal
-state-by-state enumeration for the averaged error probability.  Beside
+state-by-state enumeration for the averaged error probability, and the
+cell-by-cell loop over the trinomial, with a dictionary subset-sum
+knapsack, that the library's table evaluation replaced.  Beside
 these references to the Gaussian surrogate stand the exact error
 probability of the receiver the simulator implements and a literal
 per-subcarrier version of that receiver.
@@ -12,9 +14,11 @@ per-subcarrier version of that receiver.
 
 import itertools
 import math
+from functools import lru_cache
 from math import comb
 
 import numpy as np
+from scipy.special import ndtr
 from scipy.stats import norm
 
 from fsocdma.orthocodes import build
@@ -142,6 +146,107 @@ def enum_average_pe(
             total += 0.5 * w
             continue
         total += w * conditional(chips, lam, eb, sn2, ss2)
+    return total
+
+
+@lru_cache(maxsize=None)
+def subset_sum_distributions(n_active):
+    """Per subset size j, (sums, probs) of sum_{i in S} c1_i^2 over uniform j-subsets.
+
+    A dictionary knapsack in exact Python integers over the first row of
+    the order-n_active family.
+    """
+    sq = [int(v) ** 2 for v in build(n_active).entries[0]]
+    counts = [dict() for _ in range(n_active + 1)]
+    counts[0][0] = 1
+    for value in sq:
+        for j in range(n_active - 1, -1, -1):
+            tgt = counts[j + 1]
+            for s, c in counts[j].items():
+                tgt[s + value] = tgt.get(s + value, 0) + c
+    out = []
+    for j in range(n_active + 1):
+        total = comb(n_active, j)
+        sums = np.array(sorted(counts[j]), dtype=np.float64)
+        probs = np.array([counts[j][int(s)] / total for s in sums], dtype=np.float64)
+        out.append((sums, probs))
+    return tuple(out)
+
+
+def _q(x):
+    """Q(x) through scipy's normal CDF ufunc (cheaper per call than norm.sf)."""
+    return ndtr(-np.asarray(x, dtype=float))
+
+
+def _loop_fixed_cell(n, m, l, k, eb, sn2, ss2):
+    """Fixed length-n family with zeroed chips: every placement of the cell."""
+    entries = build(n).entries.astype(np.float64)
+    sq1 = entries[0] ** 2
+    n_free = n - m
+    if np.all(sq1 == sq1[0]):
+        return float(_q(eb / math.sqrt(
+            eb * eb / n_free + 0.5 * eb * eb * (k - 1) / n_free
+            + 0.5 * eb * l * ss2 / n_free + 0.5 * eb * sn2
+        )))
+    total = 0.0
+    count = 0
+    for busy in itertools.combinations(range(n), m):
+        chips = entries[:k].copy()
+        chips[:, list(busy)] = 0.0
+        rest = [i for i in range(n) if i not in busy]
+        for lam in itertools.combinations(rest, l):
+            total += conditional_pe_from_chips(chips, lam, eb, sn2, ss2)
+            count += 1
+    return total / count
+
+
+def _loop_rechoose_cell(n, m, l, k, eb, sn2, ss2):
+    """Rechoose cell: hypergeometric count j of hits on active chips, then placements."""
+    n_free = n - m
+    n_active = largest_supported(n_free)
+    if n_free == 0 or n_active < k:
+        return 0.5
+    family = build(n_active)
+    c1 = family.entries[0].astype(np.float64)
+    energy = float(np.sum(c1 * c1))
+    var_s = eb * eb * float(np.sum(c1**4)) / energy**2
+    var_mai = 0.5 * eb * eb * sum(
+        float(np.sum((c1 * family.entries[r]) ** 2)) for r in range(1, k)
+    ) / energy**2
+    var_n = 0.5 * eb * sn2
+    pe = 0.0
+    for j in range(max(0, l - (n_free - n_active)), min(l, n_active) + 1):
+        weight = comb(n_active, j) * comb(n_free - n_active, l - j) / comb(n_free, l)
+        sums, probs = subset_sum_distributions(n_active)[j]
+        var = var_s + var_mai + var_n + 0.5 * eb * ss2 * sums / energy
+        pe += weight * float(np.dot(probs, _q(eb / np.sqrt(var))))
+    return pe
+
+
+def loop_average_pe(n, k, p_zero, p_mis, eb, sn2, ss2, policy="rechoose"):
+    """Slot-average error probability of the Gaussian surrogate, one cell at a time.
+
+    Loops over every (m estimated busy, l misdetected) cell of the
+    trinomial and averages each cell over its placements: the rechoose
+    cell through the hypergeometric count of hits on active chips and the
+    subset-sum distribution of the squared chips, the fixed cell by
+    enumerating the zeroed and misdetected sets (unit-magnitude chips
+    need counts only).
+    """
+    p_free = max(1.0 - p_zero - p_mis, 0.0)
+    total = 0.0
+    for m in range(n + 1):
+        for l in range(n - m + 1):
+            w = comb(n, m) * comb(n - m, l) * p_zero**m * p_mis**l * p_free ** (n - m - l)
+            if w == 0.0:
+                continue
+            if policy == "rechoose":
+                cell = _loop_rechoose_cell(n, m, l, k, eb, sn2, ss2)
+            elif m == n:
+                cell = 0.5
+            else:
+                cell = _loop_fixed_cell(n, m, l, k, eb, sn2, ss2)
+            total += w * cell
     return total
 
 

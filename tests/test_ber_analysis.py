@@ -11,7 +11,9 @@ from scipy.special import betainc
 from scipy.stats import norm
 
 from fsocdma import ber_analysis as ba
-from fsocdma.orthocodes import build, embed
+from fsocdma import cli
+from fsocdma import montecarlo as mc
+from fsocdma.orthocodes import INT64_MAX, build, embed, supported_orders
 from fsocdma.phylink import SystemParams, project, receive
 from fsocdma.sensing import FusionResult, occupancy_model
 from oracles import (
@@ -20,6 +22,8 @@ from oracles import (
     enum_average_pe,
     exact_average_pe,
     exact_conditional_pe,
+    loop_average_pe,
+    subset_sum_distributions,
 )
 from test_phylink import fresh_gains, manual_slot
 
@@ -118,6 +122,12 @@ class TestConditionalPe:
         assert ba.conditional_pe(v, 1.0) == 0.0
 
 
+def subset_sum_table(n_active):
+    """The library's flat subset-sum table split into (sums, probs) per subset size."""
+    sums, probs, starts = ba._subset_sum_distributions(n_active)
+    return list(zip(np.split(sums, starts[1:]), np.split(probs, starts[1:])))
+
+
 class TestPeOfCounts:
     def test_binary_no_busy_no_misdetected(self):
         got = ba.pe_of_counts(32, 0, 0, 1, 1.0, 0.1, 0.1)
@@ -177,7 +187,7 @@ class TestPeOfCounts:
         assert abs(exact - sampled) <= max(3 * sigma / math.sqrt(4000), 2e-4)
 
     def test_subset_distribution_matches_enumeration(self):
-        dists = ba._subset_sum_distributions(5)
+        dists = subset_sum_table(5)
         sq = [int(v) ** 2 for v in build(5).entries[0]]
         for j in range(6):
             sums, probs = dists[j]
@@ -189,6 +199,28 @@ class TestPeOfCounts:
             assert sorted(counted) == [int(s) for s in sums]
             for s, p in zip(sums, probs):
                 assert p == pytest.approx(counted[int(s)] / total, rel=1e-14)
+
+    def test_subset_tables_match_dict_knapsack(self):
+        # every multi-level order up to 63, bit for bit
+        orders = [n for n in supported_orders(63) if not ba._constant_magnitude(n)]
+        assert len(orders) == 29
+        for n in orders:
+            got = subset_sum_table(n)
+            for j, (sums, probs) in enumerate(subset_sum_distributions(n)):
+                assert np.array_equal(got[j][0], sums), (n, j)
+                assert np.array_equal(got[j][1], probs), (n, j)
+
+    def test_subset_tables_beyond_int64(self):
+        # order 80 = 16 * 5 is multi-level and its counts reach comb(80, 40)
+        n = 80
+        assert comb(n, n // 2) > INT64_MAX
+        assert not ba._constant_magnitude(n)
+        dists = subset_sum_table(n)
+        energy = float(np.sum(build(n).entries[0].astype(float) ** 2))
+        for j in range(n + 1):
+            sums, probs = dists[j]
+            assert float(np.sum(probs)) == pytest.approx(1.0, abs=1e-12)
+            assert float(probs @ sums) == pytest.approx(j * energy / n, rel=1e-12)
 
 
 def make_params(n, k, sn2=0.1, ss2=0.1):
@@ -278,6 +310,57 @@ class TestAveragePe:
         k1 = RunConfig(params=make_params(32, 1), detector=det, snr_grid_db=(10.0, 20.0))
         r1 = analytic_point(k1, 20.0).ber_analytic / analytic_point(k1, 10.0).ber_analytic
         assert r1 < 0.1
+
+
+def fig2_points(n, k):
+    """(model, params) at the six fig2 SNRs with N subcarriers and K users."""
+    conf = cli.resolve_config(None, [f"params.n_subcarriers={n}"], None)
+    cfg = cli.build_run_config(conf, n_users=k)
+    model = mc.derive_sensing(cfg).model
+    return [(model, mc.point_params(cfg, snr)) for snr in cfg.snr_grid_db]
+
+
+def triangle(n):
+    """The (m, l) cells with m + l <= n."""
+    return np.add.outer(np.arange(n + 1), np.arange(n + 1)) <= n
+
+
+TABLE_CASES = (
+    [(32, k, policy) for k in range(1, 9) for policy in ("rechoose", "fixed")]
+    + [(48, 4, "rechoose"), (64, 4, "rechoose"), (64, 4, "fixed")]
+)
+
+
+class TestTableForm:
+    """average_pe's table evaluation against the cell-by-cell loop."""
+
+    @pytest.mark.parametrize("n,k,policy", TABLE_CASES)
+    def test_matches_cell_loop(self, n, k, policy):
+        for model, pp in fig2_points(n, k):
+            got = ba.average_pe(pp, model, policy)
+            want = loop_average_pe(
+                n, k, model.p_zero, model.p_mis,
+                pp.energy_per_bit, pp.noise_psd, pp.interference_power, policy,
+            )
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("n,policy", [(32, "rechoose"), (48, "rechoose"), (32, "fixed")])
+    def test_pe_of_counts_is_table_cell(self, n, policy):
+        k, eb, sn2, ss2 = 4, 1.0, 0.05, 0.5
+        table = ba._cell_table(n, k, eb, sn2, ss2, policy, triangle(n))
+        rng = np.random.default_rng(n)
+        for _ in range(50):
+            m = int(rng.integers(0, n + 1))
+            l = int(rng.integers(0, n - m + 1))
+            got = ba.pe_of_counts(n, m, l, k, eb, sn2, ss2, code_policy=policy)
+            assert got == pytest.approx(table[m, l], rel=1e-14, abs=0.0)
+
+    def test_table_is_zero_off_the_triangle(self):
+        inside = triangle(8)
+        for policy in ("rechoose", "fixed"):
+            table = ba._cell_table(8, 2, 1.0, 0.1, 0.1, policy, inside)
+            assert np.all(table[~inside] == 0.0)
+            assert np.all((table[inside] > 0.0) & (table[inside] <= 0.5))
 
 
 class TestExactOracle:

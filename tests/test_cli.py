@@ -187,6 +187,28 @@ class TestConfigHandling:
         with pytest.raises(cli.ConfigError):
             cli.resolve_config(str(cfg), [], None)
 
+    @pytest.mark.parametrize(
+        "sets,key",
+        [
+            (["codes.policy=bogus"], "codes.policy"),
+            (["codes.policy=fixed", "params.n_subcarriers=11"], "params.n_subcarriers"),
+            (["codes.policy=fixed", f"params.n_subcarriers={2 * oc.ORDER_LIMIT}"],
+             "params.n_subcarriers"),
+        ],
+        ids=["unknown-policy", "fixed-unsupported-factor", "fixed-above-order-limit"],
+    )
+    def test_bad_code_family_fails_before_any_output(self, tmp_path, capsys, sets, key):
+        for mode in ("analytic", "both"):
+            out = tmp_path / f"{mode}.csv"
+            args = ["ber", "--mode", mode, "--out", str(out)]
+            for item in sets:
+                args += ["--set", item]
+            assert run_cli(args) == 1
+            err = capsys.readouterr().err
+            assert key in err
+            assert "codes.policy" in err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_value_formatting_round_trip(self):
         for key, value in cli.DEFAULTS.items():
             text = cli._format_value(value)
