@@ -78,6 +78,10 @@ class RunConfig:
     batch_slots: int = 8
 
     def __post_init__(self):
+        if not (0.0 < self.target_pd < 1.0):
+            raise ValueError(
+                f"run.target_pd={self.target_pd!r} must lie in the open interval (0, 1)"
+            )
         if not self.snr_grid_db:
             raise ValueError("snr grid must not be empty")
         if self.trials_min < 1 or self.target_error_events < 1:

@@ -9,10 +9,12 @@ both the BER analysis and the link simulator consume.
 The detection statistic is chi-squared with 2*samples degrees of
 freedom: central under the idle hypothesis, noncentral with parameter
 2*gamma under the occupied hypothesis, gamma exponentially distributed
-over the Rayleigh sensing channel.  The Rayleigh-averaged detection
-probability uses exp(-zeta/(2*(1+gbar))) in its second term; the
-(1-gbar) variant sometimes seen in print diverges near gbar=1 and is
-not physical.
+over the Rayleigh sensing channel.  Both closed forms are evaluated
+with scipy's regularized incomplete gamma functions at integer shape
+(Digham, Alouini & Simon, IEEE Trans. Commun. 2007).  The
+Rayleigh-averaged detection probability uses exp(-zeta/(2*(1+gbar)))
+in its second term; the (1-gbar) variant sometimes seen in print
+diverges near gbar=1 and is not physical.
 """
 
 from __future__ import annotations
@@ -22,7 +24,9 @@ from dataclasses import dataclass
 from typing import Iterable, Literal
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammainc, gammaincc
+
+_TINY = np.finfo(float).tiny  # smallest normal float
 
 
 class NoSolutionError(ValueError):
@@ -44,9 +48,13 @@ class DetectorConfig:
 
     def __post_init__(self):
         if self.samples < 2:
-            raise ValueError("detector needs at least 2 samples")
-        if self.threshold < 0:
-            raise ValueError("threshold must be nonnegative")
+            raise ValueError(f"detector.samples={self.samples} must be at least 2")
+        if not (math.isfinite(self.threshold) and self.threshold >= 0):
+            raise ValueError(
+                f"detector.threshold={self.threshold!r} must be finite and nonnegative"
+            )
+        if not math.isfinite(self.mean_snr_db):
+            raise ValueError(f"detector.mean_snr_db={self.mean_snr_db!r} must be finite")
 
     @property
     def mean_snr_linear(self) -> float:
@@ -93,55 +101,35 @@ class OccupancyModel:
         return 1.0 - self.p_zero - self.p_mis
 
 
-def _poisson_tail(terms: int, x: float) -> float:
-    """exp(-x) * sum_{p<terms} x^p / p!  (== regularized upper gamma Q(terms, x)).
-
-    Evaluated in log space so it stays finite for large x and many terms.
-    """
-    if terms <= 0:
-        return 0.0
-    if x == 0.0:
-        return 1.0
-    p = np.arange(terms)
-    logs = -x + p * math.log(x) - gammaln(p + 1)
-    return float(np.exp(logsumexp(logs)))
-
-
 def _log_poisson_lower(shape: int, y: float) -> float:
     """log of the regularized lower gamma P(shape, y) at integer shape.
 
-    P(shape, y) = exp(-y) * sum_{p>=shape} y^p / p!.  For y < shape the
-    terms decay geometrically and the series is summed directly in log
-    space; this avoids the catastrophic cancellation of 1 - Q(shape, y)
-    when the lower tail is below float epsilon.  For y >= shape the
-    complement is order one and safe.
+    scipy's gammainc, except where it is not a normal float: that only
+    happens for y well below shape, and there the Poisson series
+    P(shape, y) = exp(-y) * sum_{p>=shape} y^p / p! is summed from its
+    leading term, whose ratios y/(p+1) < 1 decay geometrically.
     """
     if y <= 0.0:
         return -math.inf
-    if y >= shape:
-        p = 1.0 - _poisson_tail(shape, y)
-        return math.log(p) if p > 0.0 else -math.inf
-    # leading term p = shape, then ratios y/(p+1) < 1
-    logs = []
-    log_t = -y + shape * math.log(y) - float(gammaln(shape + 1))
-    p = shape
-    while True:
-        logs.append(log_t)
-        p += 1
-        log_t += math.log(y / p)
-        if log_t < logs[0] - 45.0 or len(logs) > 100_000:
-            break
-    return float(logsumexp(logs))
+    p = float(gammainc(shape, y))
+    if p >= _TINY:
+        return math.log(p)
+    total = ratio = 1.0
+    k = shape
+    while ratio > 1e-17 * total:
+        k += 1
+        ratio *= y / k
+        total += ratio
+    return -y + shape * math.log(y) - math.lgamma(shape + 1) + math.log(total)
 
 
 def pfa(cfg: DetectorConfig) -> float:
     """False-alarm probability of the energy detector.
 
-    Regularized upper incomplete gamma at integer shape, computed via the
-    exact Poisson partial-sum identity.  Strictly decreasing in the
-    threshold.
+    The regularized upper incomplete gamma Q(samples, zeta/2).  Strictly
+    decreasing in the threshold.
     """
-    return _poisson_tail(cfg.samples, cfg.threshold / 2.0)
+    return float(gammaincc(cfg.samples, cfg.threshold / 2.0))
 
 
 def pd_rayleigh(cfg: DetectorConfig) -> float:
@@ -153,14 +141,16 @@ def pd_rayleigh(cfg: DetectorConfig) -> float:
            + ((1+gbar)/gbar)^(u-1) * exp(-x/(1+gbar)) * P(u-1, x*gbar/(1+gbar))
 
     where Q and P are the regularized upper/lower incomplete gamma
-    functions at integer shape.  The prefactor is evaluated in log space.
+    functions.  The second term is formed in log space, so its large
+    prefactor and small P(u-1, .) never overflow or underflow on their
+    own.
     """
     u = cfg.samples
     gbar = cfg.mean_snr_linear
     if gbar <= 0:
         raise ValueError("mean SNR must be positive")
     x = cfg.threshold / 2.0
-    t1 = _poisson_tail(u - 1, x)
+    t1 = float(gammaincc(u - 1, x))
     y = x * gbar / (1.0 + gbar)
     log_p_low = _log_poisson_lower(u - 1, y)
     if log_p_low == -math.inf:

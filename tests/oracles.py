@@ -4,7 +4,9 @@ These recompute expected values from first principles along different
 code paths than the library: direct summation for variance terms,
 scipy's normal survival function instead of the erfc route, scipy's
 incomplete gamma instead of Poisson partial sums, and a literal
-state-by-state enumeration for the averaged error probability, and the
+state-by-state enumeration for the averaged error probability, the
+log-space Poisson partial sums that the library's sensing closed forms
+replaced with scipy's incomplete gamma functions, and the
 cell-by-cell loop over the trinomial, with a dictionary subset-sum
 knapsack, that the library's table evaluation replaced.  Beside
 these references to the Gaussian surrogate stand the exact error
@@ -18,7 +20,7 @@ from functools import lru_cache
 from math import comb
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import gammaln, logsumexp, ndtr
 from scipy.stats import norm
 
 from fsocdma.orthocodes import build
@@ -37,6 +39,64 @@ def largest_supported(n: int) -> int:
     while n > 0 and not is_supported(n):
         n -= 1
     return max(n, 0)
+
+
+def poisson_upper(terms, x):
+    """exp(-x) * sum_{p<terms} x^p / p!, the regularized upper gamma Q(terms, x).
+
+    Summed in log space, so it stays finite for large x and many terms.
+    """
+    if terms <= 0:
+        return 0.0
+    if x == 0.0:
+        return 1.0
+    p = np.arange(terms)
+    logs = -x + p * math.log(x) - gammaln(p + 1)
+    return float(np.exp(logsumexp(logs)))
+
+
+def log_poisson_lower(shape, y):
+    """log of exp(-y) * sum_{p>=shape} y^p / p!, the regularized lower gamma P(shape, y).
+
+    For y < shape the terms decay geometrically and are summed in log
+    space from the leading one, which keeps a lower tail far below float
+    epsilon exact; for y >= shape the complement of poisson_upper is
+    order one and safe.
+    """
+    if y <= 0.0:
+        return -math.inf
+    if y >= shape:
+        p = 1.0 - poisson_upper(shape, y)
+        return math.log(p) if p > 0.0 else -math.inf
+    logs = []
+    log_t = -y + shape * math.log(y) - float(gammaln(shape + 1))
+    p = shape
+    while True:
+        logs.append(log_t)
+        p += 1
+        log_t += math.log(y / p)
+        if log_t < logs[0] - 45.0 or len(logs) > 100_000:
+            break
+    return float(logsumexp(logs))
+
+
+def pfa_series(samples, zeta):
+    """Energy-detector false-alarm probability as a Poisson partial sum."""
+    return poisson_upper(samples, zeta / 2.0)
+
+
+def pd_rayleigh_series(samples, zeta, gbar):
+    """Rayleigh-averaged detection probability from the Poisson partial sums.
+
+    Q(u-1, x) + ((1+gbar)/gbar)^(u-1) exp(-x/(1+gbar)) P(u-1, x gbar/(1+gbar))
+    with u = samples and x = zeta/2, the second term formed in log space.
+    """
+    u, x = samples, zeta / 2.0
+    t1 = poisson_upper(u - 1, x)
+    log_low = log_poisson_lower(u - 1, x * gbar / (1.0 + gbar))
+    if log_low == -math.inf:
+        return t1
+    return t1 + math.exp((u - 1) * math.log1p(1.0 / gbar) - x / (1.0 + gbar) + log_low)
 
 
 def chips_for_configuration(n, k, busy, policy):

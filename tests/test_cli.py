@@ -209,6 +209,54 @@ class TestConfigHandling:
             assert "codes.policy" in err
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize(
+        "sets,key",
+        [
+            (["run.target_pd=1.0"], "run.target_pd"),
+            (["run.target_pd=0"], "run.target_pd"),
+            (["detector.mean_snr_db=nan"], "detector.mean_snr_db"),
+            (["detector.mean_snr_db=-inf", "detector.accumulate_snr=false"],
+             "detector.mean_snr_db"),
+        ],
+        ids=["target-pd-one", "target-pd-zero", "snr-nan", "snr-minus-inf"],
+    )
+    def test_bad_sensing_config_fails_before_any_output(self, tmp_path, capsys, sets, key):
+        commands = [["ber", "--mode", "analytic"], ["ber", "--mode", "both"]]
+        if key.startswith("detector."):
+            commands.append(["sensing", "roc"])
+        for i, command in enumerate(commands):
+            args = command + ["--out", str(tmp_path / f"{i}.csv")]
+            for item in sets:
+                args += ["--set", item]
+            assert run_cli(args) == 1
+            assert key in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "args,work",
+        [
+            (["ber", "--figure", "fig2", "--out", "{missing}/x.csv"], "sweep"),
+            (["ber", "--set", "run.snr_grid_db=5", "--out", "{tmp}/o.csv",
+              "--trace", "{missing}/t.csv"], "estimate_ber"),
+            (["sensing", "roc", "--out", "{missing}/roc.csv"], "solve_threshold"),
+            (["codes", "8", "--out", "{missing}/c8.txt"], "build"),
+            (["selftest", "--out", "{missing}/self.txt"], "_selftest_codes"),
+        ],
+        ids=["ber-fig2", "ber-trace", "sensing-roc", "codes", "selftest"],
+    )
+    def test_missing_out_dir_fails_before_any_work(
+        self, tmp_path, capsys, monkeypatch, args, work
+    ):
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError(f"{work} ran although the output directory is missing")
+
+        monkeypatch.setattr(cli, work, forbidden)
+        missing = tmp_path / "missing"
+        argv = [a.format(missing=missing, tmp=tmp_path) for a in args]
+        assert run_cli(argv) == 1
+        assert str(missing) in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_value_formatting_round_trip(self):
         for key, value in cli.DEFAULTS.items():
             text = cli._format_value(value)

@@ -8,6 +8,7 @@ from scipy import integrate, stats
 from scipy.special import gammainc, gammaincc
 
 from fsocdma import sensing as sn
+from oracles import log_poisson_lower, pd_rayleigh_series, pfa_series
 
 
 def poisson_partial_sum(terms, x):
@@ -56,6 +57,23 @@ def pd_quadrature(samples, zeta, gbar):
     return val
 
 
+@pytest.mark.parametrize(
+    "kwargs,key",
+    [
+        ({"samples": 1}, "detector.samples"),
+        ({"threshold": -1.0}, "detector.threshold"),
+        ({"threshold": math.nan}, "detector.threshold"),
+        ({"threshold": math.inf}, "detector.threshold"),
+        ({"mean_snr_db": math.nan}, "detector.mean_snr_db"),
+        ({"mean_snr_db": math.inf}, "detector.mean_snr_db"),
+    ],
+)
+def test_bad_detector_config_names_its_key(kwargs, key):
+    fields = {"samples": 5, "threshold": 10.0, "mean_snr_db": 2.3, **kwargs}
+    with pytest.raises(ValueError, match=key):
+        sn.DetectorConfig(**fields)
+
+
 class TestPdRayleigh:
     def test_zero_threshold(self):
         assert sn.pd_rayleigh(sn.DetectorConfig(5, 0.0, 2.3)) == 1.0
@@ -95,6 +113,51 @@ class TestPdRayleigh:
         closed = sn.pd_rayleigh(cfg)
         se = math.sqrt(closed * (1 - closed) / trials)
         assert abs(emp - closed) <= 3 * se
+
+
+SERIES_SAMPLES = (2, 5, 50, 320)
+# fused pd 0.95 over 8 users at samples=320, 2.3 dB + 10*log10(320): pfa ~ 7.1e-126
+FIG2_K8_THRESHOLD = 1905.657351411879
+
+
+def series_thresholds(samples):
+    # 1e-7 puts P(u-1, x*gbar/(1+gbar)) below the smallest normal float for
+    # samples >= 50, so pd_rayleigh takes the series fallback there
+    return (0.0, 1e-7, 1.0, 10.0, 0.5 * samples, samples, 2.0 * samples,
+            4.0 * samples, 6.0 * samples, FIG2_K8_THRESHOLD)
+
+
+class TestAgainstPoissonSeries:
+    """The incomplete-gamma closed forms against the log-space Poisson sums."""
+
+    @pytest.mark.parametrize("snr_db", [2.3, 27.35])
+    @pytest.mark.parametrize("samples", SERIES_SAMPLES)
+    def test_closed_forms(self, samples, snr_db):
+        for zeta in series_thresholds(samples):
+            cfg = sn.DetectorConfig(samples, zeta, snr_db)
+            want_pfa = pfa_series(samples, zeta)
+            want_pd = pd_rayleigh_series(samples, zeta, cfg.mean_snr_linear)
+            assert sn.pfa(cfg) == pytest.approx(want_pfa, rel=1e-12, abs=0.0), zeta
+            assert sn.pd_rayleigh(cfg) == pytest.approx(want_pd, rel=1e-12, abs=0.0), zeta
+
+    def test_deep_tail_is_resolved(self):
+        got = sn.pfa(sn.DetectorConfig(320, FIG2_K8_THRESHOLD, 27.35))
+        assert got == pytest.approx(7.1417414059899174e-126, rel=1e-12)  # mpmath, 40 digits
+
+    @pytest.mark.parametrize("samples", SERIES_SAMPLES)
+    def test_log_lower_tail(self, samples):
+        shape = samples - 1
+        for y in (1e-12, 1e-5, 1.0, 13.0, 0.5 * samples, samples, 2.0 * samples):
+            got = sn._log_poisson_lower(shape, y)
+            want = log_poisson_lower(shape, y)
+            assert abs(got - want) <= 1e-12, y  # relative 1e-12 on P itself
+
+    def test_grid_reaches_the_fallback(self):
+        tiny = np.finfo(float).tiny
+        assert gammainc(49, 1e-5) < tiny and gammainc(319, 13.0) < tiny
+        cfg = sn.DetectorConfig(50, 1e-7, 27.35)
+        y = 0.5e-7 * cfg.mean_snr_linear / (1.0 + cfg.mean_snr_linear)
+        assert gammainc(49, y) < tiny
 
 
 class TestSampleLevel:
