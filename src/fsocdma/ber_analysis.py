@@ -47,13 +47,13 @@ from math import comb
 from typing import Sequence
 
 import numpy as np
-from scipy.special import erfc
 
 from .orthocodes import INT64_MAX, ModifiedSignature, build, largest_supported_order
 from .phylink import SystemParams, signature_matrix
 from .sensing import OccupancyModel
 
 PLACEMENT_MODES = ("exact", "sample")
+_SQRT2 = math.sqrt(2.0)
 
 
 class DegenerateSlotError(ValueError):
@@ -92,8 +92,17 @@ class BerPoint:
 
 
 def q_function(x):
-    """Standard normal tail probability Q(x) = P(Z > x)."""
-    return 0.5 * erfc(np.asarray(x, dtype=np.float64) / np.sqrt(2.0))
+    """Standard normal tail probability Q(x) = P(Z > x), element by element.
+
+    0.5 * erfc(x / sqrt(2)) with the C library's erfc (math.erfc).  A float
+    gives a float; other input gives float64 values of its shape (a numpy
+    scalar for 0-d input).
+    """
+    if isinstance(x, float):
+        return 0.5 * math.erfc(x / _SQRT2)
+    z = np.asarray(x, dtype=np.float64) / _SQRT2
+    erfc = np.fromiter(map(math.erfc, z.ravel().tolist()), np.float64, z.size)
+    return 0.5 * erfc.reshape(z.shape)
 
 
 def variance_terms(
@@ -158,9 +167,8 @@ def _subset_sum_distributions(n_active: int) -> tuple:
     counts[0, 0] = 1
     reach = 0  # largest sum of the chips added so far
     for i, value in enumerate(sq):
-        # descending j reads row j before this chip is added to it
-        for j in range(i, -1, -1):
-            counts[j + 1, value : reach + value + 1] += counts[j, : reach + 1]
+        # the operands overlap, so numpy reads every row as it was before this chip
+        counts[1 : i + 2, value : reach + value + 1] += counts[: i + 1, : reach + 1]
         reach += value
     sums, probs, starts = [], [], []
     size = 0
@@ -178,6 +186,12 @@ def _subset_sum_distributions(n_active: int) -> tuple:
         sums.append(attained)
         probs.append(p)
     return np.concatenate(sums).astype(np.float64), np.concatenate(probs), np.array(starts)
+
+
+@lru_cache(maxsize=None)
+def _distinct_sums(n_active: int) -> tuple:
+    """(values, inverse): the distinct subset sums of the order, values[inverse] == sums."""
+    return np.unique(_subset_sum_distributions(n_active)[0], return_inverse=True)
 
 
 @lru_cache(maxsize=256)
@@ -240,13 +254,14 @@ def _rechoose_q(n_active, k_users, eb, sn2, ss2) -> np.ndarray:
 
     Averaged over the uniform placement of the j hits: a closed form in j
     for constant-magnitude chips, the exact subset-sum distribution of the
-    squared chips otherwise.
+    squared chips otherwise, with Q evaluated once per distinct sum.
     """
     hits = np.arange(n_active + 1)
     if _constant_magnitude(n_active):
         return _unit_chip_pe(n_active, hits, k_users, eb, sn2, ss2)
-    sums, probs, starts = _subset_sum_distributions(n_active)
-    pe = _multilevel_pe(n_active, k_users, eb, sn2, ss2, sums)
+    _, probs, starts = _subset_sum_distributions(n_active)
+    values, inverse = _distinct_sums(n_active)
+    pe = _multilevel_pe(n_active, k_users, eb, sn2, ss2, values)[inverse]
     return np.add.reduceat(probs * pe, starts)
 
 
@@ -364,16 +379,24 @@ def _pe_of_counts_fixed(n, m, l, k_users, eb, sn2, ss2, placement_mode, sample_c
     return total / sample_count
 
 
+@lru_cache(maxsize=None)
+def _binomial_table(n: int) -> np.ndarray:
+    """B[m, l] = comb(n - m, l) as float64; zero where m + l > n."""
+    table = np.array(
+        [[comb(n - m, l) for l in range(n + 1)] for m in range(n + 1)], dtype=np.float64
+    )
+    table.setflags(write=False)
+    return table
+
+
 def _trinomial_weights(n: int, p0: float, pm: float, pf: float) -> np.ndarray:
     """W[m, l] = P(m estimated busy, l misdetected, the rest free); zero where m + l > n."""
+    lead = np.array([comb(n, m) * p0**m for m in range(n + 1)])
     pm_l = np.array([pm**l for l in range(n + 1)])
     pf_r = np.array([pf**r for r in range(n + 1)])
-    weights = np.zeros((n + 1, n + 1))
-    for m in range(n + 1):
-        r = n - m
-        combs = np.array([comb(r, l) for l in range(r + 1)], dtype=np.float64)
-        weights[m, : r + 1] = comb(n, m) * p0**m * combs * pm_l[: r + 1] * pf_r[r::-1]
-    return weights
+    m, l = np.indices((n + 1, n + 1))
+    # off the triangle the binomial is zero, so the clipped index only avoids wrapping
+    return lead[:, None] * _binomial_table(n) * pm_l * pf_r[np.maximum(n - m - l, 0)]
 
 
 def _cell_table(n, k_users, eb, sn2, ss2, code_policy, needed) -> np.ndarray:

@@ -428,8 +428,8 @@ def _selftest_codes() -> str:
 def _poisson_partial_sum(terms: int, x: float) -> float:
     """exp(-x) * sum_{p<terms} x^p / p!, summed from its log-space terms.
 
-    The false-alarm probability written without scipy, as a reference
-    independent of the incomplete-gamma evaluation in `sensing`.
+    The false-alarm probability as a plain Poisson sum, a reference
+    independent of the series and continued fraction in `sensing`.
     """
     if x == 0.0:
         return 1.0

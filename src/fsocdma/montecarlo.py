@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 from .ber_analysis import BerPoint, average_pe
 from .phylink import (
@@ -166,7 +167,7 @@ def point_params(cfg: RunConfig, snr_db: float) -> SystemParams:
 
 def _stream(
     master_seed: int, purpose: int, point_index: int, batch_index: int
-) -> np.random.Generator:
+) -> Generator:
     """The random stream of one (purpose, sweep point, batch); the only Philox key."""
     if not 0 <= point_index < _POINT_LIMIT:
         raise ValueError(f"point index {point_index} outside [0, 2^32)")
@@ -174,7 +175,7 @@ def _stream(
         [master_seed & _MASK64, (purpose << 32) | point_index], dtype=np.uint64
     )
     counter = np.array([0, batch_index & _MASK64, 0, 0], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(counter=counter, key=key))
+    return Generator(Philox(counter=counter, key=key))
 
 
 def _run_batch(params, probs, code_policy, rng, n_slots, trace, first_slot):

@@ -9,9 +9,11 @@ both the BER analysis and the link simulator consume.
 The detection statistic is chi-squared with 2*samples degrees of
 freedom: central under the idle hypothesis, noncentral with parameter
 2*gamma under the occupied hypothesis, gamma exponentially distributed
-over the Rayleigh sensing channel.  Both closed forms are evaluated
-with scipy's regularized incomplete gamma functions at integer shape
-(Digham, Alouini & Simon, IEEE Trans. Commun. 2007).  The
+over the Rayleigh sensing channel.  Both closed forms are regularized
+incomplete gamma functions at integer shape (Digham, Alouini & Simon,
+IEEE Trans. Commun. 2007), evaluated here with the standard library's
+math module: the power series of P below x = a + 1 and the continued
+fraction of Q above it, each scaled by exp(a ln x - x - lgamma(a)).  The
 Rayleigh-averaged detection probability uses exp(-zeta/(2*(1+gbar)))
 in its second term; the (1-gbar) variant sometimes seen in print
 diverges near gbar=1 and is not physical.
@@ -24,9 +26,8 @@ from dataclasses import dataclass
 from typing import Iterable, Literal
 
 import numpy as np
-from scipy.special import gammainc, gammaincc
 
-_TINY = np.finfo(float).tiny  # smallest normal float
+_EPS = math.ulp(1.0)
 
 
 class NoSolutionError(ValueError):
@@ -101,26 +102,69 @@ class OccupancyModel:
         return 1.0 - self.p_zero - self.p_mis
 
 
-def _log_poisson_lower(shape: int, y: float) -> float:
-    """log of the regularized lower gamma P(shape, y) at integer shape.
+def _log_prefactor(a: int, x: float) -> float:
+    """log of x^a e^-x / Gamma(a), the scale shared by P(a, x) and Q(a, x)."""
+    return a * math.log(x) - x - math.lgamma(a)
 
-    scipy's gammainc, except where it is not a normal float: that only
-    happens for y well below shape, and there the Poisson series
-    P(shape, y) = exp(-y) * sum_{p>=shape} y^p / p! is summed from its
-    leading term, whose ratios y/(p+1) < 1 decay geometrically.
+
+def _lower_series(a: int, x: float) -> float:
+    """P(a, x) over the prefactor: sum_{n>=0} x^n / (a (a+1) ... (a+n)).
+
+    Used for x < a + 1, where the ratio x/(a+n) of successive terms is
+    below one from the first step on.
     """
-    if y <= 0.0:
-        return -math.inf
-    p = float(gammainc(shape, y))
-    if p >= _TINY:
-        return math.log(p)
-    total = ratio = 1.0
-    k = shape
-    while ratio > 1e-17 * total:
+    term = total = 1.0 / a
+    k = a
+    while term > 1e-17 * total:
         k += 1
-        ratio *= y / k
-        total += ratio
-    return -y + shape * math.log(y) - math.lgamma(shape + 1) + math.log(total)
+        term *= x / k
+        total += term
+    return total
+
+
+def _upper_fraction(a: int, x: float) -> float:
+    """Q(a, x) over the prefactor: Legendre's continued fraction by Lentz's method.
+
+    Used for x >= a + 1, where every denominator is positive; at integer a
+    the partial numerators -i(i - a) vanish at i = a, so it ends there at
+    the latest.
+    """
+    b = x + 1.0 - a
+    c = math.inf
+    d = h = 1.0 / b
+    i = 0
+    while True:
+        i += 1
+        an = -i * (i - a)
+        b += 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        delta = c * d
+        h *= delta
+        if abs(delta - 1.0) <= _EPS:
+            return h
+
+
+def _log_poisson_lower(a: int, x: float) -> float:
+    """log P(a, x), the regularized lower incomplete gamma at integer shape a >= 1.
+
+    Formed in log space, so it stays finite where P itself underflows
+    (x far below a).
+    """
+    if x <= 0.0:
+        return -math.inf
+    if x < a + 1.0:
+        return _log_prefactor(a, x) + math.log(_lower_series(a, x))
+    return math.log1p(-math.exp(_log_prefactor(a, x)) * _upper_fraction(a, x))
+
+
+def _poisson_upper(a: int, x: float) -> float:
+    """Q(a, x) = 1 - P(a, x), the regularized upper incomplete gamma at integer shape a >= 1."""
+    if x <= 0.0:
+        return 1.0
+    if x < a + 1.0:
+        return -math.expm1(_log_poisson_lower(a, x))
+    return math.exp(_log_prefactor(a, x)) * _upper_fraction(a, x)
 
 
 def pfa(cfg: DetectorConfig) -> float:
@@ -129,7 +173,7 @@ def pfa(cfg: DetectorConfig) -> float:
     The regularized upper incomplete gamma Q(samples, zeta/2).  Strictly
     decreasing in the threshold.
     """
-    return float(gammaincc(cfg.samples, cfg.threshold / 2.0))
+    return _poisson_upper(cfg.samples, cfg.threshold / 2.0)
 
 
 def pd_rayleigh(cfg: DetectorConfig) -> float:
@@ -150,7 +194,7 @@ def pd_rayleigh(cfg: DetectorConfig) -> float:
     if gbar <= 0:
         raise ValueError("mean SNR must be positive")
     x = cfg.threshold / 2.0
-    t1 = float(gammaincc(u - 1, x))
+    t1 = _poisson_upper(u - 1, x)
     y = x * gbar / (1.0 + gbar)
     log_p_low = _log_poisson_lower(u - 1, y)
     if log_p_low == -math.inf:

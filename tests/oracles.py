@@ -6,9 +6,9 @@ scipy's normal survival function instead of the erfc route, scipy's
 incomplete gamma instead of Poisson partial sums, and a literal
 state-by-state enumeration for the averaged error probability, the
 log-space Poisson partial sums that the library's sensing closed forms
-replaced with scipy's incomplete gamma functions, and the
-cell-by-cell loop over the trinomial, with a dictionary subset-sum
-knapsack, that the library's table evaluation replaced.  Beside
+replaced with incomplete gamma functions, and the cell-by-cell loop
+over the trinomial, with a dictionary subset-sum knapsack and a
+row-by-row weight table, that the library's table evaluation replaced.  Beside
 these references to the Gaussian surrogate stand the exact error
 probability of the receiver the simulator implements and a literal
 per-subcarrier version of that receiver.
@@ -231,6 +231,22 @@ def subset_sum_distributions(n_active):
         probs = np.array([counts[j][int(s)] / total for s in sums], dtype=np.float64)
         out.append((sums, probs))
     return tuple(out)
+
+
+def loop_trinomial_weights(n, p0, pm, pf):
+    """W[m, l] = P(m estimated busy, l misdetected, the rest free), one row at a time.
+
+    The row loop that the library's broadcast product replaced, with the
+    same factor order, so the two agree bit for bit.
+    """
+    pm_l = np.array([pm**l for l in range(n + 1)])
+    pf_r = np.array([pf**r for r in range(n + 1)])
+    weights = np.zeros((n + 1, n + 1))
+    for m in range(n + 1):
+        r = n - m
+        combs = np.array([comb(r, l) for l in range(r + 1)], dtype=np.float64)
+        weights[m, : r + 1] = comb(n, m) * p0**m * combs * pm_l[: r + 1] * pf_r[r::-1]
+    return weights
 
 
 def _q(x):

@@ -3,6 +3,7 @@ import math
 import time
 from math import comb
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from oracles import (
     exact_average_pe,
     exact_conditional_pe,
     loop_average_pe,
+    loop_trinomial_weights,
     subset_sum_distributions,
 )
 from test_phylink import fresh_gains, manual_slot
@@ -43,6 +45,38 @@ class TestQFunction:
     @given(x=st.floats(-30, 30))
     def test_symmetry(self, x):
         assert ba.q_function(x) + ba.q_function(-x) == pytest.approx(1.0, abs=1e-12)
+
+    def test_erfc_matches_mpmath(self):
+        # erfc(z) is a normal float for z up to about 26.5
+        with mpmath.workdps(40):
+            for z in np.linspace(-6.0, 26.5, 651).tolist():
+                want = float(mpmath.erfc(z))
+                assert math.erfc(z) == pytest.approx(want, rel=1e-15, abs=0.0), z
+
+    def test_matches_mpmath(self):
+        x = np.linspace(-6.0, 26.5, 326) * math.sqrt(2.0)
+        got = ba.q_function(x)
+        assert got.shape == x.shape and got.dtype == np.float64
+        with mpmath.workdps(40):
+            for xi, g in zip(x.tolist(), got.tolist()):
+                # at the argument q_function rounds to, x / sqrt(2) in double
+                want = float(0.5 * mpmath.erfc(xi / math.sqrt(2.0)))
+                assert g == pytest.approx(want, rel=1e-15, abs=0.0), xi
+
+    def test_scalar_and_array_inputs_agree(self):
+        x = np.array([[-3.5, 0.25], [1.96, 12.0]])
+        table = ba.q_function(x)
+        assert table.shape == (2, 2)
+        for xi, qi in zip(x.ravel().tolist(), table.ravel().tolist()):
+            for arg in (xi, np.float64(xi), np.array(xi)):
+                got = ba.q_function(arg)
+                assert np.ndim(got) == 0 and got == qi
+        assert ba.q_function([]).shape == (0,)
+
+    def test_underflow_end_is_zero(self):
+        assert ba.q_function(38.0) > 0.0
+        assert np.array_equal(ba.q_function([40.0, 1e3, np.inf]), [0.0, 0.0, 0.0])
+        assert ba.q_function(-np.inf) == 1.0
 
 
 def all_free_signatures(order, k):
@@ -255,6 +289,16 @@ class TestAveragePe:
             for l in range(n - m + 1)
         )
         assert total == 1
+
+    @pytest.mark.parametrize("n", [4, 12, 32, 48, 64])
+    def test_trinomial_weights_match_row_loop(self, n):
+        rng = np.random.default_rng(1000 + n)
+        edges = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.3, 0.0), (0.0, 0.3)]
+        draws = [tuple(rng.dirichlet(np.ones(3))[:2].tolist()) for _ in range(50)]
+        for p0, pm in edges + draws:
+            pf = max(1.0 - p0 - pm, 0.0)
+            got = ba._trinomial_weights(n, p0, pm, pf)
+            assert np.array_equal(got, loop_trinomial_weights(n, p0, pm, pf)), (p0, pm)
 
     def test_degenerate_reduces_to_single_cell(self):
         model = occupancy_model(0.0, FusionResult(qfa=0.0, qd=1.0, k_users=1))

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import fsocdma
 from fsocdma import cli
 from fsocdma import orthocodes as oc
 
@@ -282,3 +288,18 @@ class TestSelftest:
         report = capsys.readouterr().out
         assert "FAIL codes" in report
         assert "PASS sensing" in report
+
+
+def test_import_loads_no_scipy():
+    # a fresh interpreter, so no other test's imports count
+    src = str(Path(fsocdma.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = (
+        "import sys, fsocdma.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

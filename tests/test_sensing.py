@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -122,7 +123,7 @@ FIG2_K8_THRESHOLD = 1905.657351411879
 
 def series_thresholds(samples):
     # 1e-7 puts P(u-1, x*gbar/(1+gbar)) below the smallest normal float for
-    # samples >= 50, so pd_rayleigh takes the series fallback there
+    # samples >= 50, so pd_rayleigh's second term rests on log P there
     return (0.0, 1e-7, 1.0, 10.0, 0.5 * samples, samples, 2.0 * samples,
             4.0 * samples, 6.0 * samples, FIG2_K8_THRESHOLD)
 
@@ -158,6 +159,49 @@ class TestAgainstPoissonSeries:
         cfg = sn.DetectorConfig(50, 1e-7, 27.35)
         y = 0.5e-7 * cfg.mean_snr_linear / (1.0 + cfg.mean_snr_linear)
         assert gammainc(49, y) < tiny
+
+
+GAMMA_SHAPES = (1, 2, 4, 5, 19, 49, 50, 319, 320)
+
+
+def gamma_arguments(a):
+    """x from 1e-7 to 6a, both sides of the series/fraction switch at a+1, the fig2 K=8 x."""
+    grid = np.geomspace(1e-7, 6.0 * a, 40).tolist()
+    return grid + [a + 1.0 - 1e-9, a + 1.0, a + 1.0 + 1e-9, FIG2_K8_THRESHOLD / 2.0]
+
+
+class TestIncompleteGammaAgainstMpmath:
+    """P(a, x) and Q(a, x) at integer shape against mpmath at 40 digits."""
+
+    @pytest.mark.parametrize("a", GAMMA_SHAPES)
+    def test_lower(self, a):
+        tiny = np.finfo(float).tiny
+        with mpmath.workdps(40):
+            for x in gamma_arguments(a):
+                want = mpmath.gammainc(a, 0, x, regularized=True)
+                got = sn._log_poisson_lower(a, x)
+                if want >= tiny:
+                    assert math.exp(got) == pytest.approx(float(want), rel=1e-12, abs=0.0), x
+                else:  # P is no normal float: its log carries the value
+                    assert got == pytest.approx(float(mpmath.log(want)), rel=1e-12), x
+
+    @pytest.mark.parametrize("a", GAMMA_SHAPES)
+    def test_upper(self, a):
+        tiny = np.finfo(float).tiny
+        with mpmath.workdps(40):
+            for x in gamma_arguments(a):
+                want = mpmath.gammainc(a, x, mpmath.inf, regularized=True)
+                got = sn._poisson_upper(a, x)
+                if want >= tiny:
+                    assert got == pytest.approx(float(want), rel=1e-12, abs=0.0), x
+                else:
+                    assert 0.0 <= got < tiny, x
+
+    def test_edges(self):
+        assert sn._poisson_upper(5, 0.0) == 1.0
+        assert sn._log_poisson_lower(5, 0.0) == -math.inf
+        assert sn._poisson_upper(320, 1e4) == 0.0
+        assert sn._log_poisson_lower(320, 1e4) == 0.0
 
 
 class TestSampleLevel:
