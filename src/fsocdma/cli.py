@@ -76,7 +76,7 @@ DEFAULTS: dict[str, object] = {
     "run.target_error_events": 100,
     "run.max_trials": 5_000_000,
     "run.master_seed": 24601,
-    "run.batch_slots": 8,
+    "run.batch_slots": 48,
     "codes.policy": "rechoose",
     "roc.points": 50,
     "roc.zeta_max": 0.0,  # 0 = automatic (threshold where pfa ~ 1e-8)

@@ -7,7 +7,12 @@ bitwise independent of evaluation order and thread count; they depend on
 batch_slots, which is part of the config digest.  Error and bit counters
 are plain integers aggregated in slot order; the stopping rule is
 evaluated at batch boundaries, keeping the set of simulated slots a pure
-function of the configuration.
+function of the configuration.  The last batch is clipped to the slots
+that reach max_trials, so a point never simulates past its cap.
+
+A batch draws, per slot, one uniform and one Exp(1) fade per subcarrier,
+one normal per interferer, the K bits of every bit interval packed eight
+to a byte, and two normals per bit interval (see phylink).
 
 A slot's bits share one fading draw, so the slots, not the bits, are the
 independent samples: the reported interval is the slot-level (cluster)
@@ -32,7 +37,6 @@ from numpy.random import Generator, Philox
 
 from .ber_analysis import BerPoint, average_pe
 from .phylink import (
-    SensingProbs,
     SystemParams,
     check_code_policy,
     draw_slots,
@@ -55,12 +59,14 @@ from .sensing import (
 # whenever a change alters which numbers a run draws or how it uses them;
 # every ber CSV header records it.  Version 1 drew one stream per slot and
 # the full per-subcarrier noise; version 2 draws one stream per batch and
-# the receiver's projections only.
-STREAM_VERSION = 2
+# the receiver's projections only; version 3 draws only the slot's
+# sufficient statistics (one uniform and one fade per subcarrier, one
+# normal per interferer) and packed bits.
+STREAM_VERSION = 3
 
 _MASK64 = (1 << 64) - 1
 _POINT_LIMIT = 1 << 32
-_PURPOSE_BATCH = 2  # purpose 1 keyed the per-slot streams of version 1
+_PURPOSE_BATCH = 3  # purposes 1 and 2 keyed the streams of versions 1 and 2
 
 
 @dataclass(frozen=True)
@@ -76,7 +82,7 @@ class RunConfig:
     max_trials: int = 5_000_000  # hard cap on bits per point
     master_seed: int = 24601
     code_policy: str = "rechoose"
-    batch_slots: int = 8
+    batch_slots: int = 48
 
     def __post_init__(self):
         if not (0.0 < self.target_pd < 1.0):
@@ -98,7 +104,7 @@ class RunConfig:
 class SensingDerivation:
     """Solved sensing operating point shared by analysis and simulation."""
 
-    probs: SensingProbs  # per-user local pd/pfa
+    probs: SensingOutcome  # per-user local pd/pfa
     threshold: float
     fused: FusionResult
     model: OccupancyModel
@@ -149,7 +155,7 @@ def _solve_sensing(
     fused = fuse_or([SensingOutcome(pfa=pfa_local, pd=pd_local)] * k)
     model = occupancy_model(pr_h1, fused)
     return SensingDerivation(
-        probs=SensingProbs(pd=pd_local, pfa=pfa_local),
+        probs=SensingOutcome(pfa=pfa_local, pd=pd_local),
         threshold=zeta,
         fused=fused,
         model=model,
@@ -178,23 +184,25 @@ def _stream(
     return Generator(Philox(counter=counter, key=key))
 
 
-def _run_batch(params, probs, code_policy, rng, n_slots, trace, first_slot):
+def _run_batch(params, model, code_policy, rng, n_slots, trace, first_slot):
     """Simulate one batch of slots; returns (errors per slot, infeasible slots).
 
-    Draw order: the slots, then every slot's bits and receiver normals,
-    then the coin flips of the slots that cannot carry all users (their
-    bits are all counted as coin flips).
+    Draw order: the slots, then every slot's bits (packed), then its
+    receiver normals.  A slot that cannot carry all users has R = 0 and
+    decides +1, so each of its bits is an error with probability 1/2, a
+    coin flip.
     """
     n_bits = params.bits_per_slot
-    batch = draw_slots(params, probs, rng, n_slots, code_policy)
-    bits = rng.integers(0, 2, (n_slots, n_bits, params.n_users), dtype=np.int8) * 2 - 1
+    k = params.n_users
+    batch = draw_slots(params, model, rng, n_slots, code_policy)
+    n_sent = n_slots * n_bits * k
+    packed = rng.integers(0, 256, -(-n_sent // 8), dtype=np.uint8)
+    bits = np.unpackbits(packed, count=n_sent).view(np.int8).reshape(n_slots, n_bits, k) * 2 - 1
     z = rng.standard_normal((n_slots, n_bits, 2))
     out = receive(project(batch, params.energy_per_bit), params, bits, z)
     errors = np.count_nonzero(out["decided"] != bits[:, :, 0], axis=1)
     bad = ~batch.feasible
     n_bad = int(np.count_nonzero(bad))
-    if n_bad:
-        errors[bad] = np.sum(rng.integers(0, 2, (n_bad, n_bits)), axis=1)
     if trace is not None:
         counts = zip(
             np.count_nonzero(batch.occupancy, axis=1),
@@ -250,7 +258,8 @@ def estimate_ber(
     """Simulate one sweep point until the stopping rule fires.
 
     Stops at the first batch boundary where at least trials_min bits and
-    target_error_events errors have accumulated, or at the max_trials cap.
+    target_error_events errors have accumulated, or after
+    ceil(max_trials / bits_per_slot) slots, the cap.
     Fully determined by (cfg, snr_db, point_index); point_index defaults to
     the position of snr_db on the grid, and an SNR off the grid needs one.
     """
@@ -263,23 +272,25 @@ def estimate_ber(
     analytic = average_pe(params, derived.model, cfg.code_policy)
 
     bits_per_slot = params.bits_per_slot
+    cap_slots = -(-cfg.max_trials // bits_per_slot)
     sum_e = 0
     sum_e2 = 0
     infeasible = 0
     slots = 0
     batch_index = 0
     while True:
+        n_slots = min(cfg.batch_slots, cap_slots - slots)
         rng = _stream(cfg.master_seed, _PURPOSE_BATCH, point_index, batch_index)
         errors, bad = _run_batch(
-            params, derived.probs, cfg.code_policy, rng, cfg.batch_slots, trace, slots
+            params, derived.model, cfg.code_policy, rng, n_slots, trace, slots
         )
         sum_e += int(errors.sum())
         sum_e2 += int(np.dot(errors, errors))
         infeasible += bad
-        slots += cfg.batch_slots
+        slots += n_slots
         batch_index += 1
         bits_done = slots * bits_per_slot
-        if bits_done >= cfg.max_trials:
+        if slots >= cap_slots:
             break
         if bits_done >= cfg.trials_min and sum_e >= cfg.target_error_events:
             break

@@ -24,10 +24,18 @@ the misdetected set and z_1, z_2 are standard normals.  This has exactly
 the distribution of drawing complex noise on every subcarrier and
 interference on Lambda and projecting them onto w, at two normals per
 bit interval instead of 2N plus the interference.
+
+A slot draws only what R depends on.  The OR-fused sensing outcome of a
+subcarrier is one trinomial cell (misdetected, estimated busy, free), so
+one uniform per subcarrier picks it.  |w_n|^2 needs only |beta_1n|^2,
+an Exp(1) draw.  Given w, each beta_kn (k >= 2) is circular CN(0, 1) and
+independent across (k, n), so m_k is exactly
+N(0, P_k/2 sum_n c_kn^2 |w_n|^2): one standard normal per interferer.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -40,6 +48,7 @@ from .orthocodes import (
     is_supported_order,
     largest_supported_order,
 )
+from .sensing import OccupancyModel
 
 CODE_POLICIES = ("rechoose", "fixed")
 
@@ -109,33 +118,36 @@ def check_code_policy(code_policy: str, n_subcarriers: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class SensingProbs:
-    """Per-user local sensing probabilities fed to the Bernoulli shortcut."""
-
-    pd: float
-    pfa: float
-
-    def __post_init__(self):
-        for name, v in (("pd", self.pd), ("pfa", self.pfa)):
-            if not (0.0 <= v <= 1.0):
-                raise ValueError(f"{name}={v} outside [0, 1]")
+_PLACEMENT_LOCK = threading.Lock()
 
 
 @lru_cache(maxsize=None)
-def _placement(n_free: int, k: int, n: int) -> np.ndarray:
-    """Rechosen chips of the first k users indexed by free rank.
+def _placement_table(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The zeroed (n+1, k, n) placement table of _placements and its filled rows."""
+    return np.zeros((n + 1, k, n), dtype=np.int64), np.zeros(n + 1, dtype=bool)
 
-    The family has the largest supported order n' <= n_free.  Column r
-    holds the chips for the r-th estimated-free subcarrier; columns from
-    n' on are zero, so the excess free subcarriers idle.  All zero when
-    the family has fewer than k rows.
+
+def _placements(k: int, n: int, n_free: np.ndarray) -> np.ndarray:
+    """Rechosen chips of the first k users by free count and free rank.
+
+    Entry [f, :, r] holds the chips for the r-th estimated-free
+    subcarrier of a slot with f free subcarriers.  The family has the
+    largest supported order n' <= f; ranks from n' on are zero, so the
+    excess free subcarriers idle.  Row f is all zero when that family
+    has fewer than k rows.  Rows are filled the first time a free count
+    in n_free needs them; the rows never filled stay untouched zero
+    pages, so a large N costs only the free counts that occur.
     """
-    n_active = largest_supported_order(n_free)
-    table = np.zeros((k, n), dtype=np.int64)
-    if n_active >= k:
-        table[:, :n_active] = build(n_active).entries[:k]
-    table.setflags(write=False)
+    table, filled = _placement_table(k, n)
+    missing = n_free[~filled[n_free]]
+    if missing.size:
+        # sweep threads share the table; a row is marked filled only once written
+        with _PLACEMENT_LOCK:
+            for f in set(missing.tolist()):
+                n_active = largest_supported_order(f)
+                if n_active >= k and not filled[f]:
+                    table[f, :, :n_active] = build(n_active).entries[:k]
+                filled[f] = True
     return table
 
 
@@ -160,9 +172,10 @@ def signature_matrix(est_busy, k: int, code_policy: str = "rechoose"):
     free = ~busy
     if code_policy == "rechoose":
         n_free = np.count_nonzero(free, axis=1)
-        tables = np.stack([_placement(int(f), k, n) for f in n_free])
         rank = np.maximum(np.cumsum(free, axis=1) - 1, 0)
-        chips = np.take_along_axis(tables, rank[:, np.newaxis, :], axis=2)
+        users = np.arange(k)[:, np.newaxis]
+        table = _placements(k, n, n_free)
+        chips = table[n_free[:, np.newaxis, np.newaxis], users, rank[:, np.newaxis]]
         chips *= free[:, np.newaxis, :]
     elif code_policy == "fixed":
         chips = build(n).entries[:k] * free[:, np.newaxis, :]
@@ -176,12 +189,13 @@ def signature_matrix(est_busy, k: int, code_policy: str = "rechoose"):
 
 @dataclass(frozen=True)
 class SlotBatch:
-    """Ground truth and channel of B slots.
+    """Ground truth and the first user's channel in B slots.
 
     misdetected marks subcarriers that are occupied but estimated free;
     chips carry zeros exactly where a chip was deactivated (estimated
     busy, plus any free subcarriers dropped to reach a supported code
-    order).  A slot with zero energies cannot carry all users.
+    order).  A slot with zero energies cannot carry all users.  fade and
+    mai_z are all the fading that the first user's decision depends on.
     """
 
     occupancy: np.ndarray  # (B, N) bool, true primary occupancy
@@ -189,7 +203,8 @@ class SlotBatch:
     misdetected: np.ndarray  # (B, N) bool, occupancy & ~est_busy
     chips: np.ndarray  # (B, K, N) int64
     energies: np.ndarray  # (B, K) int64, sum of squared chips per user
-    gains: np.ndarray  # (B, K, N) complex, unit-variance channel gains
+    fade: np.ndarray  # (B, N) float, |beta_1n|^2 ~ Exp(1)
+    mai_z: np.ndarray  # (B, K-1) float, standard normals scaling m_k
 
     @property
     def feasible(self) -> np.ndarray:
@@ -198,33 +213,35 @@ class SlotBatch:
 
 def draw_slots(
     params: SystemParams,
-    probs: SensingProbs,
+    model: OccupancyModel,
     rng: np.random.Generator,
     n_slots: int,
     code_policy: str = "rechoose",
 ) -> SlotBatch:
-    """Draw n_slots slots: occupancy, sensing decisions, codes and channel gains.
+    """Draw n_slots slots: sensing outcomes, codes and the first user's fading.
 
-    Draw order is fixed (occupancy, decisions, gains) so a seeded stream
-    reproduces the batch bit for bit.  Sensing uses the Bernoulli
-    shortcut: each user reports busy with probability pd on occupied
-    subcarriers and pfa on idle ones.
+    Draw order is fixed (one uniform u per subcarrier, then the fades,
+    then the interferers' normals) so a seeded stream reproduces the
+    batch bit for bit.  u picks the subcarrier's cell of the OR-fused
+    sensing model: misdetected below p_mis, estimated busy on
+    [p_mis, p_mis + p_zero), free above.  It is occupied below pr_h1, so
+    the busy cell splits into pr_h1 * qd occupied and (1 - pr_h1) * qfa
+    idle mass.
     """
     n = params.n_subcarriers
     k = params.n_users
-    shape = (n_slots, k, n)
-    occupancy = rng.random((n_slots, n)) < params.pr_h1
-    p_busy = np.where(occupancy, probs.pd, probs.pfa)
-    est_busy = np.any(rng.random(shape) < p_busy[:, np.newaxis, :], axis=1)
+    u = rng.random((n_slots, n))
+    misdetected = u < model.p_mis
+    est_busy = ~misdetected & (u < model.p_mis + model.p_zero)
     chips, energies = signature_matrix(est_busy, k, code_policy)
-    gains = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
     return SlotBatch(
-        occupancy=occupancy,
+        occupancy=u < model.pr_h1,
         est_busy=est_busy,
-        misdetected=occupancy & ~est_busy,
+        misdetected=misdetected,
         chips=chips,
         energies=energies,
-        gains=gains,
+        fade=rng.standard_exponential((n_slots, n)),
+        mai_z=rng.standard_normal((n_slots, k - 1)),
     )
 
 
@@ -244,15 +261,14 @@ class Projection:
 
 def project(batch: SlotBatch, energy_per_bit: float) -> Projection:
     """S, m_k and ||w_Lambda||^2 of every slot (all zero where infeasible)."""
-    chips = batch.chips.astype(np.float64)
+    chips2 = np.square(batch.chips, dtype=np.float64)
     # unit energy in place of zero keeps an infeasible slot's sums at zero
-    amp = np.sqrt(energy_per_bit / np.maximum(batch.energies, 1))  # sqrt(P_n) per user
-    w = np.conj(batch.gains[:, 0]) * (chips[:, 0] * amp[:, :1])  # (B, N)
-    w2 = w.real**2 + w.imag**2
-    tx = batch.gains[:, 1:] * (chips[:, 1:] * amp[:, 1:, np.newaxis])
+    power = energy_per_bit / np.maximum(batch.energies, 1)  # P_k per user
+    w2 = power[:, :1] * chips2[:, 0] * batch.fade  # |w_n|^2, (B, N)
+    mai_var = 0.5 * power[:, 1:] * np.einsum("bkn,bn->bk", chips2[:, 1:], w2)
     return Projection(
         signal=w2.sum(axis=1),
-        mai=np.einsum("bkn,bn->bk", tx, w).real,
+        mai=np.sqrt(mai_var) * batch.mai_z,
         w2_lambda=np.sum(w2, axis=1, where=batch.misdetected),
     )
 

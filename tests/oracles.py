@@ -11,7 +11,9 @@ over the trinomial, with a dictionary subset-sum knapsack and a
 row-by-row weight table, that the library's table evaluation replaced.  Beside
 these references to the Gaussian surrogate stand the exact error
 probability of the receiver the simulator implements and a literal
-per-subcarrier version of that receiver.
+per-subcarrier version of that receiver, plus the simulator's earlier
+draws: every user's sensing decision OR-fused per subcarrier, and the
+rechosen signatures stacked one slot at a time.
 """
 
 import itertools
@@ -23,7 +25,7 @@ import numpy as np
 from scipy.special import gammaln, logsumexp, ndtr
 from scipy.stats import norm
 
-from fsocdma.orthocodes import build
+from fsocdma.orthocodes import build, largest_supported_order
 
 
 def is_supported(n: int) -> bool:
@@ -116,6 +118,46 @@ def chips_for_configuration(n, k, busy, policy):
     chips = build(n).entries[:k].astype(float).copy()
     chips[:, list(busy)] = 0.0
     return chips
+
+
+def or_fused_draw(pr_h1, pd, pfa, k, rng, shape):
+    """(occupancy, est_busy) with every user's decision drawn and OR-fused.
+
+    Each of k users reports busy with probability pd on an occupied
+    subcarrier and pfa on an idle one; est_busy is the OR of the reports.
+    """
+    occupancy = rng.random(shape) < pr_h1
+    p_busy = np.where(occupancy, pd, pfa)
+    reports = rng.random((k, *shape)) < p_busy
+    return occupancy, np.any(reports, axis=0)
+
+
+@lru_cache(maxsize=None)
+def _placement(n_free, k, n):
+    """Rechosen chips of the first k users by free rank for one free count."""
+    n_active = largest_supported_order(n_free)
+    table = np.zeros((k, n), dtype=np.int64)
+    if n_active >= k:
+        table[:, :n_active] = build(n_active).entries[:k]
+    return table
+
+
+def stacked_signature_matrix(est_busy, k, code_policy):
+    """signature_matrix with one placement table stacked per slot.
+
+    The rechoose path looks each slot's table up by its free count,
+    stacks them and gathers the columns by free rank.
+    """
+    free = ~np.asarray(est_busy, dtype=bool)
+    n = free.shape[1]
+    if code_policy == "rechoose":
+        tables = np.stack([_placement(int(f), k, n) for f in np.count_nonzero(free, axis=1)])
+        rank = np.maximum(np.cumsum(free, axis=1) - 1, 0)
+        chips = np.take_along_axis(tables, rank[:, np.newaxis, :], axis=2)
+        chips *= free[:, np.newaxis, :]
+    else:
+        chips = build(n).entries[:k] * free[:, np.newaxis, :]
+    return chips, np.einsum("bkn,bkn->bk", chips, chips)
 
 
 def literal_receiver(chips, gains, lam, bits, eb, sn2, ss2, rng):

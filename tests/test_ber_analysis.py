@@ -27,7 +27,7 @@ from oracles import (
     loop_trinomial_weights,
     subset_sum_distributions,
 )
-from test_phylink import fresh_gains, manual_slot
+from test_phylink import manual_slot
 
 
 class TestQFunction:
@@ -433,7 +433,7 @@ class TestExactOracle:
 
     def test_matches_receiver_on_fixed_masks(self):
         # 26 free subcarriers carry the order-25 multi-level family (one
-        # idles) and two of them are misdetected; gains are fresh per slot
+        # idles) and two of them are misdetected; fading is fresh per slot
         # and shared by the slot's bits, so the standard error is taken
         # over per-slot error rates
         t0 = time.perf_counter()
@@ -449,9 +449,10 @@ class TestExactOracle:
         assert want >= 1e-2
         rng = np.random.default_rng(17)
         slots, bits_per_slot = 4000, 90
-        gains = fresh_gains(rng, (slots, k, n))
+        fade = rng.standard_exponential((slots, n))
+        mai_z = rng.standard_normal((slots, k - 1))
         bits = rng.integers(0, 2, (slots, bits_per_slot, k)) * 2 - 1
-        proj = project(manual_slot(params, est, lam, gains), 1.0)
+        proj = project(manual_slot(params, est, lam, fade, mai_z), 1.0)
         out = receive(proj, params, bits, rng.standard_normal((slots, bits_per_slot, 2)))
         rates = np.mean(out["decided"] != bits[:, :, 0], axis=1)
         se = float(np.std(rates, ddof=1)) / math.sqrt(slots)

@@ -100,6 +100,26 @@ class TestBer:
         assert run_cli(["ber", "--out", str(b)] + sets) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_small_batches_run_and_reproduce_bytes(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        args = self.FAST + ["--set", "run.batch_slots=8", "--seed", "9"]
+        assert run_cli(["ber", "--out", str(a)] + args) == 0
+        assert run_cli(["ber", "--out", str(b)] + args) == 0
+        text = a.read_text()
+        assert "# set run.batch_slots=8\n" in text
+        assert a.read_bytes() == b.read_bytes()
+        rows = [ln for ln in text.splitlines() if ln and not ln.startswith("#")][1:]
+        for row in rows:
+            trials = int(row.split(",")[4])
+            assert trials % (8 * 90) == 0
+
+    def test_default_batch_in_header(self, tmp_path):
+        out = tmp_path / "a.csv"
+        assert run_cli(["ber", "--out", str(out), "--seed", "9"] + self.FAST) == 0
+        text = out.read_text()
+        assert "# set run.batch_slots=48\n" in text
+        assert "# stream_version=3\n" in text
+
     def test_analytic_mode_schema(self, tmp_path):
         out = tmp_path / "ana.csv"
         run_cli(["ber", "--mode", "analytic", "--out", str(out),

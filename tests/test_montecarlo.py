@@ -21,6 +21,24 @@ def make_config(k=4, **overrides):
     return mc.RunConfig(**defaults)
 
 
+class RecordingGenerator:
+    """A numpy Generator that records (method, dtype, count) of every draw."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.draws = []
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def record(*args, **kwargs):
+            out = np.asarray(method(*args, **kwargs))
+            self.draws.append((name, out.dtype.type, out.size))
+            return out
+
+        return record
+
+
 class TestDeriveSensing:
     def test_fused_target_met(self):
         cfg = make_config()
@@ -91,6 +109,43 @@ class TestEstimateBer:
         # stop fires at a batch boundary shortly after the target
         bits_per_batch = cfg.batch_slots * cfg.params.bits_per_slot
         assert p.trials % bits_per_batch == 0
+
+    def test_cap_clips_the_last_batch(self):
+        # 5000 bits is 55.6 slots: the point stops at 56 slots, one full
+        # 48-slot batch and an 8-slot one, not after a second full batch
+        cfg = make_config(trials_min=2_000, target_error_events=10**9, max_trials=5_000)
+        assert cfg.batch_slots == 48
+        p = mc.estimate_ber(cfg, 5.0, 0)
+        assert p.trials == 5_040
+
+    def test_tiny_cap_is_one_clipped_batch(self):
+        # an 8-slot cap below one 48-slot batch simulates 8 slots
+        cfg = make_config(trials_min=720, target_error_events=10**9, max_trials=720)
+        assert mc.estimate_ber(cfg, 5.0, 0).trials == 720
+
+    @pytest.mark.parametrize("k, pr_h1", [(1, 0.2), (4, 0.2), (8, 0.2), (4, 0.9)])
+    def test_draw_budget(self, k, pr_h1):
+        # a batch draws one uniform and one fade per subcarrier, one normal
+        # per interferer, the K bits of each interval packed eight to a byte
+        # and two normals per interval, per slot, and nothing else (also
+        # when many slots cannot carry all users, as at pr_h1=0.9)
+        cfg = make_config(k=k, params=SystemParams(
+            n_subcarriers=32, n_users=k, pr_h1=pr_h1, noise_psd=0.1, interference_power=0.1
+        ))
+        model = mc.derive_sensing(cfg).model
+        rng = RecordingGenerator(np.random.default_rng(5))
+        slots, n_bits = 48, cfg.params.bits_per_slot
+        errors, bad = mc._run_batch(cfg.params, model, "rechoose", rng, slots, None, 0)
+        assert errors.shape == (slots,)
+        if pr_h1 > 0.5:
+            assert bad > 0
+        assert rng.draws == [
+            ("random", np.float64, slots * 32),
+            ("standard_exponential", np.float64, slots * 32),
+            ("standard_normal", np.float64, slots * (k - 1)),
+            ("integers", np.uint8, -(-slots * n_bits * k // 8)),
+            ("standard_normal", np.float64, slots * n_bits * 2),
+        ]
 
     def test_zero_errors_rule_of_three(self):
         cfg = make_config(k=1, snr_grid_db=(40.0,), trials_min=1_000, max_trials=20_000)

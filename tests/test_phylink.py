@@ -1,33 +1,50 @@
 import dataclasses
+import math
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from fsocdma import phylink as pl
 from fsocdma.orthocodes import build
-from oracles import chips_for_configuration, literal_receiver
+from fsocdma.sensing import SensingOutcome, fuse_or, occupancy_model
+from oracles import (
+    chips_for_configuration,
+    literal_receiver,
+    or_fused_draw,
+    stacked_signature_matrix,
+)
 
 
-def manual_slot(params, est_busy, lam_indices, gains, code_policy="rechoose"):
-    """Slots with fixed masks and given gains (no randomness).
+def sensing_model(pr_h1, pd, pfa, k=4):
+    """Occupancy model of k users that sense with local pd and pfa, OR-fused."""
+    return occupancy_model(pr_h1, fuse_or([SensingOutcome(pfa=pfa, pd=pd)] * k))
 
-    gains has shape (K, N) for one slot or (B, K, N) for B slots that
-    share the masks.
+
+def manual_slot(params, est_busy, lam_indices, fade, mai_z, code_policy="rechoose"):
+    """Slots with fixed masks and given fading (no randomness).
+
+    fade holds |beta_1n|^2, shape (N,) for one slot or (B, N) for B slots
+    that share the masks; mai_z, shape (K-1,) or (B, K-1), scales the
+    interferers' projections.
     """
-    gains = np.asarray(gains, dtype=complex)
-    if gains.ndim == 2:
-        gains = gains[np.newaxis]
-    est_busy = np.tile(np.asarray(est_busy, dtype=bool), (gains.shape[0], 1))
+    fade = np.atleast_2d(np.asarray(fade, dtype=float))
+    b, k = fade.shape[0], params.n_users
+    est_busy = np.tile(np.asarray(est_busy, dtype=bool), (b, 1))
     misdetected = np.zeros_like(est_busy)
     misdetected[:, list(lam_indices)] = True
-    chips, energies = pl.signature_matrix(est_busy, params.n_users, code_policy)
+    chips, energies = pl.signature_matrix(est_busy, k, code_policy)
     return pl.SlotBatch(
         occupancy=est_busy | misdetected,
         est_busy=est_busy,
         misdetected=misdetected,
         chips=chips,
         energies=energies,
-        gains=gains,
+        fade=fade,
+        mai_z=np.broadcast_to(np.asarray(mai_z, dtype=float), (b, k - 1)),
     )
 
 
@@ -35,14 +52,23 @@ def fresh_gains(rng, shape):
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
 
 
+def gains_with_fade(fade, k, rng):
+    """(K, N) gains whose first row has |beta_1n|^2 = fade (random phases);
+    the other users' gains are fresh."""
+    gains = fresh_gains(rng, (k, len(fade)))
+    gains[0] = np.sqrt(fade) * np.exp(2j * np.pi * rng.random(len(fade)))
+    return gains
+
+
 def fixed_mask_components(params, est_busy, lam_indices, trials, rng, chunk=10_000):
     """(trials, 4) parts R_s, R_MAI, R_GI, R_n of one all-ones bit interval per
-    slot; every slot has the given masks and fresh gains."""
+    slot; every slot has the given masks and fresh fading."""
     k, n = params.n_users, params.n_subcarriers
     comps = []
     for start in range(0, trials, chunk):
         b = min(chunk, trials - start)
-        slot = manual_slot(params, est_busy, lam_indices, fresh_gains(rng, (b, k, n)))
+        slot = manual_slot(params, est_busy, lam_indices, rng.standard_exponential((b, n)),
+                           rng.standard_normal((b, k - 1)))
         bits = np.ones((b, 1, k))
         out = pl.receive(pl.project(slot, params.energy_per_bit), params, bits,
                          rng.standard_normal((b, 1, 2)))
@@ -80,20 +106,22 @@ class TestDrawSlot:
     def test_all_free_when_no_primary_and_no_false_alarm(self):
         rng = np.random.default_rng(0)
         params = dataclasses.replace(PARAMS, pr_h1=0.0)
-        slot = pl.draw_slots(params, pl.SensingProbs(pd=0.9, pfa=0.0), rng, 1)
+        slot = pl.draw_slots(params, sensing_model(0.0, 0.9, 0.0), rng, 1)
         assert not slot.est_busy.any()
         assert not slot.misdetected.any()
         assert np.count_nonzero(slot.chips[0, 0]) == 32
 
     def test_perfect_detection_means_no_misdetection(self):
         rng = np.random.default_rng(1)
-        slots = pl.draw_slots(PARAMS, pl.SensingProbs(pd=1.0, pfa=0.05), rng, 50)
+        slots = pl.draw_slots(PARAMS, sensing_model(0.2, 1.0, 0.05), rng, 50)
         assert not slots.misdetected.any()
 
     def test_invariants_hold(self):
         rng = np.random.default_rng(2)
-        slots = pl.draw_slots(PARAMS, pl.SensingProbs(pd=0.5, pfa=0.1), rng, 100)
+        slots = pl.draw_slots(PARAMS, sensing_model(0.2, 0.5, 0.1), rng, 100)
         assert np.array_equal(slots.misdetected, slots.occupancy & ~slots.est_busy)
+        assert slots.fade.shape == (100, 32) and np.all(slots.fade >= 0.0)
+        assert slots.mai_z.shape == (100, 3)
         assert slots.feasible.all()
         for s in range(100):
             chips = slots.chips[s]
@@ -110,19 +138,53 @@ class TestDrawSlot:
         qd = 1.0 - (1.0 - pd_local) ** k
         p_mis = (1.0 - qd) * PARAMS.pr_h1
         expect = PARAMS.n_subcarriers * p_mis
+        model = sensing_model(PARAMS.pr_h1, pd_local, 0.0, k)
         rng = np.random.default_rng(3)
         total = 0
         for _ in range(slots // 1_000):
-            batch = pl.draw_slots(PARAMS, pl.SensingProbs(pd=pd_local, pfa=0.0), rng, 1_000)
+            batch = pl.draw_slots(PARAMS, model, rng, 1_000)
             total += int(batch.misdetected.sum())
         mean = total / slots
         se = np.sqrt(PARAMS.n_subcarriers * p_mis * (1 - p_mis) / slots)
         assert abs(mean - expect) <= 3 * se
 
+    def test_cell_frequencies_match_model_and_or_draw(self):
+        # one uniform per subcarrier against the model's cells and against
+        # drawing and OR-fusing every user's decision, over 10^6 subcarriers
+        pr_h1, pd, pfa, k = 0.2, 0.5, 0.1, 4
+        model = sensing_model(pr_h1, pd, pfa, k)
+        qd, qfa = 1 - (1 - pd) ** k, 1 - (1 - pfa) ** k
+        want = np.array([model.p_mis, pr_h1 * qd, (1 - pr_h1) * qfa])
+        slots, chunk, n = 31_250, 3_125, PARAMS.n_subcarriers
+        rng = np.random.default_rng(21)
+        new = np.zeros(3)
+        old = np.zeros(3)
+        for _ in range(slots // chunk):
+            batch = pl.draw_slots(PARAMS, model, rng, chunk)
+            occ, busy = batch.occupancy, batch.est_busy
+            new += [np.sum(occ & ~busy), np.sum(occ & busy), np.sum(~occ & busy)]
+            occ, busy = or_fused_draw(pr_h1, pd, pfa, k, rng, (chunk, n))
+            old += [np.sum(occ & ~busy), np.sum(occ & busy), np.sum(~occ & busy)]
+        total = slots * n
+        assert total == 10**6
+        new, old = new / total, old / total
+        se = np.sqrt(want * (1 - want) / total)
+        assert np.all(np.abs(new - want) <= 4 * se), (new, want, se)
+        assert np.all(np.abs(old - want) <= 4 * se), (old, want, se)
+        assert np.all(np.abs(new - old) <= 4 * np.sqrt(2) * se), (new, old, se)
+
+    def test_fades_and_interferer_normals(self):
+        # |beta_1n|^2 of a unit-variance circular Gaussian gain is Exp(1);
+        # the interferers' scales are standard normals
+        rng = np.random.default_rng(22)
+        slots = pl.draw_slots(PARAMS, sensing_model(0.2, 0.5, 0.1), rng, 2_000)
+        assert stats.kstest(slots.fade.ravel(), "expon").pvalue > 1e-3
+        assert stats.kstest(slots.mai_z.ravel(), "norm").pvalue > 1e-3
+
     def test_capacity_error(self):
         # every subcarrier reported busy: nothing can be transmitted
         rng = np.random.default_rng(4)
-        slots = pl.draw_slots(PARAMS, pl.SensingProbs(pd=1.0, pfa=1.0), rng, 5)
+        slots = pl.draw_slots(PARAMS, sensing_model(0.2, 1.0, 1.0), rng, 5)
         assert not slots.feasible.any()
         assert not slots.chips.any()
         for policy in pl.CODE_POLICIES:
@@ -131,18 +193,17 @@ class TestDrawSlot:
 
     def test_fallback_deactivates_excess(self):
         # 31 free -> largest supported order is 30, one free subcarrier idles
-        params = dataclasses.replace(PARAMS, pr_h1=0.0)
-        est = np.zeros(32, dtype=bool)
-        est[7] = True
-        slot = manual_slot(params, est, [], np.ones((4, 32), complex))
-        free_positions = np.flatnonzero(slot.chips[0, 0] != 0)
+        est = np.zeros((1, 32), dtype=bool)
+        est[0, 7] = True
+        chips, _ = pl.signature_matrix(est, 4)
+        free_positions = np.flatnonzero(chips[0, 0] != 0)
         assert free_positions.size == 30
         assert 7 not in free_positions
         assert 31 not in free_positions  # the trailing free subcarrier idles
 
     def test_fixed_policy_zeroes_in_place(self):
         rng = np.random.default_rng(6)
-        slots = pl.draw_slots(PARAMS, pl.SensingProbs(pd=0.6, pfa=0.1), rng, 20, "fixed")
+        slots = pl.draw_slots(PARAMS, sensing_model(0.2, 0.6, 0.1), rng, 20, "fixed")
         family = build(32)
         for s in range(20):
             free = ~slots.est_busy[s]
@@ -164,9 +225,55 @@ class TestDrawSlot:
                 assert np.array_equal(chips[s], want)
                 assert np.array_equal(energies[s], np.sum(want * want, axis=1))
 
+    @pytest.mark.parametrize("policy", pl.CODE_POLICIES)
+    @pytest.mark.parametrize("n", [32, 48])
+    @pytest.mark.parametrize("k", [1, 4, 8])
+    def test_signature_matrix_matches_stacked_tables(self, policy, n, k):
+        # the one gather into the placement table against a table stacked per slot
+        rng = np.random.default_rng(14)
+        masks = rng.random((500, n)) < rng.random((500, 1))
+        chips, energies = pl.signature_matrix(masks, k, policy)
+        want_chips, want_energies = stacked_signature_matrix(masks, k, policy)
+        assert chips.dtype == want_chips.dtype and energies.dtype == want_energies.dtype
+        assert np.array_equal(chips, want_chips)
+        assert np.array_equal(energies, want_energies)
+
+    def test_placement_table_filled_from_many_threads(self, monkeypatch):
+        # sweep threads fill the shared placement table concurrently: every
+        # thread still gets the chips of the table stacked per slot.  A
+        # slow build widens the window between reading and filling a row.
+        masks = np.random.default_rng(15).random((16, 200, 48)) < 0.3
+        want = [stacked_signature_matrix(m, 4, "rechoose")[0] for m in masks]
+        monkeypatch.setattr(pl, "build", lambda order: time.sleep(1e-3) or build(order))
+        interval = sys.getswitchinterval()
+        pl._placement_table.cache_clear()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(pl.signature_matrix, m, 4) for m in masks]
+                got = [f.result(timeout=60)[0] for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
             pl.signature_matrix(np.zeros((1, 4), bool), 1, "bogus")
+
+
+def flat_channel_mai(policy, busy):
+    """Literal receiver's MAI part under gains constant over the subcarriers,
+    with the chips' Gram matrix."""
+    gains = np.tile(np.array([[1.0 + 0.5j], [0.3 - 1j], [-0.7 + 0.2j], [1.1 + 0j]]), (1, 32))
+    est = np.zeros((1, 32), bool)
+    est[0, busy] = True
+    chips = pl.signature_matrix(est, 4, policy)[0][0]
+    _, parts, _ = literal_receiver(
+        chips, gains, [], np.array([[1.0, -1.0, 1.0, -1.0]]), PARAMS.energy_per_bit,
+        PARAMS.noise_psd, PARAMS.interference_power, np.random.default_rng(1),
+    )
+    return parts[0, 1], chips @ chips.T
 
 
 class TestTransmitAndReceive:
@@ -175,35 +282,27 @@ class TestTransmitAndReceive:
             n_subcarriers=4, n_users=1, pr_h1=0.0,
             noise_psd=1e-300, interference_power=0.0,
         )
-        slot = manual_slot(params, np.zeros(4, bool), [], np.ones((1, 4), complex))
+        slot = manual_slot(params, np.zeros(4, bool), [], np.ones(4), [])
         z = np.random.default_rng(0).standard_normal((1, 1, 2))
         out = pl.receive(pl.project(slot, 1.0), params, np.ones((1, 1, 1)), z)
         assert out["decision"][0, 0] == 1.0
         assert out["decided"][0, 0] == 1
 
     def test_flat_channel_mai_vanishes_with_rechosen_codes(self):
-        gains = np.tile(np.array([[1.0 + 0.5j], [0.3 - 1j], [-0.7 + 0.2j], [1.1 + 0j]]), (1, 32))
-        est = np.zeros(32, bool)
-        est[[3, 11]] = True  # 30 free, supported
-        slot = manual_slot(PARAMS, est, [], gains)
-        proj = pl.project(slot, PARAMS.energy_per_bit)
-        out = pl.receive(proj, PARAMS, np.array([[[1.0, -1.0, 1.0, -1.0]]]),
-                         np.random.default_rng(1).standard_normal((1, 1, 2)))
-        assert abs(out["r_mai"][0, 0]) < 1e-12
+        # 30 free, supported: the rechosen rows are orthogonal, so a flat
+        # channel cancels the other users
+        mai, gram = flat_channel_mai("rechoose", [3, 11])
+        assert not np.any(gram[~np.eye(4, dtype=bool)])
+        assert abs(mai) < 1e-12
 
     def test_flat_channel_mai_survives_with_fixed_zeroed_codes(self):
-        gains = np.tile(np.array([[1.0 + 0.5j], [0.3 - 1j], [-0.7 + 0.2j], [1.1 + 0j]]), (1, 32))
-        est = np.zeros(32, bool)
-        est[[3, 11, 17]] = True
-        slot = manual_slot(PARAMS, est, [], gains, code_policy="fixed")
-        proj = pl.project(slot, PARAMS.energy_per_bit)
-        out = pl.receive(proj, PARAMS, np.array([[[1.0, -1.0, 1.0, -1.0]]]),
-                         np.random.default_rng(1).standard_normal((1, 1, 2)))
-        assert abs(out["r_mai"][0, 0]) > 1e-6
+        mai, gram = flat_channel_mai("fixed", [3, 11, 17])
+        assert np.any(gram[0, 1:])
+        assert abs(mai) > 1e-6
 
     def test_power_accounting(self):
         rng = np.random.default_rng(7)
-        slots = pl.draw_slots(PARAMS, pl.SensingProbs(pd=0.5, pfa=0.1), rng, 20)
+        slots = pl.draw_slots(PARAMS, sensing_model(0.2, 0.5, 0.1), rng, 20)
         for s in range(20):
             p_n = PARAMS.energy_per_bit / slots.energies[s, 0]
             total = p_n * float(np.sum(slots.chips[s, 0].astype(float) ** 2))
@@ -211,7 +310,7 @@ class TestTransmitAndReceive:
 
     def test_components_sum_to_decision(self):
         rng = np.random.default_rng(8)
-        slots = pl.draw_slots(PARAMS, pl.SensingProbs(pd=0.5, pfa=0.1), rng, 200)
+        slots = pl.draw_slots(PARAMS, sensing_model(0.2, 0.5, 0.1), rng, 200)
         bits = rng.integers(0, 2, (200, 1, 4)) * 2.0 - 1.0
         out = pl.receive(pl.project(slots, PARAMS.energy_per_bit), PARAMS, bits,
                          rng.standard_normal((200, 1, 2)))
@@ -222,55 +321,94 @@ class TestTransmitAndReceive:
         assert np.array_equal(out["decided"], np.where(out["decision"] >= 0, 1, -1))
 
     def test_seeded_slot_recompute_oracle(self):
-        # the literal per-subcarrier receiver, fed a drawn slot and the same
-        # bits, reproduces the signal and MAI parts of the decision
+        # the literal per-subcarrier receiver, fed a drawn slot's first-user
+        # fades and the same bits, reproduces the signal part of the decision
         rng = np.random.default_rng(9)
-        slot = pl.draw_slots(PARAMS, pl.SensingProbs(pd=0.5, pfa=0.1), rng, 1)
+        slot = pl.draw_slots(PARAMS, sensing_model(0.2, 0.5, 0.1), rng, 1)
         bits = np.array([[1.0, 1.0, -1.0, 1.0], [-1.0, 1.0, 1.0, -1.0]])
         out = pl.receive(pl.project(slot, PARAMS.energy_per_bit), PARAMS, bits[np.newaxis],
                          rng.standard_normal((1, 2, 2)))
         _, parts, _ = literal_receiver(
-            slot.chips[0], slot.gains[0], np.flatnonzero(slot.misdetected[0]), bits,
+            slot.chips[0], gains_with_fade(slot.fade[0], 4, rng),
+            np.flatnonzero(slot.misdetected[0]), bits,
             PARAMS.energy_per_bit, PARAMS.noise_psd, PARAMS.interference_power, rng,
         )
         assert out["r_signal"][0] == pytest.approx(parts[:, 0], rel=1e-12)
-        assert out["r_mai"][0] == pytest.approx(parts[:, 1], rel=1e-12, abs=1e-15)
 
     @pytest.mark.parametrize("policy", pl.CODE_POLICIES)
     def test_projections_match_literal_receiver(self, policy):
-        # fixed masks with misdetections, gains and chips: the batched sums
-        # equal the per-subcarrier ones, and the literal receiver's four
-        # parts add up to its R
+        # fixed masks with misdetections, fades and chips: the batched S and
+        # ||w_Lambda||^2 equal the per-subcarrier sums for the same
+        # |beta_1n|^2, and the literal receiver's four parts add up to its R
         rng = np.random.default_rng(19)
         est = np.zeros(32, bool)
         est[[0, 4, 5, 22]] = True
         lam = [2, 9, 30]
-        gains = fresh_gains(rng, (3, 4, 32))
-        slots = manual_slot(PARAMS, est, lam, gains, code_policy=policy)
+        fade = rng.standard_exponential((3, 32))
+        slots = manual_slot(PARAMS, est, lam, fade, rng.standard_normal((3, 3)),
+                            code_policy=policy)
         proj = pl.project(slots, PARAMS.energy_per_bit)
         bits = rng.integers(0, 2, (5, 4)) * 2.0 - 1.0
         for s in range(3):
             decisions, parts, sums = literal_receiver(
-                slots.chips[s], gains[s], lam, bits, PARAMS.energy_per_bit,
-                PARAMS.noise_psd, PARAMS.interference_power, rng,
+                slots.chips[s], gains_with_fade(fade[s], 4, rng), lam, bits,
+                PARAMS.energy_per_bit, PARAMS.noise_psd, PARAMS.interference_power, rng,
             )
             assert proj.signal[s] == pytest.approx(sums["signal"], rel=1e-12)
             assert proj.signal[s] == pytest.approx(sums["w2"], rel=1e-12)
             assert proj.w2_lambda[s] == pytest.approx(sums["w2_lambda"], rel=1e-12)
-            scale = np.sqrt(proj.signal[s] * np.max(slots.energies[s])) * 1e-12
-            assert proj.mai[s] == pytest.approx(sums["mai"], rel=1e-12, abs=scale)
             assert decisions == pytest.approx(parts.sum(axis=1), rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("policy", pl.CODE_POLICIES)
+    def test_mai_matches_literal_receiver_over_fresh_gains(self, policy):
+        # at fixed masks and first-user gains, m_k drawn as one scaled normal
+        # has the variance of the literal receiver's m_k over fresh beta_k,
+        # and the literal m_k is Gaussian with the projection's scale
+        rng = np.random.default_rng(23)
+        est = np.zeros(32, bool)
+        est[[1, 6, 13, 27]] = True
+        fade = rng.standard_exponential(32)
+        gains = gains_with_fade(fade, 4, rng)
+        chips = pl.signature_matrix(est[np.newaxis], 4, policy)[0][0]
+        trials = 4_000
+        literal = np.empty((trials, 3))
+        for t in range(trials):
+            gains[1:] = fresh_gains(rng, (3, 32))
+            literal[t] = literal_receiver(
+                chips, gains, [], np.empty((0, 4)), PARAMS.energy_per_bit,
+                PARAMS.noise_psd, PARAMS.interference_power, rng,
+            )[2]["mai"]
+        drawn = pl.project(
+            manual_slot(PARAMS, est, [], np.tile(fade, (trials, 1)),
+                        rng.standard_normal((trials, 3)), code_policy=policy),
+            PARAMS.energy_per_bit,
+        ).mai
+        scale = pl.project(manual_slot(PARAMS, est, [], fade, np.ones(3), code_policy=policy),
+                           PARAMS.energy_per_bit).mai[0]
+        for sample in (literal, drawn):
+            assert np.all(np.abs(sample.mean(axis=0)) <= 4 * scale / math.sqrt(trials))
+
+        def var_and_se(x):
+            var = x.var(axis=0, ddof=1)
+            m4 = ((x - x.mean(axis=0)) ** 4).mean(axis=0)
+            return var, (m4 - var**2) / trials
+
+        (v_lit, se2_lit), (v_drawn, se2_drawn) = var_and_se(literal), var_and_se(drawn)
+        assert np.all(np.abs(v_lit - v_drawn) <= 3 * np.sqrt(se2_lit + se2_drawn)), (
+            v_lit, v_drawn)
+        # the three standardized interferers are iid N(0, 1): one KS test
+        assert stats.kstest((literal / scale).ravel(), "norm").pvalue > 1e-3
 
     def test_block_matches_single(self):
         # a batch of slots reproduces each slot received on its own
         rng = np.random.default_rng(10)
-        slots = pl.draw_slots(PARAMS, pl.SensingProbs(pd=0.5, pfa=0.1), rng, 6)
+        slots = pl.draw_slots(PARAMS, sensing_model(0.2, 0.5, 0.1), rng, 6)
         bits = rng.integers(0, 2, (6, 3, 4)) * 2.0 - 1.0
         z = rng.standard_normal((6, 3, 2))
         block = pl.receive(pl.project(slots, PARAMS.energy_per_bit), PARAMS, bits, z)
         for s in range(6):
             one = manual_slot(PARAMS, slots.est_busy[s], np.flatnonzero(slots.misdetected[s]),
-                              slots.gains[s])
+                              slots.fade[s], slots.mai_z[s])
             single = pl.receive(pl.project(one, PARAMS.energy_per_bit), PARAMS,
                                 bits[s : s + 1], z[s : s + 1])
             for name in ("decision", "r_noise", "r_gi", "decided"):
