@@ -30,11 +30,12 @@ they hit, moves the variance.  So:
   n_active) turns q into the cells of row m, H @ q;
 - the trinomial weights of (m, l) sum the cells.
 
-pe_of_counts returns one cell of the same table (or, on request, the cell
-with q estimated by seeded placement sampling).  The fixed policy keeps
-its length-N family: with unit-magnitude chips every cell is one closed
-form in (n_free, l), and a multi-level family enumerates (or samples) the
-zeroed and misdetected placements cell by cell.
+The fixed policy keeps its length-N family.  With unit-magnitude chips
+every cell is one closed form in (n_free, l).  A multi-level family
+averages the chip-level error probability over every zeroed and
+misdetected placement of the cell; a cell with more than 100k placements
+takes the mean over 10k seeded random placements instead, an estimate
+rather than a closed form.
 """
 
 from __future__ import annotations
@@ -44,34 +45,17 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import Sequence
 
 import numpy as np
 
-from .orthocodes import INT64_MAX, ModifiedSignature, build, largest_supported_order
+from .orthocodes import INT64_MAX, build, largest_supported_order
 from .phylink import SystemParams, signature_matrix
 from .sensing import OccupancyModel
 
-PLACEMENT_MODES = ("exact", "sample")
 _SQRT2 = math.sqrt(2.0)
-
-
-class DegenerateSlotError(ValueError):
-    """The decoded user's signature has zero energy (nothing transmitted)."""
-
-
-@dataclass(frozen=True)
-class VarianceBreakdown:
-    """The four variance terms of the Gaussian decision-variable model."""
-
-    var_s: float
-    var_mai: float
-    var_gi: float
-    var_n: float
-
-    @property
-    def total(self) -> float:
-        return self.var_s + self.var_mai + self.var_gi + self.var_n
+# a fixed-policy multi-level cell with more placements than this is sampled
+_ENUMERATION_LIMIT = 100_000
+_SAMPLED_PLACEMENTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -105,47 +89,23 @@ def q_function(x):
     return 0.5 * erfc.reshape(z.shape)
 
 
-def variance_terms(
-    sig1: ModifiedSignature,
-    sigs: Sequence[ModifiedSignature],
-    lambda_set,
-    energy_per_bit: float,
-    noise_psd: float,
-    interference_power: float,
-) -> VarianceBreakdown:
-    """Evaluate the four variance terms from concrete modified signatures.
+def _chip_pe(chips, misdetected, eb, sn2, ss2) -> float:
+    """Conditional error probability of one slot's concrete chips.
 
-    sigs is the full K-tuple with sigs[0] == sig1; lambda_set holds the
-    misdetected subcarrier indices.  A misdetected subcarrier whose chip is
-    zero (deactivated) contributes nothing, as in the receiver.
+    chips is the (K, N) float64 matrix of the first K users, zero on every
+    deactivated subcarrier, and misdetected the boolean (N,) mask of the
+    subcarriers that see primary interference.  A first user without
+    energy cannot be decoded: the erasure value 1/2.
     """
-    eb = energy_per_bit
-    c1 = sig1.chips.astype(np.float64)
-    energy = float(sig1.energy)
-    if energy <= 0:
-        raise DegenerateSlotError("first user's signature has zero energy")
-    var_s = eb * eb * float(np.sum(c1**4)) / (energy * energy)
-    cross = 0.0
-    for sig in sigs[1:]:
-        ck = sig.chips.astype(np.float64)
-        cross += float(np.sum((c1 * ck) ** 2))
-    var_mai = 0.5 * eb * eb * cross / (energy * energy)
-    lam = np.asarray(list(lambda_set), dtype=np.intp)
-    gi_energy = float(np.sum(c1[lam] ** 2)) if lam.size else 0.0
-    var_gi = 0.5 * eb * (gi_energy / energy) * interference_power
-    var_n = 0.5 * eb * noise_psd
-    return VarianceBreakdown(var_s=var_s, var_mai=var_mai, var_gi=var_gi, var_n=var_n)
-
-
-def conditional_pe(v: VarianceBreakdown, energy_per_bit: float) -> float:
-    """Conditional error probability Q(eb / sqrt(total variance)).
-
-    The all-zero-variance limit is the noiseless case: returns 0.
-    """
-    total = v.total
-    if total <= 0.0:
-        return 0.0
-    return float(q_function(energy_per_bit / math.sqrt(total)))
+    c1 = chips[0]
+    e1 = float(np.sum(c1**2))
+    if e1 <= 0:
+        return 0.5
+    var_s = eb * eb * float(np.sum(c1**4)) / (e1 * e1)
+    var_mai = 0.5 * eb * eb * float(np.sum((c1 * chips[1:]) ** 2)) / (e1 * e1)
+    var_gi = 0.5 * eb * (float(np.sum(c1[misdetected] ** 2)) / e1) * ss2
+    var_n = 0.5 * eb * sn2
+    return float(q_function(eb / math.sqrt(var_s + var_mai + var_gi + var_n)))
 
 
 @lru_cache(maxsize=None)
@@ -265,118 +225,42 @@ def _rechoose_q(n_active, k_users, eb, sn2, ss2) -> np.ndarray:
     return np.add.reduceat(probs * pe, starts)
 
 
-def _sampled_q(n_active, k_users, eb, sn2, ss2, hits, rng, sample_count) -> np.ndarray:
-    """_rechoose_q of a multi-level family by placement sampling, at the given hits only."""
-    sq1 = build(n_active).entries[0].astype(np.float64) ** 2
-    q = np.zeros(n_active + 1)
-    for j in hits:
-        if j == 0:
-            gi_sums = np.zeros(1)
-        else:
-            keys = rng.random((sample_count, n_active))
-            idx = np.argpartition(keys, j - 1, axis=1)[:, :j]
-            gi_sums = sq1[idx].sum(axis=1)
-        q[j] = np.mean(_multilevel_pe(n_active, k_users, eb, sn2, ss2, gi_sums))
-    return q
-
-
-def pe_of_counts(
-    n_subcarriers: int,
-    m: int,
-    l: int,
-    k_users: int,
-    energy_per_bit: float,
-    noise_psd: float,
-    interference_power: float,
-    code_policy: str = "rechoose",
-    placement_mode: str = "exact",
-    sample_count: int = 10_000,
-    seed: int = 0,
-) -> float:
-    """Error probability conditioned on the counts (m estimated busy, l misdetected).
-
-    Chip placement within the counts is uniformly random; for non-constant
-    chip magnitudes the conditional variance is averaged over placements
-    (exact subset-sum distribution by default, seeded sampling on request).
-    Infeasible cells (all busy, or fewer orthogonal rows than users) return
-    the erasure value 1/2.  The value is the (m, l) cell of the table that
-    average_pe sums.
-    """
-    if m < 0 or l < 0 or m + l > n_subcarriers:
-        raise ValueError("need 0 <= m, 0 <= l, m + l <= n_subcarriers")
-    if k_users < 1:
-        raise ValueError("k_users must be >= 1")
-    if placement_mode not in PLACEMENT_MODES:
-        raise ValueError(f"unknown placement mode {placement_mode!r}")
-    terms = (k_users, energy_per_bit, noise_psd, interference_power)
-    n_free = n_subcarriers - m
-    if n_free == 0:
-        return 0.5
-
-    if code_policy == "rechoose":
-        n_active = largest_supported_order(n_free)
-        if n_active < k_users:
-            return 0.5
-        row = _hypergeom_matrix(n_free, n_active)[l]
-        if placement_mode == "exact" or _constant_magnitude(n_active):
-            q = _rechoose_q(n_active, *terms)
-        else:
-            rng = np.random.default_rng(
-                np.random.SeedSequence((seed, n_subcarriers, m, l, k_users))
-            )
-            q = _sampled_q(n_active, *terms, np.flatnonzero(row), rng, sample_count)
-        return float(row @ q)
-
-    if code_policy == "fixed":
-        if _constant_magnitude(n_subcarriers):
-            return float(_unit_chip_pe(n_free, l, *terms))
-        return _pe_of_counts_fixed(
-            n_subcarriers, m, l, *terms, placement_mode, sample_count, seed
-        )
-    raise ValueError(f"unknown code policy {code_policy!r}")
-
-
-def _pe_of_counts_fixed(n, m, l, k_users, eb, sn2, ss2, placement_mode, sample_count, seed):
-    """Fixed length-N multi-level family with zeroed chips; placement-averaged.
+def _pe_of_counts_fixed(n, m, l, k_users, eb, sn2, ss2):
+    """Fixed length-N multi-level family with m zeroed and l misdetected chips.
 
     The conditional variance depends on which chips are zeroed and which
-    are misdetected, so both sets are enumerated, or sampled when there
-    are more than 100k placements.
+    are misdetected, so the cell averages _chip_pe over every placement of
+    both sets, or over _SAMPLED_PLACEMENTS seeded random placements when
+    there are more than _ENUMERATION_LIMIT.
     """
-    entries = build(n).entries.astype(np.float64)
-    n_free = n - m
+    entries = build(n).entries[:k_users].astype(np.float64)
+    space = comb(n, m) * comb(n - m, l)
+    if space <= _ENUMERATION_LIMIT:
+        count = space
+        placements = (
+            (busy, lam)
+            for busy in itertools.combinations(range(n), m)
+            for lam in itertools.combinations([i for i in range(n) if i not in busy], l)
+        )
+    else:
+        count = _SAMPLED_PLACEMENTS
+        rng = np.random.default_rng(np.random.SeedSequence((0, n, m, l, k_users, 1)))
 
-    def cell(busy_idx, lam_idx):
-        free = np.ones(n, dtype=bool)
-        free[list(busy_idx)] = False
-        c = entries * free
-        e1 = float(np.sum(c[0] ** 2))
-        if e1 <= 0:
-            return 0.5
-        var_s = eb * eb * float(np.sum(c[0] ** 4)) / (e1 * e1)
-        cross = float(np.sum((c[0] * c[1:k_users]) ** 2)) if k_users > 1 else 0.0
-        var_mai = 0.5 * eb * eb * cross / (e1 * e1)
-        lam = np.asarray(lam_idx, dtype=np.intp)
-        var_gi = 0.5 * eb * (float(np.sum(c[0][lam] ** 2)) / e1) * ss2 if lam.size else 0.0
-        var_n = 0.5 * eb * sn2
-        return float(q_function(eb / math.sqrt(var_s + var_mai + var_gi + var_n)))
+        def draw():
+            busy = rng.choice(n, size=m, replace=False)
+            rest = np.setdiff1d(np.arange(n), busy, assume_unique=False)
+            lam = rng.choice(rest, size=l, replace=False) if l else np.empty(0, dtype=int)
+            return busy, lam
 
-    space = comb(n, m) * comb(n_free, l)
-    if placement_mode == "exact" and space <= 100_000:
-        total = 0.0
-        for busy in itertools.combinations(range(n), m):
-            rest = [i for i in range(n) if i not in busy]
-            for lam in itertools.combinations(rest, l):
-                total += cell(busy, lam)
-        return total / space
-    rng = np.random.default_rng(np.random.SeedSequence((seed, n, m, l, k_users, 1)))
+        placements = (draw() for _ in range(count))
     total = 0.0
-    for _ in range(sample_count):
-        busy = rng.choice(n, size=m, replace=False)
-        rest = np.setdiff1d(np.arange(n), busy, assume_unique=False)
-        lam = rng.choice(rest, size=l, replace=False) if l else np.empty(0, dtype=int)
-        total += cell(busy, lam)
-    return total / sample_count
+    for busy, lam in placements:
+        free = np.ones(n, dtype=bool)
+        free[list(busy)] = False
+        misdetected = np.zeros(n, dtype=bool)
+        misdetected[list(lam)] = True
+        total += _chip_pe(entries * free, misdetected, eb, sn2, ss2)
+    return total / count
 
 
 @lru_cache(maxsize=None)
@@ -428,7 +312,7 @@ def _cell_table(n, k_users, eb, sn2, ss2, code_policy, needed) -> np.ndarray:
         pe = _unit_chip_pe(np.maximum(n_free, 1), l, *terms)
         return np.where(l > n_free, 0.0, np.where(n_free == 0, 0.5, pe))
     for mi, li in zip(*np.nonzero(needed)):
-        cells[mi, li] = _pe_of_counts_fixed(n, int(mi), int(li), *terms, "exact", 10_000, 0)
+        cells[mi, li] = _pe_of_counts_fixed(n, int(mi), int(li), *terms)
     return cells
 
 
@@ -468,13 +352,12 @@ def average_pe_enumerated(
     """Exact expectation by enumerating every per-subcarrier state (3^N).
 
     Each subcarrier is estimated-busy, misdetected, or properly free; the
-    conditional error probability of every configuration is evaluated from
-    the concrete signatures.  Small N only; used as the built-in
-    cross-check for average_pe.
+    chip-level error probability of every configuration is evaluated from
+    the signatures that signature_matrix lays out for it.  Small N only;
+    used as the built-in cross-check for average_pe.
     """
     n = params.n_subcarriers
-    k = params.n_users
-    eb = params.energy_per_bit
+    terms = (params.energy_per_bit, params.noise_psd, params.interference_power)
     probs = (model.p_free, model.p_zero, model.p_mis)
     total = 0.0
     for states in itertools.product((0, 1, 2), repeat=n):
@@ -483,17 +366,7 @@ def average_pe_enumerated(
             w *= probs[s]
         if w == 0.0:
             continue
-        est_busy = np.array([s == 1 for s in states])
-        lam = [i for i, s in enumerate(states) if s == 2]
-        chips, energies = signature_matrix(est_busy[np.newaxis], k, code_policy)
-        if energies[0, 0] == 0:
-            total += w * 0.5
-            continue
-        sigs = tuple(
-            ModifiedSignature(length=n, chips=c, free_mask=c != 0, energy=int(e))
-            for c, e in zip(chips[0], energies[0])
-        )
-        v = variance_terms(sigs[0], sigs, lam, eb, params.noise_psd, params.interference_power)
-        total += w * conditional_pe(v, eb)
+        state = np.array(states)
+        chips, _ = signature_matrix((state == 1)[np.newaxis], params.n_users, code_policy)
+        total += w * _chip_pe(chips[0].astype(np.float64), state == 2, *terms)
     return total
-

@@ -316,8 +316,12 @@ def _out_path(stem: str, suffix: str) -> str:
 
 def cmd_ber(args) -> int:
     conf = resolve_config(args.config, args.set, args.seed)
-    _check_out_dirs(args.out, args.trace)
     mode = args.mode
+    if args.trace and (args.figure or mode == "analytic" or len(conf["run.snr_grid_db"]) != 1):
+        print("error: --trace needs a simulated run over a single-point snr grid, "
+              "without --figure", file=sys.stderr)
+        return 1
+    _check_out_dirs(args.out, args.trace)
     threads = max(args.threads, 1)
 
     rerun_parts = ["fsocdma ber", f"--mode {mode}"]
@@ -379,9 +383,6 @@ def cmd_ber(args) -> int:
 
     # plain config-driven curve
     rc = build_run_config(conf)
-    if args.trace and len(rc.snr_grid_db) != 1:
-        print("error: --trace needs a single-point snr grid", file=sys.stderr)
-        return 1
     if mode == "analytic":
         curve = sweep(rc, threads=threads, simulate=False)
         text = _analytic_csv(curve, _ber_comments(conf, rerun, _derived_sensing_comments(rc)))
@@ -518,14 +519,15 @@ def cmd_selftest(args) -> int:
 # argument parsing
 
 
-def _add_common(parser):
+def _add_common(parser, threads: bool = False):
     parser.add_argument("--config", help="key=value configuration file")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override one configuration key (repeatable)")
     parser.add_argument("--seed", type=int, default=None, help="master seed override")
     parser.add_argument("--out", default=None, help="output path")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads (never changes results)")
+    if threads:
+        parser.add_argument("--threads", type=int, default=1,
+                            help="worker threads (never changes results)")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -537,7 +539,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_codes = sub.add_parser("codes", help="build and export a spreading-code matrix")
     p_codes.add_argument("n", type=int, help="matrix order")
-    _add_common(p_codes)
+    p_codes.add_argument("--out", default=None, help="output path")
     p_codes.set_defaults(func=cmd_codes)
 
     p_sensing = sub.add_parser("sensing", help="spectrum-sensing utilities")
@@ -554,12 +556,13 @@ def make_parser() -> argparse.ArgumentParser:
     p_ber.add_argument("--figure", choices=("fig2", "fig3"), default=None,
                        help="preset sweeps (SNR sweep for K=4,8; K sweep at two SNRs)")
     p_ber.add_argument("--trace", default=None,
-                       help="write a per-bit receiver trace CSV (single-point grid only)")
-    _add_common(p_ber)
+                       help="write a per-bit receiver trace CSV "
+                            "(simulated single-point grid only)")
+    _add_common(p_ber, threads=True)
     p_ber.set_defaults(func=cmd_ber)
 
     p_self = sub.add_parser("selftest", help="run the fast invariant suite")
-    _add_common(p_self)
+    _add_common(p_self, threads=True)
     p_self.set_defaults(func=cmd_selftest)
 
     return parser

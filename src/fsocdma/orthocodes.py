@@ -64,10 +64,6 @@ class EntryOverflowError(OverflowError):
     """Exact integer entry or Gram value does not fit in signed 64 bits."""
 
 
-class DimensionError(ValueError):
-    """Row length does not match the number of free positions."""
-
-
 @dataclass(frozen=True)
 class CodeMatrix:
     """Square integer matrix with pairwise orthogonal, all-nonzero rows.
@@ -87,20 +83,6 @@ class GramReport:
     gram: np.ndarray  # (n, n) int64
     is_orthogonal: bool  # all off-diagonal entries zero
     all_nonzero: bool  # no zero entries in the candidate itself
-
-
-@dataclass(frozen=True)
-class ModifiedSignature:
-    """Length-N spreading code with zeros on deactivated subcarriers."""
-
-    length: int
-    chips: np.ndarray  # (N,) int64, read-only
-    free_mask: np.ndarray  # (N,) bool: True exactly where chips != 0
-    energy: int  # sum of squared chips
-
-    @property
-    def free_count(self) -> int:
-        return int(np.count_nonzero(self.free_mask))
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -269,49 +251,9 @@ def supported_orders(limit: int) -> list[int]:
     return [n for n in range(1, limit + 1) if is_supported_order(n)]
 
 
-def embed(code_row, busy_mask) -> ModifiedSignature:
-    """Place a length-n_free code row onto the free positions of a mask.
-
-    busy positions get chip 0; the row is laid out in index order over the
-    free positions.
-    """
-    row = np.asarray(code_row, dtype=np.int64)
-    busy = np.asarray(busy_mask, dtype=bool)
-    if row.ndim != 1 or busy.ndim != 1:
-        raise DimensionError("code_row and busy_mask must be one-dimensional")
-    n_free = int(np.count_nonzero(~busy))
-    if row.size != n_free:
-        raise DimensionError(
-            f"code row length {row.size} != number of free positions {n_free}"
-        )
-    chips = np.zeros(busy.size, dtype=np.int64)
-    chips[~busy] = row
-    energy = int(np.sum(row.astype(object) ** 2))
-    if energy > INT64_MAX:
-        raise EntryOverflowError("signature energy exceeds signed 64-bit range")
-    return ModifiedSignature(
-        length=busy.size,
-        chips=_freeze(chips),
-        free_mask=_freeze(~busy),
-        energy=energy,
-    )
-
-
 def format_matrix(code: CodeMatrix) -> str:
     """Plain-text export: first line n=<order>, then space-separated rows."""
     lines = [f"n={code.n}"]
     lines.extend(" ".join(str(int(v)) for v in row) for row in code.entries)
     return "\n".join(lines) + "\n"
 
-
-def parse_matrix(text: str) -> np.ndarray:
-    """Inverse of format_matrix (returns the raw entries)."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("n="):
-        raise ValueError("matrix text must start with an n=<order> line")
-    n = int(lines[0][2:])
-    rows = [[int(tok) for tok in ln.split()] for ln in lines[1:]]
-    arr = np.array(rows, dtype=np.int64)
-    if arr.shape != (n, n):
-        raise ValueError(f"expected a {n}x{n} matrix, got shape {arr.shape}")
-    return arr

@@ -85,11 +85,6 @@ class SystemParams:
             )
 
     @property
-    def subcarrier_bandwidth(self) -> float:
-        """Two-sided null-to-null bandwidth, 2 / bit_duration (documentation)."""
-        return 2.0 / self.bit_duration
-
-    @property
     def bits_per_slot(self) -> int:
         """Bits transmitted per user in the slot's transmission phase."""
         # epsilon guards the floor against float representation error

@@ -13,7 +13,8 @@ these references to the Gaussian surrogate stand the exact error
 probability of the receiver the simulator implements and a literal
 per-subcarrier version of that receiver, plus the simulator's earlier
 draws: every user's sensing decision OR-fused per subcarrier, and the
-rechosen signatures stacked one slot at a time.
+rechosen signatures stacked one slot at a time.  parse_matrix reads the
+matrix export of `fsocdma codes` back.
 """
 
 import itertools
@@ -99,6 +100,19 @@ def pd_rayleigh_series(samples, zeta, gbar):
     if log_low == -math.inf:
         return t1
     return t1 + math.exp((u - 1) * math.log1p(1.0 / gbar) - x / (1.0 + gbar) + log_low)
+
+
+def parse_matrix(text: str) -> np.ndarray:
+    """Inverse of orthocodes.format_matrix (returns the raw entries)."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines or not lines[0].startswith("n="):
+        raise ValueError("matrix text must start with an n=<order> line")
+    n = int(lines[0][2:])
+    rows = [[int(tok) for tok in ln.split()] for ln in lines[1:]]
+    arr = np.array(rows, dtype=np.int64)
+    if arr.shape != (n, n):
+        raise ValueError(f"expected a {n}x{n} matrix, got shape {arr.shape}")
+    return arr
 
 
 def chips_for_configuration(n, k, busy, policy):

@@ -14,8 +14,8 @@ from scipy.stats import norm
 from fsocdma import ber_analysis as ba
 from fsocdma import cli
 from fsocdma import montecarlo as mc
-from fsocdma.orthocodes import INT64_MAX, build, embed, supported_orders
-from fsocdma.phylink import SystemParams, project, receive
+from fsocdma.orthocodes import INT64_MAX, build, supported_orders
+from fsocdma.phylink import SystemParams, project, receive, signature_matrix
 from fsocdma.sensing import FusionResult, occupancy_model
 from oracles import (
     chips_for_configuration,
@@ -23,6 +23,8 @@ from oracles import (
     enum_average_pe,
     exact_average_pe,
     exact_conditional_pe,
+    _loop_fixed_cell,
+    _loop_rechoose_cell,
     loop_average_pe,
     loop_trinomial_weights,
     subset_sum_distributions,
@@ -79,81 +81,76 @@ class TestQFunction:
         assert ba.q_function(-np.inf) == 1.0
 
 
-def all_free_signatures(order, k):
-    family = build(order)
-    busy = np.zeros(order, dtype=bool)
-    return tuple(embed(family.entries[i], busy) for i in range(k))
+def all_free_chips(order, k):
+    """The first k rows of the order's family as float chips, every subcarrier free."""
+    return build(order).entries[:k].astype(np.float64)
+
+
+def mask(n, positions):
+    out = np.zeros(n, dtype=bool)
+    out[list(positions)] = True
+    return out
 
 
 class TestVarianceTerms:
+    """The four variance terms, through the chip-level error probability."""
+
     def test_unit_chip_specialization(self):
         n, k, lam = 16, 4, [2, 7, 9]
-        sigs = all_free_signatures(n, k)
         eb, sn2, ss2 = 1.5, 0.3, 0.7
-        v = ba.variance_terms(sigs[0], sigs, lam, eb, sn2, ss2)
-        assert v.var_s == pytest.approx(eb**2 / n, rel=1e-12)
-        assert v.var_mai == pytest.approx((k - 1) * eb**2 / (2 * n), rel=1e-12)
-        assert v.var_gi == pytest.approx(eb * len(lam) * ss2 / (2 * n), rel=1e-12)
-        assert v.var_n == pytest.approx(eb * sn2 / 2, rel=1e-12)
+        var = eb**2 / n + (k - 1) * eb**2 / (2 * n) + eb * len(lam) * ss2 / (2 * n) + eb * sn2 / 2
+        want = float(norm.sf(eb / math.sqrt(var)))
+        got = ba._chip_pe(all_free_chips(n, k), mask(n, lam), eb, sn2, ss2)
+        assert got == pytest.approx(want, rel=1e-12)
+        assert ba._unit_chip_pe(n, len(lam), k, eb, sn2, ss2) == pytest.approx(want, rel=1e-12)
 
     def test_single_user_no_interference(self):
-        sigs = all_free_signatures(8, 1)
-        v = ba.variance_terms(sigs[0], sigs, [], 1.0, 0.1, 0.5)
-        assert v.var_mai == 0.0
-        assert v.var_gi == 0.0
+        # neither other users nor an empty misdetected set add variance
+        got = ba._chip_pe(all_free_chips(8, 1), mask(8, []), 1.0, 0.1, 0.5)
+        assert got == pytest.approx(float(norm.sf(1.0 / math.sqrt(1.0 / 8.0 + 0.05))), rel=1e-12)
 
     def test_multilevel_example(self):
-        sigs = all_free_signatures(3, 1)  # first row squared: 1,4,4 -> energy 9
-        v = ba.variance_terms(sigs[0], sigs, [], 1.0, 0.0, 0.0)
-        assert v.var_s == pytest.approx(33.0 / 81.0, rel=1e-14)
+        # first row squared: 1,4,4 -> energy 9, so var_s = 33/81
+        got = ba._chip_pe(all_free_chips(3, 1), mask(3, []), 1.0, 0.0, 0.0)
+        assert got == pytest.approx(float(norm.sf(1.0 / math.sqrt(33.0 / 81.0))), rel=1e-14)
 
     def test_direct_summation_oracle(self):
         n, k = 12, 3
-        sigs = all_free_signatures(n, k)
-        chips = np.stack([s.chips for s in sigs]).astype(float)
+        chips = all_free_chips(n, k)
         lam = [0, 4, 11]
         eb, sn2, ss2 = 2.0, 0.4, 0.9
-        v = ba.variance_terms(sigs[0], sigs, lam, eb, sn2, ss2)
-        pe = ba.conditional_pe(v, eb)
+        pe = ba._chip_pe(chips, mask(n, lam), eb, sn2, ss2)
         assert pe == pytest.approx(conditional_pe_from_chips(chips, lam, eb, sn2, ss2), rel=1e-12)
 
-    def test_zero_energy_rejected(self):
-        sig = embed([], np.ones(4, dtype=bool))
-        with pytest.raises(ba.DegenerateSlotError):
-            ba.variance_terms(sig, (sig,), [], 1.0, 0.1, 0.1)
+    def test_zero_energy_is_erasure(self):
+        assert ba._chip_pe(np.zeros((1, 4)), mask(4, []), 1.0, 0.1, 0.1) == 0.5
 
     def test_deactivated_misdetection_contributes_nothing(self):
         # a misdetected subcarrier whose chip was zeroed adds no variance
-        family = build(4)
         busy = np.array([False, True, False, False, False, True])
-        sigs = tuple(embed(family.entries[i], busy) for i in range(2))
-        v_with = ba.variance_terms(sigs[0], sigs, [1], 1.0, 0.1, 0.9)
-        v_without = ba.variance_terms(sigs[0], sigs, [], 1.0, 0.1, 0.9)
-        assert v_with.var_gi == v_without.var_gi == 0.0
+        chips = signature_matrix(busy[np.newaxis], 2)[0][0].astype(np.float64)
+        assert np.array_equal(chips[:, busy], np.zeros((2, 2)))
+        with_gi = ba._chip_pe(chips, mask(6, [1]), 1.0, 0.1, 0.9)
+        assert with_gi == ba._chip_pe(chips, mask(6, []), 1.0, 0.1, 0.9)
 
 
 class TestConditionalPe:
     def test_unit_variance_total(self):
-        v = ba.VarianceBreakdown(var_s=1.0, var_mai=0.0, var_gi=0.0, var_n=0.0)
-        assert ba.conditional_pe(v, 1.0) == pytest.approx(float(norm.sf(1.0)), rel=1e-12)
-        assert ba.conditional_pe(v, 1.0) == pytest.approx(0.158655, abs=1e-6)
+        # one unit chip, no noise: var_s = 1 is the whole variance
+        pe = ba._chip_pe(np.ones((1, 1)), mask(1, []), 1.0, 0.0, 0.0)
+        assert pe == pytest.approx(float(norm.sf(1.0)), rel=1e-12)
+        assert pe == pytest.approx(0.158655, abs=1e-6)
 
     def test_composed_example(self):
         # 32 unit chips all free, single user, noise PSD 0.1
-        sigs = all_free_signatures(32, 1)
-        v = ba.variance_terms(sigs[0], sigs, [], 1.0, 0.1, 0.0)
-        pe = ba.conditional_pe(v, 1.0)
+        pe = ba._chip_pe(all_free_chips(32, 1), mask(32, []), 1.0, 0.1, 0.0)
         want = float(norm.sf(1.0 / math.sqrt(1.0 / 32.0 + 0.05)))
         assert pe == pytest.approx(want, rel=1e-12)
         assert pe == pytest.approx(2.26e-4, rel=5e-3)
 
     def test_noise_dominated_limit(self):
-        v = ba.VarianceBreakdown(var_s=0.0, var_mai=0.0, var_gi=0.0, var_n=1e12)
-        assert ba.conditional_pe(v, 1.0) == pytest.approx(0.5, abs=1e-6)
-
-    def test_degenerate_noiseless(self):
-        v = ba.VarianceBreakdown(0.0, 0.0, 0.0, 0.0)
-        assert ba.conditional_pe(v, 1.0) == 0.0
+        pe = ba._chip_pe(np.ones((1, 1)), mask(1, []), 1.0, 2e12, 0.0)
+        assert pe == pytest.approx(0.5, abs=1e-6)
 
 
 def subset_sum_table(n_active):
@@ -162,18 +159,25 @@ def subset_sum_table(n_active):
     return list(zip(np.split(sums, starts[1:]), np.split(probs, starts[1:])))
 
 
+def triangle(n):
+    """The (m, l) cells with m + l <= n."""
+    return np.add.outer(np.arange(n + 1), np.arange(n + 1)) <= n
+
+
 class TestPeOfCounts:
+    """Single (m, l) cells of average_pe's table."""
+
     def test_binary_no_busy_no_misdetected(self):
-        got = ba.pe_of_counts(32, 0, 0, 1, 1.0, 0.1, 0.1)
+        got = ba._cell_table(32, 1, 1.0, 0.1, 0.1, "rechoose", triangle(32))[0, 0]
         want = float(norm.sf(1.0 / math.sqrt(1.0 / 32.0 + 0.05)))
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_all_busy_is_erasure(self):
-        assert ba.pe_of_counts(32, 32, 0, 4, 1.0, 0.1, 0.1) == 0.5
+        assert ba._cell_table(32, 4, 1.0, 0.1, 0.1, "rechoose", triangle(32))[32, 0] == 0.5
 
     def test_too_many_users_is_erasure(self):
         # 3 free subcarriers cannot carry 4 users
-        assert ba.pe_of_counts(8, 5, 0, 4, 1.0, 0.1, 0.1) == 0.5
+        assert ba._cell_table(8, 4, 1.0, 0.1, 0.1, "rechoose", triangle(8))[5, 0] == 0.5
 
     def test_fallback_placement_average(self):
         # n_free = 11 falls back to a 10-row family; one free subcarrier is
@@ -187,38 +191,8 @@ class TestPeOfCounts:
             chips[:, :10] = family.entries[:k]
             vals.append(conditional_pe_from_chips(chips, [pos], 1.0, 0.1, 0.4))
         want = float(np.mean(vals))
-        got = ba.pe_of_counts(n, 0, 1, k, 1.0, 0.1, 0.4)
+        got = ba._cell_table(n, k, 1.0, 0.1, 0.4, "rechoose", triangle(n))[0, 1]
         assert got == pytest.approx(want, rel=1e-12)
-
-    def test_order_three_family_exact_vs_sampled(self):
-        # 3 free subcarriers carry the (1,2,2)-magnitude family; which chip a
-        # misdetection hits matters, and sampling must agree with the exact
-        # placement average
-        exact = ba.pe_of_counts(4, 1, 1, 1, 1.0, 0.02, 2.0, placement_mode="exact")
-        sampled = ba.pe_of_counts(
-            4, 1, 1, 1, 1.0, 0.02, 2.0, placement_mode="sample", sample_count=20_000, seed=2
-        )
-        sq = np.array([1.0, 4.0, 4.0])
-        qs = ba.q_function(1.0 / np.sqrt(33.0 / 81.0 + 0.01 + 0.5 * (sq / 9.0) * 2.0))
-        se = float(np.std(qs)) / math.sqrt(20_000)
-        assert abs(exact - sampled) <= 3 * se
-
-    def test_multilevel_exact_vs_sampled(self):
-        # order-5 family has non-constant chip magnitudes
-        n, m, l, k = 8, 3, 2, 2
-        exact = ba.pe_of_counts(n, m, l, k, 1.0, 0.05, 1.5, placement_mode="exact")
-        sampled = ba.pe_of_counts(
-            n, m, l, k, 1.0, 0.05, 1.5, placement_mode="sample", sample_count=4000, seed=5
-        )
-        # stderr bound from the exact per-subset spread
-        family = build(5)
-        sq = family.entries[0].astype(float) ** 2
-        spread = []
-        for subset in itertools.combinations(range(5), 2):
-            spread.append(sq[list(subset)].sum())
-        spread = np.array(spread)
-        sigma = float(np.std(spread)) * 0.01  # conservative scale for Q variation
-        assert abs(exact - sampled) <= max(3 * sigma / math.sqrt(4000), 2e-4)
 
     def test_subset_distribution_matches_enumeration(self):
         dists = subset_sum_table(5)
@@ -304,7 +278,7 @@ class TestAveragePe:
         model = occupancy_model(0.0, FusionResult(qfa=0.0, qd=1.0, k_users=1))
         params = make_params(16, 1)
         got = ba.average_pe(params, model)
-        want = ba.pe_of_counts(16, 0, 0, 1, 1.0, 0.1, 0.1)
+        want = ba._cell_table(16, 1, 1.0, 0.1, 0.1, "rechoose", triangle(16))[0, 0]
         assert got == pytest.approx(want, rel=1e-14)
 
     def test_invalid_mass_rejected(self):
@@ -364,11 +338,6 @@ def fig2_points(n, k):
     return [(model, mc.point_params(cfg, snr)) for snr in cfg.snr_grid_db]
 
 
-def triangle(n):
-    """The (m, l) cells with m + l <= n."""
-    return np.add.outer(np.arange(n + 1), np.arange(n + 1)) <= n
-
-
 TABLE_CASES = (
     [(32, k, policy) for k in range(1, 9) for policy in ("rechoose", "fixed")]
     + [(48, 4, "rechoose"), (64, 4, "rechoose"), (64, 4, "fixed")]
@@ -390,14 +359,17 @@ class TestTableForm:
 
     @pytest.mark.parametrize("n,policy", [(32, "rechoose"), (48, "rechoose"), (32, "fixed")])
     def test_pe_of_counts_is_table_cell(self, n, policy):
+        # the error probability of the counts (m, l), evaluated one cell at a
+        # time by the oracle loop, is the table's cell
         k, eb, sn2, ss2 = 4, 1.0, 0.05, 0.5
         table = ba._cell_table(n, k, eb, sn2, ss2, policy, triangle(n))
+        cell = _loop_rechoose_cell if policy == "rechoose" else _loop_fixed_cell
         rng = np.random.default_rng(n)
         for _ in range(50):
             m = int(rng.integers(0, n + 1))
             l = int(rng.integers(0, n - m + 1))
-            got = ba.pe_of_counts(n, m, l, k, eb, sn2, ss2, code_policy=policy)
-            assert got == pytest.approx(table[m, l], rel=1e-14, abs=0.0)
+            want = 0.5 if m == n else cell(n, m, l, k, eb, sn2, ss2)
+            assert table[m, l] == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_table_is_zero_off_the_triangle(self):
         inside = triangle(8)

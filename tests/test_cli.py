@@ -9,6 +9,7 @@ import pytest
 import fsocdma
 from fsocdma import cli
 from fsocdma import orthocodes as oc
+from oracles import parse_matrix
 
 
 def run_cli(args):
@@ -21,7 +22,7 @@ class TestCodes:
         assert run_cli(["codes", "8", "--out", str(out)]) == 0
         text = out.read_text()
         assert text.splitlines()[0] == "n=8"
-        assert np.array_equal(oc.parse_matrix(text), oc.walsh(3).entries)
+        assert np.array_equal(parse_matrix(text), oc.walsh(3).entries)
         printed = capsys.readouterr().out
         assert "orthogonal: true" in printed
         assert "gram_diag: 8 8 8 8 8 8 8 8" in printed
@@ -282,6 +283,44 @@ class TestConfigHandling:
         assert run_cli(argv) == 1
         assert str(missing) in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["ber", "--figure", "fig2"],
+            ["ber", "--mode", "analytic", "--set", "run.snr_grid_db=10"],
+        ],
+        ids=["figure", "analytic"],
+    )
+    def test_trace_without_a_simulated_point_fails_before_any_work(
+        self, tmp_path, capsys, monkeypatch, args
+    ):
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("a sweep point ran although --trace cannot be written")
+
+        for work in ("sweep", "estimate_ber", "analytic_point", "derive_sensing"):
+            monkeypatch.setattr(cli, work, forbidden)
+        argv = args + ["--out", str(tmp_path / "o.csv"), "--trace", str(tmp_path / "t.csv")]
+        assert run_cli(argv) == 1
+        assert "--trace" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["codes", "8", "--seed", "1"],
+            ["codes", "8", "--threads", "2"],
+            ["codes", "8", "--set", "params.n_users=2"],
+            ["codes", "8", "--config", "exp.cfg"],
+            ["sensing", "roc", "--threads", "2"],
+        ],
+        ids=["codes-seed", "codes-threads", "codes-set", "codes-config", "roc-threads"],
+    )
+    def test_options_a_command_ignores_are_rejected(self, capsys, args):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(args)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_value_formatting_round_trip(self):
         for key, value in cli.DEFAULTS.items():

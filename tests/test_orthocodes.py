@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsocdma import orthocodes as oc
+from fsocdma.phylink import signature_matrix
+from oracles import parse_matrix
 
 
 def gram_oracle(entries):
@@ -161,26 +163,30 @@ class TestVerify:
         assert r.is_orthogonal and not r.all_nonzero
 
 
-class TestEmbed:
-    def test_basic(self):
-        sig = oc.embed([1, -1], [True, False, False, True])
-        assert sig.chips.tolist() == [0, 1, -1, 0]
-        assert sig.energy == 2
-        assert sig.free_mask.tolist() == [False, True, True, False]
+def embed(k, busy):
+    """signature_matrix of one busy mask: chips (k, N) and energies (k,)."""
+    chips, energies = signature_matrix(np.asarray(busy, dtype=bool)[np.newaxis], k)
+    return chips[0], energies[0]
 
-    def test_dimension_error(self):
-        with pytest.raises(oc.DimensionError):
-            oc.embed([1, 2, 2], [True, False, False, True])
+
+class TestEmbed:
+    """A family's rows laid out over the free subcarriers of one mask."""
+
+    def test_basic(self):
+        chips, energies = embed(2, [True, False, False, True])
+        assert chips.tolist() == [[0, 1, 1, 0], [0, 1, -1, 0]]
+        assert energies.tolist() == [2, 2]
 
     def test_all_free(self):
-        sig = oc.embed([1, 2, 2], [False, False, False])
-        assert sig.chips.tolist() == [1, 2, 2]
-        assert sig.energy == 9
+        chips, energies = embed(1, [False, False, False])
+        assert chips.tolist() == [[1, 2, 2]]
+        assert energies.tolist() == [9]
 
     def test_zero_exactly_off_free_mask(self):
-        sig = oc.embed([1, 2, 2], [True, False, True, False, False])
-        assert np.array_equal(sig.chips != 0, sig.free_mask)
-        assert int(np.count_nonzero(sig.chips)) == 3
+        busy = np.array([True, False, True, False, False])
+        chips, _ = embed(3, busy)
+        assert np.array_equal(chips != 0, np.broadcast_to(~busy, chips.shape))
+        assert int(np.count_nonzero(chips[0])) == 3
 
 
 @settings(max_examples=30, deadline=None)
@@ -195,17 +201,14 @@ def test_embedded_signatures_stay_orthogonal(n_free, data):
     )
     busy = np.ones(total, dtype=bool)
     busy[sorted(free_positions)] = False
-    family = oc.build(n_free)
-    sigs = [oc.embed(family.entries[i], busy) for i in range(min(n_free, 4))]
-    for i in range(len(sigs)):
-        for j in range(i + 1, len(sigs)):
-            dot = int(np.sum(sigs[i].chips.astype(object) * sigs[j].chips.astype(object)))
-            assert dot == 0
+    chips, _ = embed(min(n_free, 4), busy)
+    gram = chips.astype(object) @ chips.astype(object).T
+    assert np.count_nonzero(gram - np.diag(np.diagonal(gram))) == 0
 
 
 def test_format_roundtrip():
     c = oc.build(6)
     text = oc.format_matrix(c)
     assert text.splitlines()[0] == "n=6"
-    back = oc.parse_matrix(text)
+    back = parse_matrix(text)
     assert np.array_equal(back, c.entries)

@@ -87,9 +87,6 @@ class TestSystemParams:
     def test_bits_per_slot(self):
         assert PARAMS.bits_per_slot == 90
 
-    def test_subcarrier_bandwidth(self):
-        assert PARAMS.subcarrier_bandwidth == pytest.approx(2e5)
-
     def test_too_many_users_rejected(self):
         with pytest.raises(ValueError):
             pl.SystemParams(n_subcarriers=4, n_users=5, pr_h1=0.1)
