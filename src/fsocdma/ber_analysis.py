@@ -1,8 +1,7 @@
 """Closed-form bit error rate of the first user's receiver.
 
-The decision variable is approximated as Gaussian; conditioned on m
-estimated-busy and l misdetected subcarriers its variance splits into
-four terms computed from the modified chips:
+The decision variable is approximated as Gaussian; conditioned on the
+modified chips its variance splits into four terms:
 
     var_s   = eb^2 * sum(c1^4) / (sum(c1^2))^2
     var_mai = eb^2/2 * sum_{k>=2} sum_n (c1_n ck_n)^2 / (sum(c1^2))^2
@@ -10,32 +9,37 @@ four terms computed from the modified chips:
     var_n   = eb * sigma_n^2 / 2
 
 and the conditional error probability is Q(eb / sqrt(sum of terms)).
-Averaging over the trinomial (estimated-busy, misdetected, free) per
-subcarrier gives the slot-average error probability.  Cells that cannot
-carry all users contribute the erasure value 1/2, matching the
-simulator's convention.
+Each subcarrier is independently estimated busy (p_zero), misdetected
+(p_mis) or free (p_free), and the slot-average error probability is the
+expectation over that trinomial.  Slots that cannot carry all users
+contribute the erasure value 1/2, matching the simulator's convention.
 
-average_pe evaluates this as one table per sweep point.  Under the
-rechoose policy every cell with n_free = N - m free subcarriers uses the
-family of order n_active = largest_supported_order(n_free), and only the
-number j of misdetections that land on its active chips, and which chips
-they hit, moves the variance.  So:
+average_pe factors the trinomial.  The number m of estimated-busy
+subcarriers has P(m) = Binom(m; N, p_zero), and given m each of the
+other N - m subcarriers is misdetected independently with probability
+r = p_mis / (p_mis + p_free).  Under the rechoose policy the first
+a = largest_supported_order(N - m) of them carry the order-a family and
+the rest idle, so the misdetected active chips are an i.i.d.
+Bernoulli(r) subset of the a chips, whatever N - m is: thinning
+Binom(l; N - m, r) misdetections onto a of the N - m subcarriers leaves
+Binom(j; a, r).  Only the sum s of the squared first-row chips on that
+subset moves the variance, through var_gi, so
 
-- q[j], j = 0..n_active, is the error probability with j misdetected
-  active chips averaged over their placement, one vector per order and
-  point: a closed form in j for constant-magnitude (Walsh) chips, and one
-  Q evaluation over the exact subset-sum distribution of the squared
-  chips, reduced per j, for multi-level ones;
-- the cached hypergeometric table H[l, j] = P(j | l) of (n_free,
-  n_active) turns q into the cells of row m, H @ q;
-- the trinomial weights of (m, l) sum the cells.
+    average_pe = 1/2 * sum_{m: a(m) < K} P(m)
+                 + sum_a P_a * sum_s D_{a,r}(s) * Q(eb / sqrt(V_a + g_a * s))
 
-The fixed policy keeps its length-N family.  With unit-magnitude chips
-every cell is one closed form in (n_free, l).  A multi-level family
-averages the chip-level error probability over every zeroed and
-misdetected placement of the cell; a cell with more than 100k placements
-takes the mean over 10k seeded random placements instead, an estimate
-rather than a closed form.
+where P_a is the mass of the m that share order a, V_a = var_s + var_mai
++ var_n and g_a * s = var_gi.  D_{a,r} is the law of s, one convolution
+over the order's chips, cached per (order, r): the points of a sweep
+differ in SNR only and share it.
+
+The fixed policy keeps its length-N family, so a cell depends on which
+chips its m zeroed and l misdetected subcarriers hit, and is weighted
+P(m) * Binom(l; N - m, r).  With unit-magnitude chips every cell is one
+closed form in (N - m, l).  A multi-level family averages the chip-level
+error probability over every zeroed and misdetected placement of the
+cell; a cell with more than 100k placements takes the mean over 10k
+seeded random placements instead, an estimate rather than a closed form.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from math import comb
 
 import numpy as np
 
-from .orthocodes import INT64_MAX, build, largest_supported_order
+from .orthocodes import build, largest_supported_order
 from .phylink import SystemParams, signature_matrix
 from .sensing import OccupancyModel
 
@@ -108,68 +112,75 @@ def _chip_pe(chips, misdetected, eb, sn2, ss2) -> float:
     return float(q_function(eb / math.sqrt(var_s + var_mai + var_gi + var_n)))
 
 
-@lru_cache(maxsize=None)
-def _subset_sum_distributions(n_active: int) -> tuple:
-    """Exact subset-sum distributions of the order-n_active family's squared chips.
+def _binomial_pmf(n: int, p: float, q: float) -> np.ndarray:
+    """Binom(i; n, p / (p + q)) for i = 0..n, without overflow for any n.
 
-    Returns flat (sums, probs, starts): sums[starts[j]:starts[j+1]] are the
-    values of sum_{i in S} c1_i^2 over uniformly random j-subsets S,
-    ascending, and probs the matching probabilities, so that one Q
-    evaluation covers every j.  A 0/1 knapsack over a (subset size, sum)
-    count array, in int64 while no count can exceed it (every count is at
-    most comb(n, n//2)) and in Python integers beyond; each probability is
-    one correctly rounded int / int division.
+    p and q weigh success and failure; they come apart so that neither is
+    a rounded 1 - other.  The terms are built outward from the mode, where
+    neighbours only shrink, as running products of their ratios, then
+    normalized.  p = 0 gives a unit mass at 0 and q = 0 one at n.
     """
-    sq = [int(v) ** 2 for v in build(n_active).entries[0]]
-    top = sum(sq)
-    exact = np.int64 if comb(n_active, n_active // 2) <= INT64_MAX else object
-    counts = np.zeros((n_active + 1, top + 1), dtype=exact)
-    counts[0, 0] = 1
+    pmf = np.zeros(n + 1)
+    mode = min(int((n + 1) * (p / (p + q))), n)
+    pmf[mode] = 1.0
+    if mode < n:
+        i = np.arange(mode, n)
+        pmf[mode + 1 :] = np.cumprod((n - i) / (i + 1) * (p / q))
+    if mode > 0:
+        i = np.arange(mode, 0, -1)
+        pmf[mode - 1 :: -1] = np.cumprod(i / (n - i + 1) * (q / p))
+    return pmf / np.sum(pmf)
+
+
+@lru_cache(maxsize=1024)
+def _hit_distribution(order: int, r: float, q: float) -> tuple[np.ndarray, np.ndarray]:
+    """(sums, probs): the law D_{order,r} of s = sum_i B_i c_1i^2 where it is positive.
+
+    c_1i are the first-row chips of the order's family and B_i independent,
+    1 with probability r and 0 with q = 1 - r.  The law is convolved over
+    the chips one at a time on the integer sums 0..gram_diag and
+    normalized, so that its mass is one however r and q round.
+    """
+    family = build(order)
+    dist = np.zeros(int(family.gram_diag[0]) + 1)
+    dist[0] = 1.0
     reach = 0  # largest sum of the chips added so far
-    for i, value in enumerate(sq):
-        # the operands overlap, so numpy reads every row as it was before this chip
-        counts[1 : i + 2, value : reach + value + 1] += counts[: i + 1, : reach + 1]
+    # smallest first, so that the reach, and the work, grows as late as it can
+    for value in sorted((family.entries[0] ** 2).tolist()):
+        hit = r * dist[: reach + 1]
+        dist[: reach + 1] *= q
+        dist[value : value + reach + 1] += hit
         reach += value
-    sums, probs, starts = [], [], []
-    size = 0
-    for j in range(n_active + 1):
-        total = comb(n_active, j)
-        attained = np.flatnonzero(counts[j])
-        row = counts[j, attained]
-        if total <= 2**53:
-            # both operands are exact doubles, so IEEE division rounds as int / int
-            p = row.astype(np.float64) / total
-        else:
-            p = np.fromiter((c / total for c in row.tolist()), np.float64, row.size)
-        starts.append(size)
-        size += attained.size
-        sums.append(attained)
-        probs.append(p)
-    return np.concatenate(sums).astype(np.float64), np.concatenate(probs), np.array(starts)
+    reached = np.flatnonzero(dist)
+    sums, probs = reached.astype(np.float64), dist[reached] / np.sum(dist)
+    sums.setflags(write=False)
+    probs.setflags(write=False)
+    return sums, probs
 
 
-@lru_cache(maxsize=None)
-def _distinct_sums(n_active: int) -> tuple:
-    """(values, inverse): the distinct subset sums of the order, values[inverse] == sums."""
-    return np.unique(_subset_sum_distributions(n_active)[0], return_inverse=True)
+@lru_cache(maxsize=1024)
+def _chip_moments(order: int, k_users: int) -> tuple[float, float, float]:
+    """(sum c1^4, sum_{k>=2} sum_n (c1_n ck_n)^2, sum c1^2) of the order's first k_users rows."""
+    family = build(order)
+    c1 = family.entries[0].astype(np.float64)
+    cross = float(np.sum((c1 * family.entries[1:k_users]) ** 2)) if k_users > 1 else 0.0
+    return float(np.sum(c1**4)), cross, float(family.gram_diag[0])
 
 
-@lru_cache(maxsize=256)
-def _hypergeom_matrix(n_free: int, n_active: int) -> np.ndarray:
-    """H[l, j] = P(j of l misdetected free subcarriers land on the n_active active ones).
+def _order_pe(order, r, q, k_users, eb, sn2, ss2) -> float:
+    """Error probability of the rechosen order-`order` family.
 
-    The rechoose layout keeps n_active of the n_free free subcarriers, so
-    j is hypergeometric; each entry is one exact integer ratio.  A sweep
-    point at N subcarriers uses N + 1 tables, (N + 1)^3 / 3 floats in all.
+    Each active chip is misdetected independently, with probability r
+    (and clean with q = 1 - r); the Gaussian error probability is averaged
+    over D_{order,r}.
     """
-    table = np.zeros((n_free + 1, n_active + 1))
-    idle = n_free - n_active
-    for l in range(n_free + 1):
-        denom = comb(n_free, l)
-        for j in range(max(0, l - idle), min(l, n_active) + 1):
-            table[l, j] = comb(n_active, j) * comb(idle, l - j) / denom
-    table.setflags(write=False)
-    return table
+    fourth, cross, energy = _chip_moments(order, k_users)
+    var_s = eb * eb * fourth / (energy * energy)
+    var_mai = 0.5 * eb * eb * cross / (energy * energy)
+    var_n = 0.5 * eb * sn2
+    gi_scale = 0.5 * eb * ss2 / energy
+    sums, probs = _hit_distribution(order, r, q)
+    return float(probs @ q_function(eb / np.sqrt(var_s + var_mai + var_n + gi_scale * sums)))
 
 
 @lru_cache(maxsize=None)
@@ -190,39 +201,6 @@ def _unit_chip_pe(order, hits, k_users, eb, sn2, ss2):
     var_gi = 0.5 * eb * hits * ss2 / order
     var_n = 0.5 * eb * sn2
     return q_function(eb / np.sqrt(var_s + var_mai + var_gi + var_n))
-
-
-def _multilevel_pe(n_active, k_users, eb, sn2, ss2, gi_sums):
-    """Conditional error probability of the rechosen multi-level family.
-
-    gi_sums holds sums of squared first-row chips on misdetected active
-    subcarriers, one value per placement.
-    """
-    family = build(n_active)
-    c1 = family.entries[0].astype(np.float64)
-    energy = float(family.gram_diag[0])
-    var_s = eb * eb * float(np.sum(c1**4)) / (energy * energy)
-    cross = float(np.sum((c1 * family.entries[1:k_users]) ** 2)) if k_users > 1 else 0.0
-    var_mai = 0.5 * eb * eb * cross / (energy * energy)
-    var_n = 0.5 * eb * sn2
-    gi_scale = 0.5 * eb * ss2 / energy
-    return q_function(eb / np.sqrt(var_s + var_mai + var_n + gi_scale * gi_sums))
-
-
-def _rechoose_q(n_active, k_users, eb, sn2, ss2) -> np.ndarray:
-    """q[j], j = 0..n_active: error probability with j misdetected active chips.
-
-    Averaged over the uniform placement of the j hits: a closed form in j
-    for constant-magnitude chips, the exact subset-sum distribution of the
-    squared chips otherwise, with Q evaluated once per distinct sum.
-    """
-    hits = np.arange(n_active + 1)
-    if _constant_magnitude(n_active):
-        return _unit_chip_pe(n_active, hits, k_users, eb, sn2, ss2)
-    _, probs, starts = _subset_sum_distributions(n_active)
-    values, inverse = _distinct_sums(n_active)
-    pe = _multilevel_pe(n_active, k_users, eb, sn2, ss2, values)[inverse]
-    return np.add.reduceat(probs * pe, starts)
 
 
 def _pe_of_counts_fixed(n, m, l, k_users, eb, sn2, ss2):
@@ -263,56 +241,21 @@ def _pe_of_counts_fixed(n, m, l, k_users, eb, sn2, ss2):
     return total / count
 
 
-@lru_cache(maxsize=None)
-def _binomial_table(n: int) -> np.ndarray:
-    """B[m, l] = comb(n - m, l) as float64; zero where m + l > n."""
-    table = np.array(
-        [[comb(n - m, l) for l in range(n + 1)] for m in range(n + 1)], dtype=np.float64
-    )
-    table.setflags(write=False)
-    return table
+def _fixed_cells(n, m, k_users, eb, sn2, ss2, needed) -> np.ndarray:
+    """Error probability of the fixed family's cells (m, l), l = 0..n-m.
 
-
-def _trinomial_weights(n: int, p0: float, pm: float, pf: float) -> np.ndarray:
-    """W[m, l] = P(m estimated busy, l misdetected, the rest free); zero where m + l > n."""
-    lead = np.array([comb(n, m) * p0**m for m in range(n + 1)])
-    pm_l = np.array([pm**l for l in range(n + 1)])
-    pf_r = np.array([pf**r for r in range(n + 1)])
-    m, l = np.indices((n + 1, n + 1))
-    # off the triangle the binomial is zero, so the clipped index only avoids wrapping
-    return lead[:, None] * _binomial_table(n) * pm_l * pf_r[np.maximum(n - m - l, 0)]
-
-
-def _cell_table(n, k_users, eb, sn2, ss2, code_policy, needed) -> np.ndarray:
-    """Error probability of every (m, l) cell; zero where m + l > n.
-
-    needed, a boolean (n+1, n+1) mask inside that triangle, limits the
-    cells that the fixed policy's multi-level family enumerates one by
-    one; every other branch fills the whole triangle at once.
+    needed, a boolean mask over l, limits the cells that a multi-level
+    family enumerates one by one (the others stay zero); unit-magnitude
+    chips fill the row in closed form.
     """
-    terms = (k_users, eb, sn2, ss2)
-    cells = np.zeros((n + 1, n + 1))
-    if code_policy == "rechoose":
-        qs: dict[int, np.ndarray] = {}
-        for m in range(n + 1):
-            n_free = n - m
-            n_active = largest_supported_order(n_free)
-            if n_active < k_users:
-                cells[m, : n_free + 1] = 0.5
-                continue
-            if n_active not in qs:
-                qs[n_active] = _rechoose_q(n_active, *terms)
-            cells[m, : n_free + 1] = _hypergeom_matrix(n_free, n_active) @ qs[n_active]
-        return cells
-    if code_policy != "fixed":
-        raise ValueError(f"unknown code policy {code_policy!r}")
-    m, l = np.indices(cells.shape)
     n_free = n - m
+    if n_free == 0:
+        return np.array([0.5])
     if _constant_magnitude(n):
-        pe = _unit_chip_pe(np.maximum(n_free, 1), l, *terms)
-        return np.where(l > n_free, 0.0, np.where(n_free == 0, 0.5, pe))
-    for mi, li in zip(*np.nonzero(needed)):
-        cells[mi, li] = _pe_of_counts_fixed(n, int(mi), int(li), *terms)
+        return _unit_chip_pe(n_free, np.arange(n_free + 1), k_users, eb, sn2, ss2)
+    cells = np.zeros(n_free + 1)
+    for l in np.flatnonzero(needed).tolist():
+        cells[l] = _pe_of_counts_fixed(n, m, l, k_users, eb, sn2, ss2)
     return cells
 
 
@@ -323,25 +266,40 @@ def average_pe(
 ) -> float:
     """Slot-average error probability over the per-subcarrier trinomial.
 
-    Sums the full (m, l) grid including m=0 and l=0 so the weights form a
-    proper expectation (they sum to one exactly).
+    The trinomial is factored into P(m) estimated-busy subcarriers and
+    Binom(l; N - m, r) misdetected ones among the rest, see the module
+    docstring; every m counts, so the weights form a proper expectation.
     """
     p0, pm, pf = model.p_zero, model.p_mis, model.p_free
     if p0 + pm > 1.0 + 1e-12:
         raise ValueError("p_zero + p_mis exceeds 1")
     pf = max(pf, 0.0)
+    free = pm + pf
+    # a subcarrier not estimated busy is misdetected (r) or truly free (q);
+    # at p_zero = 1 none is left and any split serves
+    r, q = (pm / free, pf / free) if free > 0.0 else (0.0, 1.0)
     n = params.n_subcarriers
-    weights = _trinomial_weights(n, p0, pm, pf)
-    cells = _cell_table(
-        n,
-        params.n_users,
-        params.energy_per_bit,
-        params.noise_psd,
-        params.interference_power,
-        code_policy,
-        needed=weights > 0.0,
-    )
-    return float(np.sum(weights * cells))
+    terms = (params.n_users, params.energy_per_bit, params.noise_psd, params.interference_power)
+    busy = _binomial_pmf(n, p0, free).tolist()
+    if code_policy == "fixed":
+        total = 0.0
+        for m, w in enumerate(busy):
+            if w > 0.0:
+                hits = _binomial_pmf(n - m, r, q)
+                total += w * float(hits @ _fixed_cells(n, m, *terms, needed=hits > 0.0))
+        return total
+    if code_policy != "rechoose":
+        raise ValueError(f"unknown code policy {code_policy!r}")
+    mass: dict[int, float] = {}
+    for m, w in enumerate(busy):
+        order = largest_supported_order(n - m)
+        mass[order] = mass.get(order, 0.0) + w
+    k_users = params.n_users
+    total = 0.5 * sum(w for order, w in mass.items() if order < k_users)
+    for order, w in mass.items():
+        if order >= k_users and w > 0.0:
+            total += w * _order_pe(order, r, q, *terms)
+    return total
 
 
 def average_pe_enumerated(

@@ -7,8 +7,9 @@ incomplete gamma instead of Poisson partial sums, and a literal
 state-by-state enumeration for the averaged error probability, the
 log-space Poisson partial sums that the library's sensing closed forms
 replaced with incomplete gamma functions, and the cell-by-cell loop
-over the trinomial, with a dictionary subset-sum knapsack and a
-row-by-row weight table, that the library's table evaluation replaced.  Beside
+over the trinomial, with a hypergeometric count of hits on active chips,
+a dictionary subset-sum knapsack and a row-by-row weight table, that the
+library's binomial mixture per code order replaced.  Beside
 these references to the Gaussian surrogate stand the exact error
 probability of the receiver the simulator implements and a literal
 per-subcarrier version of that receiver, plus the simulator's earlier
@@ -292,8 +293,8 @@ def subset_sum_distributions(n_active):
 def loop_trinomial_weights(n, p0, pm, pf):
     """W[m, l] = P(m estimated busy, l misdetected, the rest free), one row at a time.
 
-    The row loop that the library's broadcast product replaced, with the
-    same factor order, so the two agree bit for bit.
+    Each weight is comb(n, m) p0^m comb(n - m, l) pm^l pf^(n - m - l),
+    the reference for the library's factored weights P(m) Binom(l; n - m, r).
     """
     pm_l = np.array([pm**l for l in range(n + 1)])
     pf_r = np.array([pf**r for r in range(n + 1)])

@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+from fractions import Fraction
 from math import comb
 
 import mpmath
@@ -16,13 +17,14 @@ from fsocdma import cli
 from fsocdma import montecarlo as mc
 from fsocdma.orthocodes import INT64_MAX, build, supported_orders
 from fsocdma.phylink import SystemParams, project, receive, signature_matrix
-from fsocdma.sensing import FusionResult, occupancy_model
+from fsocdma.sensing import FusionResult, OccupancyModel, occupancy_model
 from oracles import (
     chips_for_configuration,
     conditional_pe_from_chips,
     enum_average_pe,
     exact_average_pe,
     exact_conditional_pe,
+    largest_supported,
     _loop_fixed_cell,
     _loop_rechoose_cell,
     loop_average_pe,
@@ -153,82 +155,120 @@ class TestConditionalPe:
         assert pe == pytest.approx(0.5, abs=1e-6)
 
 
-def subset_sum_table(n_active):
-    """The library's flat subset-sum table split into (sums, probs) per subset size."""
-    sums, probs, starts = ba._subset_sum_distributions(n_active)
-    return list(zip(np.split(sums, starts[1:]), np.split(probs, starts[1:])))
+def dense(sums, probs, size):
+    """A (sums, probs) law as a dense vector over the integer sums 0..size-1."""
+    out = np.zeros(size)
+    out[sums.astype(int)] = probs
+    return out
 
 
-def triangle(n):
-    """The (m, l) cells with m + l <= n."""
-    return np.add.outer(np.arange(n + 1), np.arange(n + 1)) <= n
+def exact_binomial(n, j, p, q):
+    """Binom(j; n, p / (p + q)) over the exact values of the floats p and q, rounded once.
+
+    One integer ratio, so no big-rational reduction: Python rounds int / int
+    correctly.
+    """
+    (pn, pd), (qn, qd) = p.as_integer_ratio(), q.as_integer_ratio()
+    return comb(n, j) * pn**j * qd**j * qn ** (n - j) * pd ** (n - j) / (pn * qd + qn * pd) ** n
+
+
+def hit_law_from_oracle(order, r):
+    """sum_j Binom(j; order, r) * (the oracle's law of the sum of j uniform squared chips)."""
+    want = np.zeros(int(build(order).gram_diag[0]) + 1)
+    for j, (sums, probs) in enumerate(subset_sum_distributions(order)):
+        want[sums.astype(int)] += exact_binomial(order, j, r, 1.0 - r) * probs
+    return want
+
+
+HIT_RATES = (0.0, 1e-6, 0.03, 0.5, 1.0)
+
+
+def model_of(p_zero, p_mis):
+    return OccupancyModel(pr_h1=0.2, p_zero=p_zero, p_mis=p_mis)
 
 
 class TestPeOfCounts:
-    """Single (m, l) cells of average_pe's table."""
+    """Single cells and single code orders of average_pe."""
 
     def test_binary_no_busy_no_misdetected(self):
-        got = ba._cell_table(32, 1, 1.0, 0.1, 0.1, "rechoose", triangle(32))[0, 0]
+        got = ba._order_pe(32, 0.0, 1.0, 1, 1.0, 0.1, 0.1)
         want = float(norm.sf(1.0 / math.sqrt(1.0 / 32.0 + 0.05)))
         assert got == pytest.approx(want, rel=1e-12)
+        assert ba.average_pe(make_params(32, 1), model_of(0.0, 0.0)) == got
 
     def test_all_busy_is_erasure(self):
-        assert ba._cell_table(32, 4, 1.0, 0.1, 0.1, "rechoose", triangle(32))[32, 0] == 0.5
+        # p_zero = 1 zeroes every chip: exactly the erasure value, at any N
+        for n, policy in [(32, "rechoose"), (32, "fixed"), (12, "fixed"), (1030, "rechoose"),
+                          (1024, "fixed")]:
+            assert ba.average_pe(make_params(n, 4), model_of(1.0, 0.0), policy) == 0.5
 
     def test_too_many_users_is_erasure(self):
-        # 3 free subcarriers cannot carry 4 users
-        assert ba._cell_table(8, 4, 1.0, 0.1, 0.1, "rechoose", triangle(8))[5, 0] == 0.5
+        # fewer than 4 free subcarriers of 8 cannot carry 4 users; the oracle
+        # scores those states 1/2
+        n, k, p0 = 8, 4, 0.4
+        erased = sum(exact_binomial(n, m, p0, 1.0 - p0) for m in range(5, n + 1))
+        assert erased > 0.1
+        got = ba.average_pe(make_params(n, k), model_of(p0, 0.0))
+        want = enum_average_pe(n, k, p0, 0.0, 1.0, 0.1, 0.1)
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+        assert got > 0.5 * erased
 
     def test_fallback_placement_average(self):
-        # n_free = 11 falls back to a 10-row family; one free subcarrier is
-        # deactivated, so a misdetection lands on an active chip 10/11 of
-        # the time.  Direct placement enumeration is the oracle.
-        n, k = 11, 2
-        family = build(10)
-        vals = []
-        for pos in range(11):
-            chips = np.zeros((k, n))
-            chips[:, :10] = family.entries[:k]
-            vals.append(conditional_pe_from_chips(chips, [pos], 1.0, 0.1, 0.4))
-        want = float(np.mean(vals))
-        got = ba._cell_table(n, k, 1.0, 0.1, 0.4, "rechoose", triangle(n))[0, 1]
+        # 11 free subcarriers fall back to a 10-row family and the eleventh
+        # idles, so a misdetection there adds nothing.  Every subcarrier is
+        # misdetected with probability 0.3: direct enumeration of the 2^11
+        # misdetected sets is the oracle.
+        n, k, r = 11, 2, 0.3
+        chips = np.zeros((k, n))
+        chips[:, :10] = build(10).entries[:k]
+        want = 0.0
+        for size in range(n + 1):
+            for lam in itertools.combinations(range(n), size):
+                pe = conditional_pe_from_chips(chips, lam, 1.0, 0.1, 0.4)
+                want += r**size * (1 - r) ** (n - size) * pe
+        got = ba.average_pe(make_params(n, k, ss2=0.4), model_of(0.0, r))
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_subset_distribution_matches_enumeration(self):
-        dists = subset_sum_table(5)
+        # order 5: every subset of the squared chips, weighted exactly
         sq = [int(v) ** 2 for v in build(5).entries[0]]
-        for j in range(6):
-            sums, probs = dists[j]
-            counted = {}
-            for subset in itertools.combinations(range(5), j):
-                s = sum(sq[i] for i in subset)
-                counted[s] = counted.get(s, 0) + 1
-            total = comb(5, j)
-            assert sorted(counted) == [int(s) for s in sums]
+        for r in (0.3, 0.9):
+            law = {}
+            for size in range(6):
+                for subset in itertools.combinations(range(5), size):
+                    s = sum(sq[i] for i in subset)
+                    weight = Fraction(r) ** size * (1 - Fraction(r)) ** (5 - size)
+                    law[s] = law.get(s, 0) + weight
+            sums, probs = ba._hit_distribution(5, r, 1.0 - r)
+            assert [int(s) for s in sums] == sorted(law)
             for s, p in zip(sums, probs):
-                assert p == pytest.approx(counted[int(s)] / total, rel=1e-14)
+                assert p == pytest.approx(float(law[int(s)]), rel=1e-14)
 
     def test_subset_tables_match_dict_knapsack(self):
-        # every multi-level order up to 63, bit for bit
+        # every multi-level order up to 63: the library's convolution against
+        # the oracle's dictionary knapsack per subset size, mixed over Binom(j; a, r)
         orders = [n for n in supported_orders(63) if not ba._constant_magnitude(n)]
         assert len(orders) == 29
         for n in orders:
-            got = subset_sum_table(n)
-            for j, (sums, probs) in enumerate(subset_sum_distributions(n)):
-                assert np.array_equal(got[j][0], sums), (n, j)
-                assert np.array_equal(got[j][1], probs), (n, j)
+            for r in HIT_RATES:
+                want = hit_law_from_oracle(n, r)
+                got = dense(*ba._hit_distribution(n, r, 1.0 - r), want.size)
+                # below 1e-280 both sides run into subnormal underflow
+                np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-280, err_msg=f"{n} {r}")
 
     def test_subset_tables_beyond_int64(self):
-        # order 80 = 16 * 5 is multi-level and its counts reach comb(80, 40)
+        # order 80 = 16 * 5 is multi-level, and the oracle knapsack's subset
+        # counts reach comb(80, 40), beyond int64
         n = 80
         assert comb(n, n // 2) > INT64_MAX
         assert not ba._constant_magnitude(n)
-        dists = subset_sum_table(n)
-        energy = float(np.sum(build(n).entries[0].astype(float) ** 2))
-        for j in range(n + 1):
-            sums, probs = dists[j]
+        energy = float(build(n).gram_diag[0])
+        for r in HIT_RATES:
+            sums, probs = ba._hit_distribution(n, r, 1.0 - r)
+            want = hit_law_from_oracle(n, r)
+            np.testing.assert_allclose(dense(sums, probs, want.size), want, rtol=1e-13, atol=1e-280)
             assert float(np.sum(probs)) == pytest.approx(1.0, abs=1e-12)
-            assert float(probs @ sums) == pytest.approx(j * energy / n, rel=1e-12)
+            assert float(probs @ sums) == pytest.approx(r * energy, rel=1e-12, abs=1e-12)
 
 
 def make_params(n, k, sn2=0.1, ss2=0.1):
@@ -252,8 +292,6 @@ class TestAveragePe:
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_trinomial_weights_sum_exactly_in_rational_arithmetic(self):
-        from fractions import Fraction
-
         n = 32
         p0, pm = Fraction(23, 100), Fraction(1, 100)
         pf = 1 - p0 - pm
@@ -264,22 +302,75 @@ class TestAveragePe:
         )
         assert total == 1
 
+    def test_thinning_identity_exact(self):
+        # sum_l W[m, l] H[l, j] = P(m) Binom(j; a, r): the trinomial weight
+        # times the hypergeometric count of hits on the a active chips is the
+        # busy weight times a binomial over the active chips alone
+        p0, pm = Fraction(23, 100), Fraction(7, 100)
+        pf = 1 - p0 - pm
+        r = pm / (pm + pf)
+        for n in range(1, 9):
+            for m in range(n + 1):
+                n_free = n - m
+                a = largest_supported(n_free)
+                busy = comb(n, m) * p0**m * (1 - p0) ** n_free
+                for j in range(a + 1):
+                    lhs = sum(
+                        comb(n, m) * comb(n_free, l) * p0**m * pm**l * pf ** (n_free - l)
+                        * Fraction(comb(a, j) * comb(n_free - a, l - j), comb(n_free, l))
+                        for l in range(j, n_free + 1)
+                    )
+                    assert lhs == busy * comb(a, j) * r**j * (1 - r) ** (a - j), (n, m, j)
+
     @pytest.mark.parametrize("n", [4, 12, 32, 48, 64])
     def test_trinomial_weights_match_row_loop(self, n):
+        # the factored weights P(m) Binom(l; n - m, r) against the trinomial
+        # weights of the row loop
         rng = np.random.default_rng(1000 + n)
         edges = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.3, 0.0), (0.0, 0.3)]
         draws = [tuple(rng.dirichlet(np.ones(3))[:2].tolist()) for _ in range(50)]
         for p0, pm in edges + draws:
             pf = max(1.0 - p0 - pm, 0.0)
-            got = ba._trinomial_weights(n, p0, pm, pf)
-            assert np.array_equal(got, loop_trinomial_weights(n, p0, pm, pf)), (p0, pm)
+            free = pm + pf
+            r, q = (pm / free, pf / free) if free > 0.0 else (0.0, 1.0)
+            busy = ba._binomial_pmf(n, p0, free)
+            got = np.zeros((n + 1, n + 1))
+            for m in range(n + 1):
+                got[m, : n - m + 1] = busy[m] * ba._binomial_pmf(n - m, r, q)
+            want = loop_trinomial_weights(n, p0, pm, pf)
+            # below 1e-280 both sides run into subnormal underflow
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-280, err_msg=f"{p0} {pm}")
+
+    @pytest.mark.parametrize("n", [1030, 4096])
+    def test_busy_weights_at_large_n(self, n):
+        # comb(n, m) overflows a double from n = 1030 on; the weights do not
+        rng = np.random.default_rng(n)
+        for p in (0.19, 0.5, 0.003, 0.97):
+            pmf = ba._binomial_pmf(n, p, 1.0 - p)
+            assert abs(float(np.sum(pmf)) - 1.0) <= 1e-12
+            # the m whose weight is a normal double, located in logs
+            logs = [
+                math.lgamma(n + 1) - math.lgamma(m + 1) - math.lgamma(n - m + 1)
+                + m * math.log(p) + (n - m) * math.log1p(-p)
+                for m in range(n + 1)
+            ]
+            normal = [m for m in range(n + 1) if logs[m] > -680.0]
+            for m in rng.choice(normal, size=12).tolist() + [normal[0], normal[-1]]:
+                want = exact_binomial(n, m, p, 1.0 - p)
+                assert pmf[m] == pytest.approx(want, rel=1e-12, abs=0.0), (p, m)
+        unit = np.zeros(n + 1)
+        unit[0] = 1.0
+        assert np.array_equal(ba._binomial_pmf(n, 0.0, 1.0), unit)
+        assert np.array_equal(ba._binomial_pmf(n, 1.0, 0.0), unit[::-1])
 
     def test_degenerate_reduces_to_single_cell(self):
+        # nothing busy, nothing misdetected: the all-free order-16 family
         model = occupancy_model(0.0, FusionResult(qfa=0.0, qd=1.0, k_users=1))
         params = make_params(16, 1)
         got = ba.average_pe(params, model)
-        want = ba._cell_table(16, 1, 1.0, 0.1, 0.1, "rechoose", triangle(16))[0, 0]
+        want = ba._order_pe(16, 0.0, 1.0, 1, 1.0, 0.1, 0.1)
         assert got == pytest.approx(want, rel=1e-14)
+        assert got == pytest.approx(float(norm.sf(1.0 / math.sqrt(1.0 / 16.0 + 0.05))), rel=1e-12)
 
     def test_invalid_mass_rejected(self):
         from fsocdma.sensing import OccupancyModel
@@ -341,11 +432,13 @@ def fig2_points(n, k):
 TABLE_CASES = (
     [(32, k, policy) for k in range(1, 9) for policy in ("rechoose", "fixed")]
     + [(48, 4, "rechoose"), (64, 4, "rechoose"), (64, 4, "fixed")]
+    # 11 free subcarriers fall back to order 10; 45 and 63 are multi-level
+    + [(11, 2, "rechoose"), (45, 4, "rechoose"), (63, 4, "rechoose")]
 )
 
 
 class TestTableForm:
-    """average_pe's table evaluation against the cell-by-cell loop."""
+    """average_pe's factored evaluation against the cell-by-cell loop."""
 
     @pytest.mark.parametrize("n,k,policy", TABLE_CASES)
     def test_matches_cell_loop(self, n, k, policy):
@@ -359,24 +452,40 @@ class TestTableForm:
 
     @pytest.mark.parametrize("n,policy", [(32, "rechoose"), (48, "rechoose"), (32, "fixed")])
     def test_pe_of_counts_is_table_cell(self, n, policy):
-        # the error probability of the counts (m, l), evaluated one cell at a
-        # time by the oracle loop, is the table's cell
+        # fixed: the error probability of the counts (m, l), evaluated one
+        # cell at a time by the oracle loop, is the library's cell.  rechoose:
+        # the oracle's cells of row m, weighted Binom(l; n - m, r), are the
+        # value of the order that row carries
         k, eb, sn2, ss2 = 4, 1.0, 0.05, 0.5
-        table = ba._cell_table(n, k, eb, sn2, ss2, policy, triangle(n))
-        cell = _loop_rechoose_cell if policy == "rechoose" else _loop_fixed_cell
         rng = np.random.default_rng(n)
-        for _ in range(50):
-            m = int(rng.integers(0, n + 1))
-            l = int(rng.integers(0, n - m + 1))
-            want = 0.5 if m == n else cell(n, m, l, k, eb, sn2, ss2)
-            assert table[m, l] == pytest.approx(want, rel=1e-14, abs=0.0)
+        if policy == "fixed":
+            for _ in range(50):
+                m = int(rng.integers(0, n + 1))
+                l = int(rng.integers(0, n - m + 1))
+                row = ba._fixed_cells(n, m, k, eb, sn2, ss2, np.ones(n - m + 1, dtype=bool))
+                want = 0.5 if m == n else _loop_fixed_cell(n, m, l, k, eb, sn2, ss2)
+                assert row[l] == pytest.approx(want, rel=1e-14, abs=0.0)
+            return
+        for _ in range(8):
+            m = int(rng.integers(0, n - k + 1))
+            r = float(rng.uniform(0.0, 0.5))
+            n_free = n - m
+            want = sum(
+                comb(n_free, l) * r**l * (1 - r) ** (n_free - l)
+                * _loop_rechoose_cell(n, m, l, k, eb, sn2, ss2)
+                for l in range(n_free + 1)
+            )
+            got = ba._order_pe(largest_supported(n_free), r, 1.0 - r, k, eb, sn2, ss2)
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0), (m, r)
 
-    def test_table_is_zero_off_the_triangle(self):
-        inside = triangle(8)
-        for policy in ("rechoose", "fixed"):
-            table = ba._cell_table(8, 2, 1.0, 0.1, 0.1, policy, inside)
-            assert np.all(table[~inside] == 0.0)
-            assert np.all((table[inside] > 0.0) & (table[inside] <= 0.5))
+    def test_cells_are_error_probabilities(self):
+        for m in range(9):
+            row = ba._fixed_cells(8, m, 2, 1.0, 0.1, 0.1, np.ones(9 - m, dtype=bool))
+            assert row.shape == (9 - m,)
+            assert np.all((row > 0.0) & (row <= 0.5))
+        for order in supported_orders(8)[1:]:
+            for r in HIT_RATES:
+                assert 0.0 < ba._order_pe(order, r, 1.0 - r, 2, 1.0, 0.1, 0.1) <= 0.5
 
 
 class TestExactOracle:

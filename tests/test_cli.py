@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -362,3 +363,24 @@ def test_import_loads_no_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_import_leaves_caches_empty():
+    # a table filled at import would be paid by every run's set-up time
+    src = str(Path(fsocdma.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = (
+        "import json, sys, fsocdma.cli\n"
+        "sizes = {f'{name}.{attr}': fn.cache_info().currsize\n"
+        "         for name, mod in list(sys.modules.items()) if name.split('.')[0] == 'fsocdma'\n"
+        "         for attr, fn in vars(mod).items() if hasattr(fn, 'cache_info')}\n"
+        "print(json.dumps(sizes))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    sizes = json.loads(out.stdout)
+    assert "fsocdma.orthocodes.build" in sizes
+    assert "fsocdma.ber_analysis._hit_distribution" in sizes
+    assert {name: n for name, n in sizes.items() if n} == {}
