@@ -22,14 +22,12 @@ from . import __version__
 from .ber_analysis import average_pe, average_pe_enumerated
 from .montecarlo import (
     STREAM_VERSION,
-    BerCurve,
     RunConfig,
-    analytic_point,
+    ber_csv,
     config_digest,
-    curve_csv,
     derive_sensing,
-    estimate_ber,
-    sweep,
+    grid_jobs,
+    run_points,
     trace_csv,
 )
 from .orthocodes import (
@@ -285,15 +283,6 @@ def cmd_sensing_roc(args) -> int:
     return 0
 
 
-def _analytic_csv(curve: BerCurve, comments: tuple[str, ...]) -> str:
-    lines = [f"# {c}" for c in comments]
-    lines.append(f"# digest={curve.config_digest}")
-    lines.append("snr_db,ber_analytic")
-    for p in curve.points:
-        lines.append(f"{p.snr_db:.6g},{p.ber_analytic:.10e}")
-    return "\n".join(lines) + "\n"
-
-
 def _derived_sensing_comments(rc: RunConfig) -> tuple[str, ...]:
     d = derive_sensing(rc)
     return (
@@ -314,6 +303,43 @@ def _out_path(stem: str, suffix: str) -> str:
     return f"{stem}{suffix}.csv"
 
 
+def _curve_output(
+    conf: dict, rc: RunConfig, path: str, rerun: str, derived: tuple[str, ...] = ()
+) -> tuple:
+    comments = _ber_comments(conf, rerun, derived + _derived_sensing_comments(rc))
+    return path, "snr_db", comments, config_digest(rc), [(job[1], job) for job in grid_jobs(rc)]
+
+
+def _ber_outputs(conf: dict, figure: str | None, out: str | None, rerun: str) -> list:
+    """The files of one ber run: (path, key column, comments, digest, keyed jobs) each.
+
+    A keyed job pairs a row's value in the key column with the point job
+    behind the row.
+    """
+    if figure == "fig2":
+        outputs = []
+        for k in (4, 8):
+            rc = build_run_config(conf, n_users=k)
+            path = _out_path(out or "fig2", f"_k{k}")
+            outputs.append(_curve_output(conf, rc, path, rerun, (f"params.n_users={k}",)))
+        return outputs
+    if figure == "fig3":
+        by_snr = {
+            snr: [(k, (build_run_config(conf, n_users=k, snr_grid=(snr,)), snr,
+                       fig3_point_index(si, k)))
+                  for k in range(1, 9)]
+            for si, snr in enumerate((10.0, 20.0))
+        }
+        digests = [config_digest(job[0]) for keyed in by_snr.values() for _, job in keyed]
+        bundle = hashlib.sha256("\n".join(digests).encode()).hexdigest()
+        return [
+            (_out_path(out or "fig3", f"_snr{snr:g}"), "k_users",
+             _ber_comments(conf, rerun, (f"fig3.snr_db={snr!r}",)), bundle, keyed)
+            for snr, keyed in by_snr.items()
+        ]
+    return [_curve_output(conf, build_run_config(conf), out or "ber.csv", rerun)]
+
+
 def cmd_ber(args) -> int:
     conf = resolve_config(args.config, args.set, args.seed)
     mode = args.mode
@@ -322,83 +348,29 @@ def cmd_ber(args) -> int:
               "without --figure", file=sys.stderr)
         return 1
     _check_out_dirs(args.out, args.trace)
-    threads = max(args.threads, 1)
 
     rerun_parts = ["fsocdma ber", f"--mode {mode}"]
     if args.figure:
         rerun_parts.append(f"--figure {args.figure}")
     rerun = " ".join(rerun_parts)
 
-    if args.figure == "fig2":
-        stem = args.out or "fig2"
-        for k in (4, 8):
-            rc = build_run_config(conf, n_users=k)
-            curve = sweep(rc, threads=threads, simulate=(mode != "analytic"))
-            comments = _ber_comments(
-                conf, rerun, (f"params.n_users={k}",) + _derived_sensing_comments(rc)
-            )
-            text = (
-                _analytic_csv(curve, comments)
-                if mode == "analytic"
-                else curve_csv(curve, comments)
-            )
-            path = _out_path(stem, f"_k{k}")
-            _write_output(path, text)
-            print(f"wrote {path}")
-        return 0
-
-    if args.figure == "fig3":
-        stem = args.out or "fig3"
-        snrs = (10.0, 20.0)
-        k_values = tuple(range(1, 9))
-        digests = []
-        outputs = []
-        for si, snr in enumerate(snrs):
-            rows = []
-            for k in k_values:
-                rc = build_run_config(conf, n_users=k, snr_grid=(snr,))
-                digests.append(config_digest(rc))
-                if mode == "analytic":
-                    point = analytic_point(rc, snr)
-                else:
-                    point = estimate_ber(rc, snr, point_index=fig3_point_index(si, k))
-                rows.append((k, point))
-            outputs.append((snr, rows))
-        bundle = hashlib.sha256("\n".join(digests).encode()).hexdigest()
-        for snr, rows in outputs:
-            comments = _ber_comments(conf, rerun, (f"fig3.snr_db={snr!r}",))
-            lines = [f"# {c}" for c in comments]
-            lines.append(f"# digest={bundle}")
-            lines.append("k_users,ber_analytic,ber_sim,ci_halfwidth,trials,errors")
-            for k, p in rows:
-                sim = "" if p.ber_simulated is None else f"{p.ber_simulated:.10e}"
-                ci = "" if p.ci_halfwidth is None else f"{p.ci_halfwidth:.10e}"
-                lines.append(
-                    f"{k},{p.ber_analytic:.10e},{sim},{ci},{p.trials},{p.errors}"
-                )
-            path = _out_path(stem, f"_snr{snr:g}")
-            _write_output(path, "\n".join(lines) + "\n")
-            print(f"wrote {path}")
-        return 0
-
-    # plain config-driven curve
-    rc = build_run_config(conf)
-    if mode == "analytic":
-        curve = sweep(rc, threads=threads, simulate=False)
-        text = _analytic_csv(curve, _ber_comments(conf, rerun, _derived_sensing_comments(rc)))
-    elif args.trace:
-        rows: list = []
-        point = estimate_ber(rc, rc.snr_grid_db[0], point_index=0, trace=rows)
-        curve = BerCurve(points=(point,), config_digest=config_digest(rc), elapsed=0.0)
-        text = curve_csv(curve, _ber_comments(conf, rerun, _derived_sensing_comments(rc)))
-        trace_text = trace_csv(rows, _ber_comments(conf, rerun))
-        _write_output(args.trace, trace_text)
+    outputs = _ber_outputs(conf, args.figure, args.out, rerun)
+    trace: list | None = [] if args.trace else None
+    points = iter(run_points(
+        [job for *_, keyed in outputs for _, job in keyed],
+        simulate=(mode != "analytic"),
+        workers=args.threads,
+        trace=trace,
+    ))
+    if trace is not None:
+        _write_output(args.trace, trace_csv(trace, _ber_comments(conf, rerun)))
         print(f"wrote trace {args.trace}")
-    else:
-        curve = sweep(rc, threads=threads, simulate=True)
-        text = curve_csv(curve, _ber_comments(conf, rerun, _derived_sensing_comments(rc)))
-    _write_output(args.out or "ber.csv", text)
-    print(f"wrote {args.out or 'ber.csv'}")
+    # fig3's analytic files keep the empty simulation columns
+    analytic_only = mode == "analytic" and args.figure != "fig3"
+    for path, key, comments, digest, keyed in outputs:
+        rows = [(value, next(points)) for value, _ in keyed]
+        _write_output(path, ber_csv(rows, digest, comments, key, analytic_only))
+        print(f"wrote {path}")
     return 0
 
 
@@ -487,7 +459,7 @@ def _selftest_ber_average() -> str:
                     f"averaged error probability mismatch (policy={policy}, K={k}): "
                     f"{fast!r} vs {slow!r}"
                 )
-    return "trinomial average equals exhaustive enumeration at N=4"
+    return "binomial-mixture average equals exhaustive enumeration at N=4"
 
 
 def cmd_selftest(args) -> int:
@@ -519,15 +491,12 @@ def cmd_selftest(args) -> int:
 # argument parsing
 
 
-def _add_common(parser, threads: bool = False):
+def _add_common(parser):
     parser.add_argument("--config", help="key=value configuration file")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override one configuration key (repeatable)")
     parser.add_argument("--seed", type=int, default=None, help="master seed override")
     parser.add_argument("--out", default=None, help="output path")
-    if threads:
-        parser.add_argument("--threads", type=int, default=1,
-                            help="worker threads (never changes results)")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -558,11 +527,13 @@ def make_parser() -> argparse.ArgumentParser:
     p_ber.add_argument("--trace", default=None,
                        help="write a per-bit receiver trace CSV "
                             "(simulated single-point grid only)")
-    _add_common(p_ber, threads=True)
+    p_ber.add_argument("--threads", type=int, default=1,
+                       help="worker processes for the points (never changes results)")
+    _add_common(p_ber)
     p_ber.set_defaults(func=cmd_ber)
 
     p_self = sub.add_parser("selftest", help="run the fast invariant suite")
-    _add_common(p_self, threads=True)
+    _add_common(p_self)
     p_self.set_defaults(func=cmd_selftest)
 
     return parser

@@ -3,7 +3,7 @@
 Slots are simulated in stop-rule batches of batch_slots slots, and every
 batch draws from its own counter-based random stream (Philox keyed by
 master seed, sweep-point index and batch index).  Results are therefore
-bitwise independent of evaluation order and thread count; they depend on
+bitwise independent of evaluation order and worker count; they depend on
 batch_slots, which is part of the config digest.  Error and bit counters
 are plain integers aggregated in slot order; the stopping rule is
 evaluated at batch boundaries, keeping the set of simulated slots a pure
@@ -27,10 +27,8 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -108,13 +106,6 @@ class SensingDerivation:
     threshold: float
     fused: FusionResult
     model: OccupancyModel
-
-
-@dataclass(frozen=True)
-class BerCurve:
-    points: tuple[BerPoint, ...]
-    config_digest: str
-    elapsed: float
 
 
 def config_digest(cfg: RunConfig) -> str:
@@ -313,45 +304,67 @@ def analytic_point(cfg: RunConfig, snr_db: float) -> BerPoint:
     return BerPoint(snr_db=snr_db, ber_analytic=average_pe(params, derived.model, cfg.code_policy))
 
 
-def sweep(cfg: RunConfig, threads: int = 1, simulate: bool = True) -> BerCurve:
-    """One BerPoint per grid value, on independent derived substreams.
+def grid_jobs(cfg: RunConfig) -> list[tuple[RunConfig, float, int]]:
+    """One point job (config, SNR, point index) per grid value, sorted by SNR.
 
-    The result is identical for any thread count; threads only run grid
-    points concurrently.
+    The point index is the value's position on the grid, as configured.
     """
-    start = time.perf_counter()
-    indexed = list(enumerate(cfg.snr_grid_db))
-
-    def work(item):
-        i, snr = item
-        if simulate:
-            return estimate_ber(cfg, snr, point_index=i)
-        return analytic_point(cfg, snr)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            points = list(pool.map(work, indexed))
-    else:
-        points = [work(it) for it in indexed]
-    points.sort(key=lambda p: p.snr_db)
-    return BerCurve(
-        points=tuple(points),
-        config_digest=config_digest(cfg),
-        elapsed=time.perf_counter() - start,
-    )
+    jobs = [(cfg, snr, i) for i, snr in enumerate(cfg.snr_grid_db)]
+    return sorted(jobs, key=lambda job: job[1])
 
 
-def curve_csv(curve: BerCurve, comments: tuple[str, ...] = ()) -> str:
-    """Sweep export: comment block, digest, then one row per point."""
+def _run_job(job: tuple[RunConfig, float, int], simulate: bool, trace=None) -> BerPoint:
+    cfg, snr, point_index = job
+    if simulate:
+        return estimate_ber(cfg, snr, point_index=point_index, trace=trace)
+    return analytic_point(cfg, snr)
+
+
+def run_points(
+    jobs: list[tuple[RunConfig, float, int]],
+    simulate: bool = True,
+    workers: int = 1,
+    trace: list | None = None,
+) -> list[BerPoint]:
+    """Run point jobs (config, SNR, point index) and return their points in job order.
+
+    A point is a pure function of its job, so the result is identical for
+    any worker count.  More than one worker runs the jobs over a process
+    pool, in job order; trace rows can only be collected in this process.
+    """
+    if workers > 1 and len(jobs) > 1 and trace is None:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+            return list(pool.map(partial(_run_job, simulate=simulate), jobs))
+    return [_run_job(job, simulate, trace) for job in jobs]
+
+
+def ber_csv(
+    rows: list[tuple[float, BerPoint]],
+    digest: str,
+    comments: tuple[str, ...] = (),
+    key: str = "snr_db",
+    analytic_only: bool = False,
+) -> str:
+    """BER export: comment block, digest, then one (key value, point) row each.
+
+    analytic_only drops the simulation columns; otherwise they are empty
+    for a point that was not simulated.
+    """
     lines = [f"# {c}" for c in comments]
-    lines.append(f"# digest={curve.config_digest}")
-    lines.append("snr_db,ber_analytic,ber_sim,ci_halfwidth,trials,errors")
-    for p in curve.points:
-        sim = "" if p.ber_simulated is None else f"{p.ber_simulated:.10e}"
-        ci = "" if p.ci_halfwidth is None else f"{p.ci_halfwidth:.10e}"
-        lines.append(
-            f"{p.snr_db:.6g},{p.ber_analytic:.10e},{sim},{ci},{p.trials},{p.errors}"
-        )
+    lines.append(f"# digest={digest}")
+    header = f"{key},ber_analytic"
+    if not analytic_only:
+        header += ",ber_sim,ci_halfwidth,trials,errors"
+    lines.append(header)
+    for value, p in rows:
+        line = f"{value:.6g},{p.ber_analytic:.10e}"
+        if not analytic_only:
+            sim = "" if p.ber_simulated is None else f"{p.ber_simulated:.10e}"
+            ci = "" if p.ci_halfwidth is None else f"{p.ci_halfwidth:.10e}"
+            line += f",{sim},{ci},{p.trials},{p.errors}"
+        lines.append(line)
     return "\n".join(lines) + "\n"
 
 

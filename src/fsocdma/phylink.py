@@ -35,7 +35,6 @@ N(0, P_k/2 sum_n c_kn^2 |w_n|^2): one standard normal per interferer.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -113,9 +112,6 @@ def check_code_policy(code_policy: str, n_subcarriers: int) -> None:
         )
 
 
-_PLACEMENT_LOCK = threading.Lock()
-
-
 @lru_cache(maxsize=None)
 def _placement_table(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The zeroed (n+1, k, n) placement table of _placements and its filled rows."""
@@ -135,14 +131,11 @@ def _placements(k: int, n: int, n_free: np.ndarray) -> np.ndarray:
     """
     table, filled = _placement_table(k, n)
     missing = n_free[~filled[n_free]]
-    if missing.size:
-        # sweep threads share the table; a row is marked filled only once written
-        with _PLACEMENT_LOCK:
-            for f in set(missing.tolist()):
-                n_active = largest_supported_order(f)
-                if n_active >= k and not filled[f]:
-                    table[f, :, :n_active] = build(n_active).entries[:k]
-                filled[f] = True
+    for f in set(missing.tolist()):
+        n_active = largest_supported_order(f)
+        if n_active >= k:
+            table[f, :, :n_active] = build(n_active).entries[:k]
+        filled[f] = True
     return table
 
 

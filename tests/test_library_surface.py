@@ -1,7 +1,7 @@
 """Guard: no library code exists only for the tests to call.
 
 Every module-level function, class and upper-case constant defined in
-src/fsocdma must be used somewhere in src/ or scripts/ besides its own
+src/fsocdma must be used somewhere in src/ besides its own
 definition: as a name, an attribute or an import.  A public entry point
 that nothing in the repository calls may be allowlisted in ENTRY_POINTS,
 with a one-line reason.
@@ -41,7 +41,7 @@ def _uses(tree):
 
 
 def unused_definitions() -> list[str]:
-    sources = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+    sources = sorted(PACKAGE.glob("*.py"))
     trees = {path: ast.parse(path.read_text(), str(path)) for path in sources}
     uses = [use for tree in trees.values() for use in _uses(tree)]
     unused = []

@@ -192,18 +192,25 @@ class TestEstimateBer:
 class TestSweep:
     def test_thread_count_invariance(self):
         cfg = make_config(trials_min=1_000, target_error_events=40)
-        c1 = mc.sweep(cfg, threads=1)
-        c3 = mc.sweep(cfg, threads=3)
-        assert c1.points == c3.points
-        assert mc.curve_csv(c1) == mc.curve_csv(c3)
+        jobs = mc.grid_jobs(cfg)
+        p1 = mc.run_points(jobs, workers=1)
+        p3 = mc.run_points(jobs, workers=3)
+        assert p1 == p3
+        digest = mc.config_digest(cfg)
+        assert mc.ber_csv([(p.snr_db, p) for p in p1], digest) == mc.ber_csv(
+            [(p.snr_db, p) for p in p3], digest
+        )
 
     def test_points_sorted_and_digest_stable(self):
         cfg = make_config(snr_grid_db=(10.0, 5.0), trials_min=500, target_error_events=20)
-        curve = mc.sweep(cfg)
-        snrs = [p.snr_db for p in curve.points]
+        points = mc.run_points(mc.grid_jobs(cfg))
+        snrs = [p.snr_db for p in points]
         assert snrs == sorted(snrs)
-        assert curve.config_digest == mc.config_digest(cfg)
-        assert len(curve.config_digest) == 64
+        # each point keeps the stream of its position on the configured grid
+        assert points[0] == mc.estimate_ber(cfg, 5.0)
+        same = make_config(snr_grid_db=(10.0, 5.0), trials_min=500, target_error_events=20)
+        assert mc.config_digest(same) == mc.config_digest(cfg)
+        assert len(mc.config_digest(cfg)) == 64
 
     def test_digest_sensitive_to_seed(self):
         a = mc.config_digest(make_config())
@@ -212,19 +219,24 @@ class TestSweep:
 
     def test_analytic_only(self):
         cfg = make_config()
-        curve = mc.sweep(cfg, simulate=False)
-        assert all(p.ber_simulated is None for p in curve.points)
-        text = mc.curve_csv(curve)
+        points = mc.run_points(mc.grid_jobs(cfg), simulate=False)
+        assert all(p.ber_simulated is None for p in points)
+        rows = [(p.snr_db, p) for p in points]
+        text = mc.ber_csv(rows, mc.config_digest(cfg))
         assert "snr_db,ber_analytic,ber_sim,ci_halfwidth,trials,errors" in text
+        short = mc.ber_csv(rows, mc.config_digest(cfg), analytic_only=True).splitlines()
+        assert short[1] == "snr_db,ber_analytic"
+        assert all(len(line.split(",")) == 2 for line in short[1:])
 
     def test_csv_layout(self):
         cfg = make_config(trials_min=500, target_error_events=20)
-        curve = mc.sweep(cfg)
-        lines = mc.curve_csv(curve, comments=("hello",)).splitlines()
+        points = mc.run_points(mc.grid_jobs(cfg))
+        rows = [(p.snr_db, p) for p in points]
+        lines = mc.ber_csv(rows, mc.config_digest(cfg), comments=("hello",)).splitlines()
         assert lines[0] == "# hello"
         assert lines[1].startswith("# digest=")
         assert lines[2] == "snr_db,ber_analytic,ber_sim,ci_halfwidth,trials,errors"
-        assert len(lines) == 3 + len(curve.points)
+        assert len(lines) == 3 + len(points)
 
 
 class TestStatistics:

@@ -1,8 +1,5 @@
 import dataclasses
 import math
-import sys
-import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -234,25 +231,6 @@ class TestDrawSlot:
         assert chips.dtype == want_chips.dtype and energies.dtype == want_energies.dtype
         assert np.array_equal(chips, want_chips)
         assert np.array_equal(energies, want_energies)
-
-    def test_placement_table_filled_from_many_threads(self, monkeypatch):
-        # sweep threads fill the shared placement table concurrently: every
-        # thread still gets the chips of the table stacked per slot.  A
-        # slow build widens the window between reading and filling a row.
-        masks = np.random.default_rng(15).random((16, 200, 48)) < 0.3
-        want = [stacked_signature_matrix(m, 4, "rechoose")[0] for m in masks]
-        monkeypatch.setattr(pl, "build", lambda order: time.sleep(1e-3) or build(order))
-        interval = sys.getswitchinterval()
-        pl._placement_table.cache_clear()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [pool.submit(pl.signature_matrix, m, 4) for m in masks]
-                got = [f.result(timeout=60)[0] for f in futures]
-        finally:
-            sys.setswitchinterval(interval)
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w)
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
