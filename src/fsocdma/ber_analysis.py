@@ -33,13 +33,19 @@ where P_a is the mass of the m that share order a, V_a = var_s + var_mai
 over the order's chips, cached per (order, r): the points of a sweep
 differ in SNR only and share it.
 
-The fixed policy keeps its length-N family, so a cell depends on which
-chips its m zeroed and l misdetected subcarriers hit, and is weighted
-P(m) * Binom(l; N - m, r).  With unit-magnitude chips every cell is one
-closed form in (N - m, l).  A multi-level family averages the chip-level
-error probability over every zeroed and misdetected placement of the
-cell; a cell with more than 100k placements takes the mean over 10k
-seeded random placements instead, an estimate rather than a closed form.
+The fixed policy keeps its length-N family and zeroes chips in place.
+Its variance depends only on E = sum c1^2, 2F + X = sum (2 c1^4 +
+sum_{k>=2} c1^2 ck^2) over the not-busy chips and G = sum c1^2 over the
+misdetected ones.  So the chips fall into classes of equal (c1^2,
+2 c1^4 + sum_k c1^2 ck^2), and only the counts of a class's b busy and
+l misdetected positions matter: b is Binom(n_c, p_zero) and l is
+Binom(n_c - b, r), independently across classes.  average_pe sums Q over
+the product of the classes' (b, l) grids, (n_c + 1)(n_c + 2)/2 cells
+each, exactly; a cell without chips is the erasure value 1/2.  A Walsh
+family is one class.  A product grid larger than the one class of
+order 4096 is rejected, naming the keys, when the run configuration is
+built: for every K <= 8 that keeps N <= 20, the powers of two and 24,
+28, 40, 48, 56, 80, 96, 112 and 160.
 """
 
 from __future__ import annotations
@@ -48,18 +54,16 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
 
 import numpy as np
 
-from .orthocodes import build, largest_supported_order
+from .orthocodes import ORDER_LIMIT, build, largest_supported_order
 from .phylink import SystemParams, signature_matrix
 from .sensing import OccupancyModel
 
 _SQRT2 = math.sqrt(2.0)
-# a fixed-policy multi-level cell with more placements than this is sampled
-_ENUMERATION_LIMIT = 100_000
-_SAMPLED_PLACEMENTS = 10_000
+# the largest fixed-policy grid: the one chip class of the largest Walsh order
+_GRID_LIMIT = (ORDER_LIMIT + 1) * (ORDER_LIMIT + 2) // 2
 
 
 @dataclass(frozen=True)
@@ -183,80 +187,71 @@ def _order_pe(order, r, q, k_users, eb, sn2, ss2) -> float:
     return float(probs @ q_function(eb / np.sqrt(var_s + var_mai + var_n + gi_scale * sums)))
 
 
-@lru_cache(maxsize=None)
-def _constant_magnitude(order: int) -> bool:
-    """Whether the order's family has chips of one magnitude (the Walsh orders)."""
-    sq = build(order).entries[0] ** 2
-    return bool(np.all(sq == sq[0]))
+@lru_cache(maxsize=1024)
+def fixed_chip_classes(n_subcarriers: int, n_users: int) -> tuple[tuple[int, int, int], ...]:
+    """(positions, c1^2, 2 c1^4 + sum_{k>=2} c1^2 ck^2) per fixed-policy chip class.
 
-
-def _unit_chip_pe(order, hits, k_users, eb, sn2, ss2):
-    """Conditional error probability for chips of one magnitude; arrays broadcast.
-
-    order chips carry the signal and hits of them see primary
-    interference; the normalized terms reduce to counts.
+    A class gathers the positions of the order-N family's first K rows on
+    which both quantities are equal; the largest class comes first.  A
+    class of n_c positions has (n_c + 1)(n_c + 2)/2 (busy, misdetected)
+    cells, and a product grid larger than the one class of the largest
+    Walsh order raises a ValueError that names the keys.
     """
-    var_s = eb * eb / order
-    var_mai = 0.5 * eb * eb * (k_users - 1) / order
-    var_gi = 0.5 * eb * hits * ss2 / order
-    var_n = 0.5 * eb * sn2
-    return q_function(eb / np.sqrt(var_s + var_mai + var_gi + var_n))
-
-
-def _pe_of_counts_fixed(n, m, l, k_users, eb, sn2, ss2):
-    """Fixed length-N multi-level family with m zeroed and l misdetected chips.
-
-    The conditional variance depends on which chips are zeroed and which
-    are misdetected, so the cell averages _chip_pe over every placement of
-    both sets, or over _SAMPLED_PLACEMENTS seeded random placements when
-    there are more than _ENUMERATION_LIMIT.
-    """
-    entries = build(n).entries[:k_users].astype(np.float64)
-    space = comb(n, m) * comb(n - m, l)
-    if space <= _ENUMERATION_LIMIT:
-        count = space
-        placements = (
-            (busy, lam)
-            for busy in itertools.combinations(range(n), m)
-            for lam in itertools.combinations([i for i in range(n) if i not in busy], l)
+    rows = build(n_subcarriers).entries[:n_users]
+    sq = rows[0] ** 2
+    spread = 2 * sq * sq + np.sum(sq * rows[1:] ** 2, axis=0)
+    keys, counts = np.unique(np.stack([sq, spread]), axis=1, return_counts=True)
+    cells = math.prod((c + 1) * (c + 2) // 2 for c in counts.tolist())
+    if cells > _GRID_LIMIT:
+        raise ValueError(
+            f"codes.policy=fixed at params.n_subcarriers={n_subcarriers} and "
+            f"params.n_users={n_users} needs a closed-form grid of {cells} cells over "
+            f"{counts.size} chip classes, more than the {_GRID_LIMIT} of order {ORDER_LIMIT}"
         )
-    else:
-        count = _SAMPLED_PLACEMENTS
-        rng = np.random.default_rng(np.random.SeedSequence((0, n, m, l, k_users, 1)))
-
-        def draw():
-            busy = rng.choice(n, size=m, replace=False)
-            rest = np.setdiff1d(np.arange(n), busy, assume_unique=False)
-            lam = rng.choice(rest, size=l, replace=False) if l else np.empty(0, dtype=int)
-            return busy, lam
-
-        placements = (draw() for _ in range(count))
-    total = 0.0
-    for busy, lam in placements:
-        free = np.ones(n, dtype=bool)
-        free[list(busy)] = False
-        misdetected = np.zeros(n, dtype=bool)
-        misdetected[list(lam)] = True
-        total += _chip_pe(entries * free, misdetected, eb, sn2, ss2)
-    return total / count
+    order = np.argsort(-counts, kind="stable").tolist()
+    return tuple((int(counts[i]), int(keys[0, i]), int(keys[1, i])) for i in order)
 
 
-def _fixed_cells(n, m, k_users, eb, sn2, ss2, needed) -> np.ndarray:
-    """Error probability of the fixed family's cells (m, l), l = 0..n-m.
+def _fixed_pe(n, p0, free, r, q, k_users, eb, sn2, ss2) -> float:
+    """Error probability of the fixed length-n family: one exact sum over the chip classes.
 
-    needed, a boolean mask over l, limits the cells that a multi-level
-    family enumerates one by one (the others stay zero); unit-magnitude
-    chips fill the row in closed form.
+    The largest class's busy count runs in a loop; the cells of every
+    other class are combined once, into the sums e = sum c1^2 and
+    h = sum (2 c1^4 + sum_k c1^2 ck^2) over their not-busy positions and
+    g = sum c1^2 over their misdetected ones, with the product weight w.
     """
-    n_free = n - m
-    if n_free == 0:
-        return np.array([0.5])
-    if _constant_magnitude(n):
-        return _unit_chip_pe(n_free, np.arange(n_free + 1), k_users, eb, sn2, ss2)
-    cells = np.zeros(n_free + 1)
-    for l in np.flatnonzero(needed).tolist():
-        cells[l] = _pe_of_counts_fixed(n, m, l, k_users, eb, sn2, ss2)
-    return cells
+    (n0, u0, h0), *rest = fixed_chip_classes(n, k_users)
+    e, h, g, w = np.zeros(1), np.zeros(1), np.zeros(1), np.ones(1)
+    for size, u, spread in rest:
+        # b busy with weight Binom(b; size, p_zero), l of the rest misdetected
+        # with weight Binom(l; size - b, r)
+        kept, hit, weight = np.array([
+            (size - b, l, wb * wl)
+            for b, wb in enumerate(_binomial_pmf(size, p0, free).tolist()) if wb > 0.0
+            for l, wl in enumerate(_binomial_pmf(size - b, r, q).tolist()) if wl > 0.0
+        ]).T
+        e = (e[:, None] + u * kept).ravel()
+        h = (h[:, None] + spread * kept).ravel()
+        g = (g[:, None] + u * hit).ravel()
+        w = (w[:, None] * weight).ravel()
+    busy = _binomial_pmf(n0, p0, free)
+    total = 0.0
+    for b0 in np.flatnonzero(busy).tolist():
+        hits = _binomial_pmf(n0 - b0, r, q)
+        l0 = np.flatnonzero(hits)
+        energy = (n0 - b0) * u0 + e
+        # no chip left: the erasure value; the placeholder energy only
+        # keeps the masked cell finite
+        erased = energy == 0.0
+        energy[erased] = 1.0
+        var = (
+            0.5 * eb * eb * ((n0 - b0) * h0 + h) / (energy * energy)
+            + 0.5 * eb * ss2 * (u0 * l0[:, None] + g) / energy
+            + 0.5 * eb * sn2
+        )
+        pe = np.where(erased, 0.5, q_function(eb / np.sqrt(var)))
+        total += busy[b0] * float(hits[l0] @ (pe @ w))
+    return total
 
 
 def average_pe(
@@ -280,16 +275,11 @@ def average_pe(
     r, q = (pm / free, pf / free) if free > 0.0 else (0.0, 1.0)
     n = params.n_subcarriers
     terms = (params.n_users, params.energy_per_bit, params.noise_psd, params.interference_power)
-    busy = _binomial_pmf(n, p0, free).tolist()
     if code_policy == "fixed":
-        total = 0.0
-        for m, w in enumerate(busy):
-            if w > 0.0:
-                hits = _binomial_pmf(n - m, r, q)
-                total += w * float(hits @ _fixed_cells(n, m, *terms, needed=hits > 0.0))
-        return total
+        return _fixed_pe(n, p0, free, r, q, *terms)
     if code_policy != "rechoose":
         raise ValueError(f"unknown code policy {code_policy!r}")
+    busy = _binomial_pmf(n, p0, free).tolist()
     mass: dict[int, float] = {}
     for m, w in enumerate(busy):
         order = largest_supported_order(n - m)

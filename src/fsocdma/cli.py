@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import math
 import sys
 from pathlib import Path
@@ -365,11 +366,9 @@ def cmd_ber(args) -> int:
     if trace is not None:
         _write_output(args.trace, trace_csv(trace, _ber_comments(conf, rerun)))
         print(f"wrote trace {args.trace}")
-    # fig3's analytic files keep the empty simulation columns
-    analytic_only = mode == "analytic" and args.figure != "fig3"
     for path, key, comments, digest, keyed in outputs:
         rows = [(value, next(points)) for value, _ in keyed]
-        _write_output(path, ber_csv(rows, digest, comments, key, analytic_only))
+        _write_output(path, ber_csv(rows, digest, comments, key))
         print(f"wrote {path}")
     return 0
 
@@ -446,20 +445,20 @@ def _selftest_ber_average() -> str:
     from .sensing import FusionResult, occupancy_model
 
     model = occupancy_model(0.2, FusionResult(qfa=0.05, qd=0.95, k_users=2))
-    for policy in ("rechoose", "fixed"):
-        for k in (1, 2):
-            params = SystemParams(
-                n_subcarriers=4, n_users=k, pr_h1=0.2,
-                noise_psd=0.1, interference_power=0.1,
+    for n, policy, k in itertools.product((4, 6), ("rechoose", "fixed"), (1, 2)):
+        params = SystemParams(
+            n_subcarriers=n, n_users=k, pr_h1=0.2,
+            noise_psd=0.1, interference_power=0.1,
+        )
+        fast = average_pe(params, model, policy)
+        slow = average_pe_enumerated(params, model, policy)
+        if abs(fast - slow) > 1e-12:
+            raise AssertionError(
+                f"averaged error probability mismatch (N={n}, policy={policy}, K={k}): "
+                f"{fast!r} vs {slow!r}"
             )
-            fast = average_pe(params, model, policy)
-            slow = average_pe_enumerated(params, model, policy)
-            if abs(fast - slow) > 1e-12:
-                raise AssertionError(
-                    f"averaged error probability mismatch (policy={policy}, K={k}): "
-                    f"{fast!r} vs {slow!r}"
-                )
-    return "binomial-mixture average equals exhaustive enumeration at N=4"
+    return ("binomial-mixture average (rechoose) and chip-class sum (fixed) equal "
+            "exhaustive enumeration at N=4 and at N=6 (two chip classes)")
 
 
 def cmd_selftest(args) -> int:

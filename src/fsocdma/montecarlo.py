@@ -27,13 +27,14 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import os
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .ber_analysis import BerPoint, average_pe
+from .ber_analysis import BerPoint, average_pe, fixed_chip_classes
 from .phylink import (
     SystemParams,
     check_code_policy,
@@ -96,6 +97,8 @@ class RunConfig:
         if self.batch_slots < 1:
             raise ValueError("batch_slots must be >= 1")
         check_code_policy(self.code_policy, self.params.n_subcarriers)
+        if self.code_policy == "fixed":
+            fixed_chip_classes(self.params.n_subcarriers, self.params.n_users)
 
 
 @dataclass(frozen=True)
@@ -330,12 +333,16 @@ def run_points(
 
     A point is a pure function of its job, so the result is identical for
     any worker count.  More than one worker runs the jobs over a process
-    pool, in job order; trace rows can only be collected in this process.
+    pool, in job order, with no more workers than jobs or than the cores
+    this process may run on; trace rows can only be collected in this
+    process.
     """
-    if workers > 1 and len(jobs) > 1 and trace is None:
+    cores = len(os.sched_getaffinity(0)) if workers > 1 else 1
+    workers = min(workers, len(jobs), cores)
+    if workers > 1 and trace is None:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(partial(_run_job, simulate=simulate), jobs))
     return [_run_job(job, simulate, trace) for job in jobs]
 
@@ -345,22 +352,22 @@ def ber_csv(
     digest: str,
     comments: tuple[str, ...] = (),
     key: str = "snr_db",
-    analytic_only: bool = False,
 ) -> str:
     """BER export: comment block, digest, then one (key value, point) row each.
 
-    analytic_only drops the simulation columns; otherwise they are empty
-    for a point that was not simulated.
+    The simulation columns appear when any point was simulated, and are
+    empty for a point that was not.
     """
+    simulated = any(p.ber_simulated is not None for _, p in rows)
     lines = [f"# {c}" for c in comments]
     lines.append(f"# digest={digest}")
     header = f"{key},ber_analytic"
-    if not analytic_only:
+    if simulated:
         header += ",ber_sim,ci_halfwidth,trials,errors"
     lines.append(header)
     for value, p in rows:
         line = f"{value:.6g},{p.ber_analytic:.10e}"
-        if not analytic_only:
+        if simulated:
             sim = "" if p.ber_simulated is None else f"{p.ber_simulated:.10e}"
             ci = "" if p.ci_halfwidth is None else f"{p.ci_halfwidth:.10e}"
             line += f",{sim},{ci},{p.trials},{p.errors}"

@@ -25,7 +25,6 @@ from math import comb
 
 import numpy as np
 from scipy.special import gammaln, logsumexp, ndtr
-from scipy.stats import norm
 
 from fsocdma.orthocodes import build, largest_supported_order
 
@@ -235,7 +234,7 @@ def conditional_pe_from_chips(chips, lam, eb, sn2, ss2):
     var_mai *= 0.5 * eb * eb / (energy * energy)
     var_gi = 0.5 * eb * (sum(c1[i] ** 2 for i in lam) / energy) * ss2
     var_n = 0.5 * eb * sn2
-    return float(norm.sf(eb / math.sqrt(var_s + var_mai + var_gi + var_n)))
+    return float(_q(eb / math.sqrt(var_s + var_mai + var_gi + var_n)))
 
 
 def enum_average_pe(

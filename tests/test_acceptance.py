@@ -17,11 +17,10 @@ from fsocdma import cli
 from fsocdma import montecarlo as mc
 from fsocdma import orthocodes as oc
 from fsocdma import sensing as sn
-from fsocdma import ber_analysis as ba
 from fsocdma.ber_analysis import average_pe
 from fsocdma.phylink import SystemParams
 from fsocdma.sensing import DetectorConfig, FusionResult, occupancy_model
-from oracles import conditional_pe_from_chips, enum_average_pe, exact_average_pe
+from oracles import enum_average_pe, exact_average_pe, loop_average_pe
 from test_phylink import fixed_mask_components
 
 MASTER_SEED = 24601
@@ -100,51 +99,36 @@ def test_criterion_2_sensing_formulas():
     assert ok, failures
 
 
-def test_criterion_3_average_pe_oracle_equivalence(monkeypatch):
+def test_criterion_3_average_pe_oracle_equivalence():
     t0 = time.perf_counter()
     failures = []
     model = occupancy_model(0.2, FusionResult(qfa=0.05, qd=0.95, k_users=2))
-    for n in (4, 6):
-        for k in (1, 2):
-            for policy in ("rechoose", "fixed"):
-                params = SystemParams(
-                    n_subcarriers=n, n_users=k, pr_h1=0.2,
-                    noise_psd=0.1, interference_power=0.1,
-                )
-                got = average_pe(params, model, policy)
-                want = enum_average_pe(
-                    n, k, model.p_zero, model.p_mis, 1.0, 0.1, 0.1, policy
-                )
-                if abs(got - want) > 1e-12:
-                    failures.append(
-                        f"N={n} K={k} {policy}: {got!r} vs {want!r}"
-                    )
-    # the fixed policy's placement sampling (the only path for a multi-level
-    # family above the enumeration limit) agrees with the exhaustive
-    # enumeration of a cell small enough to enumerate: N=6 has chips of
-    # magnitude 1 and 2
-    n, m, l, k, eb, sn2, ss2 = 6, 2, 2, 2, 1.0, 0.05, 1.5
-    exact = ba._pe_of_counts_fixed(n, m, l, k, eb, sn2, ss2)
-    spread = []
-    for busy in itertools.combinations(range(n), m):
-        chips = oc.build(n).entries[:k].astype(float)
-        chips[:, list(busy)] = 0.0
-        rest = [i for i in range(n) if i not in busy]
-        for lam in itertools.combinations(rest, l):
-            spread.append(conditional_pe_from_chips(chips, lam, eb, sn2, ss2))
-    monkeypatch.setattr(ba, "_ENUMERATION_LIMIT", 0)
-    sampled = ba._pe_of_counts_fixed(n, m, l, k, eb, sn2, ss2)
-    se = float(np.std(spread)) / math.sqrt(ba._SAMPLED_PLACEMENTS)
-    if abs(exact - sampled) > max(3 * se, 1e-9):
-        failures.append(f"sampled placement {sampled!r} vs exact {exact!r} (3se={3*se:.2e})")
+    cases = [(n, k, "rechoose") for n in (4, 6) for k in (1, 2)]
+    # the fixed policy's sum over chip classes: the one class of order 4 and
+    # multi-level families with 2 to 6 classes, against both oracles
+    cases += [(n, k, "fixed") for n in (4, 6, 7, 9) for k in range(1, 5)]
+    for n, k, policy in cases:
+        params = SystemParams(
+            n_subcarriers=n, n_users=k, pr_h1=0.2,
+            noise_psd=0.1, interference_power=0.1,
+        )
+        got = average_pe(params, model, policy)
+        args = (n, k, model.p_zero, model.p_mis, 1.0, 0.1, 0.1, policy)
+        oracles = {"enumeration": enum_average_pe(*args)}
+        if policy == "fixed":
+            oracles["cell loop"] = loop_average_pe(*args)
+        for name, want in oracles.items():
+            if abs(got - want) > 1e-12:
+                failures.append(f"N={n} K={k} {policy} vs {name}: {got!r} vs {want!r}")
     elapsed = time.perf_counter() - t0
     if elapsed >= 30.0:
         failures.append(f"runtime {elapsed:.1f}s exceeds 30s")
     ok = report(
         3,
         not failures,
-        f"exhaustive-state enumeration matched at N=4,6 (both policies, K=1,2), "
-        f"sampled fixed-policy cell within 3 se, in {elapsed:.1f}s",
+        f"exhaustive-state enumeration matched rechoose at N=4,6 (K=1,2); "
+        f"fixed-policy chip classes matched enumeration and cell loop at N=4,6,7,9 "
+        f"(K=1..4), in {elapsed:.1f}s",
     )
     assert ok, failures
 

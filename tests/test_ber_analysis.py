@@ -25,7 +25,6 @@ from oracles import (
     exact_average_pe,
     exact_conditional_pe,
     largest_supported,
-    _loop_fixed_cell,
     _loop_rechoose_cell,
     loop_average_pe,
     loop_trinomial_weights,
@@ -104,7 +103,12 @@ class TestVarianceTerms:
         want = float(norm.sf(eb / math.sqrt(var)))
         got = ba._chip_pe(all_free_chips(n, k), mask(n, lam), eb, sn2, ss2)
         assert got == pytest.approx(want, rel=1e-12)
-        assert ba._unit_chip_pe(n, len(lam), k, eb, sn2, ss2) == pytest.approx(want, rel=1e-12)
+        # the fixed policy's class sum with nothing busy and every chip
+        # misdetected is the one cell with all n chips hit
+        var_all = var + eb * (n - len(lam)) * ss2 / (2 * n)
+        want_all = float(norm.sf(eb / math.sqrt(var_all)))
+        got_all = ba._fixed_pe(n, 0.0, 1.0, 1.0, 0.0, k, eb, sn2, ss2)
+        assert got_all == pytest.approx(want_all, rel=1e-12)
 
     def test_single_user_no_interference(self):
         # neither other users nor an empty misdetected set add variance
@@ -183,6 +187,11 @@ def hit_law_from_oracle(order, r):
 HIT_RATES = (0.0, 1e-6, 0.03, 0.5, 1.0)
 
 
+def multi_level(order):
+    """Whether the order's first row has chips of more than one magnitude."""
+    return len(set(np.abs(build(order).entries[0]).tolist())) > 1
+
+
 def model_of(p_zero, p_mis):
     return OccupancyModel(pr_h1=0.2, p_zero=p_zero, p_mis=p_mis)
 
@@ -201,6 +210,25 @@ class TestPeOfCounts:
         for n, policy in [(32, "rechoose"), (32, "fixed"), (12, "fixed"), (1030, "rechoose"),
                           (1024, "fixed")]:
             assert ba.average_pe(make_params(n, 4), model_of(1.0, 0.0), policy) == 0.5
+
+    def test_fixed_grid_too_large_is_rejected_before_any_grid(self, monkeypatch):
+        # N=45, K=4 has 12 chip classes; the run configuration and the closed
+        # form raise the same error, and the closed form builds no cell first
+        from fsocdma.sensing import DetectorConfig
+
+        with pytest.raises(ValueError) as parsed:
+            mc.RunConfig(params=make_params(45, 4), detector=DetectorConfig(320, 0.0, 2.3),
+                         code_policy="fixed")
+
+        def no_grid(*args):
+            raise AssertionError("a grid was built")
+
+        monkeypatch.setattr(ba, "_binomial_pmf", no_grid)
+        with pytest.raises(ValueError) as direct:
+            ba.average_pe(make_params(45, 4), MODEL, "fixed")
+        assert str(direct.value) == str(parsed.value)
+        for key in ("codes.policy", "params.n_subcarriers=45", "params.n_users=4"):
+            assert key in str(direct.value)
 
     def test_too_many_users_is_erasure(self):
         # fewer than 4 free subcarriers of 8 cannot carry 4 users; the oracle
@@ -247,7 +275,7 @@ class TestPeOfCounts:
     def test_subset_tables_match_dict_knapsack(self):
         # every multi-level order up to 63: the library's convolution against
         # the oracle's dictionary knapsack per subset size, mixed over Binom(j; a, r)
-        orders = [n for n in supported_orders(63) if not ba._constant_magnitude(n)]
+        orders = [n for n in supported_orders(63) if multi_level(n)]
         assert len(orders) == 29
         for n in orders:
             for r in HIT_RATES:
@@ -261,7 +289,7 @@ class TestPeOfCounts:
         # counts reach comb(80, 40), beyond int64
         n = 80
         assert comb(n, n // 2) > INT64_MAX
-        assert not ba._constant_magnitude(n)
+        assert multi_level(n)
         energy = float(build(n).gram_diag[0])
         for r in HIT_RATES:
             sums, probs = ba._hit_distribution(n, r, 1.0 - r)
@@ -452,19 +480,18 @@ class TestTableForm:
 
     @pytest.mark.parametrize("n,policy", [(32, "rechoose"), (48, "rechoose"), (32, "fixed")])
     def test_pe_of_counts_is_table_cell(self, n, policy):
-        # fixed: the error probability of the counts (m, l), evaluated one
-        # cell at a time by the oracle loop, is the library's cell.  rechoose:
+        # fixed: the class sum at random occupancy models is the oracle's
+        # cells (m, l), one at a time, weighted by the trinomial.  rechoose:
         # the oracle's cells of row m, weighted Binom(l; n - m, r), are the
         # value of the order that row carries
         k, eb, sn2, ss2 = 4, 1.0, 0.05, 0.5
         rng = np.random.default_rng(n)
         if policy == "fixed":
-            for _ in range(50):
-                m = int(rng.integers(0, n + 1))
-                l = int(rng.integers(0, n - m + 1))
-                row = ba._fixed_cells(n, m, k, eb, sn2, ss2, np.ones(n - m + 1, dtype=bool))
-                want = 0.5 if m == n else _loop_fixed_cell(n, m, l, k, eb, sn2, ss2)
-                assert row[l] == pytest.approx(want, rel=1e-14, abs=0.0)
+            for _ in range(8):
+                p0, pm = rng.dirichlet(np.ones(3))[:2].tolist()
+                got = ba.average_pe(make_params(n, k, sn2, ss2), model_of(p0, pm), "fixed")
+                want = loop_average_pe(n, k, p0, pm, eb, sn2, ss2, "fixed")
+                assert got == pytest.approx(want, rel=1e-13, abs=0.0), (p0, pm)
             return
         for _ in range(8):
             m = int(rng.integers(0, n - k + 1))
@@ -479,10 +506,12 @@ class TestTableForm:
             assert got == pytest.approx(want, rel=1e-14, abs=0.0), (m, r)
 
     def test_cells_are_error_probabilities(self):
-        for m in range(9):
-            row = ba._fixed_cells(8, m, 2, 1.0, 0.1, 0.1, np.ones(9 - m, dtype=bool))
-            assert row.shape == (9 - m,)
-            assert np.all((row > 0.0) & (row <= 0.5))
+        # fixed: a unit-chip and a two-class family, the erasure at p_zero = 1
+        for n in (8, 12):
+            for p0, pm in [(0.0, 0.0), (0.0, 1.0), (0.3, 0.2), (0.9, 0.05), (1.0, 0.0)]:
+                pe = ba.average_pe(make_params(n, 2), model_of(p0, pm), "fixed")
+                assert 0.0 < pe <= 0.5
+                assert (pe == 0.5) == (p0 == 1.0)
         for order in supported_orders(8)[1:]:
             for r in HIT_RATES:
                 assert 0.0 < ba._order_pe(order, r, 1.0 - r, 2, 1.0, 0.1, 0.1) <= 0.5

@@ -238,8 +238,11 @@ class TestConfigHandling:
             (["codes.policy=fixed", "params.n_subcarriers=11"], "params.n_subcarriers"),
             (["codes.policy=fixed", f"params.n_subcarriers={2 * oc.ORDER_LIMIT}"],
              "params.n_subcarriers"),
+            # 12 chip classes: a closed-form grid of 1.8e12 cells
+            (["codes.policy=fixed", "params.n_subcarriers=45"], "params.n_subcarriers"),
         ],
-        ids=["unknown-policy", "fixed-unsupported-factor", "fixed-above-order-limit"],
+        ids=["unknown-policy", "fixed-unsupported-factor", "fixed-above-order-limit",
+             "fixed-grid-too-large"],
     )
     def test_bad_code_family_fails_before_any_output(self, tmp_path, capsys, sets, key):
         for mode in ("analytic", "both"):

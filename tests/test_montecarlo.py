@@ -222,11 +222,46 @@ class TestSweep:
         points = mc.run_points(mc.grid_jobs(cfg), simulate=False)
         assert all(p.ber_simulated is None for p in points)
         rows = [(p.snr_db, p) for p in points]
-        text = mc.ber_csv(rows, mc.config_digest(cfg))
-        assert "snr_db,ber_analytic,ber_sim,ci_halfwidth,trials,errors" in text
-        short = mc.ber_csv(rows, mc.config_digest(cfg), analytic_only=True).splitlines()
+        short = mc.ber_csv(rows, mc.config_digest(cfg)).splitlines()
         assert short[1] == "snr_db,ber_analytic"
         assert all(len(line.split(",")) == 2 for line in short[1:])
+        # one simulated point brings the simulation columns, empty on the rest
+        mixed = rows[:1] + [(5.0, mc.estimate_ber(make_config(trials_min=90, max_trials=90), 5.0))]
+        lines = mc.ber_csv(mixed, mc.config_digest(cfg)).splitlines()
+        assert lines[1] == "snr_db,ber_analytic,ber_sim,ci_halfwidth,trials,errors"
+        assert lines[2].endswith(",,,0,0") and lines[3].split(",")[2]
+
+    def test_pool_workers_capped_by_jobs_and_cores(self, monkeypatch):
+        # a recording stand-in for the pool, so no process starts
+        import concurrent.futures
+
+        seen = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        jobs = mc.grid_jobs(make_config(snr_grid_db=(5.0, 10.0, 15.0, 20.0, 25.0)))
+        serial = mc.run_points(jobs, simulate=False)
+        for cores, workers, n_jobs in [(2, 100, 5), (8, 100, 5), (8, 3, 5), (8, 100, 2)]:
+            monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid, n=cores: set(range(n)))
+            assert mc.run_points(jobs[:n_jobs], simulate=False, workers=workers) == serial[:n_jobs]
+        assert seen == [2, 5, 3, 2]
+        # one core, or one job, runs in this process
+        monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0})
+        mc.run_points(jobs, simulate=False, workers=4)
+        mc.run_points(jobs[:1], simulate=False, workers=4)
+        assert seen == [2, 5, 3, 2]
 
     def test_csv_layout(self):
         cfg = make_config(trials_min=500, target_error_events=20)
