@@ -57,11 +57,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .orthocodes import ORDER_LIMIT, build, largest_supported_order
+from .orthocodes import ORDER_LIMIT, largest_supported_order, rows
 from .phylink import SystemParams, signature_matrix
 from .sensing import OccupancyModel
 
 _SQRT2 = math.sqrt(2.0)
+_Q_CHUNK = 1 << 16  # values per batch of Python floats in q_function
 # the largest fixed-policy grid: the one chip class of the largest Walsh order
 _GRID_LIMIT = (ORDER_LIMIT + 1) * (ORDER_LIMIT + 2) // 2
 
@@ -93,7 +94,10 @@ def q_function(x):
     if isinstance(x, float):
         return 0.5 * math.erfc(x / _SQRT2)
     z = np.asarray(x, dtype=np.float64) / _SQRT2
-    erfc = np.fromiter(map(math.erfc, z.ravel().tolist()), np.float64, z.size)
+    erfc = np.empty(z.size)
+    for i in range(0, z.size, _Q_CHUNK):  # so that few Python floats live at once
+        chunk = z.ravel()[i : i + _Q_CHUNK].tolist()
+        erfc[i : i + len(chunk)] = np.fromiter(map(math.erfc, chunk), np.float64, len(chunk))
     return 0.5 * erfc.reshape(z.shape)
 
 
@@ -145,12 +149,12 @@ def _hit_distribution(order: int, r: float, q: float) -> tuple[np.ndarray, np.nd
     the chips one at a time on the integer sums 0..gram_diag and
     normalized, so that its mass is one however r and q round.
     """
-    family = build(order)
-    dist = np.zeros(int(family.gram_diag[0]) + 1)
+    squares = sorted((rows(order, 1)[0] ** 2).tolist())
+    dist = np.zeros(sum(squares) + 1)
     dist[0] = 1.0
     reach = 0  # largest sum of the chips added so far
     # smallest first, so that the reach, and the work, grows as late as it can
-    for value in sorted((family.entries[0] ** 2).tolist()):
+    for value in squares:
         hit = r * dist[: reach + 1]
         dist[: reach + 1] *= q
         dist[value : value + reach + 1] += hit
@@ -165,10 +169,10 @@ def _hit_distribution(order: int, r: float, q: float) -> tuple[np.ndarray, np.nd
 @lru_cache(maxsize=1024)
 def _chip_moments(order: int, k_users: int) -> tuple[float, float, float]:
     """(sum c1^4, sum_{k>=2} sum_n (c1_n ck_n)^2, sum c1^2) of the order's first k_users rows."""
-    family = build(order)
-    c1 = family.entries[0].astype(np.float64)
-    cross = float(np.sum((c1 * family.entries[1:k_users]) ** 2)) if k_users > 1 else 0.0
-    return float(np.sum(c1**4)), cross, float(family.gram_diag[0])
+    family = rows(order, k_users)
+    c1 = family[0].astype(np.float64)
+    cross = float(np.sum((c1 * family[1:]) ** 2))
+    return float(np.sum(c1**4)), cross, float(np.sum(c1**2))
 
 
 def _order_pe(order, r, q, k_users, eb, sn2, ss2) -> float:
@@ -197,9 +201,9 @@ def fixed_chip_classes(n_subcarriers: int, n_users: int) -> tuple[tuple[int, int
     cells, and a product grid larger than the one class of the largest
     Walsh order raises a ValueError that names the keys.
     """
-    rows = build(n_subcarriers).entries[:n_users]
-    sq = rows[0] ** 2
-    spread = 2 * sq * sq + np.sum(sq * rows[1:] ** 2, axis=0)
+    family = rows(n_subcarriers, n_users)
+    sq = family[0] ** 2
+    spread = 2 * sq * sq + np.sum(sq * family[1:] ** 2, axis=0)
     keys, counts = np.unique(np.stack([sq, spread]), axis=1, return_counts=True)
     cells = math.prod((c + 1) * (c + 2) // 2 for c in counts.tolist())
     if cells > _GRID_LIMIT:

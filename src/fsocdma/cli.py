@@ -34,7 +34,6 @@ from .montecarlo import (
 from .orthocodes import (
     ORDER_LIMIT,
     SUPPORTED_PRIMES,
-    UnsupportedOrderError,
     build,
     compose,
     format_matrix,
@@ -53,14 +52,13 @@ from .sensing import (
 
 
 class ConfigError(ValueError):
-    """Unknown key or unparseable value in the configuration."""
+    """Unknown key, or a value that cannot be parsed or used, in the configuration."""
 
 
 DEFAULTS: dict[str, object] = {
     "params.n_subcarriers": 32,
     "params.n_users": 4,
     "params.pr_h1": 0.2,
-    "params.energy_per_bit": 1.0,
     "params.noise_psd": 0.1,
     "params.interference_power": 0.1,
     "params.bit_duration": 10e-6,
@@ -80,6 +78,12 @@ DEFAULTS: dict[str, object] = {
     "roc.points": 50,
     "roc.zeta_max": 0.0,  # 0 = automatic (threshold where pfa ~ 1e-8)
     "roc.validate_trials": 1_000_000,
+}
+
+_VALUE_CHECKS = {  # key: (accepts the parsed value, what the value must be)
+    "roc.points": (lambda v: v >= 2, "must be at least 2, the two ends of the grid"),
+    "roc.zeta_max": (lambda v: 0.0 <= v < math.inf, "must be finite and >= 0 (0 = automatic)"),
+    "roc.validate_trials": (lambda v: v >= 1, "must be at least 1"),
 }
 
 
@@ -140,6 +144,9 @@ def resolve_config(config_path: str | None, sets: list[str], seed: int | None) -
         apply(key, raw, "--set")
     if seed is not None:
         conf["run.master_seed"] = seed
+    for key, (accepts, requirement) in _VALUE_CHECKS.items():
+        if not accepts(conf[key]):
+            raise ConfigError(f"{key}={_format_value(conf[key])} {requirement}")
     return conf
 
 
@@ -148,7 +155,6 @@ def build_system_params(conf: dict, n_users: int | None = None) -> SystemParams:
         n_subcarriers=conf["params.n_subcarriers"],
         n_users=n_users if n_users is not None else conf["params.n_users"],
         pr_h1=conf["params.pr_h1"],
-        energy_per_bit=conf["params.energy_per_bit"],
         noise_psd=conf["params.noise_psd"],
         interference_power=conf["params.interference_power"],
         bit_duration=conf["params.bit_duration"],
@@ -226,11 +232,7 @@ def _write_output(path: str | None, text: str) -> None:
 
 def cmd_codes(args) -> int:
     _check_out_dirs(args.out)
-    try:
-        code = build(args.n)
-    except (UnsupportedOrderError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    code = build(args.n)  # main reports a rejected order
     report = verify(code.entries)
     _write_output(args.out, format_matrix(code))
     if args.out is not None:
@@ -246,7 +248,7 @@ def cmd_sensing_roc(args) -> int:
     _check_out_dirs(args.out)
     detector = build_detector(conf)
     zeta_max = conf["roc.zeta_max"]
-    if zeta_max <= 0.0:
+    if zeta_max == 0.0:
         zeta_max = solve_threshold(detector.samples, 1e-8, "for_pfa")
     points = conf["roc.points"]
     grid = np.linspace(0.0, zeta_max, points)
@@ -378,16 +380,15 @@ def cmd_ber(args) -> int:
 
 
 def _selftest_codes() -> str:
-    bases = {p: prime_base(p) for p in SUPPORTED_PRIMES}
+    # re-read and re-verify the prime table, past the bases the library cached
+    bases = {p: prime_base.__wrapped__(p) for p in SUPPORTED_PRIMES}
     for n in supported_orders(32):
-        if n == 1:
-            continue
-        code = build.__wrapped__(n)  # straight from the prime table, no cache
+        code = build(n)
         report = verify(code.entries)
         if not (report.is_orthogonal and report.all_nonzero):
             raise AssertionError(f"order-{n} matrix failed verification")
         if not np.array_equal(np.diagonal(report.gram), code.gram_diag):
-            raise AssertionError(f"order-{n} cached Gram diagonal is wrong")
+            raise AssertionError(f"order-{n} Gram diagonal is wrong")
     for pa, a in bases.items():
         for pb, b in bases.items():
             got = verify(compose(a, b).entries).gram

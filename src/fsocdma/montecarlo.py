@@ -84,18 +84,19 @@ class RunConfig:
     batch_slots: int = 48
 
     def __post_init__(self):
-        if not (0.0 < self.target_pd < 1.0):
-            raise ValueError(
-                f"run.target_pd={self.target_pd!r} must lie in the open interval (0, 1)"
-            )
-        if not self.snr_grid_db:
-            raise ValueError("snr grid must not be empty")
-        if self.trials_min < 1 or self.target_error_events < 1:
-            raise ValueError("trials_min and target_error_events must be >= 1")
-        if self.max_trials < self.trials_min:
-            raise ValueError("max_trials must be >= trials_min")
-        if self.batch_slots < 1:
-            raise ValueError("batch_slots must be >= 1")
+        at_least_one = "trials_min and target_error_events must be >= 1"
+        checks = (  # (field, holds, why), reported as run.<field>=<value>: why
+            ("target_pd", 0.0 < self.target_pd < 1.0, "must lie in the open interval (0, 1)"),
+            ("snr_grid_db", bool(self.snr_grid_db), "snr grid must not be empty"),
+            ("trials_min", self.trials_min >= 1, at_least_one),
+            ("target_error_events", self.target_error_events >= 1, at_least_one),
+            ("max_trials", self.max_trials >= self.trials_min,
+             f"max_trials must be >= trials_min={self.trials_min}"),
+            ("batch_slots", self.batch_slots >= 1, "batch_slots must be >= 1"),
+        )
+        for field, ok, why in checks:
+            if not ok:
+                raise ValueError(f"run.{field}={getattr(self, field)!r}: {why}")
         check_code_policy(self.code_policy, self.params.n_subcarriers)
         if self.code_policy == "fixed":
             fixed_chip_classes(self.params.n_subcarriers, self.params.n_users)

@@ -1,16 +1,15 @@
 """Real-valued multi-level orthogonal spreading codes.
 
-Walsh (Sylvester) matrices cover orders 2^k; hard-coded circulant bases
-cover the odd primes 3, 5 and 7; a Kronecker-style block composition
-extends the family to every order whose prime factors lie in the
-supported table.  All arithmetic is exact integer arithmetic with an
-explicit 64-bit overflow check -- orthogonality is never a floating
-point statement here.
+Orthogonal bases of the primes 2 (the Walsh kernel), 3, 5 and 7 compose,
+as Kronecker products, to every order whose prime factors lie in that
+table.  The library reads a family as its first k rows, composed row by
+row; only the matrix export and the checks form whole matrices.  All
+arithmetic is exact integer arithmetic with an explicit 64-bit overflow
+check -- orthogonality is never a floating point statement here.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -29,11 +28,12 @@ def _circulant_rows(first: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     n = len(first)
     return tuple(tuple(first[(j - i) % n] for j in range(n)) for i in range(n))
 
-# Orthogonal bases for the odd primes, re-verified at construction time.
-# The order-5 and order-7 matrices are circulants of a first row whose
-# cyclic autocorrelation vanishes at every nonzero lag (found by integer
-# search over entries in {+-1,..,+-3}); order 3 needs explicit signs.
+# Orthogonal bases of prime order, verified when first read.  The
+# order-5 and order-7 matrices are circulants of a first row whose cyclic
+# autocorrelation vanishes at every nonzero lag (found by integer search
+# over entries in {+-1,..,+-3}); order 3 needs explicit signs.
 _PRIME_BASES = {
+    2: ((1, 1), (1, -1)),
     3: (
         (1, 2, 2),
         (2, 1, -2),
@@ -122,8 +122,6 @@ def verify(candidate) -> GramReport:
 def from_entries(candidate) -> CodeMatrix:
     """Wrap a matrix as a CodeMatrix, enforcing every invariant."""
     entries = np.array(candidate, dtype=np.int64)
-    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {entries.shape}")
     report = verify(entries)
     if not report.all_nonzero:
         raise ValueError("code matrix entries must all be nonzero")
@@ -135,29 +133,13 @@ def from_entries(candidate) -> CodeMatrix:
     )
 
 
-def walsh(k: int) -> CodeMatrix:
-    """Walsh/Sylvester matrix of order 2^k with entries in {+1, -1}."""
-    if k < 0:
-        raise ValueError("walsh exponent must be nonnegative")
-    if k > MAX_WALSH_EXPONENT:
-        raise OrderLimitError(
-            f"walsh exponent {k} exceeds the maximum {MAX_WALSH_EXPONENT}"
-        )
-    h = np.array([[1]], dtype=np.int64)
-    for _ in range(k):
-        h = np.block([[h, h], [h, -h]])
-    diag = np.full(h.shape[0], h.shape[0], dtype=np.int64)
-    return CodeMatrix(n=h.shape[0], entries=_freeze(h), gram_diag=_freeze(diag))
-
-
+@lru_cache(maxsize=len(SUPPORTED_PRIMES))
 def prime_base(p: int) -> CodeMatrix:
     """Orthogonal base matrix of prime order p from the supported table.
 
-    p=2 is the Walsh kernel; odd primes use circulant matrices whose first
-    rows are re-verified here, so a corrupted table fails loudly.
+    The entry is verified on its first read, so a corrupted table fails
+    loudly; __wrapped__ re-reads and re-verifies it.
     """
-    if p == 2:
-        return walsh(1)
     if p not in _PRIME_BASES:
         raise UnsupportedOrderError(p)
     return from_entries(_PRIME_BASES[p])
@@ -188,55 +170,53 @@ def compose(outer: CodeMatrix, inner: CodeMatrix) -> CodeMatrix:
     )
 
 
-def _prime_factors_ascending(n: int) -> list[int]:
+def _factor(n: int) -> tuple[list[int], int]:
+    """n's prime factors from the supported table, ascending, and the rest of n."""
     factors = []
-    rest = n
     for p in SUPPORTED_PRIMES:
-        while rest % p == 0:
+        while n % p == 0:
             factors.append(p)
-            rest //= p
-    if rest != 1:
-        # smallest remaining factor for the error message
-        f = rest
-        for q in range(2, math.isqrt(rest) + 1):
-            if rest % q == 0:
-                f = q
-                break
-        raise UnsupportedOrderError(f, n=n)
-    return factors
+            n //= p
+    return factors, n
 
 
-@lru_cache(maxsize=None)
-def build(n: int) -> CodeMatrix:
-    """Orthogonal code matrix of order n for any n with supported prime factors.
+@lru_cache(maxsize=128)  # its callers cache their own results; the bound caps memory
+def rows(n: int, k: int) -> np.ndarray:
+    """First k rows of the order-n family, as a read-only (k, n) int64 array.
 
-    Deterministic: prime factors ascending, composed left to right with the
-    running product as the inner matrix.
+    The family is the Kronecker product of the prime bases of n's factors,
+    the largest outermost.  Row i of A (x) B is A[i // n_B] (x) B[i % n_B],
+    so row i is one row of each base, picked by the mixed-radix digits of
+    i.  Entries and row norms stay far inside 64 bits below ORDER_LIMIT.
     """
     if n < 1:
         raise ValueError("order must be >= 1")
     if n > ORDER_LIMIT:
         raise OrderLimitError(f"order {n} exceeds the limit {ORDER_LIMIT}")
-    factors = _prime_factors_ascending(n)
-    if not factors:
-        one = np.array([[1]], dtype=np.int64)
-        return CodeMatrix(
-            n=1, entries=_freeze(one), gram_diag=_freeze(np.array([1], dtype=np.int64))
-        )
-    running = prime_base(factors[0])
-    for p in factors[1:]:
-        running = compose(prime_base(p), running)
-    return running
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n rows, got k={k} of order {n}")
+    factors, rest = _factor(n)
+    if rest != 1:  # name the smallest factor outside the table
+        raise UnsupportedOrderError(next(q for q in range(2, rest + 1) if rest % q == 0), n=n)
+    digits = np.arange(k)
+    out = np.ones((k, 1), dtype=np.int64)
+    for p in factors:
+        base = prime_base(p).entries[digits % p]
+        out = (base[:, :, np.newaxis] * out[:, np.newaxis, :]).reshape(k, -1)
+        digits //= p
+    return _freeze(out)
+
+
+def build(n: int) -> CodeMatrix:
+    """The whole order-n family and its Gram diagonal (for export and checks)."""
+    entries = rows(n, n)
+    return CodeMatrix(
+        n=n, entries=entries, gram_diag=_freeze(np.einsum("ij,ij->i", entries, entries))
+    )
 
 
 def is_supported_order(n: int) -> bool:
-    if n < 1 or n > ORDER_LIMIT:
-        return False
-    rest = n
-    for p in SUPPORTED_PRIMES:
-        while rest % p == 0:
-            rest //= p
-    return rest == 1
+    return 1 <= n <= ORDER_LIMIT and _factor(n)[1] == 1
 
 
 def largest_supported_order(n: int) -> int:

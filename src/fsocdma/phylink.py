@@ -43,9 +43,9 @@ import numpy as np
 from .orthocodes import (
     ORDER_LIMIT,
     SUPPORTED_PRIMES,
-    build,
     is_supported_order,
     largest_supported_order,
+    rows,
 )
 from .sensing import OccupancyModel
 
@@ -67,21 +67,27 @@ class SystemParams:
     sensing_duration: float = 1e-4
 
     def __post_init__(self):
-        if self.n_subcarriers < 1 or self.n_users < 1:
-            raise ValueError("need at least one subcarrier and one user")
-        if not (0.0 <= self.pr_h1 <= 1.0):
-            raise ValueError("pr_h1 must lie in [0, 1]")
-        if self.energy_per_bit <= 0 or self.noise_psd <= 0:
-            raise ValueError("energy per bit and noise PSD must be positive")
-        if self.interference_power < 0:
-            raise ValueError("interference power must be nonnegative")
-        if not (0.0 < self.sensing_duration < self.slot_duration):
-            raise ValueError("need 0 < sensing_duration < slot_duration")
-        if largest_supported_order(self.n_subcarriers) < self.n_users:
-            raise ValueError(
-                f"{self.n_users} users exceed the largest supported code order "
-                f"<= {self.n_subcarriers} subcarriers"
-            )
+        one = "need at least one subcarrier and one user"
+        positive = "energy per bit and noise PSD must be positive"
+        checks = (  # (field, holds, why), reported as params.<field>=<value>: why
+            ("n_subcarriers", self.n_subcarriers >= 1, one),
+            ("n_users", self.n_users >= 1, one),
+            ("pr_h1", 0.0 <= self.pr_h1 <= 1.0, "pr_h1 must lie in [0, 1]"),
+            ("energy_per_bit", self.energy_per_bit > 0, positive),
+            ("noise_psd", self.noise_psd > 0, positive),
+            ("interference_power", self.interference_power >= 0,
+             "interference power must be nonnegative"),
+            ("sensing_duration", 0.0 < self.sensing_duration < self.slot_duration,
+             f"need 0 < sensing_duration < slot_duration={self.slot_duration!r}"),
+            ("bit_duration", self.bit_duration > 0 and self.bits_per_slot >= 1,
+             "need at least one bit interval after sensing"),
+            ("n_users", largest_supported_order(self.n_subcarriers) >= self.n_users,
+             f"{self.n_users} users exceed the largest supported code order "
+             f"<= {self.n_subcarriers} subcarriers"),
+        )
+        for field, ok, why in checks:
+            if not ok:
+                raise ValueError(f"params.{field}={getattr(self, field)!r}: {why}")
 
     @property
     def bits_per_slot(self) -> int:
@@ -134,7 +140,7 @@ def _placements(k: int, n: int, n_free: np.ndarray) -> np.ndarray:
     for f in set(missing.tolist()):
         n_active = largest_supported_order(f)
         if n_active >= k:
-            table[f, :, :n_active] = build(n_active).entries[:k]
+            table[f, :, :n_active] = rows(n_active, k)
         filled[f] = True
     return table
 
@@ -166,11 +172,11 @@ def signature_matrix(est_busy, k: int, code_policy: str = "rechoose"):
         chips = table[n_free[:, np.newaxis, np.newaxis], users, rank[:, np.newaxis]]
         chips *= free[:, np.newaxis, :]
     elif code_policy == "fixed":
-        chips = build(n).entries[:k] * free[:, np.newaxis, :]
+        chips = rows(n, k) * free[:, np.newaxis, :]
     else:
         raise ValueError(f"unknown code policy {code_policy!r}")
-    # a row's squares over any subset stay below its Gram diagonal, which
-    # build bounds to int64, so the sums cannot overflow
+    # a row's squares over any subset stay below its squared norm, which
+    # rows bounds far inside int64, so the sums cannot overflow
     energies = np.einsum("bkn,bkn->bk", chips, chips)
     return chips, energies
 

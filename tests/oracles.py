@@ -14,7 +14,8 @@ these references to the Gaussian surrogate stand the exact error
 probability of the receiver the simulator implements and a literal
 per-subcarrier version of that receiver, plus the simulator's earlier
 draws: every user's sensing decision OR-fused per subcarrier, and the
-rechosen signatures stacked one slot at a time.  parse_matrix reads the
+rechosen signatures stacked one slot at a time.  kron_family composes a
+code family as a whole-matrix Kronecker chain, and parse_matrix reads the
 matrix export of `fsocdma codes` back.
 """
 
@@ -26,7 +27,7 @@ from math import comb
 import numpy as np
 from scipy.special import gammaln, logsumexp, ndtr
 
-from fsocdma.orthocodes import build, largest_supported_order
+from fsocdma.orthocodes import largest_supported_order, rows
 
 
 def is_supported(n: int) -> bool:
@@ -102,6 +103,33 @@ def pd_rayleigh_series(samples, zeta, gbar):
     return t1 + math.exp((u - 1) * math.log1p(1.0 / gbar) - x / (1.0 + gbar) + log_low)
 
 
+# the prime bases of fsocdma.orthocodes, restated: order 2 is the Walsh
+# kernel, 5 and 7 are circulants of their first rows
+_PRIME_BASES = {
+    2: [[1, 1], [1, -1]],
+    3: [[1, 2, 2], [2, 1, -2], [2, -2, 1]],
+    5: [np.roll([2, -3, 2, 2, 2], i).tolist() for i in range(5)],
+    7: [np.roll([1, -2, -2, -1, 1, 1, -2], i).tolist() for i in range(7)],
+}
+
+
+def kron_family(n, dtype=np.int64):
+    """(entries, gram_diag) of the order-n family as a whole-matrix Kronecker chain.
+
+    Prime factors ascending, each new base the outer factor of the
+    running product, the Gram diagonal composed the same way.
+    """
+    entries, gram_diag = np.ones((1, 1), dtype=dtype), np.ones(1, dtype=np.int64)
+    for p in (2, 3, 5, 7):
+        base = np.array(_PRIME_BASES[p], dtype=dtype)
+        while n % p == 0:
+            entries = np.kron(base, entries)
+            gram_diag = np.kron(np.sum(base.astype(np.int64) ** 2, axis=1), gram_diag)
+            n //= p
+    assert n == 1, "order has a prime factor outside the table"
+    return entries, gram_diag
+
+
 def parse_matrix(text: str) -> np.ndarray:
     """Inverse of orthocodes.format_matrix (returns the raw entries)."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -122,14 +150,14 @@ def chips_for_configuration(n, k, busy, policy):
         n_active = largest_supported(len(free))
         if n_active < k:
             return None
-        family = build(n_active).entries
+        family = rows(n_active, k)
         chips = np.zeros((k, n))
         for r in range(k):
             chips[r, free[:n_active]] = family[r]
         return chips
     if not free:
         return None
-    chips = build(n).entries[:k].astype(float).copy()
+    chips = rows(n, k).astype(float)
     chips[:, list(busy)] = 0.0
     return chips
 
@@ -152,7 +180,7 @@ def _placement(n_free, k, n):
     n_active = largest_supported_order(n_free)
     table = np.zeros((k, n), dtype=np.int64)
     if n_active >= k:
-        table[:, :n_active] = build(n_active).entries[:k]
+        table[:, :n_active] = rows(n_active, k)
     return table
 
 
@@ -170,7 +198,7 @@ def stacked_signature_matrix(est_busy, k, code_policy):
         chips = np.take_along_axis(tables, rank[:, np.newaxis, :], axis=2)
         chips *= free[:, np.newaxis, :]
     else:
-        chips = build(n).entries[:k] * free[:, np.newaxis, :]
+        chips = rows(n, k) * free[:, np.newaxis, :]
     return chips, np.einsum("bkn,bkn->bk", chips, chips)
 
 
@@ -272,7 +300,7 @@ def subset_sum_distributions(n_active):
     A dictionary knapsack in exact Python integers over the first row of
     the order-n_active family.
     """
-    sq = [int(v) ** 2 for v in build(n_active).entries[0]]
+    sq = [int(v) ** 2 for v in rows(n_active, 1)[0]]
     counts = [dict() for _ in range(n_active + 1)]
     counts[0][0] = 1
     for value in sq:
@@ -312,7 +340,7 @@ def _q(x):
 
 def _loop_fixed_cell(n, m, l, k, eb, sn2, ss2):
     """Fixed length-n family with zeroed chips: every placement of the cell."""
-    entries = build(n).entries.astype(np.float64)
+    entries = rows(n, n).astype(np.float64)
     sq1 = entries[0] ** 2
     n_free = n - m
     if np.all(sq1 == sq1[0]):
@@ -338,12 +366,12 @@ def _loop_rechoose_cell(n, m, l, k, eb, sn2, ss2):
     n_active = largest_supported(n_free)
     if n_free == 0 or n_active < k:
         return 0.5
-    family = build(n_active)
-    c1 = family.entries[0].astype(np.float64)
+    family = rows(n_active, k)
+    c1 = family[0].astype(np.float64)
     energy = float(np.sum(c1 * c1))
     var_s = eb * eb * float(np.sum(c1**4)) / energy**2
     var_mai = 0.5 * eb * eb * sum(
-        float(np.sum((c1 * family.entries[r]) ** 2)) for r in range(1, k)
+        float(np.sum((c1 * family[r]) ** 2)) for r in range(1, k)
     ) / energy**2
     var_n = 0.5 * eb * sn2
     pe = 0.0
@@ -431,7 +459,7 @@ def _placement_cfs(n_active, k, eb, sn2, ss2):
     Expands prod_i (clean_i + t hit_i) by dynamic programming over the
     chip positions; the coefficient of t^j sums the CF over all j-subsets.
     """
-    chips = build(n_active).entries[:k].astype(float)
+    chips = rows(n_active, k).astype(float)
     a, v = _subcarrier_terms(chips, eb, sn2)
     clean = _subcarrier_cf(a, v)
     hit = _subcarrier_cf(a, v + a * ss2)

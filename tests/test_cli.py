@@ -23,7 +23,7 @@ class TestCodes:
         assert run_cli(["codes", "8", "--out", str(out)]) == 0
         text = out.read_text()
         assert text.splitlines()[0] == "n=8"
-        assert np.array_equal(parse_matrix(text), oc.walsh(3).entries)
+        assert np.array_equal(parse_matrix(text), oc.build(2**3).entries)
         printed = capsys.readouterr().out
         assert "orthogonal: true" in printed
         assert "gram_diag: 8 8 8 8 8 8 8 8" in printed
@@ -71,6 +71,19 @@ class TestSensingRoc:
         assert rc == 0
         printed = capsys.readouterr().out
         assert "max deviation" in printed
+
+    @pytest.mark.parametrize(
+        "item",
+        ["roc.validate_trials=0", "roc.points=-1", "roc.points=0", "roc.zeta_max=-5.0"],
+        ids=["validate-trials-zero", "points-negative", "points-zero", "zeta-max-negative"],
+    )
+    def test_bad_roc_value_fails_before_any_output(self, tmp_path, capsys, item):
+        out = tmp_path / "roc.csv"
+        assert run_cli(["sensing", "roc", "--validate", "--set", item, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert item in captured.err
+        assert captured.out == ""
+        assert not list(tmp_path.iterdir())
 
 
 class TestBer:
@@ -211,8 +224,11 @@ class TestBer:
 
 class TestConfigHandling:
     def test_unknown_key_rejected(self, capsys):
-        assert run_cli(["ber", "--set", "params.bogus=1"]) == 2
-        assert "unknown configuration key" in capsys.readouterr().err
+        # energy_per_bit is not a key: every point sets the noise to eb/SNR
+        # and keeps the interference-to-noise ratio, so it moved no output
+        for item in ("params.bogus=1", "params.energy_per_bit=2"):
+            assert run_cli(["ber", "--set", item]) == 2
+            assert "unknown configuration key" in capsys.readouterr().err
 
     def test_bad_value_rejected(self, capsys):
         assert run_cli(["ber", "--set", "params.n_users=four"]) == 2
@@ -277,6 +293,25 @@ class TestConfigHandling:
                 args += ["--set", item]
             assert run_cli(args) == 1
             assert key in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "item,wording",
+        [
+            ("params.n_users=0", "need at least one subcarrier and one user"),
+            ("run.target_error_events=0", "trials_min and target_error_events must be >= 1"),
+            ("params.pr_h1=2.0", "pr_h1 must lie in [0, 1]"),
+            ("params.noise_psd=0.0", "energy per bit and noise PSD must be positive"),
+            ("params.bit_duration=-1e-05", "need at least one bit interval after sensing"),
+        ],
+        ids=["n-users-zero", "target-events-zero", "pr-h1-two", "noise-psd-zero",
+             "bit-duration-negative"],
+    )
+    def test_bad_link_or_run_value_names_its_key(self, tmp_path, capsys, item, wording):
+        for mode in ("analytic", "both"):
+            out = tmp_path / f"{mode}.csv"
+            assert run_cli(["ber", "--mode", mode, "--set", item, "--out", str(out)]) == 1
+            assert f"{item}: {wording}" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
@@ -423,6 +458,6 @@ def test_import_leaves_caches_empty():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     sizes = json.loads(out.stdout)
-    assert "fsocdma.orthocodes.build" in sizes
+    assert "fsocdma.orthocodes.rows" in sizes
     assert "fsocdma.ber_analysis._hit_distribution" in sizes
     assert {name: n for name, n in sizes.items() if n} == {}

@@ -1,11 +1,16 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fsocdma import montecarlo as mc
 from fsocdma import orthocodes as oc
-from fsocdma.phylink import signature_matrix
-from oracles import parse_matrix
+from fsocdma.ber_analysis import average_pe
+from fsocdma.phylink import SystemParams, signature_matrix
+from fsocdma.sensing import DetectorConfig, FusionResult, occupancy_model
+from oracles import kron_family, parse_matrix
 
 
 def gram_oracle(entries):
@@ -16,20 +21,20 @@ def gram_oracle(entries):
 
 class TestWalsh:
     def test_order_one(self):
-        assert oc.walsh(0).entries.tolist() == [[1]]
+        assert oc.build(2**0).entries.tolist() == [[1]]
 
     def test_doubling(self):
-        assert oc.walsh(1).entries.tolist() == [[1, 1], [1, -1]]
+        assert oc.build(2**1).entries.tolist() == [[1, 1], [1, -1]]
 
     def test_order_four(self):
-        w = oc.walsh(2)
+        w = oc.build(2**2)
         assert w.n == 4
         assert w.gram_diag.tolist() == [4, 4, 4, 4]
         assert set(np.unique(w.entries)) == {-1, 1}
 
     def test_exponent_limit(self):
         with pytest.raises(oc.OrderLimitError):
-            oc.walsh(oc.MAX_WALSH_EXPONENT + 1)
+            oc.build(2 ** (oc.MAX_WALSH_EXPONENT + 1))
 
 
 class TestPrimeBases:
@@ -59,7 +64,7 @@ class TestPrimeBases:
 class TestCompose:
     def test_c2_c2_is_walsh4(self):
         got = oc.compose(oc.prime_base(2), oc.prime_base(2))
-        assert np.array_equal(got.entries, oc.walsh(2).entries)
+        assert np.array_equal(got.entries, oc.build(2**2).entries)
 
     def test_c2_outer_c3_inner(self):
         got = oc.compose(oc.prime_base(2), oc.prime_base(3))
@@ -149,9 +154,44 @@ class TestBuild:
         assert oc.largest_supported_order(0) == 0
 
 
+class TestRows:
+    """rows(n, k) and build(n) against the Kronecker chain they replace."""
+
+    @pytest.mark.parametrize("n", oc.supported_orders(512))
+    def test_first_rows_up_to_512(self, n):
+        entries, _ = kron_family(n)
+        for k in range(1, min(n, 8) + 1):
+            assert np.array_equal(oc.rows(n, k), entries[:k]), (n, k)
+
+    @pytest.mark.parametrize("n", oc.supported_orders(64))
+    def test_whole_family_up_to_64(self, n):
+        entries, gram_diag = kron_family(n)
+        code = oc.build(n)
+        assert code.n == n
+        assert np.array_equal(code.entries, entries)
+        assert np.array_equal(code.gram_diag, gram_diag)
+
+    @pytest.mark.parametrize("n", [729, 1000, 2187, 2401, 3125, 4096])
+    def test_first_rows_of_large_orders(self, n):
+        # int16 holds every entry of these orders (at most 3^5) in a quarter
+        # of the memory of the whole int64 oracle matrix
+        entries, _ = kron_family(n, dtype=np.int16)
+        for k in range(1, 9):
+            assert np.array_equal(oc.rows(n, k), entries[:k]), (n, k)
+
+    def test_read_only(self):
+        with pytest.raises(ValueError):
+            oc.rows(12, 2)[0, 0] = 5
+
+    @pytest.mark.parametrize("k", [0, 13])
+    def test_row_count_outside_the_order(self, k):
+        with pytest.raises(ValueError, match="k="):
+            oc.rows(12, k)
+
+
 class TestVerify:
     def test_walsh_ok(self):
-        r = oc.verify(oc.walsh(2).entries)
+        r = oc.verify(oc.build(2**2).entries)
         assert r.is_orthogonal and r.all_nonzero
 
     def test_identical_rows(self):
@@ -212,3 +252,31 @@ def test_format_roundtrip():
     assert text.splitlines()[0] == "n=6"
     back = parse_matrix(text)
     assert np.array_equal(back, c.entries)
+
+
+def test_library_reads_families_by_rows_only(monkeypatch):
+    # whole matrices are for the matrix export and the selftest; the closed
+    # form and the simulator read the first K rows, at any order
+    def whole_matrix(n):
+        raise AssertionError(f"the library built the whole order-{n} matrix")
+
+    build = oc.build
+    modules = [m for name, m in list(sys.modules.items()) if name.split(".")[0] == "fsocdma"]
+    for module in modules:
+        for attr, value in list(vars(module).items()):
+            if value is build:
+                monkeypatch.setattr(module, attr, whole_matrix)
+            elif hasattr(value, "cache_clear"):
+                value.cache_clear()  # so that no family is served from an earlier test
+    model = occupancy_model(0.2, FusionResult(qfa=0.05, qd=0.95, k_users=4))
+    for n, policy in ((48, "rechoose"), (16, "fixed")):
+        params = SystemParams(n_subcarriers=n, n_users=4, pr_h1=0.2)
+        assert 0.0 < average_pe(params, model, policy) < 0.5
+    for policy in ("rechoose", "fixed"):
+        cfg = mc.RunConfig(
+            params=SystemParams(n_subcarriers=32, n_users=4, pr_h1=0.2),
+            detector=DetectorConfig(samples=320, threshold=0.0, mean_snr_db=27.35),
+            snr_grid_db=(10.0,), trials_min=90, max_trials=900, code_policy=policy,
+        )
+        point = mc.estimate_ber(cfg, 10.0)
+        assert point.trials == 900
