@@ -30,8 +30,17 @@ subset moves the variance, through var_gi, so
 
 where P_a is the mass of the m that share order a, V_a = var_s + var_mai
 + var_n and g_a * s = var_gi.  D_{a,r} is the law of s, one convolution
-over the order's chips, cached per (order, r): the points of a sweep
-differ in SNR only and share it.
+over the order's chips, cached per (order, r).
+
+Nothing but eb, sigma_n^2 and sigma_s^2 depends on the SNR, so one table
+per (N, K, sensing point) holds the rest: the erased mass, and per order
+a >= K its P_a, its chip moments and a reference to its cached law.  The
+points of a curve, and fig2 and fig3 at the same (N, K), share it.  The
+chip moments sum c1^4, sum_{k>=2} (c1 ck)^2 and sum c1^2 come from the
+prime bases as exact integers (orthocodes.first_row_moments), without
+composing the rows.  A point spreads V_a and g_a over the laws and makes
+one q_function call per group of orders, a group holding at most
+_Q_CHUNK law values (at N <= 64 all orders are one group).
 
 The fixed policy keeps its length-N family and zeroes chips in place.
 Its variance depends only on E = sum c1^2, 2F + X = sum (2 c1^4 +
@@ -41,11 +50,11 @@ misdetected ones.  So the chips fall into classes of equal (c1^2,
 l misdetected positions matter: b is Binom(n_c, p_zero) and l is
 Binom(n_c - b, r), independently across classes.  average_pe sums Q over
 the product of the classes' (b, l) grids, (n_c + 1)(n_c + 2)/2 cells
-each, exactly; a cell without chips is the erasure value 1/2.  A Walsh
-family is one class.  A product grid larger than the one class of
-order 4096 is rejected, naming the keys, when the run configuration is
-built: for every K <= 8 that keeps N <= 20, the powers of two and 24,
-28, 40, 48, 56, 80, 96, 112 and 160.
+each, exactly, _Q_CHUNK cells at a time; a cell without chips is the
+erasure value 1/2.  A Walsh family is one class.  A product grid
+larger than the one class of order 4096 is rejected, naming the keys,
+when the run configuration is built: for every K <= 8 that keeps N <= 20,
+the powers of two and 24, 28, 40, 48, 56, 80, 96, 112 and 160.
 """
 
 from __future__ import annotations
@@ -57,12 +66,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .orthocodes import ORDER_LIMIT, largest_supported_order, rows
+from .orthocodes import ORDER_LIMIT, first_row_moments, is_supported_order, rows
 from .phylink import SystemParams, signature_matrix
 from .sensing import OccupancyModel
 
 _SQRT2 = math.sqrt(2.0)
-_Q_CHUNK = 1 << 16  # values per batch of Python floats in q_function
+# values per batch: Python floats in q_function, law values per rechoose
+# order group, cells per fixed-policy block
+_Q_CHUNK = 1 << 16
 # the largest fixed-policy grid: the one chip class of the largest Walsh order
 _GRID_LIMIT = (ORDER_LIMIT + 1) * (ORDER_LIMIT + 2) // 2
 
@@ -166,29 +177,43 @@ def _hit_distribution(order: int, r: float, q: float) -> tuple[np.ndarray, np.nd
     return sums, probs
 
 
-@lru_cache(maxsize=1024)
-def _chip_moments(order: int, k_users: int) -> tuple[float, float, float]:
-    """(sum c1^4, sum_{k>=2} sum_n (c1_n ck_n)^2, sum c1^2) of the order's first k_users rows."""
-    family = rows(order, k_users)
-    c1 = family[0].astype(np.float64)
-    cross = float(np.sum((c1 * family[1:]) ** 2))
-    return float(np.sum(c1**4)), cross, float(np.sum(c1**2))
+@lru_cache(maxsize=32)
+def _rechoose_table(n, k_users, p0, free, r, q) -> tuple[float, tuple[tuple, ...]]:
+    """(erased mass, order groups) of the rechoose closed form; no SNR enters.
 
-
-def _order_pe(order, r, q, k_users, eb, sn2, ss2) -> float:
-    """Error probability of the rechosen order-`order` family.
-
-    Each active chip is misdetected independently, with probability r
-    (and clean with q = 1 - r); the Gaussian error probability is averaged
-    over D_{order,r}.
+    Busy count m rechooses the order a(m) = largest_supported_order(N - m),
+    found in one upward pass over the free counts; P_a sums Binom(m; N,
+    p_zero) over the m of each order, in ascending m.  Orders below K are
+    erased.  The others are grouped, in order of first appearance, into
+    runs of at most _Q_CHUNK law values (an order with more forms a group
+    of its own).  A group is (P_a, sum c1^4, sum_{k>=2} (c1 ck)^2,
+    sum c1^2, law length) as arrays over its orders, plus the orders'
+    cached laws D_{a,r}, referred to and not copied.
     """
-    fourth, cross, energy = _chip_moments(order, k_users)
-    var_s = eb * eb * fourth / (energy * energy)
-    var_mai = 0.5 * eb * eb * cross / (energy * energy)
-    var_n = 0.5 * eb * sn2
-    gi_scale = 0.5 * eb * ss2 / energy
-    sums, probs = _hit_distribution(order, r, q)
-    return float(probs @ q_function(eb / np.sqrt(var_s + var_mai + var_n + gi_scale * sums)))
+    orders = [0] * (n + 1)  # orders[f]: the order that f free subcarriers carry
+    for f in range(1, n + 1):
+        orders[f] = f if is_supported_order(f) else orders[f - 1]
+    mass: dict[int, float] = {}
+    for m, w in enumerate(_binomial_pmf(n, p0, free).tolist()):
+        mass[orders[n - m]] = mass.get(orders[n - m], 0.0) + w
+    erased = sum(w for order, w in mass.items() if order < k_users)
+    runs, length = [], _Q_CHUNK  # full, so that the first order opens a run
+    for order, w in mass.items():
+        if order < k_users or w <= 0.0:
+            continue
+        law = _hit_distribution(order, r, q)
+        if length + law[0].size > _Q_CHUNK:
+            runs.append([])
+            length = 0
+        runs[-1].append((w, first_row_moments(order, k_users), law))
+        length += law[0].size
+    groups = []
+    for run in runs:
+        mass_a, moments, laws = zip(*run)
+        fourth, cross, energy = np.array(moments, dtype=np.float64).T
+        sizes = np.array([sums.size for sums, _ in laws])
+        groups.append((np.array(mass_a), fourth, cross, energy, sizes, laws))
+    return erased, tuple(groups)
 
 
 @lru_cache(maxsize=1024)
@@ -243,18 +268,24 @@ def _fixed_pe(n, p0, free, r, q, k_users, eb, sn2, ss2) -> float:
     for b0 in np.flatnonzero(busy).tolist():
         hits = _binomial_pmf(n0 - b0, r, q)
         l0 = np.flatnonzero(hits)
-        energy = (n0 - b0) * u0 + e
-        # no chip left: the erasure value; the placeholder energy only
-        # keeps the masked cell finite
-        erased = energy == 0.0
-        energy[erased] = 1.0
-        var = (
-            0.5 * eb * eb * ((n0 - b0) * h0 + h) / (energy * energy)
-            + 0.5 * eb * ss2 * (u0 * l0[:, None] + g) / energy
-            + 0.5 * eb * sn2
-        )
-        pe = np.where(erased, 0.5, q_function(eb / np.sqrt(var)))
-        total += busy[b0] * float(hits[l0] @ (pe @ w))
+        # _Q_CHUNK cells at a time, so that the temporaries stay small
+        # however many cells the classes make
+        per_hit = np.zeros(l0.size)
+        for start in range(0, e.size, _Q_CHUNK):
+            cells = slice(start, start + _Q_CHUNK)
+            energy = (n0 - b0) * u0 + e[cells]
+            # no chip left: the erasure value; the placeholder energy only
+            # keeps the masked cell finite
+            erased = energy == 0.0
+            energy[erased] = 1.0
+            var = (
+                0.5 * eb * eb * ((n0 - b0) * h0 + h[cells]) / (energy * energy)
+                + 0.5 * eb * ss2 * (u0 * l0[:, None] + g[cells]) / energy
+                + 0.5 * eb * sn2
+            )
+            pe = np.where(erased, 0.5, q_function(eb / np.sqrt(var)))
+            per_hit += pe @ w[cells]
+        total += float(busy[b0] * (hits[l0] @ per_hit))
     return total
 
 
@@ -283,16 +314,23 @@ def average_pe(
         return _fixed_pe(n, p0, free, r, q, *terms)
     if code_policy != "rechoose":
         raise ValueError(f"unknown code policy {code_policy!r}")
-    busy = _binomial_pmf(n, p0, free).tolist()
-    mass: dict[int, float] = {}
-    for m, w in enumerate(busy):
-        order = largest_supported_order(n - m)
-        mass[order] = mass.get(order, 0.0) + w
-    k_users = params.n_users
-    total = 0.5 * sum(w for order, w in mass.items() if order < k_users)
-    for order, w in mass.items():
-        if order >= k_users and w > 0.0:
-            total += w * _order_pe(order, r, q, *terms)
+    eb, sn2, ss2 = terms[1:]
+    erased, groups = _rechoose_table(n, params.n_users, p0, free, r, q)
+    total = 0.5 * erased
+    for mass, fourth, cross, energy, sizes, laws in groups:
+        # V_a = var_s + var_mai + var_n and g_a per order, spread over the
+        # orders' laws: Q(eb / sqrt(g_a * s + V_a)) for the whole group at
+        # once, in place, and a group of one law reads it without a copy
+        var = eb * eb * fourth / (energy * energy) + 0.5 * eb * eb * cross / (energy * energy)
+        var += 0.5 * eb * sn2
+        sums, probs = laws[0] if len(laws) == 1 else map(np.concatenate, zip(*laws))
+        x = np.repeat(0.5 * eb * ss2 / energy, sizes)
+        x *= sums
+        x += np.repeat(var, sizes)
+        pe = q_function(np.divide(eb, np.sqrt(x, out=x), out=x))
+        weights = np.repeat(mass, sizes)
+        weights *= probs
+        total += float(weights @ pe)
     return total
 
 

@@ -10,6 +10,7 @@ check -- orthogonality is never a floating point statement here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -180,15 +181,8 @@ def _factor(n: int) -> tuple[list[int], int]:
     return factors, n
 
 
-@lru_cache(maxsize=128)  # its callers cache their own results; the bound caps memory
-def rows(n: int, k: int) -> np.ndarray:
-    """First k rows of the order-n family, as a read-only (k, n) int64 array.
-
-    The family is the Kronecker product of the prime bases of n's factors,
-    the largest outermost.  Row i of A (x) B is A[i // n_B] (x) B[i % n_B],
-    so row i is one row of each base, picked by the mixed-radix digits of
-    i.  Entries and row norms stay far inside 64 bits below ORDER_LIMIT.
-    """
+def _row_factors(n: int, k: int) -> list[int]:
+    """n's prime factors, ascending, after checking that k rows of order n exist."""
     if n < 1:
         raise ValueError("order must be >= 1")
     if n > ORDER_LIMIT:
@@ -198,6 +192,19 @@ def rows(n: int, k: int) -> np.ndarray:
     factors, rest = _factor(n)
     if rest != 1:  # name the smallest factor outside the table
         raise UnsupportedOrderError(next(q for q in range(2, rest + 1) if rest % q == 0), n=n)
+    return factors
+
+
+@lru_cache(maxsize=128)  # its callers cache their own results; the bound caps memory
+def rows(n: int, k: int) -> np.ndarray:
+    """First k rows of the order-n family, as a read-only (k, n) int64 array.
+
+    The family is the Kronecker product of the prime bases of n's factors,
+    the largest outermost.  Row i of A (x) B is A[i // n_B] (x) B[i % n_B],
+    so row i is one row of each base, picked by the mixed-radix digits of
+    i.  Entries and row norms stay far inside 64 bits below ORDER_LIMIT.
+    """
+    factors = _row_factors(n, k)
     digits = np.arange(k)
     out = np.ones((k, 1), dtype=np.int64)
     for p in factors:
@@ -205,6 +212,33 @@ def rows(n: int, k: int) -> np.ndarray:
         out = (base[:, :, np.newaxis] * out[:, np.newaxis, :]).reshape(k, -1)
         digits //= p
     return _freeze(out)
+
+
+def first_row_moments(n: int, k: int) -> tuple[int, int, int]:
+    """(sum c1^4, sum_{i>=2} sum_j (c1_j ci_j)^2, sum c1^2) over the order-n family's first k rows.
+
+    Every sum over a Kronecker product's entries is the product of the
+    factors' sums, and row i is one row of each prime base, picked by the
+    same mixed-radix digits as in rows: so sum_j (c1_j ci_j)^2 is the
+    product over n's factors of the base's sum of (first row * row digit)^2,
+    and row 0 gives sum c1^4.  Exact integers, from the bases alone.
+    """
+    factors = _row_factors(n, k)
+    bases = {p: prime_base(p).entries.tolist() for p in set(factors)}
+    # products[p][d] = sum_j (base_p[0][j] * base_p[d][j])^2
+    products = {
+        p: [sum((a * b) ** 2 for a, b in zip(base[0], row)) for row in base]
+        for p, base in bases.items()
+    }
+    terms = []
+    for i in range(k):
+        term, digits = 1, i
+        for p in factors:
+            term *= products[p][digits % p]
+            digits //= p
+        terms.append(term)
+    energy = math.prod(sum(a * a for a in bases[p][0]) for p in factors)
+    return terms[0], sum(terms[1:]), energy
 
 
 def build(n: int) -> CodeMatrix:

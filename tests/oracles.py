@@ -9,7 +9,8 @@ log-space Poisson partial sums that the library's sensing closed forms
 replaced with incomplete gamma functions, and the cell-by-cell loop
 over the trinomial, with a hypergeometric count of hits on active chips,
 a dictionary subset-sum knapsack and a row-by-row weight table, that the
-library's binomial mixture per code order replaced.  Beside
+library's binomial mixture per code order replaced, and that mixture's
+own per-order loop, which the cached order table replaced.  Beside
 these references to the Gaussian surrogate stand the exact error
 probability of the receiver the simulator implements and a literal
 per-subcarrier version of that receiver, plus the simulator's earlier
@@ -27,6 +28,7 @@ from math import comb
 import numpy as np
 from scipy.special import gammaln, logsumexp, ndtr
 
+from fsocdma import ber_analysis as ba
 from fsocdma.orthocodes import largest_supported_order, rows
 
 
@@ -331,6 +333,43 @@ def loop_trinomial_weights(n, p0, pm, pf):
         combs = np.array([comb(r, l) for l in range(r + 1)], dtype=np.float64)
         weights[m, : r + 1] = comb(n, m) * p0**m * combs * pm_l[: r + 1] * pf_r[r::-1]
     return weights
+
+
+def order_sum_average_pe(params, model):
+    """Rechoose average_pe as one sum per code order, each order on its own.
+
+    The busy-count loop and the per-order error probability that the
+    library's cached order table replaced, kept term by term: every
+    busy count m looks up largest_supported_order(N - m), the chip moments
+    come from the order's first K rows, and each order makes its own
+    q_function call over its hit law.
+    """
+    p0, pm, pf = model.p_zero, model.p_mis, max(model.p_free, 0.0)
+    free = pm + pf
+    r, q = (pm / free, pf / free) if free > 0.0 else (0.0, 1.0)
+    n, k_users = params.n_subcarriers, params.n_users
+    eb, sn2, ss2 = params.energy_per_bit, params.noise_psd, params.interference_power
+    busy = ba._binomial_pmf(n, p0, free).tolist()
+    mass: dict[int, float] = {}
+    for m, w in enumerate(busy):
+        order = largest_supported_order(n - m)
+        mass[order] = mass.get(order, 0.0) + w
+    total = 0.5 * sum(w for order, w in mass.items() if order < k_users)
+    for order, w in mass.items():
+        if order >= k_users and w > 0.0:
+            family = rows(order, k_users)
+            c1 = family[0].astype(np.float64)
+            fourth = float(np.sum(c1**4))
+            cross = float(np.sum((c1 * family[1:]) ** 2))
+            energy = float(np.sum(c1**2))
+            var_s = eb * eb * fourth / (energy * energy)
+            var_mai = 0.5 * eb * eb * cross / (energy * energy)
+            var_n = 0.5 * eb * sn2
+            gi_scale = 0.5 * eb * ss2 / energy
+            sums, probs = ba._hit_distribution(order, r, q)
+            pe = ba.q_function(eb / np.sqrt(var_s + var_mai + var_n + gi_scale * sums))
+            total += w * float(probs @ pe)
+    return total
 
 
 def _q(x):

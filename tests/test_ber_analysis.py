@@ -28,6 +28,7 @@ from oracles import (
     _loop_rechoose_cell,
     loop_average_pe,
     loop_trinomial_weights,
+    order_sum_average_pe,
     subset_sum_distributions,
 )
 from test_phylink import manual_slot
@@ -200,10 +201,12 @@ class TestPeOfCounts:
     """Single cells and single code orders of average_pe."""
 
     def test_binary_no_busy_no_misdetected(self):
-        got = ba._order_pe(32, 0.0, 1.0, 1, 1.0, 0.1, 0.1)
+        # nothing busy: the one order-32 family, the one cell without hits
+        params, model = make_params(32, 1), model_of(0.0, 0.0)
+        got = order_sum_average_pe(params, model)
         want = float(norm.sf(1.0 / math.sqrt(1.0 / 32.0 + 0.05)))
         assert got == pytest.approx(want, rel=1e-12)
-        assert ba.average_pe(make_params(32, 1), model_of(0.0, 0.0)) == got
+        assert ba.average_pe(params, model) == got
 
     def test_all_busy_is_erasure(self):
         # p_zero = 1 zeroes every chip: exactly the erasure value, at any N
@@ -396,7 +399,7 @@ class TestAveragePe:
         model = occupancy_model(0.0, FusionResult(qfa=0.0, qd=1.0, k_users=1))
         params = make_params(16, 1)
         got = ba.average_pe(params, model)
-        want = ba._order_pe(16, 0.0, 1.0, 1, 1.0, 0.1, 0.1)
+        want = order_sum_average_pe(params, model)
         assert got == pytest.approx(want, rel=1e-14)
         assert got == pytest.approx(float(norm.sf(1.0 / math.sqrt(1.0 / 16.0 + 0.05))), rel=1e-12)
 
@@ -483,7 +486,8 @@ class TestTableForm:
         # fixed: the class sum at random occupancy models is the oracle's
         # cells (m, l), one at a time, weighted by the trinomial.  rechoose:
         # the oracle's cells of row m, weighted Binom(l; n - m, r), are the
-        # value of the order that row carries
+        # value of the order that row carries: average_pe over n - m
+        # subcarriers of which none is busy
         k, eb, sn2, ss2 = 4, 1.0, 0.05, 0.5
         rng = np.random.default_rng(n)
         if policy == "fixed":
@@ -502,8 +506,19 @@ class TestTableForm:
                 * _loop_rechoose_cell(n, m, l, k, eb, sn2, ss2)
                 for l in range(n_free + 1)
             )
-            got = ba._order_pe(largest_supported(n_free), r, 1.0 - r, k, eb, sn2, ss2)
+            got = ba.average_pe(make_params(n_free, k, sn2, ss2), model_of(0.0, r))
             assert got == pytest.approx(want, rel=1e-14, abs=0.0), (m, r)
+
+    def test_fixed_blocks_match_one_block(self, monkeypatch):
+        # the class grid in blocks of 7 cells against one block of all cells
+        cases = [(n, k, p0, pm) for n, k in ((12, 4), (24, 4), (15, 4))
+                 for p0, pm in ((0.0, 0.3), (0.23, 0.07), (0.9, 0.05))]
+        whole = [ba.average_pe(make_params(n, k), model_of(p0, pm), "fixed")
+                 for n, k, p0, pm in cases]
+        monkeypatch.setattr(ba, "_Q_CHUNK", 7)
+        for (n, k, p0, pm), want in zip(cases, whole):
+            got = ba.average_pe(make_params(n, k), model_of(p0, pm), "fixed")
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0), (n, k, p0, pm)
 
     def test_cells_are_error_probabilities(self):
         # fixed: a unit-chip and a two-class family, the erasure at p_zero = 1
@@ -512,9 +527,65 @@ class TestTableForm:
                 pe = ba.average_pe(make_params(n, 2), model_of(p0, pm), "fixed")
                 assert 0.0 < pe <= 0.5
                 assert (pe == 0.5) == (p0 == 1.0)
+        # rechoose: nothing busy, so the one supported order of N carries
         for order in supported_orders(8)[1:]:
             for r in HIT_RATES:
-                assert 0.0 < ba._order_pe(order, r, 1.0 - r, 2, 1.0, 0.1, 0.1) <= 0.5
+                assert 0.0 < ba.average_pe(make_params(order, 2), model_of(0.0, r)) <= 0.5
+
+
+# (p_zero, p_mis): nothing busy, everything busy, misdetection only, and
+# spread busy counts; at N = 1030 the spread point keeps few large orders
+ORDER_GRID = ((0.0, 0.0), (1.0, 0.0), (0.0, 0.3), (0.23, 0.07), (0.9, 0.05))
+ORDER_GRID_1030 = ((0.0, 0.0), (1.0, 0.0), (0.0, 0.3), (0.97, 0.01))
+
+
+def order_cases(sizes, grid):
+    """(params, model) for every K <= 8 that the order-N family admits."""
+    for n in sizes:
+        for k in range(1, min(8, largest_supported(n)) + 1):
+            for p0, pm in grid:
+                yield make_params(n, k, 0.05, 0.5), model_of(p0, pm)
+
+
+class TestOrderTable:
+    """The cached order table against the per-order sum it replaced."""
+
+    @pytest.mark.parametrize("sizes,grid", [
+        (range(1, 65), ORDER_GRID), ((256,), ORDER_GRID), ((1030,), ORDER_GRID_1030),
+    ], ids=["n1-64", "n256", "n1030"])
+    def test_matches_order_sum(self, sizes, grid):
+        for params, model in order_cases(sizes, grid):
+            got = ba.average_pe(params, model)
+            want = order_sum_average_pe(params, model)
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0), (params, model)
+
+    def test_groups_split_at_the_chunk(self, monkeypatch):
+        # a chunk of 40 law values splits the orders of N <= 64 into groups;
+        # an order with a longer law stays one group
+        monkeypatch.setattr(ba, "_Q_CHUNK", 40)
+        ba._rechoose_table.cache_clear()
+        try:
+            erased, groups = ba._rechoose_table(48, 4, 0.23, 0.77, 0.1, 0.9)
+            assert len(groups) > 1 and erased > 0.0
+            for *_, sizes, laws in groups:
+                assert len(laws) == sizes.size
+                assert sizes.size == 1 or int(np.sum(sizes)) <= 40
+            for params, model in order_cases((11, 25, 45, 48, 63), ORDER_GRID):
+                got = ba.average_pe(params, model)
+                want = order_sum_average_pe(params, model)
+                assert got == pytest.approx(want, rel=1e-14, abs=0.0), (params, model)
+        finally:
+            ba._rechoose_table.cache_clear()
+
+    def test_one_table_per_curve(self, tmp_path):
+        # the table holds no SNR: fig2's 12 analytic points (K = 4 and 8 at
+        # six SNRs, one sensing point) make one table per K
+        ba._rechoose_table.cache_clear()
+        argv = ["ber", "--mode", "analytic", "--figure", "fig2", "--threads", "1",
+                "--out", str(tmp_path / "fig2.csv")]
+        assert cli.main(argv) == 0
+        info = ba._rechoose_table.cache_info()
+        assert (info.misses, info.hits) == (2, 10)
 
 
 class TestExactOracle:

@@ -460,4 +460,5 @@ def test_import_leaves_caches_empty():
     sizes = json.loads(out.stdout)
     assert "fsocdma.orthocodes.rows" in sizes
     assert "fsocdma.ber_analysis._hit_distribution" in sizes
+    assert "fsocdma.ber_analysis._rechoose_table" in sizes
     assert {name: n for name, n in sizes.items() if n} == {}

@@ -189,6 +189,30 @@ class TestRows:
             oc.rows(12, k)
 
 
+def test_first_row_moments_match_rows():
+    # the per-prime products against the sums over the composed rows, exactly
+    mismatches = []
+    for n in oc.supported_orders(oc.ORDER_LIMIT):
+        for k in range(1, min(n, 8) + 1):
+            family = oc.rows(n, k)
+            c1 = family[0]
+            want = (int(np.sum(c1**4)), int(np.sum((c1 * family[1:]) ** 2)), int(np.sum(c1**2)))
+            got = oc.first_row_moments(n, k)
+            if got != want or not all(type(v) is int for v in got):
+                mismatches.append((n, k, got, want))
+    assert mismatches == []
+
+
+@pytest.mark.parametrize("n,k", [(0, 1), (12, 13), (22, 1), (8192, 1)])
+def test_first_row_moments_reject_what_rows_rejects(n, k):
+    with pytest.raises(ValueError) as moments:
+        oc.first_row_moments(n, k)
+    with pytest.raises(ValueError) as from_rows:
+        oc.rows(n, k)
+    assert type(moments.value) is type(from_rows.value)
+    assert str(moments.value) == str(from_rows.value)
+
+
 class TestVerify:
     def test_walsh_ok(self):
         r = oc.verify(oc.build(2**2).entries)
