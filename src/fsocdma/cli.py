@@ -15,6 +15,7 @@ import hashlib
 import itertools
 import math
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -499,6 +500,7 @@ def _add_common(parser):
     parser.add_argument("--out", default=None, help="output path")
 
 
+@lru_cache(maxsize=1)  # parse_args leaves the parser as it was
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fsocdma",

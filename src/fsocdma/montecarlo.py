@@ -12,7 +12,10 @@ that reach max_trials, so a point never simulates past its cap.
 
 A batch draws, per slot, one uniform and one Exp(1) fade per subcarrier,
 one normal per interferer, the K bits of every bit interval packed eight
-to a byte, and two normals per bit interval (see phylink).
+to a byte, and one normal per bit interval (see phylink).  A traced run
+also draws, per bit interval, the normal that splits the receiver's
+noise into R_n and R_GI, from a stream of its own keyed like the batch's,
+so tracing changes no batch draw and no error count.
 
 A slot's bits share one fading draw, so the slots, not the bits, are the
 independent samples: the reported interval is the slot-level (cluster)
@@ -38,6 +41,7 @@ from .ber_analysis import BerPoint, average_pe, fixed_chip_classes
 from .phylink import (
     SystemParams,
     check_code_policy,
+    components,
     draw_slots,
     project,
     receive,
@@ -60,12 +64,14 @@ from .sensing import (
 # the full per-subcarrier noise; version 2 draws one stream per batch and
 # the receiver's projections only; version 3 draws only the slot's
 # sufficient statistics (one uniform and one fade per subcarrier, one
-# normal per interferer) and packed bits.
-STREAM_VERSION = 3
+# normal per interferer) and packed bits; version 4 draws one receiver
+# normal per bit interval where version 3 drew two.
+STREAM_VERSION = 4
 
 _MASK64 = (1 << 64) - 1
 _POINT_LIMIT = 1 << 32
 _PURPOSE_BATCH = 3  # purposes 1 and 2 keyed the streams of versions 1 and 2
+_PURPOSE_TRACE = 4  # the trace's split of the receiver noise, per batch
 
 
 @dataclass(frozen=True)
@@ -179,13 +185,16 @@ def _stream(
     return Generator(Philox(counter=counter, key=key))
 
 
-def _run_batch(params, model, code_policy, rng, n_slots, trace, first_slot):
+def _run_batch(params, model, code_policy, rng, n_slots, trace=None, first_slot=0,
+               trace_rng=None):
     """Simulate one batch of slots; returns (errors per slot, infeasible slots).
 
     Draw order: the slots, then every slot's bits (packed), then its
     receiver normals.  A slot that cannot carry all users has R = 0 and
     decides +1, so each of its bits is an error with probability 1/2, a
-    coin flip.
+    coin flip.  With a trace list, one row per bit of every feasible
+    slot is appended, numbered from first_slot, its R_n and R_GI split
+    with normals from trace_rng only.
     """
     n_bits = params.bits_per_slot
     k = params.n_users
@@ -193,12 +202,14 @@ def _run_batch(params, model, code_policy, rng, n_slots, trace, first_slot):
     n_sent = n_slots * n_bits * k
     packed = rng.integers(0, 256, -(-n_sent // 8), dtype=np.uint8)
     bits = np.unpackbits(packed, count=n_sent).view(np.int8).reshape(n_slots, n_bits, k) * 2 - 1
-    z = rng.standard_normal((n_slots, n_bits, 2))
-    out = receive(project(batch, params.energy_per_bit), params, bits, z)
-    errors = np.count_nonzero(out["decided"] != bits[:, :, 0], axis=1)
+    z = rng.standard_normal((n_slots, n_bits))
+    proj = project(batch, params.energy_per_bit)
+    decision = receive(proj, params, bits, z)
+    errors = np.count_nonzero((decision >= 0.0) != (bits[:, :, 0] > 0), axis=1)
     bad = ~batch.feasible
     n_bad = int(np.count_nonzero(bad))
     if trace is not None:
+        parts = components(proj, params, bits, z, trace_rng.standard_normal((n_slots, n_bits)))
         counts = zip(
             np.count_nonzero(batch.occupancy, axis=1),
             np.count_nonzero(batch.est_busy, axis=1),
@@ -214,13 +225,13 @@ def _run_batch(params, model, code_policy, rng, n_slots, trace, first_slot):
                         int(n_busy),
                         int(n_est),
                         int(n_mis),
-                        float(out["decision"][s, i]),
-                        float(out["r_signal"][s, i]),
-                        float(out["r_mai"][s, i]),
-                        float(out["r_gi"][s, i]),
-                        float(out["r_noise"][s, i]),
+                        float(decision[s, i]),
+                        float(parts["r_signal"][s, i]),
+                        float(parts["r_mai"][s, i]),
+                        float(parts["r_gi"][s, i]),
+                        float(parts["r_noise"][s, i]),
                         int(bits[s, i, 0]),
-                        int(out["decided"][s, i]),
+                        1 if decision[s, i] >= 0.0 else -1,
                     )
                 )
     return errors, n_bad
@@ -276,8 +287,12 @@ def estimate_ber(
     while True:
         n_slots = min(cfg.batch_slots, cap_slots - slots)
         rng = _stream(cfg.master_seed, _PURPOSE_BATCH, point_index, batch_index)
+        trace_rng = (
+            None if trace is None
+            else _stream(cfg.master_seed, _PURPOSE_TRACE, point_index, batch_index)
+        )
         errors, bad = _run_batch(
-            params, derived.model, cfg.code_policy, rng, n_slots, trace, slots
+            params, derived.model, cfg.code_policy, rng, n_slots, trace, slots, trace_rng
         )
         sum_e += int(errors.sum())
         sum_e2 += int(np.dot(errors, errors))
@@ -335,10 +350,13 @@ def run_points(
     A point is a pure function of its job, so the result is identical for
     any worker count.  More than one worker runs the jobs over a process
     pool, in job order, with no more workers than jobs or than the cores
-    this process may run on; trace rows can only be collected in this
-    process.
+    this process may run on (all cores where the system keeps no affinity
+    set); trace rows can only be collected in this process.
     """
-    cores = len(os.sched_getaffinity(0)) if workers > 1 else 1
+    cores = 1
+    if workers > 1:
+        affinity = getattr(os, "sched_getaffinity", None)
+        cores = len(affinity(0)) if affinity is not None else os.cpu_count() or 1
     workers = min(workers, len(jobs), cores)
     if workers > 1 and trace is None:
         from concurrent.futures import ProcessPoolExecutor

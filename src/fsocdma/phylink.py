@@ -17,13 +17,17 @@ the noise and the primary interference, so the receiver draws only its
 projections.  With w_n = sqrt(P_1) c_1n conj(beta_1n),
 
     R = b_1 S + sum_{k>=2} b_k m_k
-        + sqrt(sigma_n^2/2 ||w||^2) z_1 + sqrt(sigma_s^2/2 ||w_Lambda||^2) z_2
+        + sqrt(sigma_n^2/2 ||w||^2 + sigma_s^2/2 ||w_Lambda||^2) z
 
 where S = ||w||^2, m_k = Re sum_n sqrt(P_k) beta_kn c_kn w_n, Lambda is
-the misdetected set and z_1, z_2 are standard normals.  This has exactly
-the distribution of drawing complex noise on every subcarrier and
-interference on Lambda and projecting them onto w, at two normals per
-bit interval instead of 2N plus the interference.
+the misdetected set and z is a standard normal.  The noise part
+R_n ~ N(0, sigma_n^2/2 ||w||^2) and the primary-interference part
+R_GI ~ N(0, sigma_s^2/2 ||w_Lambda||^2) are independent given the slot
+and reach R only through their sum, so this has exactly the
+distribution of drawing complex noise on every subcarrier and
+interference on Lambda and projecting them onto w, at one normal per
+bit interval instead of 2N plus the interference.  The trace splits the
+sum back into R_n and R_GI with a second normal (see components).
 
 A slot draws only what R depends on.  The OR-fused sensing outcome of a
 subcarrier is one trinomial cell (misdetected, estimated busy, free), so
@@ -118,31 +122,39 @@ def check_code_policy(code_policy: str, n_subcarriers: int) -> None:
         )
 
 
-@lru_cache(maxsize=None)
-def _placement_table(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The zeroed (n+1, k, n) placement table of _placements and its filled rows."""
-    return np.zeros((n + 1, k, n), dtype=np.int64), np.zeros(n + 1, dtype=bool)
+@lru_cache(maxsize=16)  # one entry per (K, N) in use; fig3 uses 8
+def _placement_table(k: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The zeroed tables of _placements: chips (n+1, k, n+1), energies (n+1, k), filled rows."""
+    return (
+        np.zeros((n + 1, k, n + 1), dtype=np.int64),
+        np.zeros((n + 1, k), dtype=np.int64),
+        np.zeros(n + 1, dtype=bool),
+    )
 
 
-def _placements(k: int, n: int, n_free: np.ndarray) -> np.ndarray:
-    """Rechosen chips of the first k users by free count and free rank.
+def _placements(k: int, n: int, n_free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rechosen chips and energies of the first k users by free count and free rank.
 
-    Entry [f, :, r] holds the chips for the r-th estimated-free
-    subcarrier of a slot with f free subcarriers.  The family has the
-    largest supported order n' <= f; ranks from n' on are zero, so the
-    excess free subcarriers idle.  Row f is all zero when that family
-    has fewer than k rows.  Rows are filled the first time a free count
-    in n_free needs them; the rows never filled stay untouched zero
-    pages, so a large N costs only the free counts that occur.
+    Chip entry [f, :, r] holds the chips for the r-th estimated-free
+    subcarrier of a slot with f free subcarriers, and energy row f their
+    squared norms.  The family has the largest supported order n' <= f;
+    ranks from n' on are zero, so the excess free subcarriers idle, and
+    column n is zero for every f, for the busy subcarriers to index.  Row
+    f is all zero when that family has fewer than k rows.  Rows are
+    filled the first time a free count in n_free needs them; the rows
+    never filled stay untouched zero pages, so a large N costs only the
+    free counts that occur.
     """
-    table, filled = _placement_table(k, n)
+    table, energy, filled = _placement_table(k, n)
     missing = n_free[~filled[n_free]]
     for f in set(missing.tolist()):
         n_active = largest_supported_order(f)
         if n_active >= k:
-            table[f, :, :n_active] = rows(n_active, k)
+            chips = rows(n_active, k)
+            table[f, :, :n_active] = chips
+            energy[f] = np.square(chips).sum(axis=1)
         filled[f] = True
-    return table
+    return table, energy
 
 
 def signature_matrix(est_busy, k: int, code_policy: str = "rechoose"):
@@ -155,9 +167,12 @@ def signature_matrix(est_busy, k: int, code_policy: str = "rechoose"):
 
     rechoose policy: a fresh orthogonal family of the largest supported
     order n' <= n_free is laid out over the first n' free subcarriers; the
-    trailing excess free subcarriers are deactivated.  fixed policy: the
-    rows of the fixed length-N family keep their positions and the chips
-    on estimated-busy subcarriers are zeroed (loses row orthogonality).
+    trailing excess free subcarriers are deactivated.  Chips are gathered
+    from the placement table by free count and free rank, with every busy
+    subcarrier at the table's zero column, and energies looked up by free
+    count.  fixed policy: the rows of the fixed length-N family keep their
+    positions and the chips on estimated-busy subcarriers are zeroed
+    (loses row orthogonality).
     """
     busy = np.asarray(est_busy, dtype=bool)
     if busy.ndim != 2:
@@ -166,19 +181,18 @@ def signature_matrix(est_busy, k: int, code_policy: str = "rechoose"):
     free = ~busy
     if code_policy == "rechoose":
         n_free = np.count_nonzero(free, axis=1)
-        rank = np.maximum(np.cumsum(free, axis=1) - 1, 0)
-        users = np.arange(k)[:, np.newaxis]
-        table = _placements(k, n, n_free)
-        chips = table[n_free[:, np.newaxis, np.newaxis], users, rank[:, np.newaxis]]
-        chips *= free[:, np.newaxis, :]
-    elif code_policy == "fixed":
+        column = np.where(free, np.cumsum(free, axis=1) - 1, n)
+        table, energy = _placements(k, n, n_free)
+        # flat offsets of table[f, user, column] in its (n+1, k, n+1) layout
+        offset = (n_free * (k * (n + 1)))[:, np.newaxis, np.newaxis]
+        index = offset + np.arange(0, k * (n + 1), n + 1)[:, np.newaxis] + column[:, np.newaxis]
+        return table.ravel().take(index), energy[n_free]
+    if code_policy == "fixed":
         chips = rows(n, k) * free[:, np.newaxis, :]
-    else:
-        raise ValueError(f"unknown code policy {code_policy!r}")
-    # a row's squares over any subset stay below its squared norm, which
-    # rows bounds far inside int64, so the sums cannot overflow
-    energies = np.einsum("bkn,bkn->bk", chips, chips)
-    return chips, energies
+        # a row's squares over any subset stay below its squared norm, which
+        # rows bounds far inside int64, so the sums cannot overflow
+        return chips, np.einsum("bkn,bkn->bk", chips, chips)
+    raise ValueError(f"unknown code policy {code_policy!r}")
 
 
 @dataclass(frozen=True)
@@ -267,30 +281,56 @@ def project(batch: SlotBatch, energy_per_bit: float) -> Projection:
     )
 
 
-def receive(proj: Projection, params: SystemParams, bits: np.ndarray, z: np.ndarray) -> dict:
-    """First user's decisions over a block of bit intervals per slot.
+def _noise_variances(proj: Projection, params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
+    """Per-slot variances of R_n and R_GI: sigma_n^2/2 S and sigma_s^2/2 ||w_Lambda||^2."""
+    return (
+        0.5 * params.noise_psd * proj.signal,
+        0.5 * params.interference_power * proj.w2_lambda,
+    )
 
-    bits has shape (B, I, K) with entries +-1 and z shape (B, I, 2) holds
-    standard normals for the noise and the primary interference; the
-    slot's projections are held for the whole block (slot coherence).
-    Returns a dict of (B, I) arrays: the decision variables, the four
-    components and the decided bits.
+
+def receive(proj: Projection, params: SystemParams, bits: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """First user's decision variables over a block of bit intervals per slot.
+
+    bits has shape (B, I, K) with entries +-1 and z shape (B, I) holds one
+    standard normal per interval, which scales R_n + R_GI; the slot's
+    projections are held for the whole block (slot coherence).  Returns
+    the (B, I) decision variables b_1 S + sum_k b_k m_k + sigma z, summed
+    in place.
     """
     bits = np.asarray(bits, dtype=np.float64)
     if bits.ndim != 3 or bits.shape[2] != params.n_users:
         raise ValueError(f"bits must have shape (B, I, {params.n_users})")
-    r_signal = bits[:, :, 0] * proj.signal[:, np.newaxis]
-    r_mai = (bits[:, :, 1:] @ proj.mai[:, :, np.newaxis])[:, :, 0]
-    r_noise = np.sqrt(0.5 * params.noise_psd * proj.signal)[:, np.newaxis] * z[:, :, 0]
-    r_gi = np.sqrt(0.5 * params.interference_power * proj.w2_lambda)[:, np.newaxis] * z[:, :, 1]
-    decision = r_signal + r_mai + r_gi + r_noise
+    var_n, var_gi = _noise_variances(proj, params)
+    decision = (bits[:, :, 1:] @ proj.mai[:, :, np.newaxis])[:, :, 0]
+    decision += bits[:, :, 0] * proj.signal[:, np.newaxis]
+    decision += np.sqrt(var_n + var_gi)[:, np.newaxis] * z
     if not np.all(np.isfinite(decision)):
         raise FloatingPointError("non-finite decision variable")
+    return decision
+
+
+def components(
+    proj: Projection, params: SystemParams, bits: np.ndarray, z: np.ndarray, v: np.ndarray
+) -> dict:
+    """The four parts R_s, R_MAI, R_GI and R_n of receive's decisions, for the trace.
+
+    receive draws R_n + R_GI as sigma z with sigma^2 = a1^2 + a2^2, a1^2
+    and a2^2 being the variances of R_n and R_GI.  A second standard
+    normal v per interval, independent of z, splits it:
+    R_n = a1 (a1 z - a2 v) / sigma and R_GI = a2 (a2 z + a1 v) / sigma are
+    independent, of variances a1^2 and a2^2, and sum to sigma z; both are
+    zero where sigma is.  Returns a dict of (B, I) arrays.
+    """
+    bits = np.asarray(bits, dtype=np.float64)
+    var_n, var_gi = _noise_variances(proj, params)
+    sigma = np.sqrt(var_n + var_gi)
+    inv = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=sigma > 0)
+    a1 = np.sqrt(var_n)[:, np.newaxis]
+    a2 = np.sqrt(var_gi)[:, np.newaxis]
     return {
-        "decision": decision,
-        "r_signal": r_signal,
-        "r_mai": r_mai,
-        "r_gi": r_gi,
-        "r_noise": r_noise,
-        "decided": np.where(decision >= 0.0, 1, -1),
+        "r_signal": bits[:, :, 0] * proj.signal[:, np.newaxis],
+        "r_mai": (bits[:, :, 1:] @ proj.mai[:, :, np.newaxis])[:, :, 0],
+        "r_gi": a2 * inv[:, np.newaxis] * (a2 * z + a1 * v),
+        "r_noise": a1 * inv[:, np.newaxis] * (a1 * z - a2 * v),
     }

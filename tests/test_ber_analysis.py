@@ -634,8 +634,8 @@ class TestExactOracle:
         mai_z = rng.standard_normal((slots, k - 1))
         bits = rng.integers(0, 2, (slots, bits_per_slot, k)) * 2 - 1
         proj = project(manual_slot(params, est, lam, fade, mai_z), 1.0)
-        out = receive(proj, params, bits, rng.standard_normal((slots, bits_per_slot, 2)))
-        rates = np.mean(out["decided"] != bits[:, :, 0], axis=1)
+        decision = receive(proj, params, bits, rng.standard_normal((slots, bits_per_slot)))
+        rates = np.mean(np.where(decision >= 0.0, 1, -1) != bits[:, :, 0], axis=1)
         se = float(np.std(rates, ddof=1)) / math.sqrt(slots)
         assert abs(float(np.mean(rates)) - want) <= 3 * se
         assert time.perf_counter() - t0 < 60.0

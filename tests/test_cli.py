@@ -149,7 +149,7 @@ class TestBer:
         assert run_cli(["ber", "--out", str(out), "--seed", "9"] + self.FAST) == 0
         text = out.read_text()
         assert "# set run.batch_slots=48\n" in text
-        assert "# stream_version=3\n" in text
+        assert "# stream_version=4\n" in text
 
     def test_analytic_mode_schema(self, tmp_path):
         out = tmp_path / "ana.csv"
@@ -193,6 +193,18 @@ class TestBer:
         assert lines[0] == "slot,n_busy_true,n_est_busy,n_misdetected,R,R_s,R_MAI,R_GI,R_n,bit,decided"
         assert len(lines) > 90
 
+    def test_trace_leaves_the_csv_bytes(self, tmp_path):
+        # the trace splits the noise with normals of its own stream, so the
+        # simulated point, and its CSV, are the untraced run's
+        plain, traced = tmp_path / "plain.csv", tmp_path / "traced.csv"
+        args = ["ber", "--set", "run.snr_grid_db=10", "--set", "run.trials_min=2000",
+                "--set", "run.target_error_events=20", "--seed", "11"]
+        assert run_cli(args + ["--out", str(plain)]) == 0
+        assert run_cli(args + ["--out", str(traced), "--trace", str(tmp_path / "t.csv")]) == 0
+        assert traced.read_bytes() == plain.read_bytes()
+        rows = [ln for ln in plain.read_text().splitlines() if not ln.startswith("#")]
+        assert int(rows[1].split(",")[5]) >= 20
+
     def test_ber_headers_carry_stream_version(self, tmp_path):
         from fsocdma.montecarlo import STREAM_VERSION
 
@@ -220,6 +232,40 @@ class TestBer:
         rc = run_cli(["ber", "--trace", str(tmp_path / "t.csv"),
                       "--set", "run.snr_grid_db=5,10"])
         assert rc == 1
+
+
+class TestParser:
+    def _header(self, path):
+        return [ln for ln in path.read_text().splitlines() if ln.startswith("# set ")]
+
+    def test_one_parser_per_process_carries_no_state(self, tmp_path):
+        # the second call reuses the parser and still writes only its own --set
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        common = ["ber", "--mode", "analytic", "--set", "run.snr_grid_db=10"]
+        assert run_cli(common + ["--set", "params.n_users=2", "--out", str(a)]) == 0
+        misses = cli.make_parser.cache_info().misses
+        assert run_cli(common + ["--set", "params.pr_h1=0.3", "--out", str(b)]) == 0
+        assert cli.make_parser.cache_info().misses == misses
+        head_a, head_b = self._header(a), self._header(b)
+        assert "# set params.n_users=2" in head_a and "# set params.pr_h1=0.2" in head_a
+        assert "# set params.n_users=4" in head_b and "# set params.pr_h1=0.3" in head_b
+
+    @pytest.mark.parametrize("args", [["--help"], ["ber", "--help"], ["sensing", "roc", "--help"]])
+    def test_help_text_is_a_fresh_parsers(self, args, capsys):
+        # after another call has used the shared parser, --help prints what a
+        # newly built parser prints
+        assert run_cli(["ber", "--mode", "analytic", "--set", "run.snr_grid_db=10",
+                        "--out", os.devnull]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit):
+            cli.make_parser.__wrapped__().parse_args(args)
+        want = capsys.readouterr().out
+        assert want.startswith("usage: fsocdma")
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                run_cli(args)
+            assert exc.value.code == 0
+            assert capsys.readouterr().out == want
 
 
 class TestConfigHandling:

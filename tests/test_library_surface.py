@@ -1,14 +1,19 @@
-"""Guard: no library code exists only for the tests to call.
+"""Guards on the library as a whole.
 
-Every module-level function, class and upper-case constant defined in
-src/fsocdma must be used somewhere in src/ besides its own
-definition: as a name, an attribute or an import.  A public entry point
-that nothing in the repository calls may be allowlisted in ENTRY_POINTS,
-with a one-line reason.
+No library code exists only for the tests to call: every module-level
+function, class and upper-case constant defined in src/fsocdma must be
+used somewhere in src/ besides its own definition, as a name, an
+attribute or an import.  A public entry point that nothing in the
+repository calls may be allowlisted in ENTRY_POINTS, with a one-line
+reason.  And every cache has a bound.
 """
 
 import ast
+import importlib
+import pkgutil
 from pathlib import Path
+
+import fsocdma
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "fsocdma"
@@ -59,3 +64,15 @@ def test_every_definition_is_used_outside_the_tests():
     assert not only_tests, f"defined in src/fsocdma, used by tests or nothing: {only_tests}"
     stale = sorted(set(ENTRY_POINTS) - unused)
     assert not stale, f"allowlisted but used elsewhere or gone: {stale}"
+
+
+def test_every_lru_cache_is_bounded():
+    # an unbounded cache grows for the life of the process
+    caches = {}
+    for info in pkgutil.iter_modules(fsocdma.__path__):
+        module = importlib.import_module(f"fsocdma.{info.name}")
+        for name, fn in vars(module).items():
+            if hasattr(fn, "cache_parameters") and fn.__module__ == module.__name__:
+                caches[f"{info.name}.{name}"] = fn.cache_parameters()["maxsize"]
+    assert "phylink._placement_table" in caches and "cli.make_parser" in caches
+    assert {name: size for name, size in caches.items() if size is None} == {}

@@ -21,6 +21,33 @@ def make_config(k=4, **overrides):
     return mc.RunConfig(**defaults)
 
 
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """A recording stand-in for the process pool, so no process starts.
+
+    Returns the list of max_workers each pool was opened with.
+    """
+    import concurrent.futures
+
+    seen = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return seen
+
+
 class RecordingGenerator:
     """A numpy Generator that records (method, dtype, count) of every draw."""
 
@@ -127,8 +154,9 @@ class TestEstimateBer:
     def test_draw_budget(self, k, pr_h1):
         # a batch draws one uniform and one fade per subcarrier, one normal
         # per interferer, the K bits of each interval packed eight to a byte
-        # and two normals per interval, per slot, and nothing else (also
-        # when many slots cannot carry all users, as at pr_h1=0.9)
+        # and one normal per interval (90 a slot; stream 3 drew 180), per
+        # slot, and nothing else (also when many slots cannot carry all
+        # users, as at pr_h1=0.9)
         cfg = make_config(k=k, params=SystemParams(
             n_subcarriers=32, n_users=k, pr_h1=pr_h1, noise_psd=0.1, interference_power=0.1
         ))
@@ -144,8 +172,53 @@ class TestEstimateBer:
             ("standard_exponential", np.float64, slots * 32),
             ("standard_normal", np.float64, slots * (k - 1)),
             ("integers", np.uint8, -(-slots * n_bits * k // 8)),
-            ("standard_normal", np.float64, slots * n_bits * 2),
+            ("standard_normal", np.float64, slots * n_bits),
         ]
+
+    def test_trace_draws_only_from_its_own_stream(self):
+        # a traced batch draws the untraced batch's numbers and counts the
+        # same errors; the normals that split R_n from R_GI come only from
+        # the trace stream, one per bit interval
+        cfg = make_config(k=4, params=SystemParams(
+            n_subcarriers=32, n_users=4, pr_h1=0.9, noise_psd=0.1, interference_power=0.1
+        ))
+        model = mc.derive_sensing(cfg).model
+        slots, n_bits = 48, cfg.params.bits_per_slot
+        plain = RecordingGenerator(np.random.default_rng(5))
+        errors, bad = mc._run_batch(cfg.params, model, "rechoose", plain, slots)
+        batch_rng = RecordingGenerator(np.random.default_rng(5))
+        trace_rng = RecordingGenerator(np.random.default_rng(6))
+        rows = []
+        traced, traced_bad = mc._run_batch(
+            cfg.params, model, "rechoose", batch_rng, slots, rows, 100, trace_rng
+        )
+        assert batch_rng.draws == plain.draws
+        assert trace_rng.draws == [("standard_normal", np.float64, slots * n_bits)]
+        assert np.array_equal(traced, errors) and traced_bad == bad > 0
+        # the error count by comparison agrees with the trace's decided bits
+        # on every slot that transmitted
+        sent = sorted({r[0] for r in rows})
+        assert len(sent) == slots - bad
+        for slot in sent:
+            mistakes = sum(r[9] != r[10] for r in rows if r[0] == slot)
+            assert errors[slot - 100] == mistakes
+        # a slot that cannot carry all users has R = 0 and decides +1, so
+        # its errors are its first user's -1 bits (replayed in draw order)
+        replay = np.random.default_rng(5)
+        replay.random((slots, 32))
+        replay.standard_exponential((slots, 32))
+        replay.standard_normal((slots, 3))
+        n_sent = slots * n_bits * 4
+        packed = replay.integers(0, 256, -(-n_sent // 8), dtype=np.uint8)
+        first = np.unpackbits(packed, count=n_sent).reshape(slots, n_bits, 4)[:, :, 0]
+        for slot in set(range(slots)) - {s - 100 for s in sent}:
+            assert errors[slot] == np.count_nonzero(first[slot] == 0)
+
+    def test_trace_leaves_the_point_unchanged(self):
+        cfg = make_config(snr_grid_db=(5.0,), trials_min=2_000, target_error_events=30)
+        rows = []
+        assert mc.estimate_ber(cfg, 5.0, 0, trace=rows) == mc.estimate_ber(cfg, 5.0, 0)
+        assert rows
 
     def test_zero_errors_rule_of_three(self):
         cfg = make_config(k=1, snr_grid_db=(40.0,), trials_min=1_000, max_trials=20_000)
@@ -231,37 +304,32 @@ class TestSweep:
         assert lines[1] == "snr_db,ber_analytic,ber_sim,ci_halfwidth,trials,errors"
         assert lines[2].endswith(",,,0,0") and lines[3].split(",")[2]
 
-    def test_pool_workers_capped_by_jobs_and_cores(self, monkeypatch):
-        # a recording stand-in for the pool, so no process starts
-        import concurrent.futures
-
-        seen = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                seen.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                return map(fn, jobs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    def test_pool_workers_capped_by_jobs_and_cores(self, recording_pool, monkeypatch):
         jobs = mc.grid_jobs(make_config(snr_grid_db=(5.0, 10.0, 15.0, 20.0, 25.0)))
         serial = mc.run_points(jobs, simulate=False)
         for cores, workers, n_jobs in [(2, 100, 5), (8, 100, 5), (8, 3, 5), (8, 100, 2)]:
             monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid, n=cores: set(range(n)))
             assert mc.run_points(jobs[:n_jobs], simulate=False, workers=workers) == serial[:n_jobs]
-        assert seen == [2, 5, 3, 2]
+        assert recording_pool == [2, 5, 3, 2]
         # one core, or one job, runs in this process
         monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0})
         mc.run_points(jobs, simulate=False, workers=4)
         mc.run_points(jobs[:1], simulate=False, workers=4)
-        assert seen == [2, 5, 3, 2]
+        assert recording_pool == [2, 5, 3, 2]
+
+    def test_pool_workers_capped_by_cpu_count_without_affinity(self, recording_pool,
+                                                               monkeypatch):
+        # where the system keeps no affinity set, os.cpu_count() gives the cores
+        monkeypatch.delattr(mc.os, "sched_getaffinity", raising=False)
+        jobs = mc.grid_jobs(make_config(snr_grid_db=(5.0, 10.0, 15.0, 20.0, 25.0)))
+        serial = mc.run_points(jobs, simulate=False)
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: 3)
+        assert mc.run_points(jobs, simulate=False, workers=100) == serial
+        assert recording_pool == [3]
+        # a count os.cpu_count() cannot tell (None) runs in this process
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: None)
+        assert mc.run_points(jobs, simulate=False, workers=100) == serial
+        assert recording_pool == [3]
 
     def test_csv_layout(self):
         cfg = make_config(trials_min=500, target_error_events=20)

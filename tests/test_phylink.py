@@ -59,7 +59,8 @@ def gains_with_fade(fade, k, rng):
 
 def fixed_mask_components(params, est_busy, lam_indices, trials, rng, chunk=10_000):
     """(trials, 4) parts R_s, R_MAI, R_GI, R_n of one all-ones bit interval per
-    slot; every slot has the given masks and fresh fading."""
+    slot, R_GI and R_n split from the receiver's normal as the trace splits
+    them; every slot has the given masks and fresh fading."""
     k, n = params.n_users, params.n_subcarriers
     comps = []
     for start in range(0, trials, chunk):
@@ -67,8 +68,9 @@ def fixed_mask_components(params, est_busy, lam_indices, trials, rng, chunk=10_0
         slot = manual_slot(params, est_busy, lam_indices, rng.standard_exponential((b, n)),
                            rng.standard_normal((b, k - 1)))
         bits = np.ones((b, 1, k))
-        out = pl.receive(pl.project(slot, params.energy_per_bit), params, bits,
-                         rng.standard_normal((b, 1, 2)))
+        z = rng.standard_normal((b, 1, 2))  # the receiver's normal and the split's
+        out = pl.components(pl.project(slot, params.energy_per_bit), params, bits,
+                            z[:, :, 0], z[:, :, 1])
         comps.append(np.column_stack(
             [out[name][:, 0] for name in ("r_signal", "r_mai", "r_gi", "r_noise")]
         ))
@@ -258,10 +260,9 @@ class TestTransmitAndReceive:
             noise_psd=1e-300, interference_power=0.0,
         )
         slot = manual_slot(params, np.zeros(4, bool), [], np.ones(4), [])
-        z = np.random.default_rng(0).standard_normal((1, 1, 2))
-        out = pl.receive(pl.project(slot, 1.0), params, np.ones((1, 1, 1)), z)
-        assert out["decision"][0, 0] == 1.0
-        assert out["decided"][0, 0] == 1
+        z = np.random.default_rng(0).standard_normal((1, 1))
+        decision = pl.receive(pl.project(slot, 1.0), params, np.ones((1, 1, 1)), z)
+        assert decision[0, 0] == 1.0
 
     def test_flat_channel_mai_vanishes_with_rechosen_codes(self):
         # 30 free, supported: the rechosen rows are orthogonal, so a flat
@@ -287,13 +288,37 @@ class TestTransmitAndReceive:
         rng = np.random.default_rng(8)
         slots = pl.draw_slots(PARAMS, sensing_model(0.2, 0.5, 0.1), rng, 200)
         bits = rng.integers(0, 2, (200, 1, 4)) * 2.0 - 1.0
-        out = pl.receive(pl.project(slots, PARAMS.energy_per_bit), PARAMS, bits,
-                         rng.standard_normal((200, 1, 2)))
+        z, v = rng.standard_normal((2, 200, 1))
+        proj = pl.project(slots, PARAMS.energy_per_bit)
+        decision = pl.receive(proj, PARAMS, bits, z)
+        out = pl.components(proj, PARAMS, bits, z, v)
         names = ("r_signal", "r_mai", "r_gi", "r_noise")
         parts = sum(out[name] for name in names)
         scale = np.maximum(1.0, sum(np.abs(out[name]) for name in names))
-        assert np.all(np.abs(out["decision"] - parts) <= 1e-10 * scale)
-        assert np.array_equal(out["decided"], np.where(out["decision"] >= 0, 1, -1))
+        assert np.all(np.abs(decision - parts) <= 1e-10 * scale)
+
+    def test_split_is_zero_where_sigma_is(self):
+        # a slot that cannot carry the users has S = ||w_Lambda||^2 = 0, so
+        # R = 0 and the split's 0/0 reads as zero, not nan
+        slot = manual_slot(PARAMS, np.ones(32, bool), [], np.ones(32), np.zeros(3))
+        proj = pl.project(slot, PARAMS.energy_per_bit)
+        z, v = np.random.default_rng(4).standard_normal((2, 1, 5))
+        bits = np.ones((1, 5, 4))
+        assert not np.any(pl.receive(proj, PARAMS, bits, z))
+        out = pl.components(proj, PARAMS, bits, z, v)
+        for name in ("r_signal", "r_mai", "r_gi", "r_noise"):
+            assert not np.any(out[name]), name
+
+    def test_split_without_misdetection_is_all_noise(self):
+        # no misdetected subcarrier: R_GI is zero and R_n is the whole of
+        # the receiver's noise, whatever v is
+        slot = manual_slot(PARAMS, np.zeros(32, bool), [], np.ones(32), np.ones(3))
+        proj = pl.project(slot, PARAMS.energy_per_bit)
+        z, v = np.random.default_rng(5).standard_normal((2, 1, 5))
+        out = pl.components(proj, PARAMS, np.ones((1, 5, 4)), z, v)
+        assert not np.any(out["r_gi"])
+        sigma = math.sqrt(0.5 * PARAMS.noise_psd * proj.signal[0])
+        assert out["r_noise"][0] == pytest.approx(sigma * z[0], rel=1e-12)
 
     def test_seeded_slot_recompute_oracle(self):
         # the literal per-subcarrier receiver, fed a drawn slot's first-user
@@ -301,8 +326,9 @@ class TestTransmitAndReceive:
         rng = np.random.default_rng(9)
         slot = pl.draw_slots(PARAMS, sensing_model(0.2, 0.5, 0.1), rng, 1)
         bits = np.array([[1.0, 1.0, -1.0, 1.0], [-1.0, 1.0, 1.0, -1.0]])
-        out = pl.receive(pl.project(slot, PARAMS.energy_per_bit), PARAMS, bits[np.newaxis],
-                         rng.standard_normal((1, 2, 2)))
+        z, v = rng.standard_normal((2, 1, 2))
+        out = pl.components(pl.project(slot, PARAMS.energy_per_bit), PARAMS, bits[np.newaxis],
+                            z, v)
         _, parts, _ = literal_receiver(
             slot.chips[0], gains_with_fade(slot.fade[0], 4, rng),
             np.flatnonzero(slot.misdetected[0]), bits,
@@ -379,14 +405,19 @@ class TestTransmitAndReceive:
         rng = np.random.default_rng(10)
         slots = pl.draw_slots(PARAMS, sensing_model(0.2, 0.5, 0.1), rng, 6)
         bits = rng.integers(0, 2, (6, 3, 4)) * 2.0 - 1.0
-        z = rng.standard_normal((6, 3, 2))
-        block = pl.receive(pl.project(slots, PARAMS.energy_per_bit), PARAMS, bits, z)
+        z, v = rng.standard_normal((2, 6, 3))
+
+        def received(proj, bits, z, v):
+            return dict(pl.components(proj, PARAMS, bits, z, v),
+                        decision=pl.receive(proj, PARAMS, bits, z))
+
+        block = received(pl.project(slots, PARAMS.energy_per_bit), bits, z, v)
         for s in range(6):
             one = manual_slot(PARAMS, slots.est_busy[s], np.flatnonzero(slots.misdetected[s]),
                               slots.fade[s], slots.mai_z[s])
-            single = pl.receive(pl.project(one, PARAMS.energy_per_bit), PARAMS,
-                                bits[s : s + 1], z[s : s + 1])
-            for name in ("decision", "r_noise", "r_gi", "decided"):
+            single = received(pl.project(one, PARAMS.energy_per_bit),
+                              bits[s : s + 1], z[s : s + 1], v[s : s + 1])
+            for name in ("decision", "r_noise", "r_gi"):
                 assert np.array_equal(single[name][0], block[name][s])
 
 
