@@ -17,6 +17,18 @@ also draws, per bit interval, the normal that splits the receiver's
 noise into R_n and R_GI, from a stream of its own keyed like the batch's,
 so tracing changes no batch draw and no error count.
 
+A point runs its batches in groups, one array pass per group: every
+batch of a group draws from its own stream into its rows of the group's
+arrays, and the codes, projections, receiver and error count then run
+once for the group.  A group holds the batches the point still needs to
+stop, as its closed-form BER predicts, within a budget of _GROUP_SLOTS
+slots.  The stop rule still walks the group batch by batch on that
+batch's own error counts; a batch past the stop was drawn but is
+discarded, and adds no errors, slots or trace rows.  Every computation
+on a slot is row-wise, so a slot's numbers do not depend on the group it
+ran in: the group size changes no output byte, and the stream version
+stays.
+
 A slot's bits share one fading draw, so the slots, not the bits, are the
 independent samples: the reported interval is the slot-level (cluster)
 interval on the mean error count per slot.
@@ -30,6 +42,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -41,8 +54,9 @@ from .ber_analysis import BerPoint, average_pe, fixed_chip_classes
 from .phylink import (
     SystemParams,
     check_code_policy,
+    build_slots,
     components,
-    draw_slots,
+    draw_slot_numbers,
     project,
     receive,
 )
@@ -72,6 +86,10 @@ _MASK64 = (1 << 64) - 1
 _POINT_LIMIT = 1 << 32
 _PURPOSE_BATCH = 3  # purposes 1 and 2 keyed the streams of versions 1 and 2
 _PURPOSE_TRACE = 4  # the trace's split of the receiver noise, per batch
+
+# Slot budget of one array pass: a 240-slot capped point (5 batches of 48)
+# runs in one pass, and a pass's arrays stay within a few MB at K=8, N=32.
+_GROUP_SLOTS = 256
 
 
 @dataclass(frozen=True)
@@ -185,56 +203,84 @@ def _stream(
     return Generator(Philox(counter=counter, key=key))
 
 
-def _run_batch(params, model, code_policy, rng, n_slots, trace=None, first_slot=0,
-               trace_rng=None):
-    """Simulate one batch of slots; returns (errors per slot, infeasible slots).
+def _run_group(params, model, code_policy, rngs, sizes, trace_rngs=None, first_slot=0):
+    """Simulate consecutive batches in one array pass; batch j has sizes[j] slots.
 
-    Draw order: the slots, then every slot's bits (packed), then its
-    receiver normals.  A slot that cannot carry all users has R = 0 and
-    decides +1, so each of its bits is an error with probability 1/2, a
-    coin flip.  With a trace list, one row per bit of every feasible
-    slot is appended, numbered from first_slot, its R_n and R_GI split
-    with normals from trace_rng only.
+    Batch j draws from rngs[j] exactly what it would draw alone, in the
+    same order: its slots (draw_slot_numbers), its bits (packed), then
+    its receiver normals, each into its rows of the group's arrays.  The
+    slots are then built, projected and received once for the group.  A
+    slot that cannot carry all users has R = 0 and decides +1, so each of
+    its bits is an error with probability 1/2, a coin flip.
+
+    Returns (errors per slot, feasible per slot, trace rows) over the
+    group's slots.  With trace_rngs, batch j also draws from trace_rngs[j]
+    the normals that split R_n from R_GI, and the trace rows hold one row
+    per bit of every feasible slot, numbered from first_slot; without,
+    the rows are None.
     """
     n_bits = params.bits_per_slot
     k = params.n_users
-    batch = draw_slots(params, model, rng, n_slots, code_policy)
-    n_sent = n_slots * n_bits * k
-    packed = rng.integers(0, 256, -(-n_sent // 8), dtype=np.uint8)
-    bits = np.unpackbits(packed, count=n_sent).view(np.int8).reshape(n_slots, n_bits, k) * 2 - 1
-    z = rng.standard_normal((n_slots, n_bits))
+    total = sum(sizes)
+    u, fade = np.empty((2, total, params.n_subcarriers))
+    mai_z = np.empty((total, k - 1))
+    bits = np.empty((total, n_bits, k), dtype=np.int8)
+    z = np.empty((total, n_bits))
+    v = None if trace_rngs is None else np.empty((total, n_bits))
+    start = 0
+    for j, (rng, n_slots) in enumerate(zip(rngs, sizes)):
+        mine = slice(start, start + n_slots)
+        draw_slot_numbers(rng, u[mine], fade[mine], mai_z[mine])
+        n_sent = n_slots * n_bits * k
+        packed = rng.integers(0, 256, -(-n_sent // 8), dtype=np.uint8)
+        bits[mine] = np.unpackbits(packed, count=n_sent).reshape(n_slots, n_bits, k)
+        rng.standard_normal(out=z[mine])
+        if v is not None:
+            trace_rngs[j].standard_normal(out=v[mine])
+        start += n_slots
+    bits *= 2
+    bits -= 1
+    batch = build_slots(params, model, u, fade, mai_z, code_policy)
     proj = project(batch, params.energy_per_bit)
     decision = receive(proj, params, bits, z)
     errors = np.count_nonzero((decision >= 0.0) != (bits[:, :, 0] > 0), axis=1)
-    bad = ~batch.feasible
-    n_bad = int(np.count_nonzero(bad))
-    if trace is not None:
-        parts = components(proj, params, bits, z, trace_rng.standard_normal((n_slots, n_bits)))
-        counts = zip(
-            np.count_nonzero(batch.occupancy, axis=1),
-            np.count_nonzero(batch.est_busy, axis=1),
-            np.count_nonzero(batch.misdetected, axis=1),
-        )
-        for s, (n_busy, n_est, n_mis) in enumerate(counts):
-            if bad[s]:
-                continue
-            for i in range(n_bits):
-                trace.append(
-                    (
-                        first_slot + s,
-                        int(n_busy),
-                        int(n_est),
-                        int(n_mis),
-                        float(decision[s, i]),
-                        float(parts["r_signal"][s, i]),
-                        float(parts["r_mai"][s, i]),
-                        float(parts["r_gi"][s, i]),
-                        float(parts["r_noise"][s, i]),
-                        int(bits[s, i, 0]),
-                        1 if decision[s, i] >= 0.0 else -1,
-                    )
-                )
-    return errors, n_bad
+    rows = None
+    if v is not None:
+        rows = _trace_rows(batch, components(proj, params, bits, z, v), decision, bits, first_slot)
+    return errors, batch.feasible, rows
+
+
+def _trace_rows(batch, parts, decision, bits, first_slot):
+    """One TRACE_DTYPE row per bit of every feasible slot, in slot order."""
+    sent = np.flatnonzero(batch.feasible)
+    rows = np.empty(decision[sent].shape, TRACE_DTYPE)
+    rows["slot"] = (first_slot + sent)[:, np.newaxis]
+    for name, mask in (("n_busy_true", batch.occupancy), ("n_est_busy", batch.est_busy),
+                       ("n_misdetected", batch.misdetected)):
+        rows[name] = np.count_nonzero(mask[sent], axis=1)[:, np.newaxis]
+    for name, part in (("R", decision), ("R_s", parts["r_signal"]), ("R_MAI", parts["r_mai"]),
+                       ("R_GI", parts["r_gi"]), ("R_n", parts["r_noise"])):
+        rows[name] = part[sent]
+    rows["bit"] = bits[sent, :, 0]
+    rows["decided"] = np.where(decision[sent] >= 0.0, 1, -1)
+    return rows.ravel()
+
+
+def _group_batches(cfg, analytic, bits_per_slot, cap_slots, slots, sum_e) -> int:
+    """Batches for the next array pass of a point that has run `slots` slots.
+
+    As many as the point still needs to stop: to its cap, or to both
+    trials_min and its remaining error events at its own closed-form BER
+    (no event prediction when that is 0).  At least one, and at most the
+    batches that fit in _GROUP_SLOTS.
+    """
+    to_cap = cap_slots - slots
+    to_events = to_cap
+    if analytic > 0:
+        to_events = (cfg.target_error_events - sum_e) / (analytic * bits_per_slot)
+    to_min = cfg.trials_min / bits_per_slot - slots
+    need = min(to_cap, max(to_min, to_events))
+    return max(1, min(math.ceil(need / cfg.batch_slots), _GROUP_SLOTS // cfg.batch_slots))
 
 
 def slot_interval(sum_e: int, sum_e2: int, slots: int, bits_per_slot: int) -> float:
@@ -268,6 +314,8 @@ def estimate_ber(
     ceil(max_trials / bits_per_slot) slots, the cap.
     Fully determined by (cfg, snr_db, point_index); point_index defaults to
     the position of snr_db on the grid, and an SNR off the grid needs one.
+    With a trace list, one TRACE_DTYPE block per group is appended, holding
+    a row per bit of every feasible slot up to the stop.
     """
     if point_index is None:
         if snr_db not in cfg.snr_grid_db:
@@ -284,26 +332,38 @@ def estimate_ber(
     infeasible = 0
     slots = 0
     batch_index = 0
-    while True:
-        n_slots = min(cfg.batch_slots, cap_slots - slots)
-        rng = _stream(cfg.master_seed, _PURPOSE_BATCH, point_index, batch_index)
-        trace_rng = (
+    stopped = False
+    while not stopped:
+        n_batches = _group_batches(cfg, analytic, bits_per_slot, cap_slots, slots, sum_e)
+        sizes = [  # full batches, the last one clipped at the cap
+            min(cfg.batch_slots, cap_slots - slots - j * cfg.batch_slots) for j in range(n_batches)
+        ]
+        indices = range(batch_index, batch_index + len(sizes))
+        rngs = [_stream(cfg.master_seed, _PURPOSE_BATCH, point_index, b) for b in indices]
+        trace_rngs = (
             None if trace is None
-            else _stream(cfg.master_seed, _PURPOSE_TRACE, point_index, batch_index)
+            else [_stream(cfg.master_seed, _PURPOSE_TRACE, point_index, b) for b in indices]
         )
-        errors, bad = _run_batch(
-            params, derived.model, cfg.code_policy, rng, n_slots, trace, slots, trace_rng
+        errors, feasible, rows = _run_group(
+            params, derived.model, cfg.code_policy, rngs, sizes, trace_rngs, slots
         )
-        sum_e += int(errors.sum())
-        sum_e2 += int(np.dot(errors, errors))
-        infeasible += bad
-        slots += n_slots
-        batch_index += 1
-        bits_done = slots * bits_per_slot
-        if slots >= cap_slots:
-            break
-        if bits_done >= cfg.trials_min and sum_e >= cfg.target_error_events:
-            break
+        start = 0
+        for n_slots in sizes:  # the stop rule, batch by batch, as if run one at a time
+            batch = slice(start, start + n_slots)
+            sum_e += int(errors[batch].sum())
+            sum_e2 += int(np.dot(errors[batch], errors[batch]))
+            infeasible += n_slots - int(np.count_nonzero(feasible[batch]))
+            start += n_slots
+            slots += n_slots
+            batch_index += 1
+            bits_done = slots * bits_per_slot
+            if slots >= cap_slots or (
+                bits_done >= cfg.trials_min and sum_e >= cfg.target_error_events
+            ):
+                stopped = True
+                break
+        if trace is not None:  # batches past the stop leave no rows
+            trace.append(rows[rows["slot"] < slots])
 
     return BerPoint(
         snr_db=snr_db,
@@ -394,15 +454,21 @@ def ber_csv(
     return "\n".join(lines) + "\n"
 
 
-TRACE_HEADER = "slot,n_busy_true,n_est_busy,n_misdetected,R,R_s,R_MAI,R_GI,R_n,bit,decided"
+# One trace row per bit of a feasible slot; the trace CSV's columns, in order.
+TRACE_DTYPE = np.dtype([
+    ("slot", np.int64), ("n_busy_true", np.int64), ("n_est_busy", np.int64),
+    ("n_misdetected", np.int64), ("R", np.float64), ("R_s", np.float64),
+    ("R_MAI", np.float64), ("R_GI", np.float64), ("R_n", np.float64),
+    ("bit", np.int8), ("decided", np.int8),
+])
+TRACE_HEADER = ",".join(TRACE_DTYPE.names)
+_TRACE_ROW = "%d,%d,%d,%d,%.10e,%.10e,%.10e,%.10e,%.10e,%d,%d"
 
 
-def trace_csv(rows: list, comments: tuple[str, ...] = ()) -> str:
+def trace_csv(blocks: list, comments: tuple[str, ...] = ()) -> str:
+    """Trace export: comment block, header, then the rows of every TRACE_DTYPE block."""
     lines = [f"# {c}" for c in comments]
     lines.append(TRACE_HEADER)
-    for r in rows:
-        slot, nb, ne, nm, R, rs, rm, rg, rn, bit, dec = r
-        lines.append(
-            f"{slot},{nb},{ne},{nm},{R:.10e},{rs:.10e},{rm:.10e},{rg:.10e},{rn:.10e},{bit},{dec}"
-        )
+    for block in blocks:
+        lines.extend(map(_TRACE_ROW.__mod__, block.tolist()))
     return "\n".join(lines) + "\n"

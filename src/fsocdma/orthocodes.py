@@ -214,6 +214,14 @@ def rows(n: int, k: int) -> np.ndarray:
     return _freeze(out)
 
 
+@lru_cache(maxsize=len(SUPPORTED_PRIMES))
+def _base_moments(p: int) -> tuple[tuple[int, ...], int]:
+    """Prime base p's sums of (first row * row d)^2 for every row d, and its first row's energy."""
+    base = prime_base(p).entries.tolist()
+    products = tuple(sum((a * b) ** 2 for a, b in zip(base[0], row)) for row in base)
+    return products, sum(a * a for a in base[0])
+
+
 def first_row_moments(n: int, k: int) -> tuple[int, int, int]:
     """(sum c1^4, sum_{i>=2} sum_j (c1_j ci_j)^2, sum c1^2) over the order-n family's first k rows.
 
@@ -224,20 +232,15 @@ def first_row_moments(n: int, k: int) -> tuple[int, int, int]:
     and row 0 gives sum c1^4.  Exact integers, from the bases alone.
     """
     factors = _row_factors(n, k)
-    bases = {p: prime_base(p).entries.tolist() for p in set(factors)}
-    # products[p][d] = sum_j (base_p[0][j] * base_p[d][j])^2
-    products = {
-        p: [sum((a * b) ** 2 for a, b in zip(base[0], row)) for row in base]
-        for p, base in bases.items()
-    }
+    moments = [_base_moments(p) for p in factors]
     terms = []
     for i in range(k):
         term, digits = 1, i
-        for p in factors:
-            term *= products[p][digits % p]
+        for (products, _), p in zip(moments, factors):
+            term *= products[digits % p]
             digits //= p
         terms.append(term)
-    energy = math.prod(sum(a * a for a in bases[p][0]) for p in factors)
+    energy = math.prod(first_energy for _, first_energy in moments)
     return terms[0], sum(terms[1:]), energy
 
 

@@ -219,37 +219,47 @@ class SlotBatch:
         return self.energies[:, 0] > 0
 
 
-def draw_slots(
+def draw_slot_numbers(
+    rng: np.random.Generator, u: np.ndarray, fade: np.ndarray, mai_z: np.ndarray
+) -> None:
+    """Fill one batch's slot draws from rng, in their fixed order.
+
+    u (B, N) gets one uniform per subcarrier, then fade (B, N) one Exp(1)
+    per subcarrier, then mai_z (B, K-1) one normal per interferer, so a
+    seeded stream reproduces the batch bit for bit.  The arrays may be
+    rows of larger ones: the draws land in place.
+    """
+    rng.random(out=u)
+    rng.standard_exponential(out=fade)
+    rng.standard_normal(out=mai_z)
+
+
+def build_slots(
     params: SystemParams,
     model: OccupancyModel,
-    rng: np.random.Generator,
-    n_slots: int,
+    u: np.ndarray,
+    fade: np.ndarray,
+    mai_z: np.ndarray,
     code_policy: str = "rechoose",
 ) -> SlotBatch:
-    """Draw n_slots slots: sensing outcomes, codes and the first user's fading.
+    """The slots of draw_slot_numbers' draws: sensing outcomes and codes.
 
-    Draw order is fixed (one uniform u per subcarrier, then the fades,
-    then the interferers' normals) so a seeded stream reproduces the
-    batch bit for bit.  u picks the subcarrier's cell of the OR-fused
-    sensing model: misdetected below p_mis, estimated busy on
-    [p_mis, p_mis + p_zero), free above.  It is occupied below pr_h1, so
-    the busy cell splits into pr_h1 * qd occupied and (1 - pr_h1) * qfa
-    idle mass.
+    u picks the subcarrier's cell of the OR-fused sensing model:
+    misdetected below p_mis, estimated busy on [p_mis, p_mis + p_zero),
+    free above.  It is occupied below pr_h1, so the busy cell splits into
+    pr_h1 * qd occupied and (1 - pr_h1) * qfa idle mass.
     """
-    n = params.n_subcarriers
-    k = params.n_users
-    u = rng.random((n_slots, n))
     misdetected = u < model.p_mis
     est_busy = ~misdetected & (u < model.p_mis + model.p_zero)
-    chips, energies = signature_matrix(est_busy, k, code_policy)
+    chips, energies = signature_matrix(est_busy, params.n_users, code_policy)
     return SlotBatch(
         occupancy=u < model.pr_h1,
         est_busy=est_busy,
         misdetected=misdetected,
         chips=chips,
         energies=energies,
-        fade=rng.standard_exponential((n_slots, n)),
-        mai_z=rng.standard_normal((n_slots, k - 1)),
+        fade=fade,
+        mai_z=mai_z,
     )
 
 
@@ -289,20 +299,38 @@ def _noise_variances(proj: Projection, params: SystemParams) -> tuple[np.ndarray
     )
 
 
+# Slots whose interferers' bits are turned into floats at a time.
+_MAI_SLOTS = 64
+
+
+def _mai(proj: Projection, bits: np.ndarray) -> np.ndarray:
+    """sum_{k>=2} b_k m_k per bit interval, (B, I).
+
+    Only the interferers' bits turn float, _MAI_SLOTS slots at a time, so
+    a large block never holds a float copy of all its bits.
+    """
+    out = np.empty(bits.shape[:2])
+    for start in range(0, len(out), _MAI_SLOTS):
+        rows = slice(start, start + _MAI_SLOTS)
+        interferers = bits[rows, :, 1:].astype(np.float64)
+        out[rows] = (interferers @ proj.mai[rows, :, np.newaxis])[:, :, 0]
+    return out
+
+
 def receive(proj: Projection, params: SystemParams, bits: np.ndarray, z: np.ndarray) -> np.ndarray:
     """First user's decision variables over a block of bit intervals per slot.
 
-    bits has shape (B, I, K) with entries +-1 and z shape (B, I) holds one
-    standard normal per interval, which scales R_n + R_GI; the slot's
-    projections are held for the whole block (slot coherence).  Returns
-    the (B, I) decision variables b_1 S + sum_k b_k m_k + sigma z, summed
-    in place.
+    bits has shape (B, I, K) with entries +-1 (any numeric dtype; int8
+    keeps a block small) and z shape (B, I) holds one standard normal per
+    interval, which scales R_n + R_GI; the slot's projections are held
+    for the whole block (slot coherence).  Returns the (B, I) decision
+    variables b_1 S + sum_k b_k m_k + sigma z, summed in place.
     """
-    bits = np.asarray(bits, dtype=np.float64)
+    bits = np.asarray(bits)
     if bits.ndim != 3 or bits.shape[2] != params.n_users:
         raise ValueError(f"bits must have shape (B, I, {params.n_users})")
     var_n, var_gi = _noise_variances(proj, params)
-    decision = (bits[:, :, 1:] @ proj.mai[:, :, np.newaxis])[:, :, 0]
+    decision = _mai(proj, bits)
     decision += bits[:, :, 0] * proj.signal[:, np.newaxis]
     decision += np.sqrt(var_n + var_gi)[:, np.newaxis] * z
     if not np.all(np.isfinite(decision)):
@@ -322,7 +350,7 @@ def components(
     independent, of variances a1^2 and a2^2, and sum to sigma z; both are
     zero where sigma is.  Returns a dict of (B, I) arrays.
     """
-    bits = np.asarray(bits, dtype=np.float64)
+    bits = np.asarray(bits)
     var_n, var_gi = _noise_variances(proj, params)
     sigma = np.sqrt(var_n + var_gi)
     inv = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=sigma > 0)
@@ -330,7 +358,7 @@ def components(
     a2 = np.sqrt(var_gi)[:, np.newaxis]
     return {
         "r_signal": bits[:, :, 0] * proj.signal[:, np.newaxis],
-        "r_mai": (bits[:, :, 1:] @ proj.mai[:, :, np.newaxis])[:, :, 0],
+        "r_mai": _mai(proj, bits),
         "r_gi": a2 * inv[:, np.newaxis] * (a2 * z + a1 * v),
         "r_noise": a1 * inv[:, np.newaxis] * (a1 * z - a2 * v),
     }

@@ -205,6 +205,24 @@ class TestBer:
         rows = [ln for ln in plain.read_text().splitlines() if not ln.startswith("#")]
         assert int(rows[1].split(",")[5]) >= 20
 
+    def test_group_size_leaves_the_kfixed_bytes(self, tmp_path, monkeypatch):
+        # a point runs its batches one array pass per group; with one batch
+        # a group, the benchmark's capped fig3 call writes the same bytes
+        from fsocdma import montecarlo as mc
+
+        args = ["ber", "--figure", "fig3", "--seed", "24601", "--threads", "1",
+                "--set", "run.target_error_events=1000000000",
+                "--set", "run.max_trials=21600"]
+        written = []
+        for budget in (mc._GROUP_SLOTS, 1):
+            monkeypatch.setattr(mc, "_GROUP_SLOTS", budget)
+            out = tmp_path / f"budget{budget}" / "fig3.csv"
+            out.parent.mkdir()
+            assert run_cli(args + ["--out", str(out)]) == 0
+            written.append([(out.parent / f"fig3_snr{s}.csv").read_bytes() for s in (10, 20)])
+        assert written[0] == written[1]
+        assert b",21600," in written[0][0]
+
     def test_ber_headers_carry_stream_version(self, tmp_path):
         from fsocdma.montecarlo import STREAM_VERSION
 

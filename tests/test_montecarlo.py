@@ -152,67 +152,75 @@ class TestEstimateBer:
 
     @pytest.mark.parametrize("k, pr_h1", [(1, 0.2), (4, 0.2), (8, 0.2), (4, 0.9)])
     def test_draw_budget(self, k, pr_h1):
-        # a batch draws one uniform and one fade per subcarrier, one normal
-        # per interferer, the K bits of each interval packed eight to a byte
-        # and one normal per interval (90 a slot; stream 3 drew 180), per
-        # slot, and nothing else (also when many slots cannot carry all
-        # users, as at pr_h1=0.9)
+        # every batch of a group draws from its own stream one uniform and
+        # one fade per subcarrier, one normal per interferer, the K bits of
+        # each interval packed eight to a byte and one normal per interval
+        # (90 a slot; stream 3 drew 180), per slot, and nothing else (also
+        # when many slots cannot carry all users, as at pr_h1=0.9); the
+        # last batch is clipped, as at a cap
         cfg = make_config(k=k, params=SystemParams(
             n_subcarriers=32, n_users=k, pr_h1=pr_h1, noise_psd=0.1, interference_power=0.1
         ))
         model = mc.derive_sensing(cfg).model
-        rng = RecordingGenerator(np.random.default_rng(5))
-        slots, n_bits = 48, cfg.params.bits_per_slot
-        errors, bad = mc._run_batch(cfg.params, model, "rechoose", rng, slots, None, 0)
-        assert errors.shape == (slots,)
+        rngs = [RecordingGenerator(np.random.default_rng(seed)) for seed in (5, 6)]
+        sizes, n_bits = (48, 20), cfg.params.bits_per_slot
+        errors, feasible, rows = mc._run_group(cfg.params, model, "rechoose", rngs, sizes)
+        assert errors.shape == feasible.shape == (sum(sizes),) and rows is None
         if pr_h1 > 0.5:
-            assert bad > 0
-        assert rng.draws == [
-            ("random", np.float64, slots * 32),
-            ("standard_exponential", np.float64, slots * 32),
-            ("standard_normal", np.float64, slots * (k - 1)),
-            ("integers", np.uint8, -(-slots * n_bits * k // 8)),
-            ("standard_normal", np.float64, slots * n_bits),
-        ]
+            assert not feasible.all()
+        for rng, slots in zip(rngs, sizes):
+            assert rng.draws == [
+                ("random", np.float64, slots * 32),
+                ("standard_exponential", np.float64, slots * 32),
+                ("standard_normal", np.float64, slots * (k - 1)),
+                ("integers", np.uint8, -(-slots * n_bits * k // 8)),
+                ("standard_normal", np.float64, slots * n_bits),
+            ]
 
     def test_trace_draws_only_from_its_own_stream(self):
-        # a traced batch draws the untraced batch's numbers and counts the
+        # a traced group draws the untraced group's numbers and counts the
         # same errors; the normals that split R_n from R_GI come only from
-        # the trace stream, one per bit interval
+        # each batch's trace stream, one per bit interval
         cfg = make_config(k=4, params=SystemParams(
             n_subcarriers=32, n_users=4, pr_h1=0.9, noise_psd=0.1, interference_power=0.1
         ))
         model = mc.derive_sensing(cfg).model
-        slots, n_bits = 48, cfg.params.bits_per_slot
-        plain = RecordingGenerator(np.random.default_rng(5))
-        errors, bad = mc._run_batch(cfg.params, model, "rechoose", plain, slots)
-        batch_rng = RecordingGenerator(np.random.default_rng(5))
-        trace_rng = RecordingGenerator(np.random.default_rng(6))
-        rows = []
-        traced, traced_bad = mc._run_batch(
-            cfg.params, model, "rechoose", batch_rng, slots, rows, 100, trace_rng
+        sizes, n_bits = (48, 20), cfg.params.bits_per_slot
+        plain = [RecordingGenerator(np.random.default_rng(seed)) for seed in (5, 6)]
+        errors, feasible, _ = mc._run_group(cfg.params, model, "rechoose", plain, sizes)
+        batch_rngs = [RecordingGenerator(np.random.default_rng(seed)) for seed in (5, 6)]
+        trace_rngs = [RecordingGenerator(np.random.default_rng(seed)) for seed in (7, 8)]
+        traced, traced_feasible, rows = mc._run_group(
+            cfg.params, model, "rechoose", batch_rngs, sizes, trace_rngs, 100
         )
-        assert batch_rng.draws == plain.draws
-        assert trace_rng.draws == [("standard_normal", np.float64, slots * n_bits)]
-        assert np.array_equal(traced, errors) and traced_bad == bad > 0
+        assert [r.draws for r in batch_rngs] == [r.draws for r in plain]
+        assert [r.draws for r in trace_rngs] == [
+            [("standard_normal", np.float64, slots * n_bits)] for slots in sizes
+        ]
+        assert np.array_equal(traced, errors) and np.array_equal(traced_feasible, feasible)
+        assert not feasible.all()
         # the error count by comparison agrees with the trace's decided bits
         # on every slot that transmitted
-        sent = sorted({r[0] for r in rows})
-        assert len(sent) == slots - bad
+        sent = np.unique(rows["slot"])
+        assert np.array_equal(sent - 100, np.flatnonzero(feasible))
         for slot in sent:
-            mistakes = sum(r[9] != r[10] for r in rows if r[0] == slot)
-            assert errors[slot - 100] == mistakes
+            mine = rows[rows["slot"] == slot]
+            assert errors[slot - 100] == np.count_nonzero(mine["bit"] != mine["decided"])
         # a slot that cannot carry all users has R = 0 and decides +1, so
-        # its errors are its first user's -1 bits (replayed in draw order)
-        replay = np.random.default_rng(5)
-        replay.random((slots, 32))
-        replay.standard_exponential((slots, 32))
-        replay.standard_normal((slots, 3))
-        n_sent = slots * n_bits * 4
-        packed = replay.integers(0, 256, -(-n_sent // 8), dtype=np.uint8)
-        first = np.unpackbits(packed, count=n_sent).reshape(slots, n_bits, 4)[:, :, 0]
-        for slot in set(range(slots)) - {s - 100 for s in sent}:
-            assert errors[slot] == np.count_nonzero(first[slot] == 0)
+        # its errors are its first user's -1 bits (replayed in each batch's
+        # draw order from its own stream)
+        first_slot = 0
+        for seed, slots in zip((5, 6), sizes):
+            replay = np.random.default_rng(seed)
+            replay.random((slots, 32))
+            replay.standard_exponential((slots, 32))
+            replay.standard_normal((slots, 3))
+            n_sent = slots * n_bits * 4
+            packed = replay.integers(0, 256, -(-n_sent // 8), dtype=np.uint8)
+            first = np.unpackbits(packed, count=n_sent).reshape(slots, n_bits, 4)[:, :, 0]
+            for s in np.flatnonzero(~feasible[first_slot:first_slot + slots]):
+                assert errors[first_slot + s] == np.count_nonzero(first[s] == 0)
+            first_slot += slots
 
     def test_trace_leaves_the_point_unchanged(self):
         cfg = make_config(snr_grid_db=(5.0,), trials_min=2_000, target_error_events=30)
@@ -251,16 +259,138 @@ class TestEstimateBer:
 
     def test_trace_rows(self):
         cfg = make_config(snr_grid_db=(5.0,), trials_min=100, target_error_events=5)
-        rows = []
-        p = mc.estimate_ber(cfg, 5.0, 0, trace=rows)
-        transmitted = [r for r in rows]
-        assert len(transmitted) + 0 >= p.trials - p.infeasible_slots * cfg.params.bits_per_slot
-        slot0 = [r for r in rows if r[0] == 0]
-        assert len(slot0) == cfg.params.bits_per_slot
+        blocks = []
+        p = mc.estimate_ber(cfg, 5.0, 0, trace=blocks)
+        rows = np.concatenate(blocks)
+        # one row per bit of every simulated slot that transmitted, in order
+        assert rows.size == p.trials - p.infeasible_slots * cfg.params.bits_per_slot
+        assert np.all(np.diff(rows["slot"]) >= 0)
+        assert np.count_nonzero(rows["slot"] == 0) == cfg.params.bits_per_slot
         # decomposition recorded in the trace holds row by row
-        for r in rows[:200]:
-            assert r[4] == pytest.approx(r[5] + r[6] + r[7] + r[8], rel=1e-9, abs=1e-12)
+        parts = rows["R_s"] + rows["R_MAI"] + rows["R_GI"] + rows["R_n"]
+        assert np.allclose(rows["R"], parts, rtol=1e-9, atol=1e-12)
 
+    def test_trace_csv_formats_every_row(self):
+        rows = np.zeros(2, mc.TRACE_DTYPE)
+        rows[0] = (3, 1, 2, 0, -0.5, 1.25, -1e-300, 0.0, 2.0 / 3.0, -1, 1)
+        text = mc.trace_csv([rows[:1], rows[1:]], comments=("hello",))
+        assert text == (
+            "# hello\n" + mc.TRACE_HEADER + "\n"
+            "3,1,2,0,-5.0000000000e-01,1.2500000000e+00,-1.0000000000e-300,"
+            "0.0000000000e+00,6.6666666667e-01,-1,1\n"
+            "0,0,0,0,0.0000000000e+00,0.0000000000e+00,0.0000000000e+00,"
+            "0.0000000000e+00,0.0000000000e+00,0,0\n"
+        )
+        # the rows read back as the tuples the trace once appended, and
+        # print as that per-row f-string printed them
+        rng = np.random.default_rng(3)
+        rows = np.zeros(500, mc.TRACE_DTYPE)
+        for name in ("R", "R_s", "R_MAI", "R_GI", "R_n"):
+            rows[name] = rng.standard_normal(500) * 10.0 ** rng.integers(-300, 300, 500)
+        rows["slot"] = rng.integers(0, 10**6, 500)
+        rows["bit"] = rng.choice([-1, 1], 500)
+        want = [mc.TRACE_HEADER] + [
+            f"{s},{nb},{ne},{nm},{R:.10e},{rs:.10e},{rm:.10e},{rg:.10e},{rn:.10e},{b},{d}"
+            for s, nb, ne, nm, R, rs, rm, rg, rn, b, d in rows.tolist()
+        ]
+        assert mc.trace_csv([rows[:123], rows[123:]]) == "\n".join(want) + "\n"
+
+
+class TestGroups:
+    """A point runs its batches in groups; the group size must not show."""
+
+    @staticmethod
+    def _runs(monkeypatch, cfg, snr, point_index=0):
+        """(point, trace rows, slots drawn) at the default group budget, then at one batch."""
+        drawn = []
+        run_group = mc._run_group
+
+        def counting(params, model, policy, rngs, sizes, *rest):
+            drawn.append(sum(sizes))
+            return run_group(params, model, policy, rngs, sizes, *rest)
+
+        monkeypatch.setattr(mc, "_run_group", counting)
+        out = []
+        for budget in (mc._GROUP_SLOTS, 1):
+            monkeypatch.setattr(mc, "_GROUP_SLOTS", budget)
+            drawn.clear()
+            blocks = []
+            point = mc.estimate_ber(cfg, snr, point_index, trace=blocks)
+            out.append((point, np.concatenate(blocks), sum(drawn), len(drawn)))
+        return out
+
+    @pytest.mark.parametrize("case", [
+        "events", "cap_clipped", "trials_min", "infeasible", "fixed", "k1",
+    ])
+    def test_group_size_leaves_results(self, monkeypatch, case):
+        params = dict(n_subcarriers=32, n_users=4, pr_h1=0.2, noise_psd=0.1,
+                      interference_power=0.1)
+        run = {}
+        snr = 10.0  # 100 events take 7 batches
+        if case == "cap_clipped":  # 334 slots: 5 batches, then 48 + 46
+            run = dict(target_error_events=10**9, max_trials=30_000)
+        elif case == "trials_min":  # 100 events come long before 40k bits
+            run = dict(trials_min=40_000)
+            snr = 5.0
+        elif case == "infeasible":
+            params["pr_h1"] = 0.9
+            run = dict(target_error_events=5_000)
+        elif case == "fixed":
+            params["n_subcarriers"] = 16
+            run = dict(code_policy="fixed")
+            snr = 15.0
+        elif case == "k1":
+            params["n_users"] = 1
+            snr = 5.0
+        cfg = make_config(k=params["n_users"], params=SystemParams(**params),
+                          snr_grid_db=(snr,), **run)
+        (point, rows, drawn, passes), (one_point, one_rows, one_drawn, one_passes) = (
+            self._runs(monkeypatch, cfg, snr)
+        )
+        assert point == one_point
+        assert rows.tolist() == one_rows.tolist()
+        assert one_drawn == point.trials // cfg.params.bits_per_slot  # nothing speculative
+        assert drawn >= one_drawn and passes < one_passes
+        if case == "cap_clipped":
+            assert point.trials == 30_060 and passes == 2
+        if case == "trials_min":
+            assert point.trials == 43_200 and point.errors > cfg.target_error_events
+        if case == "infeasible":
+            assert point.infeasible_slots > 0
+
+    def test_batches_past_the_stop_are_discarded(self, monkeypatch):
+        # a closed form ten times too low plans a group past the stop: the
+        # batches after it are drawn and leave no errors, slots or rows
+        average_pe = mc.average_pe
+        monkeypatch.setattr(mc, "average_pe", lambda *a: average_pe(*a) / 10)
+        cfg = make_config(snr_grid_db=(10.0,), target_error_events=50)
+        (point, rows, drawn, _), (one_point, one_rows, one_drawn, _) = (
+            self._runs(monkeypatch, cfg, 10.0)
+        )
+        assert drawn > one_drawn == point.trials // cfg.params.bits_per_slot
+        assert point == one_point and rows.tolist() == one_rows.tolist()
+        assert rows["slot"].max() < one_drawn
+
+    def test_group_planning(self):
+        cfg = make_config(trials_min=2_000, target_error_events=100, max_trials=5_000_000)
+        budget = mc._GROUP_SLOTS // cfg.batch_slots
+        assert budget == 5
+        cap = -(-cfg.max_trials // 90)
+
+        def plan(analytic, slots=0, sum_e=0, **over):
+            c = dataclasses.replace(cfg, **over)
+            return mc._group_batches(c, analytic, 90, -(-c.max_trials // 90), slots, sum_e)
+
+        # 100 events at 1e-2 need 111.1 slots: 3 batches
+        assert plan(1e-2) == 3
+        # the budget caps a rare point, and a point with no closed-form errors
+        assert plan(1e-9) == plan(0.0) == budget
+        # events in hand: trials_min alone (2000 bits = 23 slots) decides
+        assert plan(1e-2, slots=0, sum_e=100) == 1
+        assert plan(1e-9, sum_e=100, trials_min=90_000) == 5
+        # never past the cap, never less than one batch
+        assert plan(1e-9, slots=cap - 10) == 1
+        assert plan(0.5, slots=48, sum_e=10**6) == 1
 
 class TestSweep:
     def test_thread_count_invariance(self):

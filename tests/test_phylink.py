@@ -21,6 +21,14 @@ def sensing_model(pr_h1, pd, pfa, k=4):
     return occupancy_model(pr_h1, fuse_or([SensingOutcome(pfa=pfa, pd=pd)] * k))
 
 
+def draw_slots(params, model, rng, n_slots, code_policy="rechoose"):
+    """n_slots slots drawn from rng as the simulator draws one batch's slots."""
+    u, fade = np.empty((2, n_slots, params.n_subcarriers))
+    mai_z = np.empty((n_slots, params.n_users - 1))
+    pl.draw_slot_numbers(rng, u, fade, mai_z)
+    return pl.build_slots(params, model, u, fade, mai_z, code_policy)
+
+
 def manual_slot(params, est_busy, lam_indices, fade, mai_z, code_policy="rechoose"):
     """Slots with fixed masks and given fading (no randomness).
 
@@ -102,19 +110,19 @@ class TestDrawSlot:
     def test_all_free_when_no_primary_and_no_false_alarm(self):
         rng = np.random.default_rng(0)
         params = dataclasses.replace(PARAMS, pr_h1=0.0)
-        slot = pl.draw_slots(params, sensing_model(0.0, 0.9, 0.0), rng, 1)
+        slot = draw_slots(params, sensing_model(0.0, 0.9, 0.0), rng, 1)
         assert not slot.est_busy.any()
         assert not slot.misdetected.any()
         assert np.count_nonzero(slot.chips[0, 0]) == 32
 
     def test_perfect_detection_means_no_misdetection(self):
         rng = np.random.default_rng(1)
-        slots = pl.draw_slots(PARAMS, sensing_model(0.2, 1.0, 0.05), rng, 50)
+        slots = draw_slots(PARAMS, sensing_model(0.2, 1.0, 0.05), rng, 50)
         assert not slots.misdetected.any()
 
     def test_invariants_hold(self):
         rng = np.random.default_rng(2)
-        slots = pl.draw_slots(PARAMS, sensing_model(0.2, 0.5, 0.1), rng, 100)
+        slots = draw_slots(PARAMS, sensing_model(0.2, 0.5, 0.1), rng, 100)
         assert np.array_equal(slots.misdetected, slots.occupancy & ~slots.est_busy)
         assert slots.fade.shape == (100, 32) and np.all(slots.fade >= 0.0)
         assert slots.mai_z.shape == (100, 3)
@@ -138,7 +146,7 @@ class TestDrawSlot:
         rng = np.random.default_rng(3)
         total = 0
         for _ in range(slots // 1_000):
-            batch = pl.draw_slots(PARAMS, model, rng, 1_000)
+            batch = draw_slots(PARAMS, model, rng, 1_000)
             total += int(batch.misdetected.sum())
         mean = total / slots
         se = np.sqrt(PARAMS.n_subcarriers * p_mis * (1 - p_mis) / slots)
@@ -156,7 +164,7 @@ class TestDrawSlot:
         new = np.zeros(3)
         old = np.zeros(3)
         for _ in range(slots // chunk):
-            batch = pl.draw_slots(PARAMS, model, rng, chunk)
+            batch = draw_slots(PARAMS, model, rng, chunk)
             occ, busy = batch.occupancy, batch.est_busy
             new += [np.sum(occ & ~busy), np.sum(occ & busy), np.sum(~occ & busy)]
             occ, busy = or_fused_draw(pr_h1, pd, pfa, k, rng, (chunk, n))
@@ -173,14 +181,14 @@ class TestDrawSlot:
         # |beta_1n|^2 of a unit-variance circular Gaussian gain is Exp(1);
         # the interferers' scales are standard normals
         rng = np.random.default_rng(22)
-        slots = pl.draw_slots(PARAMS, sensing_model(0.2, 0.5, 0.1), rng, 2_000)
+        slots = draw_slots(PARAMS, sensing_model(0.2, 0.5, 0.1), rng, 2_000)
         assert stats.kstest(slots.fade.ravel(), "expon").pvalue > 1e-3
         assert stats.kstest(slots.mai_z.ravel(), "norm").pvalue > 1e-3
 
     def test_capacity_error(self):
         # every subcarrier reported busy: nothing can be transmitted
         rng = np.random.default_rng(4)
-        slots = pl.draw_slots(PARAMS, sensing_model(0.2, 1.0, 1.0), rng, 5)
+        slots = draw_slots(PARAMS, sensing_model(0.2, 1.0, 1.0), rng, 5)
         assert not slots.feasible.any()
         assert not slots.chips.any()
         for policy in pl.CODE_POLICIES:
@@ -199,7 +207,7 @@ class TestDrawSlot:
 
     def test_fixed_policy_zeroes_in_place(self):
         rng = np.random.default_rng(6)
-        slots = pl.draw_slots(PARAMS, sensing_model(0.2, 0.6, 0.1), rng, 20, "fixed")
+        slots = draw_slots(PARAMS, sensing_model(0.2, 0.6, 0.1), rng, 20, "fixed")
         family = build(32)
         for s in range(20):
             free = ~slots.est_busy[s]
@@ -278,7 +286,7 @@ class TestTransmitAndReceive:
 
     def test_power_accounting(self):
         rng = np.random.default_rng(7)
-        slots = pl.draw_slots(PARAMS, sensing_model(0.2, 0.5, 0.1), rng, 20)
+        slots = draw_slots(PARAMS, sensing_model(0.2, 0.5, 0.1), rng, 20)
         for s in range(20):
             p_n = PARAMS.energy_per_bit / slots.energies[s, 0]
             total = p_n * float(np.sum(slots.chips[s, 0].astype(float) ** 2))
@@ -286,7 +294,7 @@ class TestTransmitAndReceive:
 
     def test_components_sum_to_decision(self):
         rng = np.random.default_rng(8)
-        slots = pl.draw_slots(PARAMS, sensing_model(0.2, 0.5, 0.1), rng, 200)
+        slots = draw_slots(PARAMS, sensing_model(0.2, 0.5, 0.1), rng, 200)
         bits = rng.integers(0, 2, (200, 1, 4)) * 2.0 - 1.0
         z, v = rng.standard_normal((2, 200, 1))
         proj = pl.project(slots, PARAMS.energy_per_bit)
@@ -324,7 +332,7 @@ class TestTransmitAndReceive:
         # the literal per-subcarrier receiver, fed a drawn slot's first-user
         # fades and the same bits, reproduces the signal part of the decision
         rng = np.random.default_rng(9)
-        slot = pl.draw_slots(PARAMS, sensing_model(0.2, 0.5, 0.1), rng, 1)
+        slot = draw_slots(PARAMS, sensing_model(0.2, 0.5, 0.1), rng, 1)
         bits = np.array([[1.0, 1.0, -1.0, 1.0], [-1.0, 1.0, 1.0, -1.0]])
         z, v = rng.standard_normal((2, 1, 2))
         out = pl.components(pl.project(slot, PARAMS.energy_per_bit), PARAMS, bits[np.newaxis],
@@ -403,7 +411,7 @@ class TestTransmitAndReceive:
     def test_block_matches_single(self):
         # a batch of slots reproduces each slot received on its own
         rng = np.random.default_rng(10)
-        slots = pl.draw_slots(PARAMS, sensing_model(0.2, 0.5, 0.1), rng, 6)
+        slots = draw_slots(PARAMS, sensing_model(0.2, 0.5, 0.1), rng, 6)
         bits = rng.integers(0, 2, (6, 3, 4)) * 2.0 - 1.0
         z, v = rng.standard_normal((2, 6, 3))
 
