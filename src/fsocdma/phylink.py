@@ -122,11 +122,25 @@ def check_code_policy(code_policy: str, n_subcarriers: int) -> None:
         )
 
 
+def _int16_chips(chips: np.ndarray) -> np.ndarray:
+    """Integer chips as int16, raising OverflowError if an entry does not fit.
+
+    Entries are products of prime-base entries, at most 3^5 = 243 in
+    magnitude at every supported order, so int16 holds every family.
+    """
+    if chips.size and np.abs(chips).max() > np.iinfo(np.int16).max:
+        raise OverflowError("a chip entry does not fit int16")
+    return chips.astype(np.int16)
+
+
 @lru_cache(maxsize=16)  # one entry per (K, N) in use; fig3 uses 8
 def _placement_table(k: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The zeroed tables of _placements: chips (n+1, k, n+1), energies (n+1, k), filled rows."""
+    """The zeroed tables of _placements: chips, energies and filled rows.
+
+    Chips are int16 (n+1, k, n+1), energies int64 (n+1, k).
+    """
     return (
-        np.zeros((n + 1, k, n + 1), dtype=np.int64),
+        np.zeros((n + 1, k, n + 1), dtype=np.int16),
         np.zeros((n + 1, k), dtype=np.int64),
         np.zeros(n + 1, dtype=bool),
     )
@@ -151,7 +165,7 @@ def _placements(k: int, n: int, n_free: np.ndarray) -> tuple[np.ndarray, np.ndar
         n_active = largest_supported_order(f)
         if n_active >= k:
             chips = rows(n_active, k)
-            table[f, :, :n_active] = chips
+            table[f, :, :n_active] = _int16_chips(chips)
             energy[f] = np.square(chips).sum(axis=1)
         filled[f] = True
     return table, energy
@@ -160,7 +174,7 @@ def _placements(k: int, n: int, n_free: np.ndarray) -> tuple[np.ndarray, np.ndar
 def signature_matrix(est_busy, k: int, code_policy: str = "rechoose"):
     """Chips and energies of the first k users for a batch of busy masks.
 
-    est_busy has shape (B, N).  Returns chips (B, k, N) int64, zero on
+    est_busy has shape (B, N).  Returns chips (B, k, N) int16, zero on
     every deactivated subcarrier, and energies (B, k) int64, the sums of
     the squared chips.  A slot that cannot carry k users gets all-zero
     chips and energies.
@@ -168,11 +182,12 @@ def signature_matrix(est_busy, k: int, code_policy: str = "rechoose"):
     rechoose policy: a fresh orthogonal family of the largest supported
     order n' <= n_free is laid out over the first n' free subcarriers; the
     trailing excess free subcarriers are deactivated.  Chips are gathered
-    from the placement table by free count and free rank, with every busy
-    subcarrier at the table's zero column, and energies looked up by free
-    count.  fixed policy: the rows of the fixed length-N family keep their
-    positions and the chips on estimated-busy subcarriers are zeroed
-    (loses row orthogonality).
+    from the placement table by free count and then by free rank, with
+    every busy subcarrier at the table's zero column; the index arrays
+    broadcast, so no (B, k, N) index is formed.  Energies are looked up
+    by free count.  fixed policy: the rows of the fixed length-N family
+    keep their positions and the chips on estimated-busy subcarriers are
+    zeroed (loses row orthogonality).
     """
     busy = np.asarray(est_busy, dtype=bool)
     if busy.ndim != 2:
@@ -181,17 +196,18 @@ def signature_matrix(est_busy, k: int, code_policy: str = "rechoose"):
     free = ~busy
     if code_policy == "rechoose":
         n_free = np.count_nonzero(free, axis=1)
-        column = np.where(free, np.cumsum(free, axis=1) - 1, n)
+        column = np.cumsum(free, axis=1)  # free rank + 1 on a free subcarrier
+        column -= 1
+        column[busy] = n
         table, energy = _placements(k, n, n_free)
-        # flat offsets of table[f, user, column] in its (n+1, k, n+1) layout
-        offset = (n_free * (k * (n + 1)))[:, np.newaxis, np.newaxis]
-        index = offset + np.arange(0, k * (n + 1), n + 1)[:, np.newaxis] + column[:, np.newaxis]
-        return table.ravel().take(index), energy[n_free]
+        chips = table[n_free[:, np.newaxis, np.newaxis], np.arange(k)[:, np.newaxis],
+                      column[:, np.newaxis]]
+        return chips, energy[n_free]
     if code_policy == "fixed":
-        chips = rows(n, k) * free[:, np.newaxis, :]
-        # a row's squares over any subset stay below its squared norm, which
-        # rows bounds far inside int64, so the sums cannot overflow
-        return chips, np.einsum("bkn,bkn->bk", chips, chips)
+        family = rows(n, k)
+        chips = _int16_chips(family) * free[:, np.newaxis, :]
+        # exact integer sums of the squares a slot keeps, one per user
+        return chips, free @ np.square(family).T
     raise ValueError(f"unknown code policy {code_policy!r}")
 
 
@@ -209,7 +225,7 @@ class SlotBatch:
     occupancy: np.ndarray  # (B, N) bool, true primary occupancy
     est_busy: np.ndarray  # (B, N) bool, OR fusion of the users' decisions
     misdetected: np.ndarray  # (B, N) bool, occupancy & ~est_busy
-    chips: np.ndarray  # (B, K, N) int64
+    chips: np.ndarray  # (B, K, N) int16, see signature_matrix
     energies: np.ndarray  # (B, K) int64, sum of squared chips per user
     fade: np.ndarray  # (B, N) float, |beta_1n|^2 ~ Exp(1)
     mai_z: np.ndarray  # (B, K-1) float, standard normals scaling m_k
@@ -277,13 +293,31 @@ class Projection:
     w2_lambda: np.ndarray  # (B,)
 
 
+# Slots whose chips or bits are turned into floats at a time, so a large
+# block never holds a float copy of all of them.
+_FLOAT_SLOTS = 32
+
+
+def _slot_chunks(n_slots: int):
+    """Consecutive slices of _FLOAT_SLOTS slots covering n_slots slots."""
+    return (slice(start, start + _FLOAT_SLOTS) for start in range(0, n_slots, _FLOAT_SLOTS))
+
+
 def project(batch: SlotBatch, energy_per_bit: float) -> Projection:
-    """S, m_k and ||w_Lambda||^2 of every slot (all zero where infeasible)."""
-    chips2 = np.square(batch.chips, dtype=np.float64)
+    """S, m_k and ||w_Lambda||^2 of every slot (all zero where infeasible).
+
+    The chips square exactly in float64: the first user's for w, the
+    interferers' _FLOAT_SLOTS slots at a time for their variances.
+    """
     # unit energy in place of zero keeps an infeasible slot's sums at zero
     power = energy_per_bit / np.maximum(batch.energies, 1)  # P_k per user
-    w2 = power[:, :1] * chips2[:, 0] * batch.fade  # |w_n|^2, (B, N)
-    mai_var = 0.5 * power[:, 1:] * np.einsum("bkn,bn->bk", chips2[:, 1:], w2)
+    w2 = power[:, :1] * np.square(batch.chips[:, 0], dtype=np.float64) * batch.fade  # |w_n|^2
+    mai_var = np.empty(batch.mai_z.shape)
+    for rows in _slot_chunks(len(w2)):
+        chips2 = np.square(batch.chips[rows, 1:], dtype=np.float64)
+        mai_var[rows] = np.einsum("bkn,bn->bk", chips2, w2[rows])
+        del chips2  # freed before the next chunk's squares are made
+    mai_var *= 0.5 * power[:, 1:]
     return Projection(
         signal=w2.sum(axis=1),
         mai=np.sqrt(mai_var) * batch.mai_z,
@@ -299,21 +333,17 @@ def _noise_variances(proj: Projection, params: SystemParams) -> tuple[np.ndarray
     )
 
 
-# Slots whose interferers' bits are turned into floats at a time.
-_MAI_SLOTS = 64
-
-
 def _mai(proj: Projection, bits: np.ndarray) -> np.ndarray:
     """sum_{k>=2} b_k m_k per bit interval, (B, I).
 
-    Only the interferers' bits turn float, _MAI_SLOTS slots at a time, so
-    a large block never holds a float copy of all its bits.
+    The bits turn float _FLOAT_SLOTS slots at a time, all K users in one
+    contiguous pass, and the product reads the interferers' columns.
     """
     out = np.empty(bits.shape[:2])
-    for start in range(0, len(out), _MAI_SLOTS):
-        rows = slice(start, start + _MAI_SLOTS)
-        interferers = bits[rows, :, 1:].astype(np.float64)
-        out[rows] = (interferers @ proj.mai[rows, :, np.newaxis])[:, :, 0]
+    for rows in _slot_chunks(len(out)):
+        floats = bits[rows].astype(np.float64)
+        out[rows] = (floats[:, :, 1:] @ proj.mai[rows, :, np.newaxis])[:, :, 0]
+        del floats  # freed before the next chunk's floats are made
     return out
 
 
@@ -324,15 +354,17 @@ def receive(proj: Projection, params: SystemParams, bits: np.ndarray, z: np.ndar
     keeps a block small) and z shape (B, I) holds one standard normal per
     interval, which scales R_n + R_GI; the slot's projections are held
     for the whole block (slot coherence).  Returns the (B, I) decision
-    variables b_1 S + sum_k b_k m_k + sigma z, summed in place.
+    variables b_1 S + sum_k b_k m_k + sigma z, summed in place: the
+    signal and noise terms pass through one reused buffer.
     """
     bits = np.asarray(bits)
     if bits.ndim != 3 or bits.shape[2] != params.n_users:
         raise ValueError(f"bits must have shape (B, I, {params.n_users})")
     var_n, var_gi = _noise_variances(proj, params)
     decision = _mai(proj, bits)
-    decision += bits[:, :, 0] * proj.signal[:, np.newaxis]
-    decision += np.sqrt(var_n + var_gi)[:, np.newaxis] * z
+    term = np.multiply(bits[:, :, 0], proj.signal[:, np.newaxis])
+    decision += term
+    decision += np.multiply(np.sqrt(var_n + var_gi)[:, np.newaxis], z, out=term)
     if not np.all(np.isfinite(decision)):
         raise FloatingPointError("non-finite decision variable")
     return decision

@@ -2,9 +2,11 @@
 
 Closed forms for the false-alarm and Rayleigh-averaged detection
 probabilities of an energy detector collecting an integer number of
-samples, a bisection threshold solver, cooperative OR fusion across
-users, and the per-subcarrier chip-zeroing / misdetection model that
-both the BER analysis and the link simulator consume.
+samples, a threshold solver (a bisection that evaluates the closed
+form only where earlier evaluations leave a comparison open),
+cooperative OR fusion across users, and the per-subcarrier chip-zeroing
+/ misdetection model that both the BER analysis and the link simulator
+consume.
 
 The detection statistic is chi-squared with 2*samples degrees of
 freedom: central under the idle hypothesis, noncentral with parameter
@@ -226,6 +228,18 @@ def sample_level_rate(
     return hits / trials
 
 
+# A known probability settles a comparison at another threshold only with
+# this much to spare, more than the closed forms' rounding.
+_MARGIN = 1e-14
+
+
+def _logit(q: float) -> float:
+    """log(q / (1 - q)), infinite at 0 and 1; both tails run near linear in it."""
+    if 0.0 < q < 1.0:
+        return math.log(q) - math.log1p(-q)
+    return math.copysign(math.inf, q - 0.5)
+
+
 def solve_threshold(
     samples: int,
     target: float,
@@ -237,6 +251,14 @@ def solve_threshold(
 
     Bisection on the monotone (decreasing) map zeta -> probability; the
     upper bracket is grown geometrically until it straddles the target.
+    The bisection evaluates the probability only where no evaluation
+    made before decides its comparisons: a known p(x) more than
+    tol + _MARGIN above the target decides them at every zeta <= x, and
+    one as far below it at every zeta >= x.  Before the bisection, a
+    regula falsi search (Illinois, on the logit of p) evaluates
+    thresholds just above and just below the band |p - target| <= tol,
+    so the bisection returns the same float as a plain one in a fraction
+    of the evaluations.
     """
     if not (0.0 < target < 1.0):
         raise NoSolutionError(f"target {target} outside the open interval (0, 1)")
@@ -248,16 +270,64 @@ def solve_threshold(
     if mode not in ("for_pfa", "for_pd"):
         raise ValueError(f"unknown mode {mode!r}")
 
+    seen = {0.0: 1.0}  # both probabilities are 1 at zeta = 0
+    above, below = 0.0, math.inf  # the closest thresholds known outside the band
+
+    def p(zeta: float) -> float:
+        """f(zeta), or a known probability that decides every comparison alike."""
+        nonlocal above, below
+        if zeta <= above:
+            return seen[above]
+        if zeta >= below:
+            return seen[below]
+        v = seen[zeta] = f(zeta)
+        if v > target + tol + _MARGIN:
+            above = zeta
+        elif v < target - tol - _MARGIN:
+            below = zeta
+        return v
+
+    hi = 1.0  # a coarse bracket for the search; the doubling below then reads known values
+    while p(hi) >= target and hi < 2.0**199:
+        hi *= 4.0
+    for level in (target + 2.0 * tol, target - 2.0 * tol):
+        # Illinois toward p = level, a tol outside the band, until the known
+        # threshold on that side of the band is within a tol of the level
+        a = max((x for x, v in seen.items() if v > level), default=None)
+        b = min((x for x, v in seen.items() if v < level), default=None)
+        if a is None or b is None:
+            continue
+        goal = _logit(level)
+        fa, fb, kept = _logit(seen[a]) - goal, _logit(seen[b]) - goal, 0
+        for _ in range(60):
+            if abs(seen[above if level > target else below] - level) <= tol:
+                break
+            x = a + fa * (b - a) / (fa - fb) if fa > fb else a
+            if not a < x < b:  # nan beside an infinite logit, or a stalled step
+                x = 0.5 * (a + b)
+                if not a < x < b:
+                    break
+            v = p(x)
+            if v > level:
+                a, fa = x, _logit(v) - goal
+                fb *= 0.5 if kept > 0 else 1.0  # halve the end kept twice
+                kept = 1
+            elif v < level:
+                b, fb = x, _logit(v) - goal
+                fa *= 0.5 if kept < 0 else 1.0
+                kept = -1
+            else:
+                break
     lo, hi = 0.0, 1.0
     for _ in range(200):
-        if f(hi) < target:
+        if p(hi) < target:
             break
         lo, hi = hi, hi * 2.0
     else:
         raise NoSolutionError(f"no threshold reaches target {target}")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        v = f(mid)
+        v = p(mid)
         if abs(v - target) <= tol:
             return mid
         if v > target:

@@ -16,8 +16,9 @@ probability of the receiver the simulator implements and a literal
 per-subcarrier version of that receiver, plus the simulator's earlier
 draws: every user's sensing decision OR-fused per subcarrier, and the
 rechosen signatures stacked one slot at a time.  kron_family composes a
-code family as a whole-matrix Kronecker chain, and parse_matrix reads the
-matrix export of `fsocdma codes` back.
+code family as a whole-matrix Kronecker chain, parse_matrix reads the
+matrix export of `fsocdma codes` back, and bisection_threshold is the
+plain bisection that the library's threshold solver replays.
 """
 
 import itertools
@@ -561,3 +562,36 @@ def exact_average_pe(n, k, p_zero, p_mis, eb, sn2, ss2):
         mixed += row @ _placement_cfs(n_active, k, eb, sn2, ss2)
     return erased / 2.0 + _below_zero(mixed, feasible)
 
+
+
+def bisection_threshold(samples, target, mode, mean_snr_db=0.0, tol=1e-12, calls=None):
+    """The sensing threshold by plain bisection, the solver the library had before.
+
+    The upper bracket doubles from 1 until the probability falls below
+    the target, then the bracket halves until the probability is within
+    tol or the bracket is 1e-14 of its upper end.  calls, a list, gets
+    every threshold evaluated.
+    """
+    from fsocdma.sensing import DetectorConfig, pd_rayleigh, pfa
+
+    def f(zeta):
+        if calls is not None:
+            calls.append(zeta)
+        cfg = DetectorConfig(samples=samples, threshold=zeta, mean_snr_db=mean_snr_db)
+        return pfa(cfg) if mode == "for_pfa" else pd_rayleigh(cfg)
+
+    lo, hi = 0.0, 1.0
+    while f(hi) >= target:
+        lo, hi = hi, hi * 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        v = f(mid)
+        if abs(v - target) <= tol:
+            return mid
+        if v > target:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= max(1e-14, 1e-14 * hi):
+            break
+    return 0.5 * (lo + hi)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -176,6 +177,24 @@ class TestEstimateBer:
                 ("integers", np.uint8, -(-slots * n_bits * k // 8)),
                 ("standard_normal", np.float64, slots * n_bits),
             ]
+
+    def test_group_peak_memory(self):
+        # a 240-slot K=8 group holds its draws, int16 chips and one float
+        # copy of 32 slots' bits at a time: its traced peak stays within
+        # 1.4 MB (int64 chips and a (B, K, N) gather index took 1.86 MB)
+        cfg = make_config(k=8)
+        params, model = mc.point_params(cfg, 10.0), mc.derive_sensing(cfg).model
+        sizes = [48] * 5
+        rngs = [mc._stream(1, mc._PURPOSE_BATCH, 0, b) for b in range(len(sizes))]
+        mc._run_group(params, model, "rechoose", rngs, sizes)  # fills the placement table
+        rngs = [mc._stream(1, mc._PURPOSE_BATCH, 0, b) for b in range(len(sizes))]
+        tracemalloc.start()
+        try:
+            mc._run_group(params, model, "rechoose", rngs, sizes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.4e6
 
     def test_trace_draws_only_from_its_own_stream(self):
         # a traced group draws the untraced group's numbers and counts the

@@ -6,7 +6,13 @@ import pytest
 from scipy import stats
 
 from fsocdma import phylink as pl
-from fsocdma.orthocodes import build
+from fsocdma.orthocodes import (
+    ORDER_LIMIT,
+    SUPPORTED_PRIMES,
+    build,
+    prime_base,
+    supported_orders,
+)
 from fsocdma.sensing import SensingOutcome, fuse_or, occupancy_model
 from oracles import (
     chips_for_configuration,
@@ -238,9 +244,43 @@ class TestDrawSlot:
         masks = rng.random((500, n)) < rng.random((500, 1))
         chips, energies = pl.signature_matrix(masks, k, policy)
         want_chips, want_energies = stacked_signature_matrix(masks, k, policy)
-        assert chips.dtype == want_chips.dtype and energies.dtype == want_energies.dtype
+        # the chips are int16 (the oracle stacks int64 rows); values compare exactly
+        assert chips.dtype == np.int16 and energies.dtype == want_energies.dtype
         assert np.array_equal(chips, want_chips)
         assert np.array_equal(energies, want_energies)
+
+    def test_every_supported_order_fits_int16(self):
+        # an entry of A (x) B is a product of one entry of each, so a family
+        # peaks at the product of its prime bases' peaks
+        peak = {p: int(np.abs(prime_base(p).entries).max()) for p in SUPPORTED_PRIMES}
+
+        def family_peak(n):
+            out = 1
+            for p in SUPPORTED_PRIMES:
+                while n % p == 0:
+                    n //= p
+                    out *= peak[p]
+            return out
+
+        orders = supported_orders(ORDER_LIMIT)
+        assert max(map(family_peak, orders)) == 3 ** 5 <= np.iinfo(np.int16).max
+        for n in orders[:40]:
+            entries = build(n).entries
+            assert np.abs(entries).max() == family_peak(n)
+            assert np.array_equal(pl._int16_chips(entries), entries)
+
+    def test_int16_guard_raises(self, monkeypatch):
+        limit = np.iinfo(np.int16).max
+        assert pl._int16_chips(np.array([[limit, -limit]])).dtype == np.int16
+        with pytest.raises(OverflowError):
+            pl._int16_chips(np.array([[1, limit + 1]]))
+        # the placement table checks each family it stores
+        monkeypatch.setattr(pl, "rows", lambda n, k: np.full((k, n), limit + 1))
+        try:
+            with pytest.raises(OverflowError):
+                pl.signature_matrix(np.zeros((1, 7), bool), 2)
+        finally:
+            pl._placement_table.cache_clear()
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):

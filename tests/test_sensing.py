@@ -9,7 +9,7 @@ from scipy import integrate, stats
 from scipy.special import gammainc, gammaincc
 
 from fsocdma import sensing as sn
-from oracles import log_poisson_lower, pd_rayleigh_series, pfa_series
+from oracles import bisection_threshold, log_poisson_lower, pd_rayleigh_series, pfa_series
 
 
 def poisson_partial_sum(terms, x):
@@ -241,6 +241,33 @@ class TestSolveThreshold:
             cfg = sn.DetectorConfig(5, zeta, 2.3)
             achieved = sn.pfa(cfg) if mode == "for_pfa" else sn.pd_rayleigh(cfg)
             assert abs(achieved - target) <= 1e-8
+
+
+    @pytest.mark.parametrize("mode", ["for_pfa", "for_pd"])
+    @pytest.mark.parametrize("samples", [2, 5, 50, 320, 1000])
+    def test_same_floats_as_bisection(self, samples, mode):
+        # the solver replays the plain bisection's comparisons, so it returns
+        # its float bit for bit: over the grid, the roc's pfa = 1e-8 solve, the
+        # selftest's round trips and the acceptance round trips
+        targets = [1e-8, 0.01, 0.1, 0.5, 0.9, 0.95, 1.0 - 0.05 ** (1 / 8), 0.99]
+        cases = [(snr, t) for snr in (-10.0, 2.3, 10.0, 27.35) for t in targets]
+        if samples in (5, 320):
+            cases += [(2.3, float(t)) for t in np.arange(0.01, 0.999, 0.02)]
+        for snr, target in cases:
+            want = bisection_threshold(samples, target, mode, snr)
+            assert sn.solve_threshold(samples, target, mode, snr) == want, (snr, target)
+
+    def test_default_solve_takes_half_the_evaluations(self, monkeypatch):
+        # the fig2 K=8 solve: the per-user pd of a 0.95 fused target at the
+        # default 320 samples and 2.3 dB per sample
+        args = (320, sn.local_probability(0.95, 8), "for_pd", 2.3 + 10 * math.log10(320))
+        bisected = []
+        want = bisection_threshold(*args, calls=bisected)
+        calls = []
+        pd_rayleigh = sn.pd_rayleigh
+        monkeypatch.setattr(sn, "pd_rayleigh", lambda cfg: calls.append(cfg) or pd_rayleigh(cfg))
+        assert sn.solve_threshold(*args) == want
+        assert len(calls) <= len(bisected) // 2
 
 
 class TestFusion:
