@@ -128,7 +128,7 @@ def _int16_chips(chips: np.ndarray) -> np.ndarray:
     Entries are products of prime-base entries, at most 3^5 = 243 in
     magnitude at every supported order, so int16 holds every family.
     """
-    if chips.size and np.abs(chips).max() > np.iinfo(np.int16).max:
+    if np.abs(chips).max() > np.iinfo(np.int16).max:
         raise OverflowError("a chip entry does not fit int16")
     return chips.astype(np.int16)
 

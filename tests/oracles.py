@@ -563,7 +563,6 @@ def exact_average_pe(n, k, p_zero, p_mis, eb, sn2, ss2):
     return erased / 2.0 + _below_zero(mixed, feasible)
 
 
-
 def bisection_threshold(samples, target, mode, mean_snr_db=0.0, tol=1e-12, calls=None):
     """The sensing threshold by plain bisection, the solver the library had before.
 

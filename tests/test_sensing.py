@@ -242,7 +242,6 @@ class TestSolveThreshold:
             achieved = sn.pfa(cfg) if mode == "for_pfa" else sn.pd_rayleigh(cfg)
             assert abs(achieved - target) <= 1e-8
 
-
     @pytest.mark.parametrize("mode", ["for_pfa", "for_pd"])
     @pytest.mark.parametrize("samples", [2, 5, 50, 320, 1000])
     def test_same_floats_as_bisection(self, samples, mode):
