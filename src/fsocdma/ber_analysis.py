@@ -1,14 +1,15 @@
 """Closed-form bit error rate of the first user's receiver.
 
 The decision variable is approximated as Gaussian; conditioned on the
-modified chips its variance splits into four terms:
+modified chips, and with energies in units of the energy per bit E_b,
+its variance splits into four terms:
 
-    var_s   = eb^2 * sum(c1^4) / (sum(c1^2))^2
-    var_mai = eb^2/2 * sum_{k>=2} sum_n (c1_n ck_n)^2 / (sum(c1^2))^2
-    var_gi  = eb/2 * (sum_{n in Lambda} c1_n^2 / sum(c1^2)) * sigma_s^2
-    var_n   = eb * sigma_n^2 / 2
+    var_s   = sum(c1^4) / (sum(c1^2))^2
+    var_mai = 1/2 * sum_{k>=2} sum_n (c1_n ck_n)^2 / (sum(c1^2))^2
+    var_gi  = 1/2 * (sum_{n in Lambda} c1_n^2 / sum(c1^2)) * sigma_s^2
+    var_n   = sigma_n^2 / 2
 
-and the conditional error probability is Q(eb / sqrt(sum of terms)).
+and the conditional error probability is Q(1 / sqrt(sum of terms)).
 Each subcarrier is independently estimated busy (p_zero), misdetected
 (p_mis) or free (p_free), and the slot-average error probability is the
 expectation over that trinomial.  Slots that cannot carry all users
@@ -26,13 +27,13 @@ Binom(j; a, r).  Only the sum s of the squared first-row chips on that
 subset moves the variance, through var_gi, so
 
     average_pe = 1/2 * sum_{m: a(m) < K} P(m)
-                 + sum_a P_a * sum_s D_{a,r}(s) * Q(eb / sqrt(V_a + g_a * s))
+                 + sum_a P_a * sum_s D_{a,r}(s) * Q(1 / sqrt(V_a + g_a * s))
 
 where P_a is the mass of the m that share order a, V_a = var_s + var_mai
 + var_n and g_a * s = var_gi.  D_{a,r} is the law of s, one convolution
 over the order's chips, cached per (order, r).
 
-Nothing but eb, sigma_n^2 and sigma_s^2 depends on the SNR, so one table
+Nothing but sigma_n^2 and sigma_s^2 depends on the SNR, so one table
 per (N, K, sensing point) holds the rest: the erased mass, and per order
 a >= K its P_a, its chip moments and a reference to its cached law.  The
 points of a curve, and fig2 and fig3 at the same (N, K), share it.  The
@@ -112,7 +113,7 @@ def q_function(x):
     return 0.5 * erfc.reshape(z.shape)
 
 
-def _chip_pe(chips, misdetected, eb, sn2, ss2) -> float:
+def _chip_pe(chips, misdetected, sn2, ss2) -> float:
     """Conditional error probability of one slot's concrete chips.
 
     chips is the (K, N) float64 matrix of the first K users, zero on every
@@ -124,11 +125,11 @@ def _chip_pe(chips, misdetected, eb, sn2, ss2) -> float:
     e1 = float(np.sum(c1**2))
     if e1 <= 0:
         return 0.5
-    var_s = eb * eb * float(np.sum(c1**4)) / (e1 * e1)
-    var_mai = 0.5 * eb * eb * float(np.sum((c1 * chips[1:]) ** 2)) / (e1 * e1)
-    var_gi = 0.5 * eb * (float(np.sum(c1[misdetected] ** 2)) / e1) * ss2
-    var_n = 0.5 * eb * sn2
-    return float(q_function(eb / math.sqrt(var_s + var_mai + var_gi + var_n)))
+    var_s = float(np.sum(c1**4)) / (e1 * e1)
+    var_mai = 0.5 * float(np.sum((c1 * chips[1:]) ** 2)) / (e1 * e1)
+    var_gi = 0.5 * (float(np.sum(c1[misdetected] ** 2)) / e1) * ss2
+    var_n = 0.5 * sn2
+    return float(q_function(1.0 / math.sqrt(var_s + var_mai + var_gi + var_n)))
 
 
 def _binomial_pmf(n: int, p: float, q: float) -> np.ndarray:
@@ -241,7 +242,7 @@ def fixed_chip_classes(n_subcarriers: int, n_users: int) -> tuple[tuple[int, int
     return tuple((int(counts[i]), int(keys[0, i]), int(keys[1, i])) for i in order)
 
 
-def _fixed_pe(n, p0, free, r, q, k_users, eb, sn2, ss2) -> float:
+def _fixed_pe(n, p0, free, r, q, k_users, sn2, ss2) -> float:
     """Error probability of the fixed length-n family: one exact sum over the chip classes.
 
     The largest class's busy count runs in a loop; the cells of every
@@ -279,11 +280,11 @@ def _fixed_pe(n, p0, free, r, q, k_users, eb, sn2, ss2) -> float:
             erased = energy == 0.0
             energy[erased] = 1.0
             var = (
-                0.5 * eb * eb * ((n0 - b0) * h0 + h[cells]) / (energy * energy)
-                + 0.5 * eb * ss2 * (u0 * l0[:, None] + g[cells]) / energy
-                + 0.5 * eb * sn2
+                0.5 * ((n0 - b0) * h0 + h[cells]) / (energy * energy)
+                + 0.5 * ss2 * (u0 * l0[:, None] + g[cells]) / energy
+                + 0.5 * sn2
             )
-            pe = np.where(erased, 0.5, q_function(eb / np.sqrt(var)))
+            pe = np.where(erased, 0.5, q_function(1.0 / np.sqrt(var)))
             per_hit += pe @ w[cells]
         total += float(busy[b0] * (hits[l0] @ per_hit))
     return total
@@ -309,25 +310,24 @@ def average_pe(
     # at p_zero = 1 none is left and any split serves
     r, q = (pm / free, pf / free) if free > 0.0 else (0.0, 1.0)
     n = params.n_subcarriers
-    terms = (params.n_users, params.energy_per_bit, params.noise_psd, params.interference_power)
+    sn2, ss2 = params.noise_psd, params.interference_power
     if code_policy == "fixed":
-        return _fixed_pe(n, p0, free, r, q, *terms)
+        return _fixed_pe(n, p0, free, r, q, params.n_users, sn2, ss2)
     if code_policy != "rechoose":
         raise ValueError(f"unknown code policy {code_policy!r}")
-    eb, sn2, ss2 = terms[1:]
     erased, groups = _rechoose_table(n, params.n_users, p0, free, r, q)
     total = 0.5 * erased
     for mass, fourth, cross, energy, sizes, laws in groups:
         # V_a = var_s + var_mai + var_n and g_a per order, spread over the
-        # orders' laws: Q(eb / sqrt(g_a * s + V_a)) for the whole group at
+        # orders' laws: Q(1 / sqrt(g_a * s + V_a)) for the whole group at
         # once, in place, and a group of one law reads it without a copy
-        var = eb * eb * fourth / (energy * energy) + 0.5 * eb * eb * cross / (energy * energy)
-        var += 0.5 * eb * sn2
+        var = fourth / (energy * energy) + 0.5 * cross / (energy * energy)
+        var += 0.5 * sn2
         sums, probs = laws[0] if len(laws) == 1 else map(np.concatenate, zip(*laws))
-        x = np.repeat(0.5 * eb * ss2 / energy, sizes)
+        x = np.repeat(0.5 * ss2 / energy, sizes)
         x *= sums
         x += np.repeat(var, sizes)
-        pe = q_function(np.divide(eb, np.sqrt(x, out=x), out=x))
+        pe = q_function(np.divide(1.0, np.sqrt(x, out=x), out=x))
         weights = np.repeat(mass, sizes)
         weights *= probs
         total += float(weights @ pe)
@@ -347,7 +347,7 @@ def average_pe_enumerated(
     used as the built-in cross-check for average_pe.
     """
     n = params.n_subcarriers
-    terms = (params.energy_per_bit, params.noise_psd, params.interference_power)
+    terms = (params.noise_psd, params.interference_power)
     probs = (model.p_free, model.p_zero, model.p_mis)
     total = 0.0
     for states in itertools.product((0, 1, 2), repeat=n):

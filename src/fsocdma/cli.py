@@ -67,14 +67,12 @@ DEFAULTS: dict[str, object] = {
     "params.sensing_duration": 1e-4,
     "detector.samples": 320,
     "detector.mean_snr_db": 2.3,
-    "detector.accumulate_snr": True,
     "run.target_pd": 0.95,
     "run.snr_grid_db": (5.0, 10.0, 15.0, 20.0, 25.0, 30.0),
     "run.trials_min": 2_000,
     "run.target_error_events": 100,
     "run.max_trials": 5_000_000,
     "run.master_seed": 24601,
-    "run.batch_slots": 48,
     "codes.policy": "rechoose",
     "roc.points": 50,
     "roc.zeta_max": 0.0,  # 0 = automatic (threshold where pfa ~ 1e-8)
@@ -92,12 +90,6 @@ def _parse_value(key: str, text: str):
     default = DEFAULTS[key]
     text = text.strip()
     try:
-        if isinstance(default, bool):
-            if text.lower() in ("true", "1", "yes"):
-                return True
-            if text.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(text)
         if isinstance(default, int):
             return int(text)
         if isinstance(default, float):
@@ -110,8 +102,6 @@ def _parse_value(key: str, text: str):
 
 
 def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, tuple):
         return ",".join(repr(float(v)) for v in value)
     if isinstance(value, float):
@@ -165,11 +155,10 @@ def build_system_params(conf: dict, n_users: int | None = None) -> SystemParams:
 
 
 def build_detector(conf: dict) -> DetectorConfig:
-    """Detector from config; the sensing SNR accumulates over the collected
-    samples by default (quasi-static channel over the sensing window)."""
-    snr_db = conf["detector.mean_snr_db"]
-    if conf["detector.accumulate_snr"]:
-        snr_db = snr_db + 10.0 * math.log10(conf["detector.samples"])
+    """Detector from config: detector.mean_snr_db is the per-sample sensing
+    SNR, accumulated over the collected samples (quasi-static channel over
+    the sensing window)."""
+    snr_db = conf["detector.mean_snr_db"] + 10.0 * math.log10(conf["detector.samples"])
     return DetectorConfig(
         samples=conf["detector.samples"], threshold=0.0, mean_snr_db=snr_db
     )
@@ -186,7 +175,6 @@ def build_run_config(conf: dict, n_users: int | None = None, snr_grid=None) -> R
         max_trials=conf["run.max_trials"],
         master_seed=conf["run.master_seed"],
         code_policy=conf["codes.policy"],
-        batch_slots=conf["run.batch_slots"],
     )
 
 
@@ -446,7 +434,7 @@ def _selftest_sensing(seed: int) -> str:
 def _selftest_ber_average() -> str:
     from .sensing import FusionResult, occupancy_model
 
-    model = occupancy_model(0.2, FusionResult(qfa=0.05, qd=0.95, k_users=2))
+    model = occupancy_model(0.2, FusionResult(qfa=0.05, qd=0.95))
     for n, policy, k in itertools.product((4, 6), ("rechoose", "fixed"), (1, 2)):
         params = SystemParams(
             n_subcarriers=n, n_users=k, pr_h1=0.2,

@@ -1,11 +1,10 @@
 """Deterministic Monte Carlo BER estimation over slots and SNR sweeps.
 
-Slots are simulated in stop-rule batches of batch_slots slots, and every
+Slots are simulated in stop-rule batches of _BATCH_SLOTS slots, and every
 batch draws from its own counter-based random stream (Philox keyed by
 master seed, sweep-point index and batch index).  Results are therefore
-bitwise independent of evaluation order and worker count; they depend on
-batch_slots, which is part of the config digest.  Error and bit counters
-are plain integers aggregated in slot order; the stopping rule is
+bitwise independent of evaluation order and worker count.  Error and bit
+counters are plain integers aggregated in slot order; the stopping rule is
 evaluated at batch boundaries, keeping the set of simulated slots a pure
 function of the configuration.  The last batch is clipped to the slots
 that reach max_trials, so a point never simulates past its cap.
@@ -33,9 +32,9 @@ A slot's bits share one fading draw, so the slots, not the bits, are the
 independent samples: the reported interval is the slot-level (cluster)
 interval on the mean error count per slot.
 
-SNR is the per-bit ratio energy_per_bit / noise_psd; a sweep rescales
-the noise PSD per point and keeps the configured interference-to-noise
-ratio fixed.
+SNR is the per-bit ratio E_b / noise_psd, with energies in units of E_b;
+a sweep sets the noise PSD to 1 / SNR per point and keeps the configured
+interference-to-noise ratio fixed.
 """
 
 from __future__ import annotations
@@ -87,6 +86,9 @@ _POINT_LIMIT = 1 << 32
 _PURPOSE_BATCH = 3  # purposes 1 and 2 keyed the streams of versions 1 and 2
 _PURPOSE_TRACE = 4  # the trace's split of the receiver noise, per batch
 
+# Slots per stop-rule batch: the stop rule is checked, and a stream keyed,
+# once per batch.
+_BATCH_SLOTS = 48
 # Slot budget of one array pass: a 240-slot capped point (5 batches of 48)
 # runs in one pass, and a pass's arrays stay within a few MB at K=8, N=32.
 _GROUP_SLOTS = 256
@@ -105,7 +107,6 @@ class RunConfig:
     max_trials: int = 5_000_000  # hard cap on bits per point
     master_seed: int = 24601
     code_policy: str = "rechoose"
-    batch_slots: int = 48
 
     def __post_init__(self):
         at_least_one = "trials_min and target_error_events must be >= 1"
@@ -116,7 +117,6 @@ class RunConfig:
             ("target_error_events", self.target_error_events >= 1, at_least_one),
             ("max_trials", self.max_trials >= self.trials_min,
              f"max_trials must be >= trials_min={self.trials_min}"),
-            ("batch_slots", self.batch_slots >= 1, "batch_slots must be >= 1"),
         )
         for field, ok, why in checks:
             if not ok:
@@ -184,7 +184,7 @@ def _solve_sensing(
 def point_params(cfg: RunConfig, snr_db: float) -> SystemParams:
     """Link parameters at one sweep point: noise set by SNR, INR preserved."""
     inr = cfg.params.interference_power / cfg.params.noise_psd
-    noise = cfg.params.energy_per_bit / 10.0 ** (snr_db / 10.0)
+    noise = 1.0 / 10.0 ** (snr_db / 10.0)
     return dataclasses.replace(
         cfg.params, noise_psd=noise, interference_power=inr * noise
     )
@@ -241,7 +241,7 @@ def _run_group(params, model, code_policy, rngs, sizes, trace_rngs=None, first_s
     bits *= 2
     bits -= 1
     batch = build_slots(params, model, u, fade, mai_z, code_policy)
-    proj = project(batch, params.energy_per_bit)
+    proj = project(batch)
     decision = receive(proj, params, bits, z)
     errors = np.count_nonzero((decision >= 0.0) != (bits[:, :, 0] > 0), axis=1)
     rows = None
@@ -280,7 +280,7 @@ def _group_batches(cfg, analytic, bits_per_slot, cap_slots, slots, sum_e) -> int
         to_events = (cfg.target_error_events - sum_e) / (analytic * bits_per_slot)
     to_min = cfg.trials_min / bits_per_slot - slots
     need = min(to_cap, max(to_min, to_events))
-    return max(1, min(math.ceil(need / cfg.batch_slots), _GROUP_SLOTS // cfg.batch_slots))
+    return max(1, min(math.ceil(need / _BATCH_SLOTS), _GROUP_SLOTS // _BATCH_SLOTS))
 
 
 def slot_interval(sum_e: int, sum_e2: int, slots: int, bits_per_slot: int) -> float:
@@ -304,7 +304,7 @@ def slot_interval(sum_e: int, sum_e2: int, slots: int, bits_per_slot: int) -> fl
 def estimate_ber(
     cfg: RunConfig,
     snr_db: float,
-    point_index: int | None = None,
+    point_index: int,
     trace: list | None = None,
 ) -> BerPoint:
     """Simulate one sweep point until the stopping rule fires.
@@ -312,15 +312,11 @@ def estimate_ber(
     Stops at the first batch boundary where at least trials_min bits and
     target_error_events errors have accumulated, or after
     ceil(max_trials / bits_per_slot) slots, the cap.
-    Fully determined by (cfg, snr_db, point_index); point_index defaults to
-    the position of snr_db on the grid, and an SNR off the grid needs one.
+    Fully determined by (cfg, snr_db, point_index), point_index keying
+    the point's random streams.
     With a trace list, one TRACE_DTYPE block per group is appended, holding
     a row per bit of every feasible slot up to the stop.
     """
-    if point_index is None:
-        if snr_db not in cfg.snr_grid_db:
-            raise ValueError(f"snr {snr_db!r} dB is not on the grid; pass a point_index")
-        point_index = cfg.snr_grid_db.index(snr_db)
     params = point_params(cfg, snr_db)
     derived = derive_sensing(cfg)
     analytic = average_pe(params, derived.model, cfg.code_policy)
@@ -336,7 +332,7 @@ def estimate_ber(
     while not stopped:
         n_batches = _group_batches(cfg, analytic, bits_per_slot, cap_slots, slots, sum_e)
         sizes = [  # full batches, the last one clipped at the cap
-            min(cfg.batch_slots, cap_slots - slots - j * cfg.batch_slots) for j in range(n_batches)
+            min(_BATCH_SLOTS, cap_slots - slots - j * _BATCH_SLOTS) for j in range(n_batches)
         ]
         indices = range(batch_index, batch_index + len(sizes))
         rngs = [_stream(cfg.master_seed, _PURPOSE_BATCH, point_index, b) for b in indices]

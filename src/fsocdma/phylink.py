@@ -58,12 +58,15 @@ CODE_POLICIES = ("rechoose", "fixed")
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Static link parameters shared by the analysis and the simulator."""
+    """Static link parameters shared by the analysis and the simulator.
+
+    Energies are in units of the energy per bit E_b: user k's power is
+    P_k = 1 / sum_n c_kn^2, and the SNR is 1 / noise_psd.
+    """
 
     n_subcarriers: int
     n_users: int
     pr_h1: float
-    energy_per_bit: float = 1.0
     noise_psd: float = 0.1
     interference_power: float = 0.1
     bit_duration: float = 10e-6
@@ -72,13 +75,11 @@ class SystemParams:
 
     def __post_init__(self):
         one = "need at least one subcarrier and one user"
-        positive = "energy per bit and noise PSD must be positive"
         checks = (  # (field, holds, why), reported as params.<field>=<value>: why
             ("n_subcarriers", self.n_subcarriers >= 1, one),
             ("n_users", self.n_users >= 1, one),
             ("pr_h1", 0.0 <= self.pr_h1 <= 1.0, "pr_h1 must lie in [0, 1]"),
-            ("energy_per_bit", self.energy_per_bit > 0, positive),
-            ("noise_psd", self.noise_psd > 0, positive),
+            ("noise_psd", self.noise_psd > 0, "noise PSD must be positive"),
             ("interference_power", self.interference_power >= 0,
              "interference power must be nonnegative"),
             ("sensing_duration", 0.0 < self.sensing_duration < self.slot_duration,
@@ -303,14 +304,14 @@ def _slot_chunks(n_slots: int):
     return (slice(start, start + _FLOAT_SLOTS) for start in range(0, n_slots, _FLOAT_SLOTS))
 
 
-def project(batch: SlotBatch, energy_per_bit: float) -> Projection:
+def project(batch: SlotBatch) -> Projection:
     """S, m_k and ||w_Lambda||^2 of every slot (all zero where infeasible).
 
     The chips square exactly in float64: the first user's for w, the
     interferers' _FLOAT_SLOTS slots at a time for their variances.
     """
     # unit energy in place of zero keeps an infeasible slot's sums at zero
-    power = energy_per_bit / np.maximum(batch.energies, 1)  # P_k per user
+    power = 1.0 / np.maximum(batch.energies, 1)  # P_k per user
     w2 = power[:, :1] * np.square(batch.chips[:, 0], dtype=np.float64) * batch.fade  # |w_n|^2
     mai_var = np.empty(batch.mai_z.shape)
     for rows in _slot_chunks(len(w2)):

@@ -79,11 +79,10 @@ class SensingOutcome:
 
 @dataclass(frozen=True)
 class FusionResult:
-    """OR-fused false-alarm and detection probabilities of k_users CRs."""
+    """OR-fused false-alarm and detection probabilities of the CR users."""
 
     qfa: float
     qd: float
-    k_users: int
 
 
 @dataclass(frozen=True)
@@ -205,19 +204,20 @@ def pd_rayleigh(cfg: DetectorConfig) -> float:
     return t1 + math.exp(min(log_t2, 0.0))
 
 
+# Sample-level trials drawn at a time, so a large trial count never holds
+# all of its normals.
+_RATE_CHUNK = 50_000
+
+
 def sample_level_rate(
-    cfg: DetectorConfig,
-    occupied: bool,
-    trials: int,
-    rng: np.random.Generator,
-    chunk: int = 50_000,
+    cfg: DetectorConfig, occupied: bool, trials: int, rng: np.random.Generator
 ) -> float:
-    """Empirical decision rate over many sample-level trials (chunked)."""
+    """Empirical decision rate over many sample-level trials, _RATE_CHUNK at a time."""
     u = cfg.samples
     hits = 0
     done = 0
     while done < trials:
-        b = min(chunk, trials - done)
+        b = min(_RATE_CHUNK, trials - done)
         z = rng.standard_normal((b, 2 * u))
         if occupied:
             gamma = rng.exponential(cfg.mean_snr_linear, size=b)
@@ -228,6 +228,8 @@ def sample_level_rate(
     return hits / trials
 
 
+# The solved threshold's probability lies within _TOL of the target.
+_TOL = 1e-12
 # A known probability settles a comparison at another threshold only with
 # this much to spare, more than the closed forms' rounding.
 _MARGIN = 1e-14
@@ -245,7 +247,6 @@ def solve_threshold(
     target: float,
     mode: Literal["for_pfa", "for_pd"],
     mean_snr_db: float = 0.0,
-    tol: float = 1e-12,
 ) -> float:
     """Threshold zeta achieving the target false-alarm or detection probability.
 
@@ -253,10 +254,10 @@ def solve_threshold(
     upper bracket is grown geometrically until it straddles the target.
     The bisection evaluates the probability only where no evaluation
     made before decides its comparisons: a known p(x) more than
-    tol + _MARGIN above the target decides them at every zeta <= x, and
+    _TOL + _MARGIN above the target decides them at every zeta <= x, and
     one as far below it at every zeta >= x.  Before the bisection, a
     regula falsi search (Illinois, on the logit of p) evaluates
-    thresholds just above and just below the band |p - target| <= tol,
+    thresholds just above and just below the band |p - target| <= _TOL,
     so the bisection returns the same float as a plain one in a fraction
     of the evaluations.
     """
@@ -281,18 +282,18 @@ def solve_threshold(
         if zeta >= below:
             return seen[below]
         v = seen[zeta] = f(zeta)
-        if v > target + tol + _MARGIN:
+        if v > target + _TOL + _MARGIN:
             above = zeta
-        elif v < target - tol - _MARGIN:
+        elif v < target - _TOL - _MARGIN:
             below = zeta
         return v
 
     hi = 1.0  # a coarse bracket for the search; the doubling below then reads known values
     while p(hi) >= target and hi < 2.0**199:
         hi *= 4.0
-    for level in (target + 2.0 * tol, target - 2.0 * tol):
-        # Illinois toward p = level, a tol outside the band, until the known
-        # threshold on that side of the band is within a tol of the level
+    for level in (target + 2.0 * _TOL, target - 2.0 * _TOL):
+        # Illinois toward p = level, a _TOL outside the band, until the known
+        # threshold on that side of the band is within a _TOL of the level
         a = max((x for x, v in seen.items() if v > level), default=None)
         b = min((x for x, v in seen.items() if v < level), default=None)
         if a is None or b is None:
@@ -300,7 +301,7 @@ def solve_threshold(
         goal = _logit(level)
         fa, fb, kept = _logit(seen[a]) - goal, _logit(seen[b]) - goal, 0
         for _ in range(60):
-            if abs(seen[above if level > target else below] - level) <= tol:
+            if abs(seen[above if level > target else below] - level) <= _TOL:
                 break
             x = a + fa * (b - a) / (fa - fb) if fa > fb else a
             if not a < x < b:  # nan beside an infinite logit, or a stalled step
@@ -328,7 +329,7 @@ def solve_threshold(
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         v = p(mid)
-        if abs(v - target) <= tol:
+        if abs(v - target) <= _TOL:
             return mid
         if v > target:
             lo = mid
@@ -349,7 +350,7 @@ def fuse_or(outcomes: Iterable[SensingOutcome]) -> FusionResult:
     for o in outcomes:
         miss_fa *= 1.0 - o.pfa
         miss_d *= 1.0 - o.pd
-    return FusionResult(qfa=1.0 - miss_fa, qd=1.0 - miss_d, k_users=len(outcomes))
+    return FusionResult(qfa=1.0 - miss_fa, qd=1.0 - miss_d)
 
 
 def local_probability(fused_target: float, k_users: int) -> float:

@@ -349,7 +349,7 @@ def order_sum_average_pe(params, model):
     free = pm + pf
     r, q = (pm / free, pf / free) if free > 0.0 else (0.0, 1.0)
     n, k_users = params.n_subcarriers, params.n_users
-    eb, sn2, ss2 = params.energy_per_bit, params.noise_psd, params.interference_power
+    eb, sn2, ss2 = 1.0, params.noise_psd, params.interference_power
     busy = ba._binomial_pmf(n, p0, free).tolist()
     mass: dict[int, float] = {}
     for m, w in enumerate(busy):

@@ -102,7 +102,7 @@ def test_criterion_2_sensing_formulas():
 def test_criterion_3_average_pe_oracle_equivalence():
     t0 = time.perf_counter()
     failures = []
-    model = occupancy_model(0.2, FusionResult(qfa=0.05, qd=0.95, k_users=2))
+    model = occupancy_model(0.2, FusionResult(qfa=0.05, qd=0.95))
     cases = [(n, k, "rechoose") for n in (4, 6) for k in (1, 2)]
     # the fixed policy's sum over chip classes: the one class of order 4 and
     # multi-level families with 2 to 6 classes, against both oracles
@@ -165,7 +165,7 @@ def test_criterion_4_snr_sweep_reproduction():
             pp = mc.point_params(cfg, snr)
             exact[k, snr] = exact_average_pe(
                 pp.n_subcarriers, k, model.p_zero, model.p_mis,
-                pp.energy_per_bit, pp.noise_psd, pp.interference_power,
+                1.0, pp.noise_psd, pp.interference_power,
             )
 
     # The simulation is held to the exact BER of its own receiver; the
@@ -302,7 +302,7 @@ def test_criterion_7_receiver_moment_checks():
     params = SystemParams(
         n_subcarriers=n, n_users=k, pr_h1=0.2, noise_psd=0.2, interference_power=0.3
     )
-    eb = params.energy_per_bit
+    eb = 1.0
     n_free = n - m
     est = np.zeros(n, bool)
     est[:m] = True

@@ -99,64 +99,64 @@ class TestVarianceTerms:
 
     def test_unit_chip_specialization(self):
         n, k, lam = 16, 4, [2, 7, 9]
-        eb, sn2, ss2 = 1.5, 0.3, 0.7
+        eb, sn2, ss2 = 1.0, 0.3 / 1.5, 0.7 / 1.5
         var = eb**2 / n + (k - 1) * eb**2 / (2 * n) + eb * len(lam) * ss2 / (2 * n) + eb * sn2 / 2
         want = float(norm.sf(eb / math.sqrt(var)))
-        got = ba._chip_pe(all_free_chips(n, k), mask(n, lam), eb, sn2, ss2)
+        got = ba._chip_pe(all_free_chips(n, k), mask(n, lam), sn2, ss2)
         assert got == pytest.approx(want, rel=1e-12)
         # the fixed policy's class sum with nothing busy and every chip
         # misdetected is the one cell with all n chips hit
         var_all = var + eb * (n - len(lam)) * ss2 / (2 * n)
         want_all = float(norm.sf(eb / math.sqrt(var_all)))
-        got_all = ba._fixed_pe(n, 0.0, 1.0, 1.0, 0.0, k, eb, sn2, ss2)
+        got_all = ba._fixed_pe(n, 0.0, 1.0, 1.0, 0.0, k, sn2, ss2)
         assert got_all == pytest.approx(want_all, rel=1e-12)
 
     def test_single_user_no_interference(self):
         # neither other users nor an empty misdetected set add variance
-        got = ba._chip_pe(all_free_chips(8, 1), mask(8, []), 1.0, 0.1, 0.5)
+        got = ba._chip_pe(all_free_chips(8, 1), mask(8, []), 0.1, 0.5)
         assert got == pytest.approx(float(norm.sf(1.0 / math.sqrt(1.0 / 8.0 + 0.05))), rel=1e-12)
 
     def test_multilevel_example(self):
         # first row squared: 1,4,4 -> energy 9, so var_s = 33/81
-        got = ba._chip_pe(all_free_chips(3, 1), mask(3, []), 1.0, 0.0, 0.0)
+        got = ba._chip_pe(all_free_chips(3, 1), mask(3, []), 0.0, 0.0)
         assert got == pytest.approx(float(norm.sf(1.0 / math.sqrt(33.0 / 81.0))), rel=1e-14)
 
     def test_direct_summation_oracle(self):
         n, k = 12, 3
         chips = all_free_chips(n, k)
         lam = [0, 4, 11]
-        eb, sn2, ss2 = 2.0, 0.4, 0.9
-        pe = ba._chip_pe(chips, mask(n, lam), eb, sn2, ss2)
+        eb, sn2, ss2 = 1.0, 0.4 / 2.0, 0.9 / 2.0
+        pe = ba._chip_pe(chips, mask(n, lam), sn2, ss2)
         assert pe == pytest.approx(conditional_pe_from_chips(chips, lam, eb, sn2, ss2), rel=1e-12)
 
     def test_zero_energy_is_erasure(self):
-        assert ba._chip_pe(np.zeros((1, 4)), mask(4, []), 1.0, 0.1, 0.1) == 0.5
+        assert ba._chip_pe(np.zeros((1, 4)), mask(4, []), 0.1, 0.1) == 0.5
 
     def test_deactivated_misdetection_contributes_nothing(self):
         # a misdetected subcarrier whose chip was zeroed adds no variance
         busy = np.array([False, True, False, False, False, True])
         chips = signature_matrix(busy[np.newaxis], 2)[0][0].astype(np.float64)
         assert np.array_equal(chips[:, busy], np.zeros((2, 2)))
-        with_gi = ba._chip_pe(chips, mask(6, [1]), 1.0, 0.1, 0.9)
-        assert with_gi == ba._chip_pe(chips, mask(6, []), 1.0, 0.1, 0.9)
+        with_gi = ba._chip_pe(chips, mask(6, [1]), 0.1, 0.9)
+        assert with_gi == ba._chip_pe(chips, mask(6, []), 0.1, 0.9)
 
 
 class TestConditionalPe:
     def test_unit_variance_total(self):
         # one unit chip, no noise: var_s = 1 is the whole variance
-        pe = ba._chip_pe(np.ones((1, 1)), mask(1, []), 1.0, 0.0, 0.0)
+        pe = ba._chip_pe(np.ones((1, 1)), mask(1, []), 0.0, 0.0)
         assert pe == pytest.approx(float(norm.sf(1.0)), rel=1e-12)
         assert pe == pytest.approx(0.158655, abs=1e-6)
 
     def test_composed_example(self):
         # 32 unit chips all free, single user, noise PSD 0.1
-        pe = ba._chip_pe(all_free_chips(32, 1), mask(32, []), 1.0, 0.1, 0.0)
+        pe = ba._chip_pe(all_free_chips(32, 1), mask(32, []), 0.1, 0.0)
         want = float(norm.sf(1.0 / math.sqrt(1.0 / 32.0 + 0.05)))
         assert pe == pytest.approx(want, rel=1e-12)
         assert pe == pytest.approx(2.26e-4, rel=5e-3)
 
     def test_noise_dominated_limit(self):
-        pe = ba._chip_pe(np.ones((1, 1)), mask(1, []), 1.0, 2e12, 0.0)
+        pe = ba._chip_pe(np.ones((1, 1)), mask(1, []), 2e12, 0.0)
         assert pe == pytest.approx(0.5, abs=1e-6)
 
 
@@ -308,7 +308,7 @@ def make_params(n, k, sn2=0.1, ss2=0.1):
     )
 
 
-MODEL = occupancy_model(0.2, FusionResult(qfa=0.05, qd=0.95, k_users=2))
+MODEL = occupancy_model(0.2, FusionResult(qfa=0.05, qd=0.95))
 
 
 class TestAveragePe:
@@ -396,7 +396,7 @@ class TestAveragePe:
 
     def test_degenerate_reduces_to_single_cell(self):
         # nothing busy, nothing misdetected: the all-free order-16 family
-        model = occupancy_model(0.0, FusionResult(qfa=0.0, qd=1.0, k_users=1))
+        model = occupancy_model(0.0, FusionResult(qfa=0.0, qd=1.0))
         params = make_params(16, 1)
         got = ba.average_pe(params, model)
         want = order_sum_average_pe(params, model)
@@ -434,7 +434,7 @@ class TestAveragePe:
     def test_monotone_in_misdetection(self):
         vals = []
         for qd in (0.99, 0.95, 0.80):
-            model = occupancy_model(0.2, FusionResult(qfa=0.05, qd=qd, k_users=2))
+            model = occupancy_model(0.2, FusionResult(qfa=0.05, qd=qd))
             vals.append(ba.average_pe(make_params(32, 4, ss2=1.0), model))
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
@@ -477,7 +477,7 @@ class TestTableForm:
             got = ba.average_pe(pp, model, policy)
             want = loop_average_pe(
                 n, k, model.p_zero, model.p_mis,
-                pp.energy_per_bit, pp.noise_psd, pp.interference_power, policy,
+                1.0, pp.noise_psd, pp.interference_power, policy,
             )
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
@@ -633,7 +633,7 @@ class TestExactOracle:
         fade = rng.standard_exponential((slots, n))
         mai_z = rng.standard_normal((slots, k - 1))
         bits = rng.integers(0, 2, (slots, bits_per_slot, k)) * 2 - 1
-        proj = project(manual_slot(params, est, lam, fade, mai_z), 1.0)
+        proj = project(manual_slot(params, est, lam, fade, mai_z))
         decision = receive(proj, params, bits, rng.standard_normal((slots, bits_per_slot)))
         rates = np.mean(np.where(decision >= 0.0, 1, -1) != bits[:, :, 0], axis=1)
         se = float(np.std(rates, ddof=1)) / math.sqrt(slots)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -47,7 +49,6 @@ class TestSensingRoc:
         assert run_cli([
             "sensing", "roc",
             "--set", "detector.samples=5",
-            "--set", "detector.accumulate_snr=false",
             "--set", "roc.points=50",
             "--out", str(out),
         ]) == 0
@@ -63,7 +64,8 @@ class TestSensingRoc:
         rc = run_cli([
             "sensing", "roc", "--validate",
             "--set", "detector.samples=5",
-            "--set", "detector.accumulate_snr=false",
+            # per-sample SNR: accumulated over the 5 samples it is about 2.3 dB
+            "--set", "detector.mean_snr_db=-4.69",
             "--set", "roc.validate_trials=50000",
             "--seed", "11",
             "--out", str(out),
@@ -131,24 +133,12 @@ class TestBer:
         assert run_cli(["ber", "--out", str(b)] + sets) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_small_batches_run_and_reproduce_bytes(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        args = self.FAST + ["--set", "run.batch_slots=8", "--seed", "9"]
-        assert run_cli(["ber", "--out", str(a)] + args) == 0
-        assert run_cli(["ber", "--out", str(b)] + args) == 0
-        text = a.read_text()
-        assert "# set run.batch_slots=8\n" in text
-        assert a.read_bytes() == b.read_bytes()
-        rows = [ln for ln in text.splitlines() if ln and not ln.startswith("#")][1:]
-        for row in rows:
-            trials = int(row.split(",")[4])
-            assert trials % (8 * 90) == 0
-
     def test_default_batch_in_header(self, tmp_path):
         out = tmp_path / "a.csv"
         assert run_cli(["ber", "--out", str(out), "--seed", "9"] + self.FAST) == 0
         text = out.read_text()
-        assert "# set run.batch_slots=48\n" in text
+        # the batch size is fixed, so no header line sets it
+        assert "batch_slots" not in text
         assert "# stream_version=4\n" in text
 
     def test_analytic_mode_schema(self, tmp_path):
@@ -288,9 +278,11 @@ class TestParser:
 
 class TestConfigHandling:
     def test_unknown_key_rejected(self, capsys):
-        # energy_per_bit is not a key: every point sets the noise to eb/SNR
-        # and keeps the interference-to-noise ratio, so it moved no output
-        for item in ("params.bogus=1", "params.energy_per_bit=2"):
+        # energy_per_bit is not a key: every point sets the noise to 1/SNR
+        # in units of E_b and keeps the interference-to-noise ratio; the
+        # batch size is fixed and the sensing SNR is always per sample
+        for item in ("params.bogus=1", "params.energy_per_bit=2", "run.batch_slots=8",
+                     "detector.accumulate_snr=false"):
             assert run_cli(["ber", "--set", item]) == 2
             assert "unknown configuration key" in capsys.readouterr().err
 
@@ -342,8 +334,7 @@ class TestConfigHandling:
             (["run.target_pd=1.0"], "run.target_pd"),
             (["run.target_pd=0"], "run.target_pd"),
             (["detector.mean_snr_db=nan"], "detector.mean_snr_db"),
-            (["detector.mean_snr_db=-inf", "detector.accumulate_snr=false"],
-             "detector.mean_snr_db"),
+            (["detector.mean_snr_db=-inf"], "detector.mean_snr_db"),
         ],
         ids=["target-pd-one", "target-pd-zero", "snr-nan", "snr-minus-inf"],
     )
@@ -365,7 +356,7 @@ class TestConfigHandling:
             ("params.n_users=0", "need at least one subcarrier and one user"),
             ("run.target_error_events=0", "trials_min and target_error_events must be >= 1"),
             ("params.pr_h1=2.0", "pr_h1 must lie in [0, 1]"),
-            ("params.noise_psd=0.0", "energy per bit and noise PSD must be positive"),
+            ("params.noise_psd=0.0", "noise PSD must be positive"),
             ("params.bit_duration=-1e-05", "need at least one bit interval after sensing"),
         ],
         ids=["n-users-zero", "target-events-zero", "pr-h1-two", "noise-psd-zero",
@@ -447,6 +438,80 @@ class TestConfigHandling:
         for key, value in cli.DEFAULTS.items():
             text = cli._format_value(value)
             assert cli._parse_value(key, text) == value
+
+
+# Tiny caps for the key-coverage runs: one SNR point of at most three 48-slot
+# batches, a five-point ROC and 200 validation draws.
+BASE_SETS = {
+    "run.snr_grid_db": "5",
+    "run.trials_min": "90",
+    "run.target_error_events": "10",
+    "run.max_trials": "12960",
+    "roc.points": "5",
+    "roc.validate_trials": "200",
+}
+# For every key, a valid value other than its BASE_SETS or default one.
+OTHER_VALUES = {
+    "params.n_subcarriers": "16",
+    "params.n_users": "2",
+    "params.pr_h1": "0.5",
+    "params.noise_psd": "0.2",
+    "params.interference_power": "0.3",
+    "params.bit_duration": "2e-05",
+    "params.slot_duration": "0.002",
+    "params.sensing_duration": "0.0002",
+    "detector.samples": "160",
+    "detector.mean_snr_db": "-10",
+    "run.target_pd": "0.9",
+    "run.snr_grid_db": "10",
+    "run.trials_min": "12960",
+    "run.target_error_events": "1000",
+    "run.max_trials": "90",
+    "run.master_seed": "1",
+    "codes.policy": "fixed",
+    "roc.points": "7",
+    "roc.zeta_max": "1000",
+    "roc.validate_trials": "300",
+}
+
+
+def _observable(out_dir, sets):
+    """What a configuration shows besides its `# set` lines: the data rows and
+    `# derived` lines of a simulated ber run and of `sensing roc --validate`,
+    and the validation printout."""
+    argv = [item for key, value in sets.items() for item in ("--set", f"{key}={value}")]
+    ber, roc = out_dir / "ber.csv", out_dir / "roc.csv"
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        assert run_cli(["ber", "--out", str(ber)] + argv) == 0
+        run_cli(["sensing", "roc", "--validate", "--out", str(roc)] + argv)  # 1 past 3 se
+    shown = [ln for path in (ber, roc) for ln in path.read_text().splitlines()
+             if not ln.startswith("#") or ln.startswith("# derived ")]
+    return shown + [ln for ln in printed.getvalue().splitlines() if ln.startswith("validate")]
+
+
+class TestKeyCoverage:
+    """Every configuration key moves an output, and the README lists them all."""
+
+    @pytest.fixture(scope="class")
+    def base(self, tmp_path_factory):
+        return _observable(tmp_path_factory.mktemp("base"), BASE_SETS)
+
+    @pytest.mark.parametrize("key", sorted(cli.DEFAULTS))
+    def test_no_key_is_inert(self, tmp_path, base, key):
+        other = _observable(tmp_path, {**BASE_SETS, key: OTHER_VALUES[key]})
+        assert other != base, f"{key}={OTHER_VALUES[key]} changed no output"
+
+    def test_readme_lists_every_key_with_its_default(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("### Main configuration keys (defaults)", 1)[1]
+        block = block.split("```", 2)[1]
+        pairs = [token.partition("=") for token in block.split()]
+        assert all(sep == "=" for _, sep, _ in pairs), block
+        keys = [key for key, _, _ in pairs]
+        assert sorted(keys) == sorted(cli.DEFAULTS)
+        for key, _, value in pairs:
+            assert cli._parse_value(key, value) == cli.DEFAULTS[key], key
 
 
 class TestSelftest:

@@ -135,14 +135,14 @@ class TestEstimateBer:
         assert p.trials >= cfg.trials_min
         assert p.errors >= cfg.target_error_events
         # stop fires at a batch boundary shortly after the target
-        bits_per_batch = cfg.batch_slots * cfg.params.bits_per_slot
+        bits_per_batch = mc._BATCH_SLOTS * cfg.params.bits_per_slot
         assert p.trials % bits_per_batch == 0
 
     def test_cap_clips_the_last_batch(self):
         # 5000 bits is 55.6 slots: the point stops at 56 slots, one full
         # 48-slot batch and an 8-slot one, not after a second full batch
         cfg = make_config(trials_min=2_000, target_error_events=10**9, max_trials=5_000)
-        assert cfg.batch_slots == 48
+        assert mc._BATCH_SLOTS == 48
         p = mc.estimate_ber(cfg, 5.0, 0)
         assert p.trials == 5_040
 
@@ -261,13 +261,6 @@ class TestEstimateBer:
         assert abs(p.ber_simulated - p.ber_analytic) <= max(
             3 * p.ci_halfwidth, 0.2 * p.ber_analytic
         )
-
-    def test_off_grid_snr_needs_point_index(self):
-        cfg = make_config(trials_min=500, target_error_events=20)
-        with pytest.raises(ValueError, match="7.5"):
-            mc.estimate_ber(cfg, 7.5)
-        p = mc.estimate_ber(cfg, 7.5, point_index=5)
-        assert p.trials >= 500
 
     def test_point_index_must_fit_the_key(self):
         cfg = make_config(trials_min=500, target_error_events=20)
@@ -392,7 +385,7 @@ class TestGroups:
 
     def test_group_planning(self):
         cfg = make_config(trials_min=2_000, target_error_events=100, max_trials=5_000_000)
-        budget = mc._GROUP_SLOTS // cfg.batch_slots
+        budget = mc._GROUP_SLOTS // mc._BATCH_SLOTS
         assert budget == 5
         cap = -(-cfg.max_trials // 90)
 
@@ -429,7 +422,7 @@ class TestSweep:
         snrs = [p.snr_db for p in points]
         assert snrs == sorted(snrs)
         # each point keeps the stream of its position on the configured grid
-        assert points[0] == mc.estimate_ber(cfg, 5.0)
+        assert points[0] == mc.estimate_ber(cfg, 5.0, 1)
         same = make_config(snr_grid_db=(10.0, 5.0), trials_min=500, target_error_events=20)
         assert mc.config_digest(same) == mc.config_digest(cfg)
         assert len(mc.config_digest(cfg)) == 64
@@ -448,7 +441,7 @@ class TestSweep:
         assert short[1] == "snr_db,ber_analytic"
         assert all(len(line.split(",")) == 2 for line in short[1:])
         # one simulated point brings the simulation columns, empty on the rest
-        mixed = rows[:1] + [(5.0, mc.estimate_ber(make_config(trials_min=90, max_trials=90), 5.0))]
+        mixed = rows[:1] + [(5.0, mc.estimate_ber(make_config(trials_min=90, max_trials=90), 5.0, 0))]
         lines = mc.ber_csv(mixed, mc.config_digest(cfg)).splitlines()
         assert lines[1] == "snr_db,ber_analytic,ber_sim,ci_halfwidth,trials,errors"
         assert lines[2].endswith(",,,0,0") and lines[3].split(",")[2]
@@ -550,7 +543,3 @@ class TestRunConfigValidation:
     def test_cap_below_minimum_rejected(self):
         with pytest.raises(ValueError):
             make_config(trials_min=1_000, max_trials=500)
-
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError, match="batch_slots"):
-            make_config(batch_slots=0)

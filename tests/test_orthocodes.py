@@ -292,7 +292,7 @@ def test_library_reads_families_by_rows_only(monkeypatch):
                 monkeypatch.setattr(module, attr, whole_matrix)
             elif hasattr(value, "cache_clear"):
                 value.cache_clear()  # so that no family is served from an earlier test
-    model = occupancy_model(0.2, FusionResult(qfa=0.05, qd=0.95, k_users=4))
+    model = occupancy_model(0.2, FusionResult(qfa=0.05, qd=0.95))
     for n, policy in ((48, "rechoose"), (16, "fixed")):
         params = SystemParams(n_subcarriers=n, n_users=4, pr_h1=0.2)
         assert 0.0 < average_pe(params, model, policy) < 0.5
@@ -302,5 +302,5 @@ def test_library_reads_families_by_rows_only(monkeypatch):
             detector=DetectorConfig(samples=320, threshold=0.0, mean_snr_db=27.35),
             snr_grid_db=(10.0,), trials_min=90, max_trials=900, code_policy=policy,
         )
-        point = mc.estimate_ber(cfg, 10.0)
+        point = mc.estimate_ber(cfg, 10.0, 0)
         assert point.trials == 900

@@ -83,7 +83,7 @@ def fixed_mask_components(params, est_busy, lam_indices, trials, rng, chunk=10_0
                            rng.standard_normal((b, k - 1)))
         bits = np.ones((b, 1, k))
         z = rng.standard_normal((b, 1, 2))  # the receiver's normal and the split's
-        out = pl.components(pl.project(slot, params.energy_per_bit), params, bits,
+        out = pl.components(pl.project(slot), params, bits,
                             z[:, :, 0], z[:, :, 1])
         comps.append(np.column_stack(
             [out[name][:, 0] for name in ("r_signal", "r_mai", "r_gi", "r_noise")]
@@ -295,7 +295,7 @@ def flat_channel_mai(policy, busy):
     est[0, busy] = True
     chips = pl.signature_matrix(est, 4, policy)[0][0]
     _, parts, _ = literal_receiver(
-        chips, gains, [], np.array([[1.0, -1.0, 1.0, -1.0]]), PARAMS.energy_per_bit,
+        chips, gains, [], np.array([[1.0, -1.0, 1.0, -1.0]]), 1.0,
         PARAMS.noise_psd, PARAMS.interference_power, np.random.default_rng(1),
     )
     return parts[0, 1], chips @ chips.T
@@ -309,7 +309,7 @@ class TestTransmitAndReceive:
         )
         slot = manual_slot(params, np.zeros(4, bool), [], np.ones(4), [])
         z = np.random.default_rng(0).standard_normal((1, 1))
-        decision = pl.receive(pl.project(slot, 1.0), params, np.ones((1, 1, 1)), z)
+        decision = pl.receive(pl.project(slot), params, np.ones((1, 1, 1)), z)
         assert decision[0, 0] == 1.0
 
     def test_flat_channel_mai_vanishes_with_rechosen_codes(self):
@@ -328,16 +328,16 @@ class TestTransmitAndReceive:
         rng = np.random.default_rng(7)
         slots = draw_slots(PARAMS, sensing_model(0.2, 0.5, 0.1), rng, 20)
         for s in range(20):
-            p_n = PARAMS.energy_per_bit / slots.energies[s, 0]
+            p_n = 1.0 / slots.energies[s, 0]
             total = p_n * float(np.sum(slots.chips[s, 0].astype(float) ** 2))
-            assert total == pytest.approx(PARAMS.energy_per_bit, rel=1e-12)
+            assert total == pytest.approx(1.0, rel=1e-12)
 
     def test_components_sum_to_decision(self):
         rng = np.random.default_rng(8)
         slots = draw_slots(PARAMS, sensing_model(0.2, 0.5, 0.1), rng, 200)
         bits = rng.integers(0, 2, (200, 1, 4)) * 2.0 - 1.0
         z, v = rng.standard_normal((2, 200, 1))
-        proj = pl.project(slots, PARAMS.energy_per_bit)
+        proj = pl.project(slots)
         decision = pl.receive(proj, PARAMS, bits, z)
         out = pl.components(proj, PARAMS, bits, z, v)
         names = ("r_signal", "r_mai", "r_gi", "r_noise")
@@ -349,7 +349,7 @@ class TestTransmitAndReceive:
         # a slot that cannot carry the users has S = ||w_Lambda||^2 = 0, so
         # R = 0 and the split's 0/0 reads as zero, not nan
         slot = manual_slot(PARAMS, np.ones(32, bool), [], np.ones(32), np.zeros(3))
-        proj = pl.project(slot, PARAMS.energy_per_bit)
+        proj = pl.project(slot)
         z, v = np.random.default_rng(4).standard_normal((2, 1, 5))
         bits = np.ones((1, 5, 4))
         assert not np.any(pl.receive(proj, PARAMS, bits, z))
@@ -361,7 +361,7 @@ class TestTransmitAndReceive:
         # no misdetected subcarrier: R_GI is zero and R_n is the whole of
         # the receiver's noise, whatever v is
         slot = manual_slot(PARAMS, np.zeros(32, bool), [], np.ones(32), np.ones(3))
-        proj = pl.project(slot, PARAMS.energy_per_bit)
+        proj = pl.project(slot)
         z, v = np.random.default_rng(5).standard_normal((2, 1, 5))
         out = pl.components(proj, PARAMS, np.ones((1, 5, 4)), z, v)
         assert not np.any(out["r_gi"])
@@ -375,12 +375,12 @@ class TestTransmitAndReceive:
         slot = draw_slots(PARAMS, sensing_model(0.2, 0.5, 0.1), rng, 1)
         bits = np.array([[1.0, 1.0, -1.0, 1.0], [-1.0, 1.0, 1.0, -1.0]])
         z, v = rng.standard_normal((2, 1, 2))
-        out = pl.components(pl.project(slot, PARAMS.energy_per_bit), PARAMS, bits[np.newaxis],
+        out = pl.components(pl.project(slot), PARAMS, bits[np.newaxis],
                             z, v)
         _, parts, _ = literal_receiver(
             slot.chips[0], gains_with_fade(slot.fade[0], 4, rng),
             np.flatnonzero(slot.misdetected[0]), bits,
-            PARAMS.energy_per_bit, PARAMS.noise_psd, PARAMS.interference_power, rng,
+            1.0, PARAMS.noise_psd, PARAMS.interference_power, rng,
         )
         assert out["r_signal"][0] == pytest.approx(parts[:, 0], rel=1e-12)
 
@@ -396,12 +396,12 @@ class TestTransmitAndReceive:
         fade = rng.standard_exponential((3, 32))
         slots = manual_slot(PARAMS, est, lam, fade, rng.standard_normal((3, 3)),
                             code_policy=policy)
-        proj = pl.project(slots, PARAMS.energy_per_bit)
+        proj = pl.project(slots)
         bits = rng.integers(0, 2, (5, 4)) * 2.0 - 1.0
         for s in range(3):
             decisions, parts, sums = literal_receiver(
                 slots.chips[s], gains_with_fade(fade[s], 4, rng), lam, bits,
-                PARAMS.energy_per_bit, PARAMS.noise_psd, PARAMS.interference_power, rng,
+                1.0, PARAMS.noise_psd, PARAMS.interference_power, rng,
             )
             assert proj.signal[s] == pytest.approx(sums["signal"], rel=1e-12)
             assert proj.signal[s] == pytest.approx(sums["w2"], rel=1e-12)
@@ -424,16 +424,15 @@ class TestTransmitAndReceive:
         for t in range(trials):
             gains[1:] = fresh_gains(rng, (3, 32))
             literal[t] = literal_receiver(
-                chips, gains, [], np.empty((0, 4)), PARAMS.energy_per_bit,
+                chips, gains, [], np.empty((0, 4)), 1.0,
                 PARAMS.noise_psd, PARAMS.interference_power, rng,
             )[2]["mai"]
         drawn = pl.project(
             manual_slot(PARAMS, est, [], np.tile(fade, (trials, 1)),
                         rng.standard_normal((trials, 3)), code_policy=policy),
-            PARAMS.energy_per_bit,
         ).mai
-        scale = pl.project(manual_slot(PARAMS, est, [], fade, np.ones(3), code_policy=policy),
-                           PARAMS.energy_per_bit).mai[0]
+        scale = pl.project(manual_slot(PARAMS, est, [], fade, np.ones(3),
+                                       code_policy=policy)).mai[0]
         for sample in (literal, drawn):
             assert np.all(np.abs(sample.mean(axis=0)) <= 4 * scale / math.sqrt(trials))
 
@@ -459,11 +458,11 @@ class TestTransmitAndReceive:
             return dict(pl.components(proj, PARAMS, bits, z, v),
                         decision=pl.receive(proj, PARAMS, bits, z))
 
-        block = received(pl.project(slots, PARAMS.energy_per_bit), bits, z, v)
+        block = received(pl.project(slots), bits, z, v)
         for s in range(6):
             one = manual_slot(PARAMS, slots.est_busy[s], np.flatnonzero(slots.misdetected[s]),
                               slots.fade[s], slots.mai_z[s])
-            single = received(pl.project(one, PARAMS.energy_per_bit),
+            single = received(pl.project(one),
                               bits[s : s + 1], z[s : s + 1], v[s : s + 1])
             for name in ("decision", "r_noise", "r_gi"):
                 assert np.array_equal(single[name][0], block[name][s])
@@ -474,7 +473,7 @@ class TestEmpiricalMoments:
         # unit-magnitude chips: all free, two misdetected, K=4
         params = dataclasses.replace(PARAMS, noise_psd=0.2, interference_power=0.3)
         trials = 30_000
-        n, k, eb = 32, 4, params.energy_per_bit
+        n, k, eb = 32, 4, 1.0
         lam = [1, 5]
         est = np.zeros(n, bool)
         rng = np.random.default_rng(11)

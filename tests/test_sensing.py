@@ -309,12 +309,12 @@ def test_fusion_monotone_in_users(probs, extra):
 
 class TestOccupancyModel:
     def test_example_values(self):
-        m = sn.occupancy_model(0.2, sn.FusionResult(qfa=0.05, qd=0.95, k_users=4))
+        m = sn.occupancy_model(0.2, sn.FusionResult(qfa=0.05, qd=0.95))
         assert m.p_zero == pytest.approx(0.23)
         assert m.p_mis == pytest.approx(0.01)
 
     def test_no_primary(self):
-        m = sn.occupancy_model(0.0, sn.FusionResult(qfa=0.3, qd=0.9, k_users=2))
+        m = sn.occupancy_model(0.0, sn.FusionResult(qfa=0.3, qd=0.9))
         assert m.p_zero == pytest.approx(0.3)
         assert m.p_mis == 0.0
 
@@ -327,7 +327,7 @@ class TestOccupancyModel:
     def test_event_table_partition(self, pr, qd, qfa):
         # the 2x2 (occupied x decided-busy) table must cover all mass:
         # zeroed + misdetected + idle-and-estimated-free == 1
-        m = sn.occupancy_model(pr, sn.FusionResult(qfa=qfa, qd=qd, k_users=1))
+        m = sn.occupancy_model(pr, sn.FusionResult(qfa=qfa, qd=qd))
         table = {
             ("occ", "busy"): pr * qd,
             ("occ", "free"): pr * (1 - qd),
