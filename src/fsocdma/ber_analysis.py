@@ -30,8 +30,17 @@ subset moves the variance, through var_gi, so
                  + sum_a P_a * sum_s D_{a,r}(s) * Q(1 / sqrt(V_a + g_a * s))
 
 where P_a is the mass of the m that share order a, V_a = var_s + var_mai
-+ var_n and g_a * s = var_gi.  D_{a,r} is the law of s, one convolution
-over the order's chips, cached per (order, r).
++ var_n and g_a * s = var_gi.  D_{a,r} is the law of s, cached per
+(order, r) on its window.  The c_v chips of one squared value v add
+v times a Binom(c_v, r) count, so the law is folded over the distinct
+squared values, at most 16 at any supported order, by shift and
+add on the lattice v.  It keeps only the window of sums outside of
+which at most _HIT_FLOOR = 1e-30 of its mass lies, renormalized there,
+and each fold drops the ends of its binomial and of its partial law that
+hold at most _FOLD_FLOOR = 1e-60, so that the work, like the law, grows
+with the window and not with sum c1^2.  The dropped mass moves an order's
+error probability by at most _HIT_FLOOR times its largest conditional
+value; on every output checked the printed digits stay the same.
 
 Nothing but sigma_n^2 and sigma_s^2 depends on the SNR, so one table
 per (N, K, sensing point) holds the rest: the erased mass, and per order
@@ -77,6 +86,13 @@ _SQRT2 = math.sqrt(2.0)
 _Q_CHUNK = 1 << 16
 # the largest fixed-policy grid: the one chip class of the largest Walsh order
 _GRID_LIMIT = (ORDER_LIMIT + 1) * (ORDER_LIMIT + 2) // 2
+# mass a hit law may leave outside its window, and far below it, the mass
+# each fold may drop at either end of its partial law and its binomial;
+# a fold keeps arrays of at most _FOLD_WHOLE values whole, as their cut
+# costs more numpy calls than it saves
+_HIT_FLOOR = 1e-30
+_FOLD_FLOOR = 1e-60
+_FOLD_WHOLE = 128
 
 
 @dataclass(frozen=True)
@@ -152,27 +168,80 @@ def _binomial_pmf(n: int, p: float, q: float) -> np.ndarray:
     return pmf / np.sum(pmf)
 
 
+def _window(dist: np.ndarray, mass: float, whole: int = 0) -> tuple[int, int]:
+    """(start, stop) such that dist[:start] and dist[stop:] each hold at most
+    `mass`, dist being a law of mass one; (0, dist.size) for at most
+    `whole` values.
+
+    No value above `mass` can lie outside, so only the runs before the
+    first and after the last such value are summed.
+    """
+    if dist.size <= whole:
+        return 0, dist.size
+    above = dist > mass
+    first, last = above.argmax(), dist.size - above[::-1].argmax()
+    start = dist[:first].cumsum().searchsorted(mass, side="right")
+    end = dist[last:][::-1].cumsum().searchsorted(mass, side="right")
+    return int(start), dist.size - int(end)
+
+
+def _fold(dist: np.ndarray, pmf: np.ndarray, value: int) -> np.ndarray:
+    """Law of x + value * j on 0.. for independent x ~ dist and j ~ pmf, both from 0.
+
+    Shift and add, one numpy pass per term of the shorter of the two.
+    """
+    out = np.zeros(dist.size + (pmf.size - 1) * value)
+    if pmf.size <= dist.size:
+        term = np.empty_like(dist)
+        for j, w in enumerate(pmf.tolist()):
+            out[j * value : j * value + dist.size] += np.multiply(dist, w, out=term)
+    else:
+        for i, w in enumerate(dist.tolist()):
+            out[i : i + (pmf.size - 1) * value + 1 : value] += w * pmf
+    return out
+
+
+@lru_cache(maxsize=256)
+def _hit_count(count: int, r: float, q: float) -> tuple[int, np.ndarray]:
+    """(first, pmf): Binom(j; count, r) for j = first, first + 1, ...
+
+    Without the ends that hold at most _FOLD_FLOOR of the mass, for more
+    than _FOLD_WHOLE terms.  Orders share it wherever they have count
+    chips of one squared value.
+    """
+    pmf = _binomial_pmf(count, r, q)
+    first, stop = _window(pmf, _FOLD_FLOOR, _FOLD_WHOLE)
+    pmf = pmf[first:stop]
+    pmf.setflags(write=False)
+    return first, pmf
+
+
 @lru_cache(maxsize=1024)
 def _hit_distribution(order: int, r: float, q: float) -> tuple[np.ndarray, np.ndarray]:
-    """(sums, probs): the law D_{order,r} of s = sum_i B_i c_1i^2 where it is positive.
+    """(sums, probs): the law D_{order,r} of s = sum_i B_i c_1i^2 on its window.
 
     c_1i are the first-row chips of the order's family and B_i independent,
-    1 with probability r and 0 with q = 1 - r.  The law is convolved over
-    the chips one at a time on the integer sums 0..gram_diag and
-    normalized, so that its mass is one however r and q round.
+    1 with probability r and 0 with q = 1 - r.  The chips of one squared
+    value v add v times a Binom(c_v, r) count, so the law is folded over
+    the distinct values, smallest first.  Each fold trims the ends of its
+    binomial and of the partial law that hold at most _FOLD_FLOOR of the
+    mass, from arrays longer than _FOLD_WHOLE; the result keeps the
+    positive sums of the window outside of which at most _HIT_FLOOR of
+    the mass lies (half at either end), normalized there, so that its
+    mass is one however r and q round.
     """
-    squares = sorted((rows(order, 1)[0] ** 2).tolist())
-    dist = np.zeros(sum(squares) + 1)
-    dist[0] = 1.0
-    reach = 0  # largest sum of the chips added so far
-    # smallest first, so that the reach, and the work, grows as late as it can
-    for value in squares:
-        hit = r * dist[: reach + 1]
-        dist[: reach + 1] *= q
-        dist[value : value + reach + 1] += hit
-        reach += value
+    counts = np.bincount(np.square(rows(order, 1)[0]))
+    values = np.flatnonzero(counts)
+    dist, low = np.ones(1), 0  # the partial law on the sums low, low + 1, ...
+    for value, count in zip(values.tolist(), counts[values].tolist()):
+        first, pmf = _hit_count(count, r, q)
+        dist = _fold(dist, pmf, value)
+        start, stop = _window(dist, _FOLD_FLOOR, _FOLD_WHOLE)
+        dist, low = dist[start:stop], low + first * value + start
+    start, stop = _window(dist, 0.5 * _HIT_FLOOR)
+    dist, low = dist[start:stop], low + start
     reached = np.flatnonzero(dist)
-    sums, probs = reached.astype(np.float64), dist[reached] / np.sum(dist)
+    sums, probs = (low + reached).astype(np.float64), dist[reached] / np.sum(dist)
     sums.setflags(write=False)
     probs.setflags(write=False)
     return sums, probs

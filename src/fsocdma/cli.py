@@ -11,7 +11,6 @@ its own header.  Matrix exports from `codes` use the bare matrix format
 from __future__ import annotations
 
 import argparse
-import hashlib
 import itertools
 import math
 import sys
@@ -30,6 +29,7 @@ from .montecarlo import (
     derive_sensing,
     grid_jobs,
     run_points,
+    sha256_hex,
     trace_csv,
 )
 from .orthocodes import (
@@ -323,7 +323,7 @@ def _ber_outputs(conf: dict, figure: str | None, out: str | None, rerun: str) ->
             for si, snr in enumerate((10.0, 20.0))
         }
         digests = [config_digest(job[0]) for keyed in by_snr.values() for _, job in keyed]
-        bundle = hashlib.sha256("\n".join(digests).encode()).hexdigest()
+        bundle = sha256_hex("\n".join(digests))
         return [
             (_out_path(out or "fig3", f"_snr{snr:g}"), "k_users",
              _ber_comments(conf, rerun, (f"fig3.snr_db={snr!r}",)), bundle, keyed)

@@ -40,14 +40,12 @@ interference-to-noise ratio fixed.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from .ber_analysis import BerPoint, average_pe, fixed_chip_classes
 from .phylink import (
@@ -70,6 +68,14 @@ from .sensing import (
     pfa,
     solve_threshold,
 )
+
+try:  # CPython's own SHA-256, as random.py takes it: hashlib would load OpenSSL
+    from _sha2 import sha256 as _sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 # Version of the mapping from (config, seed) to random draws.  Bump it
 # whenever a change alters which numbers a run draws or how it uses them;
@@ -136,6 +142,11 @@ class SensingDerivation:
     model: OccupancyModel
 
 
+def sha256_hex(text: str) -> str:
+    """Hex SHA-256 digest of the UTF-8 bytes of text."""
+    return _sha256(text.encode()).hexdigest()
+
+
 def config_digest(cfg: RunConfig) -> str:
     """Content hash over every field that can change the results."""
     parts = []
@@ -146,7 +157,7 @@ def config_digest(cfg: RunConfig) -> str:
         if f.name in ("params", "detector"):
             continue
         parts.append(f"{f.name}={getattr(cfg, f.name)!r}")
-    return hashlib.sha256("\n".join(sorted(parts)).encode()).hexdigest()
+    return sha256_hex("\n".join(sorted(parts)))
 
 
 def derive_sensing(cfg: RunConfig) -> SensingDerivation:
@@ -192,8 +203,14 @@ def point_params(cfg: RunConfig, snr_db: float) -> SystemParams:
 
 def _stream(
     master_seed: int, purpose: int, point_index: int, batch_index: int
-) -> Generator:
-    """The random stream of one (purpose, sweep point, batch); the only Philox key."""
+) -> np.random.Generator:
+    """The random stream of one (purpose, sweep point, batch); the only Philox key.
+
+    numpy.random, and the OpenSSL it loads, is imported on first use, so
+    a closed-form run never loads it.
+    """
+    from numpy.random import Generator, Philox
+
     if not 0 <= point_index < _POINT_LIMIT:
         raise ValueError(f"point index {point_index} outside [0, 2^32)")
     key = np.array(
@@ -407,13 +424,17 @@ def run_points(
     any worker count.  More than one worker runs the jobs over a process
     pool, in job order, with no more workers than jobs or than the cores
     this process may run on (all cores where the system keeps no affinity
-    set); trace rows can only be collected in this process.
+    set); trace rows can only be collected in this process.  A simulated
+    run imports numpy.random before its first point, so that the forked
+    workers inherit it and its memory lands before the points' arrays.
     """
     cores = 1
     if workers > 1:
         affinity = getattr(os, "sched_getaffinity", None)
         cores = len(affinity(0)) if affinity is not None else os.cpu_count() or 1
     workers = min(workers, len(jobs), cores)
+    if simulate:
+        import numpy.random  # noqa: F401
     if workers > 1 and trace is None:
         from concurrent.futures import ProcessPoolExecutor
 

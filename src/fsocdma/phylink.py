@@ -334,16 +334,21 @@ def _noise_variances(proj: Projection, params: SystemParams) -> tuple[np.ndarray
     )
 
 
-def _mai(proj: Projection, bits: np.ndarray) -> np.ndarray:
-    """sum_{k>=2} b_k m_k per bit interval, (B, I).
+def _mai(proj: Projection, bits: np.ndarray, sigma=None, z=None) -> np.ndarray:
+    """sum_{k>=2} b_k m_k per bit interval, (B, I); with sigma (B,) and z
+    (B, I), the decisions b_1 S + sum_{k>=2} b_k m_k + sigma z.
 
     The bits turn float _FLOAT_SLOTS slots at a time, all K users in one
-    contiguous pass, and the product reads the interferers' columns.
+    contiguous pass, and the product reads the interferers' columns; the
+    signal and noise terms are added to the chunk's rows, in that order.
     """
     out = np.empty(bits.shape[:2])
     for rows in _slot_chunks(len(out)):
         floats = bits[rows].astype(np.float64)
         out[rows] = (floats[:, :, 1:] @ proj.mai[rows, :, np.newaxis])[:, :, 0]
+        if sigma is not None:
+            out[rows] += floats[:, :, 0] * proj.signal[rows, np.newaxis]
+            out[rows] += sigma[rows, np.newaxis] * z[rows]
         del floats  # freed before the next chunk's floats are made
     return out
 
@@ -355,17 +360,14 @@ def receive(proj: Projection, params: SystemParams, bits: np.ndarray, z: np.ndar
     keeps a block small) and z shape (B, I) holds one standard normal per
     interval, which scales R_n + R_GI; the slot's projections are held
     for the whole block (slot coherence).  Returns the (B, I) decision
-    variables b_1 S + sum_k b_k m_k + sigma z, summed in place: the
-    signal and noise terms pass through one reused buffer.
+    variables b_1 S + sum_k b_k m_k + sigma z, summed _FLOAT_SLOTS slots
+    at a time (see _mai).
     """
     bits = np.asarray(bits)
     if bits.ndim != 3 or bits.shape[2] != params.n_users:
         raise ValueError(f"bits must have shape (B, I, {params.n_users})")
     var_n, var_gi = _noise_variances(proj, params)
-    decision = _mai(proj, bits)
-    term = np.multiply(bits[:, :, 0], proj.signal[:, np.newaxis])
-    decision += term
-    decision += np.multiply(np.sqrt(var_n + var_gi)[:, np.newaxis], z, out=term)
+    decision = _mai(proj, bits, np.sqrt(var_n + var_gi), z)
     if not np.all(np.isfinite(decision)):
         raise FloatingPointError("non-finite decision variable")
     return decision

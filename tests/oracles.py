@@ -9,8 +9,10 @@ log-space Poisson partial sums that the library's sensing closed forms
 replaced with incomplete gamma functions, and the cell-by-cell loop
 over the trinomial, with a hypergeometric count of hits on active chips,
 a dictionary subset-sum knapsack and a row-by-row weight table, that the
-library's binomial mixture per code order replaced, and that mixture's
-own per-order loop, which the cached order table replaced.  Beside
+library's binomial mixture per code order replaced, that mixture's
+own per-order loop, which the cached order table replaced, and the
+chip-by-chip convolution of the hit law over all its sums, which the
+windowed fold per squared value replaced.  Beside
 these references to the Gaussian surrogate stand the exact error
 probability of the receiver the simulator implements and a literal
 per-subcarrier version of that receiver, plus the simulator's earlier
@@ -318,6 +320,24 @@ def subset_sum_distributions(n_active):
         probs = np.array([counts[j][int(s)] / total for s in sums], dtype=np.float64)
         out.append((sums, probs))
     return tuple(out)
+
+
+def hit_law_per_chip(order, r, q):
+    """The law of sum_i B_i c_1i^2 as a dense vector over the sums 0..gram_diag.
+
+    B_i is 1 with probability r and 0 with q.  The law is convolved over
+    the first-row chips one at a time, smallest first, and normalized.
+    """
+    squares = sorted((rows(order, 1)[0] ** 2).tolist())
+    dist = np.zeros(sum(squares) + 1)
+    dist[0] = 1.0
+    reach = 0  # largest sum of the chips added so far
+    for value in squares:
+        hit = r * dist[: reach + 1]
+        dist[: reach + 1] *= q
+        dist[value : value + reach + 1] += hit
+        reach += value
+    return dist / np.sum(dist)
 
 
 def loop_trinomial_weights(n, p0, pm, pf):

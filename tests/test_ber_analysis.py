@@ -24,6 +24,7 @@ from oracles import (
     enum_average_pe,
     exact_average_pe,
     exact_conditional_pe,
+    hit_law_per_chip,
     largest_supported,
     _loop_rechoose_cell,
     loop_average_pe,
@@ -160,11 +161,17 @@ class TestConditionalPe:
         assert pe == pytest.approx(0.5, abs=1e-6)
 
 
-def dense(sums, probs, size):
-    """A (sums, probs) law as a dense vector over the integer sums 0..size-1."""
-    out = np.zeros(size)
-    out[sums.astype(int)] = probs
-    return out
+def assert_window_of(law, want, rtol=1e-13):
+    """law (sums, probs) is the dense law want on a window of its sums.
+
+    The window keeps every sum where want is positive, its values agree
+    to rtol, and want has at most the recorded floor of mass outside it.
+    """
+    sums, probs = law
+    at = sums.astype(int)
+    assert np.array_equal(np.flatnonzero(want[at[0] : at[-1] + 1]) + at[0], at)
+    np.testing.assert_allclose(probs, want[at], rtol=rtol, atol=0.0)
+    assert float(np.sum(want[: at[0]]) + np.sum(want[at[-1] + 1 :])) <= ba._HIT_FLOOR
 
 
 def exact_binomial(n, j, p, q):
@@ -276,16 +283,20 @@ class TestPeOfCounts:
                 assert p == pytest.approx(float(law[int(s)]), rel=1e-14)
 
     def test_subset_tables_match_dict_knapsack(self):
-        # every multi-level order up to 63: the library's convolution against
+        # every multi-level order up to 63: the library's windowed law against
         # the oracle's dictionary knapsack per subset size, mixed over Binom(j; a, r)
         orders = [n for n in supported_orders(63) if multi_level(n)]
         assert len(orders) == 29
         for n in orders:
             for r in HIT_RATES:
-                want = hit_law_from_oracle(n, r)
-                got = dense(*ba._hit_distribution(n, r, 1.0 - r), want.size)
-                # below 1e-280 both sides run into subnormal underflow
-                np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-280, err_msg=f"{n} {r}")
+                assert_window_of(ba._hit_distribution(n, r, 1.0 - r), hit_law_from_oracle(n, r))
+
+    @pytest.mark.parametrize("n", supported_orders(64) + [729, 2187])
+    def test_window_matches_per_chip_convolution(self, n):
+        # the fold per squared value, trimmed to its window, against the
+        # chip-by-chip convolution over every sum that it replaced
+        for r in (0.0123, 0.0133, 0.3):
+            assert_window_of(ba._hit_distribution(n, r, 1.0 - r), hit_law_per_chip(n, r, 1.0 - r))
 
     def test_subset_tables_beyond_int64(self):
         # order 80 = 16 * 5 is multi-level, and the oracle knapsack's subset
@@ -296,8 +307,7 @@ class TestPeOfCounts:
         energy = float(build(n).gram_diag[0])
         for r in HIT_RATES:
             sums, probs = ba._hit_distribution(n, r, 1.0 - r)
-            want = hit_law_from_oracle(n, r)
-            np.testing.assert_allclose(dense(sums, probs, want.size), want, rtol=1e-13, atol=1e-280)
+            assert_window_of((sums, probs), hit_law_from_oracle(n, r))
             assert float(np.sum(probs)) == pytest.approx(1.0, abs=1e-12)
             assert float(probs @ sums) == pytest.approx(r * energy, rel=1e-12, abs=1e-12)
 

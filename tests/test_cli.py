@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -11,6 +12,7 @@ import pytest
 
 import fsocdma
 from fsocdma import cli
+from fsocdma import montecarlo as mc
 from fsocdma import orthocodes as oc
 from oracles import parse_matrix
 
@@ -535,26 +537,28 @@ class TestSelftest:
         assert "PASS sensing" in report
 
 
-def test_import_loads_no_scipy():
-    # a fresh interpreter, so no other test's imports count
+def fresh_python(code: str, *args) -> str:
+    """Standard output of code run in a new interpreter that imports this fsocdma."""
     src = str(Path(fsocdma.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, "-c", code, *map(str, args)],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+
+
+def test_import_loads_no_scipy():
+    # a fresh interpreter, so no other test's imports count
     code = (
         "import sys, fsocdma.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "[]"
+    assert fresh_python(code).strip() == "[]"
 
 
 def test_serial_ber_loads_no_process_pool(tmp_path):
     # a fresh interpreter; the pool's modules would be paid by every serial run
-    src = str(Path(fsocdma.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
     code = (
         "import sys, fsocdma.cli\n"
         "argv = ['ber', '--threads', '1', '--out', sys.argv[1],\n"
@@ -564,18 +568,74 @@ def test_serial_ber_loads_no_process_pool(tmp_path):
         "print(sorted(m for m in sys.modules\n"
         "             if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code, str(tmp_path / "ber.csv")],
-        env=env, capture_output=True, text=True, check=True,
+    assert fresh_python(code, tmp_path / "ber.csv").strip().splitlines()[-1] == "[]"
+
+
+# numpy.random imports secrets, hmac and with them OpenSSL's _hashlib
+RANDOM_STACK = ("numpy.random", "hashlib", "_hashlib")
+
+
+def random_stack_after(calls: list) -> list:
+    """The RANDOM_STACK modules a fresh interpreter holds after the CLI calls."""
+    code = (
+        "import json, sys, fsocdma.cli\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert fsocdma.cli.main(argv) == 0\n"
+        f"print(json.dumps([m for m in {RANDOM_STACK!r} if m in sys.modules]))"
     )
-    assert out.stdout.strip().splitlines()[-1] == "[]"
+    return json.loads(fresh_python(code, json.dumps(calls)).splitlines()[-1])
+
+
+def test_closed_form_runs_load_no_random_stack(tmp_path):
+    # the closed form draws nothing, so it pays for no random stack
+    calls = [
+        ["ber", "--mode", "analytic", "--out", str(tmp_path / "ber.csv")],
+        ["sensing", "roc", "--out", str(tmp_path / "roc.csv")],
+        ["codes", "8", "--out", str(tmp_path / "c8.txt")],
+    ]
+    assert random_stack_after(calls) == []
+
+
+def test_simulated_point_loads_numpy_random(tmp_path):
+    calls = [["ber", "--set", "run.snr_grid_db=10", "--set", "run.trials_min=90",
+              "--set", "run.max_trials=90", "--out", str(tmp_path / "ber.csv")]]
+    assert "numpy.random" in random_stack_after(calls)
+
+
+def ber_digests() -> list:
+    """The digest of every file of the plain, fig2 and fig3 ber runs."""
+    conf = cli.resolve_config(None, [], None)
+    return [out[3] for figure in (None, "fig2", "fig3")
+            for out in cli._ber_outputs(conf, figure, None, "rerun")]
+
+
+def test_digests_equal_hashlib(monkeypatch):
+    # config_digest and the fig3 bundle through CPython's built-in SHA-256
+    # are hashlib's digests of the same text
+    got = ber_digests()
+    monkeypatch.setattr(mc, "_sha256", hashlib.sha256)
+    assert ber_digests() == got
+
+
+def test_digests_fall_back_to_hashlib():
+    # where neither built-in module exists, hashlib gives the same digests
+    code = (
+        "import json, sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "from fsocdma import cli, montecarlo\n"
+        "conf = cli.resolve_config(None, [], None)\n"
+        "digests = [out[3] for figure in (None, 'fig2', 'fig3')\n"
+        "           for out in cli._ber_outputs(conf, figure, None, 'rerun')]\n"
+        "import hashlib\n"
+        "print(json.dumps([montecarlo._sha256 is hashlib.sha256, digests]))"
+    )
+    fell_back, digests = json.loads(fresh_python(code).splitlines()[-1])
+    assert fell_back
+    assert digests == ber_digests()
 
 
 def test_import_leaves_caches_empty():
     # a table filled at import would be paid by every run's set-up time
-    src = str(Path(fsocdma.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
     code = (
         "import json, sys, fsocdma.cli\n"
         "sizes = {f'{name}.{attr}': fn.cache_info().currsize\n"
@@ -583,10 +643,7 @@ def test_import_leaves_caches_empty():
         "         for attr, fn in vars(mod).items() if hasattr(fn, 'cache_info')}\n"
         "print(json.dumps(sizes))"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    sizes = json.loads(out.stdout)
+    sizes = json.loads(fresh_python(code))
     assert "fsocdma.orthocodes.rows" in sizes
     assert "fsocdma.ber_analysis._hit_distribution" in sizes
     assert "fsocdma.ber_analysis._rechoose_table" in sizes
