@@ -60,8 +60,7 @@ DEFAULTS: dict[str, object] = {
     "params.n_subcarriers": 32,
     "params.n_users": 4,
     "params.pr_h1": 0.2,
-    "params.noise_psd": 0.1,
-    "params.interference_power": 0.1,
+    "params.inr_db": 0.0,
     "params.bit_duration": 10e-6,
     "params.slot_duration": 1e-3,
     "params.sensing_duration": 1e-4,
@@ -80,6 +79,8 @@ DEFAULTS: dict[str, object] = {
 }
 
 _VALUE_CHECKS = {  # key: (accepts the parsed value, what the value must be)
+    "params.inr_db": (lambda v: -math.inf <= v <= 3000.0, "must be at most 3000 (dB)"),
+    "run.master_seed": (lambda v: 0 <= v < 1 << 64, "must lie in [0, 2^64)"),
     "roc.points": (lambda v: v >= 2, "must be at least 2, the two ends of the grid"),
     "roc.zeta_max": (lambda v: 0.0 <= v < math.inf, "must be finite and >= 0 (0 = automatic)"),
     "roc.validate_trials": (lambda v: v >= 1, "must be at least 1"),
@@ -142,12 +143,12 @@ def resolve_config(config_path: str | None, sets: list[str], seed: int | None) -
 
 
 def build_system_params(conf: dict, n_users: int | None = None) -> SystemParams:
+    """Link parameters at the default noise PSD; every sweep point keeps the INR."""
     return SystemParams(
         n_subcarriers=conf["params.n_subcarriers"],
         n_users=n_users if n_users is not None else conf["params.n_users"],
         pr_h1=conf["params.pr_h1"],
-        noise_psd=conf["params.noise_psd"],
-        interference_power=conf["params.interference_power"],
+        interference_power=SystemParams.noise_psd * 10.0 ** (conf["params.inr_db"] / 10.0),
         bit_duration=conf["params.bit_duration"],
         slot_duration=conf["params.slot_duration"],
         sensing_duration=conf["params.sensing_duration"],
@@ -341,10 +342,7 @@ def cmd_ber(args) -> int:
         return 1
     _check_out_dirs(args.out, args.trace)
 
-    rerun_parts = ["fsocdma ber", f"--mode {mode}"]
-    if args.figure:
-        rerun_parts.append(f"--figure {args.figure}")
-    rerun = " ".join(rerun_parts)
+    rerun = f"fsocdma ber --mode {mode}" + (f" --figure {args.figure}" if args.figure else "")
 
     outputs = _ber_outputs(conf, args.figure, args.out, rerun)
     trace: list | None = [] if args.trace else None
@@ -436,10 +434,7 @@ def _selftest_ber_average() -> str:
 
     model = occupancy_model(0.2, FusionResult(qfa=0.05, qd=0.95))
     for n, policy, k in itertools.product((4, 6), ("rechoose", "fixed"), (1, 2)):
-        params = SystemParams(
-            n_subcarriers=n, n_users=k, pr_h1=0.2,
-            noise_psd=0.1, interference_power=0.1,
-        )
+        params = SystemParams(n_subcarriers=n, n_users=k, pr_h1=0.2)
         fast = average_pe(params, model, policy)
         slow = average_pe_enumerated(params, model, policy)
         if abs(fast - slow) > 1e-12:
@@ -480,6 +475,13 @@ def cmd_selftest(args) -> int:
 # argument parsing
 
 
+def _worker_count(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
 def _add_common(parser):
     parser.add_argument("--config", help="key=value configuration file")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
@@ -517,7 +519,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_ber.add_argument("--trace", default=None,
                        help="write a per-bit receiver trace CSV "
                             "(simulated single-point grid only)")
-    p_ber.add_argument("--threads", type=int, default=1,
+    p_ber.add_argument("--threads", type=_worker_count, default=1,
                        help="worker processes for the points (never changes results)")
     _add_common(p_ber)
     p_ber.set_defaults(func=cmd_ber)

@@ -181,15 +181,9 @@ def _solve_sensing(
     solved = DetectorConfig(
         samples=detector.samples, threshold=zeta, mean_snr_db=detector.mean_snr_db
     )
-    pfa_local = pfa(solved)
-    fused = fuse_or([SensingOutcome(pfa=pfa_local, pd=pd_local)] * k)
-    model = occupancy_model(pr_h1, fused)
-    return SensingDerivation(
-        probs=SensingOutcome(pfa=pfa_local, pd=pd_local),
-        threshold=zeta,
-        fused=fused,
-        model=model,
-    )
+    probs = SensingOutcome(pfa=pfa(solved), pd=pd_local)
+    fused = fuse_or([probs] * k)
+    return SensingDerivation(probs, zeta, fused, occupancy_model(pr_h1, fused))
 
 
 def point_params(cfg: RunConfig, snr_db: float) -> SystemParams:
@@ -211,11 +205,11 @@ def _stream(
     """
     from numpy.random import Generator, Philox
 
+    if not 0 <= master_seed <= _MASK64:
+        raise ValueError(f"master seed {master_seed} outside [0, 2^64)")
     if not 0 <= point_index < _POINT_LIMIT:
         raise ValueError(f"point index {point_index} outside [0, 2^32)")
-    key = np.array(
-        [master_seed & _MASK64, (purpose << 32) | point_index], dtype=np.uint64
-    )
+    key = np.array([master_seed, (purpose << 32) | point_index], dtype=np.uint64)
     counter = np.array([0, batch_index & _MASK64, 0, 0], dtype=np.uint64)
     return Generator(Philox(counter=counter, key=key))
 

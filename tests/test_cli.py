@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -280,13 +281,17 @@ class TestParser:
 
 class TestConfigHandling:
     def test_unknown_key_rejected(self, capsys):
-        # energy_per_bit is not a key: every point sets the noise to 1/SNR
-        # in units of E_b and keeps the interference-to-noise ratio; the
-        # batch size is fixed and the sensing SNR is always per sample
+        # energy_per_bit, noise_psd and interference_power are not keys: every
+        # point sets the noise to 1/SNR in units of E_b and keeps the
+        # interference-to-noise ratio, params.inr_db; the batch size is fixed
+        # and the sensing SNR is always per sample
         for item in ("params.bogus=1", "params.energy_per_bit=2", "run.batch_slots=8",
-                     "detector.accumulate_snr=false"):
+                     "detector.accumulate_snr=false", "params.noise_psd=0.1",
+                     "params.interference_power=0.1"):
             assert run_cli(["ber", "--set", item]) == 2
-            assert "unknown configuration key" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert "unknown configuration key" in err
+            assert repr(item.partition("=")[0]) in err
 
     def test_bad_value_rejected(self, capsys):
         assert run_cli(["ber", "--set", "params.n_users=four"]) == 2
@@ -358,11 +363,9 @@ class TestConfigHandling:
             ("params.n_users=0", "need at least one subcarrier and one user"),
             ("run.target_error_events=0", "trials_min and target_error_events must be >= 1"),
             ("params.pr_h1=2.0", "pr_h1 must lie in [0, 1]"),
-            ("params.noise_psd=0.0", "noise PSD must be positive"),
             ("params.bit_duration=-1e-05", "need at least one bit interval after sensing"),
         ],
-        ids=["n-users-zero", "target-events-zero", "pr-h1-two", "noise-psd-zero",
-             "bit-duration-negative"],
+        ids=["n-users-zero", "target-events-zero", "pr-h1-two", "bit-duration-negative"],
     )
     def test_bad_link_or_run_value_names_its_key(self, tmp_path, capsys, item, wording):
         for mode in ("analytic", "both"):
@@ -436,6 +439,36 @@ class TestConfigHandling:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args,item",
+        [
+            (["--set", "params.inr_db=nan"], "params.inr_db=nan"),
+            (["--set", "params.inr_db=4000"], "params.inr_db=4000.0"),
+            (["--seed", "-1"], "run.master_seed=-1"),
+            (["--seed", str(2**64)], f"run.master_seed={2**64}"),
+            (["--set", "run.master_seed=-1"], "run.master_seed=-1"),
+        ],
+        ids=["inr-db-nan", "inr-db-overflow", "seed-negative", "seed-two-to-64",
+             "seed-set-negative"],
+    )
+    def test_bad_value_fails_at_parse_naming_its_key(self, tmp_path, capsys, args, item):
+        # a seed outside the 64-bit Philox key would alias another seed's streams
+        commands = (["ber", "--set", "run.snr_grid_db=10"], ["sensing", "roc", "--validate"],
+                    ["selftest"])
+        for i, command in enumerate(commands):
+            assert run_cli(command + args + ["--out", str(tmp_path / f"{i}.csv")]) == 2
+            captured = capsys.readouterr()
+            assert item in captured.err
+            assert captured.out == ""
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_rejected(self, capsys, threads):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["ber", "--mode", "analytic", "--threads", threads])
+        assert exc.value.code == 2
+        assert "argument --threads: must be at least 1" in capsys.readouterr().err
+
     def test_value_formatting_round_trip(self):
         for key, value in cli.DEFAULTS.items():
             text = cli._format_value(value)
@@ -457,8 +490,7 @@ OTHER_VALUES = {
     "params.n_subcarriers": "16",
     "params.n_users": "2",
     "params.pr_h1": "0.5",
-    "params.noise_psd": "0.2",
-    "params.interference_power": "0.3",
+    "params.inr_db": "3",
     "params.bit_duration": "2e-05",
     "params.slot_duration": "0.002",
     "params.sensing_duration": "0.0002",
@@ -492,8 +524,20 @@ def _observable(out_dir, sets):
     return shown + [ln for ln in printed.getvalue().splitlines() if ln.startswith("validate")]
 
 
+# Keys that share a unit, and one move of that unit: a factor, or a dB offset.
+# The stop rule counts bits in 48-slot batches of 4320 bits, so the bits
+# factor takes run.trials_min (90) past the first batch.
+UNIT_MOVES = {
+    "s": (("params.bit_duration", "params.slot_duration", "params.sensing_duration"),
+          lambda v: v * 2),
+    "dB": (("detector.mean_snr_db", "run.snr_grid_db", "params.inr_db"), lambda v: v + 3),
+    "bits": (("run.trials_min", "run.max_trials"), lambda v: v * 100),
+}
+
+
 class TestKeyCoverage:
-    """Every configuration key moves an output, and the README lists them all."""
+    """Every configuration key moves an output, so does every pair of keys
+    that share a unit moved together, and the README lists them all."""
 
     @pytest.fixture(scope="class")
     def base(self, tmp_path_factory):
@@ -503,6 +547,24 @@ class TestKeyCoverage:
     def test_no_key_is_inert(self, tmp_path, base, key):
         other = _observable(tmp_path, {**BASE_SETS, key: OTHER_VALUES[key]})
         assert other != base, f"{key}={OTHER_VALUES[key]} changed no output"
+
+    @pytest.mark.parametrize(
+        "unit,pair",
+        [(unit, pair) for unit, (keys, _) in UNIT_MOVES.items()
+         for pair in itertools.combinations(keys, 2)],
+        ids=lambda x: x if isinstance(x, str) else "+".join(x),
+    )
+    def test_no_same_unit_pair_is_one_setting(self, tmp_path, base, unit, pair):
+        # two keys that only reach the outputs through their ratio (or dB
+        # difference) are one degree of freedom in two settings
+        move = UNIT_MOVES[unit][1]
+        moved = {}
+        for key in pair:
+            value = cli._parse_value(key, BASE_SETS[key]) if key in BASE_SETS else cli.DEFAULTS[key]
+            value = tuple(map(move, value)) if isinstance(value, tuple) else move(value)
+            moved[key] = cli._format_value(value)
+        other = _observable(tmp_path, {**BASE_SETS, **moved})
+        assert other != base, f"{moved} changed no output"
 
     def test_readme_lists_every_key_with_its_default(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -271,6 +271,15 @@ class TestEstimateBer:
                 mc.estimate_ber(cfg, 5.0, point_index=bad)
         assert mc.estimate_ber(cfg, 5.0, point_index=2**32 - 1).trials >= 500
 
+    def test_master_seed_must_fit_the_key(self):
+        # masking a seed outside [0, 2^64) would alias another seed's streams
+        for bad in (-1, 2**64):
+            cfg = make_config(trials_min=500, target_error_events=20, master_seed=bad)
+            with pytest.raises(ValueError, match="master seed"):
+                mc.estimate_ber(cfg, 5.0, 0)
+        cfg = make_config(trials_min=500, target_error_events=20, master_seed=2**64 - 1)
+        assert mc.estimate_ber(cfg, 5.0, 0).trials >= 500
+
     def test_trace_rows(self):
         cfg = make_config(snr_grid_db=(5.0,), trials_min=100, target_error_events=5)
         blocks = []
