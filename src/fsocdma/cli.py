@@ -61,9 +61,7 @@ DEFAULTS: dict[str, object] = {
     "params.n_users": 4,
     "params.pr_h1": 0.2,
     "params.inr_db": 0.0,
-    "params.bit_duration": 10e-6,
-    "params.slot_duration": 1e-3,
-    "params.sensing_duration": 1e-4,
+    "params.bits_per_slot": 90,
     "detector.samples": 320,
     "detector.mean_snr_db": 2.3,
     "run.target_pd": 0.95,
@@ -80,6 +78,7 @@ DEFAULTS: dict[str, object] = {
 
 _VALUE_CHECKS = {  # key: (accepts the parsed value, what the value must be)
     "params.inr_db": (lambda v: -math.inf <= v <= 3000.0, "must be at most 3000 (dB)"),
+    "detector.samples": (lambda v: v >= 2, "must be at least 2"),
     "run.master_seed": (lambda v: 0 <= v < 1 << 64, "must lie in [0, 2^64)"),
     "roc.points": (lambda v: v >= 2, "must be at least 2, the two ends of the grid"),
     "roc.zeta_max": (lambda v: 0.0 <= v < math.inf, "must be finite and >= 0 (0 = automatic)"),
@@ -149,16 +148,14 @@ def build_system_params(conf: dict, n_users: int | None = None) -> SystemParams:
         n_users=n_users if n_users is not None else conf["params.n_users"],
         pr_h1=conf["params.pr_h1"],
         interference_power=SystemParams.noise_psd * 10.0 ** (conf["params.inr_db"] / 10.0),
-        bit_duration=conf["params.bit_duration"],
-        slot_duration=conf["params.slot_duration"],
-        sensing_duration=conf["params.sensing_duration"],
+        bits_per_slot=conf["params.bits_per_slot"],
     )
 
 
 def build_detector(conf: dict) -> DetectorConfig:
-    """Detector from config: detector.mean_snr_db is the per-sample sensing
-    SNR, accumulated over the collected samples (quasi-static channel over
-    the sensing window)."""
+    """Detector from config.  detector.samples is the sensing time, u = tau W
+    samples; detector.mean_snr_db is the per-sample sensing SNR, accumulated
+    over the u samples (quasi-static channel over the sensing window)."""
     snr_db = conf["detector.mean_snr_db"] + 10.0 * math.log10(conf["detector.samples"])
     return DetectorConfig(
         samples=conf["detector.samples"], threshold=0.0, mean_snr_db=snr_db

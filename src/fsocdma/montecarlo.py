@@ -127,6 +127,17 @@ class RunConfig:
         for field, ok, why in checks:
             if not ok:
                 raise ValueError(f"run.{field}={getattr(self, field)!r}: {why}")
+        inr = self.params.interference_power / self.params.noise_psd
+        for snr in self.snr_grid_db:
+            try:
+                ok = point_params(self, snr).interference_power > 0 or inr == 0
+            except (ArithmeticError, ValueError):
+                ok = False
+            if not ok:
+                raise ValueError(
+                    f"run.snr_grid_db={snr!r}: the point's noise PSD 10^(-SNR/10) and its "
+                    "interference power, params.inr_db above it, must be finite and positive"
+                )
         check_code_policy(self.code_policy, self.params.n_subcarriers)
         if self.code_policy == "fixed":
             fixed_chip_classes(self.params.n_subcarriers, self.params.n_users)

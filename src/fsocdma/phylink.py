@@ -69,9 +69,7 @@ class SystemParams:
     pr_h1: float
     noise_psd: float = 0.1
     interference_power: float = 0.1
-    bit_duration: float = 10e-6
-    slot_duration: float = 1e-3
-    sensing_duration: float = 1e-4
+    bits_per_slot: int = 90  # bit intervals that share a fading draw and a sensing outcome
 
     def __post_init__(self):
         one = "need at least one subcarrier and one user"
@@ -79,13 +77,10 @@ class SystemParams:
             ("n_subcarriers", self.n_subcarriers >= 1, one),
             ("n_users", self.n_users >= 1, one),
             ("pr_h1", 0.0 <= self.pr_h1 <= 1.0, "pr_h1 must lie in [0, 1]"),
-            ("noise_psd", self.noise_psd > 0, "noise PSD must be positive"),
-            ("interference_power", self.interference_power >= 0,
-             "interference power must be nonnegative"),
-            ("sensing_duration", 0.0 < self.sensing_duration < self.slot_duration,
-             f"need 0 < sensing_duration < slot_duration={self.slot_duration!r}"),
-            ("bit_duration", self.bit_duration > 0 and self.bits_per_slot >= 1,
-             "need at least one bit interval after sensing"),
+            ("noise_psd", 0 < self.noise_psd < np.inf, "noise PSD must be finite and positive"),
+            ("interference_power", 0 <= self.interference_power < np.inf,
+             "interference power must be finite and nonnegative"),
+            ("bits_per_slot", self.bits_per_slot >= 1, "need at least one bit interval per slot"),
             ("n_users", largest_supported_order(self.n_subcarriers) >= self.n_users,
              f"{self.n_users} users exceed the largest supported code order "
              f"<= {self.n_subcarriers} subcarriers"),
@@ -93,12 +88,6 @@ class SystemParams:
         for field, ok, why in checks:
             if not ok:
                 raise ValueError(f"params.{field}={getattr(self, field)!r}: {why}")
-
-    @property
-    def bits_per_slot(self) -> int:
-        """Bits transmitted per user in the slot's transmission phase."""
-        # epsilon guards the floor against float representation error
-        return int((self.slot_duration - self.sensing_duration) / self.bit_duration + 1e-9)
 
 
 def check_code_policy(code_policy: str, n_subcarriers: int) -> None:

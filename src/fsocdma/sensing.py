@@ -56,8 +56,15 @@ class DetectorConfig:
             raise ValueError(
                 f"detector.threshold={self.threshold!r} must be finite and nonnegative"
             )
-        if not math.isfinite(self.mean_snr_db):
-            raise ValueError(f"detector.mean_snr_db={self.mean_snr_db!r} must be finite")
+        try:
+            linear = self.mean_snr_linear
+        except OverflowError:
+            linear = math.inf
+        if not 0.0 < linear < math.inf:
+            raise ValueError(
+                f"detector.mean_snr_db: a mean sensing SNR of {self.mean_snr_db!r} dB "
+                "is not finite and positive in linear terms"
+            )
 
     @property
     def mean_snr_linear(self) -> float:
@@ -128,14 +135,12 @@ def _upper_fraction(a: int, x: float) -> float:
 
     Used for x >= a + 1, where every denominator is positive; at integer a
     the partial numerators -i(i - a) vanish at i = a, so it ends there at
-    the latest.
+    the latest (a NaN x, which never converges, ends there too).
     """
     b = x + 1.0 - a
     c = math.inf
     d = h = 1.0 / b
-    i = 0
-    while True:
-        i += 1
+    for i in range(1, a + 1):
         an = -i * (i - a)
         b += 2.0
         d = 1.0 / (an * d + b)
@@ -143,7 +148,8 @@ def _upper_fraction(a: int, x: float) -> float:
         delta = c * d
         h *= delta
         if abs(delta - 1.0) <= _EPS:
-            return h
+            break
+    return h
 
 
 def _log_poisson_lower(a: int, x: float) -> float:
@@ -192,8 +198,6 @@ def pd_rayleigh(cfg: DetectorConfig) -> float:
     """
     u = cfg.samples
     gbar = cfg.mean_snr_linear
-    if gbar <= 0:
-        raise ValueError("mean SNR must be positive")
     x = cfg.threshold / 2.0
     t1 = _poisson_upper(u - 1, x)
     y = x * gbar / (1.0 + gbar)
@@ -204,26 +208,38 @@ def pd_rayleigh(cfg: DetectorConfig) -> float:
     return t1 + math.exp(min(log_t2, 0.0))
 
 
-# Sample-level trials drawn at a time, so a large trial count never holds
-# all of its normals.
+# Sample-level trials per chunk: an occupied chunk draws its trials' normals,
+# then their SNRs.  The normals come in pieces of whole trials, about
+# _RATE_PIECE normals each, so a call holds one piece and two floats per
+# trial of its chunk, whatever the number of samples.
 _RATE_CHUNK = 50_000
+_RATE_PIECE = 1 << 18
 
 
 def sample_level_rate(
     cfg: DetectorConfig, occupied: bool, trials: int, rng: np.random.Generator
 ) -> float:
-    """Empirical decision rate over many sample-level trials, _RATE_CHUNK at a time."""
-    u = cfg.samples
+    """Empirical decision rate over many sample-level trials, _RATE_CHUNK at a time.
+
+    A trial keeps its first normal and the sum of squares of the other
+    2u - 1; under H1 the first is shifted by sqrt(2 gamma) once the
+    chunk's SNRs gamma are drawn.
+    """
+    width = 2 * cfg.samples
+    rows = max(1, _RATE_PIECE // width)
     hits = 0
     done = 0
     while done < trials:
         b = min(_RATE_CHUNK, trials - done)
-        z = rng.standard_normal((b, 2 * u))
+        first, rest = np.empty(b), np.empty(b)
+        for lo in range(0, b, rows):
+            z = rng.standard_normal((min(rows, b - lo), width))
+            first[lo:lo + len(z)] = z[:, 0]
+            rest[lo:lo + len(z)] = np.einsum("ij,ij->i", z[:, 1:], z[:, 1:])
+            del z  # the next piece is drawn with this one freed
         if occupied:
-            gamma = rng.exponential(cfg.mean_snr_linear, size=b)
-            z[:, 0] += np.sqrt(2.0 * gamma)
-        energy = np.einsum("ij,ij->i", z, z)
-        hits += int(np.count_nonzero(energy > cfg.threshold))
+            first += np.sqrt(2.0 * rng.exponential(cfg.mean_snr_linear, size=b))
+        hits += int(np.count_nonzero(first * first + rest > cfg.threshold))
         done += b
     return hits / trials
 
@@ -325,7 +341,10 @@ def solve_threshold(
             break
         lo, hi = hi, hi * 2.0
     else:
-        raise NoSolutionError(f"no threshold reaches target {target}")
+        raise NoSolutionError(
+            f"no threshold reaches target {target} with detector.samples={samples} "
+            f"at detector.mean_snr_db={mean_snr_db!r} dB (accumulated)"
+        )
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         v = p(mid)

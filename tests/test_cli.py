@@ -3,6 +3,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -284,10 +285,13 @@ class TestConfigHandling:
         # energy_per_bit, noise_psd and interference_power are not keys: every
         # point sets the noise to 1/SNR in units of E_b and keeps the
         # interference-to-noise ratio, params.inr_db; the batch size is fixed
-        # and the sensing SNR is always per sample
+        # and the sensing SNR is always per sample; the durations reached the
+        # outputs only through params.bits_per_slot, and the sensing time is
+        # detector.samples
         for item in ("params.bogus=1", "params.energy_per_bit=2", "run.batch_slots=8",
                      "detector.accumulate_snr=false", "params.noise_psd=0.1",
-                     "params.interference_power=0.1"):
+                     "params.interference_power=0.1", "params.bit_duration=1e-05",
+                     "params.slot_duration=0.001", "params.sensing_duration=0.0001"):
             assert run_cli(["ber", "--set", item]) == 2
             err = capsys.readouterr().err
             assert "unknown configuration key" in err
@@ -342,8 +346,12 @@ class TestConfigHandling:
             (["run.target_pd=0"], "run.target_pd"),
             (["detector.mean_snr_db=nan"], "detector.mean_snr_db"),
             (["detector.mean_snr_db=-inf"], "detector.mean_snr_db"),
+            # finite in dB, but 0 or beyond the largest float in linear terms
+            (["detector.mean_snr_db=4000"], "detector.mean_snr_db"),
+            (["detector.mean_snr_db=-4000"], "detector.mean_snr_db"),
         ],
-        ids=["target-pd-one", "target-pd-zero", "snr-nan", "snr-minus-inf"],
+        ids=["target-pd-one", "target-pd-zero", "snr-nan", "snr-minus-inf", "snr-overflow",
+             "snr-underflow"],
     )
     def test_bad_sensing_config_fails_before_any_output(self, tmp_path, capsys, sets, key):
         commands = [["ber", "--mode", "analytic"], ["ber", "--mode", "both"]]
@@ -358,14 +366,69 @@ class TestConfigHandling:
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
+        "sets,keys",
+        [
+            (["run.snr_grid_db=10,4000"], ["run.snr_grid_db=4000.0"]),
+            (["run.snr_grid_db=-4000"], ["run.snr_grid_db=-4000.0"]),
+            (["run.snr_grid_db=-inf"], ["run.snr_grid_db=-inf"]),
+            (["run.snr_grid_db=inf"], ["run.snr_grid_db=inf"]),
+            (["run.snr_grid_db=nan"], ["run.snr_grid_db=nan"]),
+            (["params.inr_db=3000", "run.snr_grid_db=-100"],
+             ["run.snr_grid_db=-100.0", "params.inr_db"]),
+            # no threshold up to 2^200 brings the detection probability down
+            # to its target at a sensing SNR this high
+            (["detector.mean_snr_db=1000"], ["detector.mean_snr_db=1025.05"]),
+        ],
+        ids=["grid-overflow", "grid-underflow", "grid-minus-inf", "grid-inf", "grid-nan",
+             "inr-over-grid-point", "sensing-snr-beyond-threshold"],
+    )
+    def test_bad_db_value_fails_before_any_output(self, tmp_path, capsys, sets, keys):
+        # each dB value becomes a linear noise, interference or sensing SNR
+        # that must be finite and positive
+        for mode in ("analytic", "both"):
+            args = ["ber", "--mode", mode, "--out", str(tmp_path / f"{mode}.csv")]
+            for item in sets:
+                args += ["--set", item]
+            assert run_cli(args) == 1
+            err = capsys.readouterr().err
+            assert all(key in err for key in keys), err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "sets",
+        [
+            ["run.snr_grid_db=-3000,3000"],
+            ["params.inr_db=3000", "run.snr_grid_db=10"],
+            ["params.inr_db=-inf", "run.snr_grid_db=10"],
+            ["detector.mean_snr_db=-3000"],
+            ["detector.mean_snr_db=500"],
+        ],
+        ids=["grid-3000", "inr-3000", "inr-minus-inf", "sensing-snr-minus-3000",
+             "sensing-snr-500"],
+    )
+    def test_extreme_accepted_db_values_write_their_file(self, tmp_path, sets):
+        for mode in ("analytic", "both"):
+            out = tmp_path / f"{mode}.csv"
+            args = ["ber", "--mode", mode, "--out", str(out), "--set", "run.trials_min=90",
+                    "--set", "run.max_trials=4320"]
+            for item in sets:
+                args += ["--set", item]
+            assert run_cli(args) == 0
+            rows = [ln.split(",") for ln in out.read_text().splitlines()
+                    if not ln.startswith("#")][1:]
+            grid = cli.resolve_config(None, sets, None)["run.snr_grid_db"]
+            assert [float(row[0]) for row in rows] == list(grid)
+            assert all(0.0 <= float(value) <= 1.0 for row in rows for value in row[1:3])
+
+    @pytest.mark.parametrize(
         "item,wording",
         [
             ("params.n_users=0", "need at least one subcarrier and one user"),
             ("run.target_error_events=0", "trials_min and target_error_events must be >= 1"),
             ("params.pr_h1=2.0", "pr_h1 must lie in [0, 1]"),
-            ("params.bit_duration=-1e-05", "need at least one bit interval after sensing"),
+            ("params.bits_per_slot=0", "need at least one bit interval per slot"),
         ],
-        ids=["n-users-zero", "target-events-zero", "pr-h1-two", "bit-duration-negative"],
+        ids=["n-users-zero", "target-events-zero", "pr-h1-two", "bits-per-slot-zero"],
     )
     def test_bad_link_or_run_value_names_its_key(self, tmp_path, capsys, item, wording):
         for mode in ("analytic", "both"):
@@ -447,9 +510,10 @@ class TestConfigHandling:
             (["--seed", "-1"], "run.master_seed=-1"),
             (["--seed", str(2**64)], f"run.master_seed={2**64}"),
             (["--set", "run.master_seed=-1"], "run.master_seed=-1"),
+            (["--set", "detector.samples=0"], "detector.samples=0"),
         ],
         ids=["inr-db-nan", "inr-db-overflow", "seed-negative", "seed-two-to-64",
-             "seed-set-negative"],
+             "seed-set-negative", "samples-zero"],
     )
     def test_bad_value_fails_at_parse_naming_its_key(self, tmp_path, capsys, args, item):
         # a seed outside the 64-bit Philox key would alias another seed's streams
@@ -491,9 +555,7 @@ OTHER_VALUES = {
     "params.n_users": "2",
     "params.pr_h1": "0.5",
     "params.inr_db": "3",
-    "params.bit_duration": "2e-05",
-    "params.slot_duration": "0.002",
-    "params.sensing_duration": "0.0002",
+    "params.bits_per_slot": "45",
     "detector.samples": "160",
     "detector.mean_snr_db": "-10",
     "run.target_pd": "0.9",
@@ -526,12 +588,12 @@ def _observable(out_dir, sets):
 
 # Keys that share a unit, and one move of that unit: a factor, or a dB offset.
 # The stop rule counts bits in 48-slot batches of 4320 bits, so the bits
-# factor takes run.trials_min (90) past the first batch.
+# factor takes run.trials_min (90) past the first batch.  params.bits_per_slot
+# counts bits too: moved with run.trials_min or run.max_trials it leaves the
+# stop rule's slot counts as they were, and the longer slot must still show.
 UNIT_MOVES = {
-    "s": (("params.bit_duration", "params.slot_duration", "params.sensing_duration"),
-          lambda v: v * 2),
     "dB": (("detector.mean_snr_db", "run.snr_grid_db", "params.inr_db"), lambda v: v + 3),
-    "bits": (("run.trials_min", "run.max_trials"), lambda v: v * 100),
+    "bits": (("params.bits_per_slot", "run.trials_min", "run.max_trials"), lambda v: v * 100),
 }
 
 
@@ -576,6 +638,50 @@ class TestKeyCoverage:
         assert sorted(keys) == sorted(cli.DEFAULTS)
         for key, _, value in pairs:
             assert cli._parse_value(key, value) == cli.DEFAULTS[key], key
+
+
+def readme_section_tables(heading: str) -> dict[str, list[str]]:
+    """The cells of every table row in one README section, keyed by the first cell."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split(f"\n{heading}\n", 1)[1].split("\n## ", 1)[0]
+    rows = [[cell.strip() for cell in line.strip().strip("|").split("|")]
+            for line in section.splitlines() if line.strip().startswith("|")]
+    return {cells[0]: cells[1:] for cells in rows}
+
+
+class TestCodePoliciesCompared:
+    """The README's comparison of the two code policies is the library's."""
+
+    TABLES = readme_section_tables("## Code policies compared")
+
+    def test_fixed_lies_below_rechoose_at_every_fig2_point(self):
+        conf = cli.resolve_config(None, [], None)
+        fixed = cli.resolve_config(None, ["codes.policy=fixed"], None)
+        for k in (4, 8):
+            ratios = []
+            for snr in conf["run.snr_grid_db"]:
+                a = mc.analytic_point(cli.build_run_config(conf, n_users=k), snr).ber_analytic
+                b = mc.analytic_point(cli.build_run_config(fixed, n_users=k), snr).ber_analytic
+                assert b < a, (k, snr)
+                ratios.append(f"{a / b:.2f}")
+            assert self.TABLES[str(k)] == ratios
+
+    def test_quoted_diversities_and_masses_come_from_the_library(self):
+        rc = cli.build_run_config(cli.resolve_config(None, [], None))
+        p0 = mc.derive_sensing(rc).model.p_zero
+        assert f"{p0:.2f}" == "0.19"
+        n = rc.params.n_subcarriers
+        mass = {}
+        for m in range(n + 1):
+            order = oc.largest_supported_order(n - m)
+            mass[order] = mass.get(order, 0.0) + math.comb(n, m) * p0**m * (1 - p0) ** (n - m)
+        orders = [int(order) for order in self.TABLES["order"]]
+        for order, quoted_mass, quoted in zip(orders, self.TABLES["mass at p_zero = 0.19"],
+                                              self.TABLES["diversity"], strict=True):
+            c4, _, energy = oc.first_row_moments(order, 1)
+            assert f"{energy * energy / c4:.1f}" == quoted, order
+            assert f"{mass[order]:.3f}" == quoted_mass, order
+        assert orders == sorted(order for order, w in mass.items() if w > 0.01)
 
 
 class TestSelftest:

@@ -76,3 +76,30 @@ def test_every_lru_cache_is_bounded():
                 caches[f"{info.name}.{name}"] = fn.cache_parameters()["maxsize"]
     assert "phylink._placement_table" in caches and "cli.make_parser" in caches
     assert {name: size for name, size in caches.items() if size is None} == {}
+
+
+def project_version(text: str) -> str:
+    """The [project] version of a pyproject.toml's text."""
+    try:
+        import tomllib  # Python 3.11+
+    except ImportError:
+        import re
+
+        section = re.search(r"^\[project\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+        return re.search(r'^version\s*=\s*"([^"]+)"', section, re.M).group(1)
+    return tomllib.loads(text)["project"]["version"]
+
+
+def test_one_version():
+    # the version is kept by hand in two places; every output header records it
+    assert project_version((ROOT / "pyproject.toml").read_text()) == fsocdma.__version__
+
+
+def test_project_version_without_tomllib(monkeypatch):
+    # the Python 3.10 path reads the same version as tomllib
+    import sys
+
+    text = (ROOT / "pyproject.toml").read_text()
+    want = project_version(text)
+    monkeypatch.setitem(sys.modules, "tomllib", None)
+    assert project_version(text) == want

@@ -104,13 +104,6 @@ class TestSystemParams:
         with pytest.raises(ValueError):
             pl.SystemParams(n_subcarriers=4, n_users=5, pr_h1=0.1)
 
-    def test_sensing_must_fit_in_slot(self):
-        with pytest.raises(ValueError):
-            pl.SystemParams(
-                n_subcarriers=8, n_users=2, pr_h1=0.1,
-                sensing_duration=2e-3, slot_duration=1e-3,
-            )
-
 
 class TestDrawSlot:
     def test_all_free_when_no_primary_and_no_false_alarm(self):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -218,6 +219,35 @@ class TestSampleLevel:
         closed = sn.pfa(cfg)
         se = math.sqrt(closed * (1 - closed) / trials)
         assert abs(emp - closed) <= 3 * se
+
+    @pytest.mark.parametrize("occupied", [False, True])
+    def test_pieces_draw_what_one_draw_per_chunk_draws(self, monkeypatch, occupied):
+        # each chunk's normals in one call, then its SNRs: the pieces must
+        # take the same numbers from the stream in the same order
+        cfg = sn.DetectorConfig(5, 10.0, 2.3)
+        trials, chunk = 2_500, 1_000
+        rng = np.random.default_rng(8)
+        hits = 0
+        for b in (1_000, 1_000, 500):
+            z = rng.standard_normal((b, 10))
+            if occupied:
+                z[:, 0] += np.sqrt(2.0 * rng.exponential(cfg.mean_snr_linear, size=b))
+            hits += int(np.count_nonzero(np.einsum("ij,ij->i", z, z) > cfg.threshold))
+        monkeypatch.setattr(sn, "_RATE_CHUNK", chunk)
+        monkeypatch.setattr(sn, "_RATE_PIECE", 70)  # 7 trials a piece, the last one short
+        got = sn.sample_level_rate(cfg, occupied, trials, np.random.default_rng(8))
+        assert got == hits / trials
+
+    def test_memory_is_bounded_by_normals_not_trials(self):
+        # a chunk of 50,000 trials at u=320 is 244 MiB of normals in one draw
+        cfg = sn.DetectorConfig(320, 640.0, 2.3)
+        tracemalloc.start()
+        try:
+            sn.sample_level_rate(cfg, True, 100_000, np.random.default_rng(3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20
 
 
 class TestSolveThreshold:
