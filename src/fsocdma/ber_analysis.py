@@ -106,6 +106,8 @@ class BerPoint:
     trials: int = 0
     errors: int = 0
     infeasible_slots: int = 0
+    stop: str | None = None  # a simulated point's stop reason, "events" or "cap"
+    slot_sums: tuple[float, ...] = ()  # its montecarlo.SLOT_STATS sums, for the trace
 
     def __post_init__(self):
         if (self.ber_simulated is None) != (self.ci_halfwidth is None):

@@ -300,17 +300,30 @@ def _curve_output(
     return path, "snr_db", comments, config_digest(rc), [(job[1], job) for job in grid_jobs(rc)]
 
 
+_FIG2_USERS = (4, 8)
+_FIG3_SNRS_DB = (10.0, 20.0)
+
+
+def _ber_paths(figure: str | None, out: str | None) -> list[str]:
+    """The CSV paths of one ber run, one per curve, in output order."""
+    if figure == "fig2":
+        return [_out_path(out or "fig2", f"_k{k}") for k in _FIG2_USERS]
+    if figure == "fig3":
+        return [_out_path(out or "fig3", f"_snr{snr:g}") for snr in _FIG3_SNRS_DB]
+    return [out or "ber.csv"]
+
+
 def _ber_outputs(conf: dict, figure: str | None, out: str | None, rerun: str) -> list:
     """The files of one ber run: (path, key column, comments, digest, keyed jobs) each.
 
     A keyed job pairs a row's value in the key column with the point job
     behind the row.
     """
+    paths = _ber_paths(figure, out)
     if figure == "fig2":
         outputs = []
-        for k in (4, 8):
+        for k, path in zip(_FIG2_USERS, paths):
             rc = build_run_config(conf, n_users=k)
-            path = _out_path(out or "fig2", f"_k{k}")
             outputs.append(_curve_output(conf, rc, path, rerun, (f"params.n_users={k}",)))
         return outputs
     if figure == "fig3":
@@ -318,40 +331,39 @@ def _ber_outputs(conf: dict, figure: str | None, out: str | None, rerun: str) ->
             snr: [(k, (build_run_config(conf, n_users=k, snr_grid=(snr,)), snr,
                        fig3_point_index(si, k)))
                   for k in range(1, 9)]
-            for si, snr in enumerate((10.0, 20.0))
+            for si, snr in enumerate(_FIG3_SNRS_DB)
         }
         digests = [config_digest(job[0]) for keyed in by_snr.values() for _, job in keyed]
         bundle = sha256_hex("\n".join(digests))
         return [
-            (_out_path(out or "fig3", f"_snr{snr:g}"), "k_users",
-             _ber_comments(conf, rerun, (f"fig3.snr_db={snr!r}",)), bundle, keyed)
-            for snr, keyed in by_snr.items()
+            (path, "k_users", _ber_comments(conf, rerun, (f"fig3.snr_db={snr!r}",)), bundle, keyed)
+            for path, (snr, keyed) in zip(paths, by_snr.items())
         ]
-    return [_curve_output(conf, build_run_config(conf), out or "ber.csv", rerun)]
+    return [_curve_output(conf, build_run_config(conf), paths[0], rerun)]
 
 
 def cmd_ber(args) -> int:
     conf = resolve_config(args.config, args.set, args.seed)
     mode = args.mode
-    if args.trace and (args.figure or mode == "analytic" or len(conf["run.snr_grid_db"]) != 1):
-        print("error: --trace needs a simulated run over a single-point snr grid, "
-              "without --figure", file=sys.stderr)
+    if args.trace and mode == "analytic":
+        print("error: --trace needs simulated points; --mode analytic has none", file=sys.stderr)
+        return 1
+    outs = _ber_paths(args.figure, args.out)
+    if args.trace and Path(args.trace).resolve() in {Path(p).resolve() for p in outs}:
+        print(f"error: --trace {args.trace} is also a BER output of this run", file=sys.stderr)
         return 1
     _check_out_dirs(args.out, args.trace)
 
     rerun = f"fsocdma ber --mode {mode}" + (f" --figure {args.figure}" if args.figure else "")
 
     outputs = _ber_outputs(conf, args.figure, args.out, rerun)
-    trace: list | None = [] if args.trace else None
-    points = iter(run_points(
-        [job for *_, keyed in outputs for _, job in keyed],
-        simulate=(mode != "analytic"),
-        workers=args.threads,
-        trace=trace,
-    ))
-    if trace is not None:
-        _write_output(args.trace, trace_csv(trace, _ber_comments(conf, rerun)))
+    jobs = [job for *_, keyed in outputs for _, job in keyed]
+    points = run_points(jobs, simulate=(mode != "analytic"), workers=args.threads)
+    if args.trace:
+        rows = [(job[0], point) for job, point in zip(jobs, points)]
+        _write_output(args.trace, trace_csv(rows, _ber_comments(conf, rerun)))
         print(f"wrote trace {args.trace}")
+    points = iter(points)
     for path, key, comments, digest, keyed in outputs:
         rows = [(value, next(points)) for value, _ in keyed]
         _write_output(path, ber_csv(rows, digest, comments, key))
@@ -514,8 +526,8 @@ def make_parser() -> argparse.ArgumentParser:
     p_ber.add_argument("--figure", choices=("fig2", "fig3"), default=None,
                        help="preset sweeps (SNR sweep for K=4,8; K sweep at two SNRs)")
     p_ber.add_argument("--trace", default=None,
-                       help="write a per-bit receiver trace CSV "
-                            "(simulated single-point grid only)")
+                       help="write a CSV of one row per simulated point: counts, stop "
+                            "reason, and the variance of each decision-variable part")
     p_ber.add_argument("--threads", type=_worker_count, default=1,
                        help="worker processes for the points (never changes results)")
     _add_common(p_ber)

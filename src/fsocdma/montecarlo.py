@@ -11,10 +11,10 @@ that reach max_trials, so a point never simulates past its cap.
 
 A batch draws, per slot, one uniform and one Exp(1) fade per subcarrier,
 one normal per interferer, the K bits of every bit interval packed eight
-to a byte, and one normal per bit interval (see phylink).  A traced run
-also draws, per bit interval, the normal that splits the receiver's
-noise into R_n and R_GI, from a stream of its own keyed like the batch's,
-so tracing changes no batch draw and no error count.
+to a byte, and one normal per bit interval (see phylink).  Alongside the
+error counts, a point sums SLOT_STATS over its feasible slots, from each
+slot's masks and projections: they draw no random number, and the means
+of the last four are the variances of R_s, R_MAI, R_GI and R_n.
 
 A point runs its batches in groups, one array pass per group: every
 batch of a group draws from its own stream into its rows of the group's
@@ -23,7 +23,7 @@ once for the group.  A group holds the batches the point still needs to
 stop, as its closed-form BER predicts, within a budget of _GROUP_SLOTS
 slots.  The stop rule still walks the group batch by batch on that
 batch's own error counts; a batch past the stop was drawn but is
-discarded, and adds no errors, slots or trace rows.  Every computation
+discarded, and adds no errors, slots or sums.  Every computation
 on a slot is row-wise, so a slot's numbers do not depend on the group it
 ran in: the group size changes no output byte, and the stream version
 stays.
@@ -50,9 +50,9 @@ import numpy as np
 from .ber_analysis import BerPoint, average_pe, fixed_chip_classes
 from .phylink import (
     SystemParams,
-    check_code_policy,
+    _noise_variances,
     build_slots,
-    components,
+    check_code_policy,
     draw_slot_numbers,
     project,
     receive,
@@ -89,8 +89,7 @@ STREAM_VERSION = 4
 
 _MASK64 = (1 << 64) - 1
 _POINT_LIMIT = 1 << 32
-_PURPOSE_BATCH = 3  # purposes 1 and 2 keyed the streams of versions 1 and 2
-_PURPOSE_TRACE = 4  # the trace's split of the receiver noise, per batch
+_PURPOSE_BATCH = 3  # 1 and 2 keyed versions 1 and 2; 4, the retired per-bit trace's, is reserved
 
 # Slots per stop-rule batch: the stop rule is checked, and a stream keyed,
 # once per batch.
@@ -98,6 +97,12 @@ _BATCH_SLOTS = 48
 # Slot budget of one array pass: a 240-slot capped point (5 batches of 48)
 # runs in one pass, and a pass's arrays stay within a few MB at K=8, N=32.
 _GROUP_SLOTS = 256
+
+# Per-slot terms a point sums over its feasible slots: the sensing counts, then
+# (S - 1)^2, sum_k m_k^2, sigma_s^2/2 ||w_Lambda||^2 and sigma_n^2/2 S, whose
+# means are the variances of R_s, R_MAI, R_GI and R_n (see phylink).
+SLOT_STATS = ("n_busy_true", "n_est_busy", "n_misdetected",
+              "var_s", "var_mai", "var_gi", "var_n")
 
 
 @dataclass(frozen=True)
@@ -225,7 +230,7 @@ def _stream(
     return Generator(Philox(counter=counter, key=key))
 
 
-def _run_group(params, model, code_policy, rngs, sizes, trace_rngs=None, first_slot=0):
+def _run_group(params, model, code_policy, rngs, sizes):
     """Simulate consecutive batches in one array pass; batch j has sizes[j] slots.
 
     Batch j draws from rngs[j] exactly what it would draw alone, in the
@@ -235,11 +240,8 @@ def _run_group(params, model, code_policy, rngs, sizes, trace_rngs=None, first_s
     slot that cannot carry all users has R = 0 and decides +1, so each of
     its bits is an error with probability 1/2, a coin flip.
 
-    Returns (errors per slot, feasible per slot, trace rows) over the
-    group's slots.  With trace_rngs, batch j also draws from trace_rngs[j]
-    the normals that split R_n from R_GI, and the trace rows hold one row
-    per bit of every feasible slot, numbered from first_slot; without,
-    the rows are None.
+    Returns (errors per slot, feasible per slot, (slots, SLOT_STATS)
+    terms per slot, zero in the infeasible slots) over the group's slots.
     """
     n_bits = params.bits_per_slot
     k = params.n_users
@@ -248,17 +250,14 @@ def _run_group(params, model, code_policy, rngs, sizes, trace_rngs=None, first_s
     mai_z = np.empty((total, k - 1))
     bits = np.empty((total, n_bits, k), dtype=np.int8)
     z = np.empty((total, n_bits))
-    v = None if trace_rngs is None else np.empty((total, n_bits))
     start = 0
-    for j, (rng, n_slots) in enumerate(zip(rngs, sizes)):
+    for rng, n_slots in zip(rngs, sizes):
         mine = slice(start, start + n_slots)
         draw_slot_numbers(rng, u[mine], fade[mine], mai_z[mine])
         n_sent = n_slots * n_bits * k
         packed = rng.integers(0, 256, -(-n_sent // 8), dtype=np.uint8)
         bits[mine] = np.unpackbits(packed, count=n_sent).reshape(n_slots, n_bits, k)
         rng.standard_normal(out=z[mine])
-        if v is not None:
-            trace_rngs[j].standard_normal(out=v[mine])
         start += n_slots
     bits *= 2
     bits -= 1
@@ -266,26 +265,14 @@ def _run_group(params, model, code_policy, rngs, sizes, trace_rngs=None, first_s
     proj = project(batch)
     decision = receive(proj, params, bits, z)
     errors = np.count_nonzero((decision >= 0.0) != (bits[:, :, 0] > 0), axis=1)
-    rows = None
-    if v is not None:
-        rows = _trace_rows(batch, components(proj, params, bits, z, v), decision, bits, first_slot)
-    return errors, batch.feasible, rows
-
-
-def _trace_rows(batch, parts, decision, bits, first_slot):
-    """One TRACE_DTYPE row per bit of every feasible slot, in slot order."""
-    sent = np.flatnonzero(batch.feasible)
-    rows = np.empty(decision[sent].shape, TRACE_DTYPE)
-    rows["slot"] = (first_slot + sent)[:, np.newaxis]
-    for name, mask in (("n_busy_true", batch.occupancy), ("n_est_busy", batch.est_busy),
-                       ("n_misdetected", batch.misdetected)):
-        rows[name] = np.count_nonzero(mask[sent], axis=1)[:, np.newaxis]
-    for name, part in (("R", decision), ("R_s", parts["r_signal"]), ("R_MAI", parts["r_mai"]),
-                       ("R_GI", parts["r_gi"]), ("R_n", parts["r_noise"])):
-        rows[name] = part[sent]
-    rows["bit"] = bits[sent, :, 0]
-    rows["decided"] = np.where(decision[sent] >= 0.0, 1, -1)
-    return rows.ravel()
+    stats = np.empty((total, len(SLOT_STATS)))
+    for col, mask in enumerate((batch.occupancy, batch.est_busy, batch.misdetected)):
+        stats[:, col] = np.count_nonzero(mask, axis=1)
+    stats[:, 3] = np.square(proj.signal - 1.0)
+    stats[:, 4] = np.square(proj.mai).sum(axis=1)
+    stats[:, 6], stats[:, 5] = _noise_variances(proj, params)
+    stats[~batch.feasible] = 0.0
+    return errors, batch.feasible, stats
 
 
 def _group_batches(cfg, analytic, bits_per_slot, cap_slots, slots, sum_e) -> int:
@@ -323,21 +310,16 @@ def slot_interval(sum_e: int, sum_e2: int, slots: int, bits_per_slot: int) -> fl
     return float(1.96 * np.sqrt(var / slots) / bits_per_slot)
 
 
-def estimate_ber(
-    cfg: RunConfig,
-    snr_db: float,
-    point_index: int,
-    trace: list | None = None,
-) -> BerPoint:
+def estimate_ber(cfg: RunConfig, snr_db: float, point_index: int) -> BerPoint:
     """Simulate one sweep point until the stopping rule fires.
 
     Stops at the first batch boundary where at least trials_min bits and
-    target_error_events errors have accumulated, or after
-    ceil(max_trials / bits_per_slot) slots, the cap.
+    target_error_events errors have accumulated ("events"), or else after
+    ceil(max_trials / bits_per_slot) slots, the cap ("cap").
     Fully determined by (cfg, snr_db, point_index), point_index keying
-    the point's random streams.
-    With a trace list, one TRACE_DTYPE block per group is appended, holding
-    a row per bit of every feasible slot up to the stop.
+    the point's random streams.  The point's slot_sums hold the
+    SLOT_STATS terms summed over its feasible slots up to the stop, batch
+    by batch in slot order, like the error counts.
     """
     params = point_params(cfg, snr_db)
     derived = derive_sensing(cfg)
@@ -347,6 +329,7 @@ def estimate_ber(
     cap_slots = -(-cfg.max_trials // bits_per_slot)
     sum_e = 0
     sum_e2 = 0
+    sums = np.zeros(len(SLOT_STATS))
     infeasible = 0
     slots = 0
     batch_index = 0
@@ -358,30 +341,22 @@ def estimate_ber(
         ]
         indices = range(batch_index, batch_index + len(sizes))
         rngs = [_stream(cfg.master_seed, _PURPOSE_BATCH, point_index, b) for b in indices]
-        trace_rngs = (
-            None if trace is None
-            else [_stream(cfg.master_seed, _PURPOSE_TRACE, point_index, b) for b in indices]
-        )
-        errors, feasible, rows = _run_group(
-            params, derived.model, cfg.code_policy, rngs, sizes, trace_rngs, slots
-        )
+        errors, feasible, stats = _run_group(params, derived.model, cfg.code_policy, rngs, sizes)
         start = 0
         for n_slots in sizes:  # the stop rule, batch by batch, as if run one at a time
             batch = slice(start, start + n_slots)
             sum_e += int(errors[batch].sum())
             sum_e2 += int(np.dot(errors[batch], errors[batch]))
             infeasible += n_slots - int(np.count_nonzero(feasible[batch]))
+            sums += stats[batch].sum(axis=0)
             start += n_slots
             slots += n_slots
             batch_index += 1
             bits_done = slots * bits_per_slot
-            if slots >= cap_slots or (
-                bits_done >= cfg.trials_min and sum_e >= cfg.target_error_events
-            ):
+            events = bits_done >= cfg.trials_min and sum_e >= cfg.target_error_events
+            if events or slots >= cap_slots:
                 stopped = True
                 break
-        if trace is not None:  # batches past the stop leave no rows
-            trace.append(rows[rows["slot"] < slots])
 
     return BerPoint(
         snr_db=snr_db,
@@ -391,6 +366,8 @@ def estimate_ber(
         trials=bits_done,
         errors=sum_e,
         infeasible_slots=infeasible,
+        stop="events" if events else "cap",
+        slot_sums=tuple(sums.tolist()),
     )
 
 
@@ -410,10 +387,10 @@ def grid_jobs(cfg: RunConfig) -> list[tuple[RunConfig, float, int]]:
     return sorted(jobs, key=lambda job: job[1])
 
 
-def _run_job(job: tuple[RunConfig, float, int], simulate: bool, trace=None) -> BerPoint:
+def _run_job(job: tuple[RunConfig, float, int], simulate: bool) -> BerPoint:
     cfg, snr, point_index = job
     if simulate:
-        return estimate_ber(cfg, snr, point_index=point_index, trace=trace)
+        return estimate_ber(cfg, snr, point_index=point_index)
     return analytic_point(cfg, snr)
 
 
@@ -421,7 +398,6 @@ def run_points(
     jobs: list[tuple[RunConfig, float, int]],
     simulate: bool = True,
     workers: int = 1,
-    trace: list | None = None,
 ) -> list[BerPoint]:
     """Run point jobs (config, SNR, point index) and return their points in job order.
 
@@ -429,9 +405,9 @@ def run_points(
     any worker count.  More than one worker runs the jobs over a process
     pool, in job order, with no more workers than jobs or than the cores
     this process may run on (all cores where the system keeps no affinity
-    set); trace rows can only be collected in this process.  A simulated
-    run imports numpy.random before its first point, so that the forked
-    workers inherit it and its memory lands before the points' arrays.
+    set).  A simulated run imports numpy.random before its first point, so
+    that the forked workers inherit it and its memory lands before the
+    points' arrays.
     """
     cores = 1
     if workers > 1:
@@ -440,12 +416,12 @@ def run_points(
     workers = min(workers, len(jobs), cores)
     if simulate:
         import numpy.random  # noqa: F401
-    if workers > 1 and trace is None:
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(partial(_run_job, simulate=simulate), jobs))
-    return [_run_job(job, simulate, trace) for job in jobs]
+    return [_run_job(job, simulate) for job in jobs]
 
 
 def ber_csv(
@@ -476,21 +452,23 @@ def ber_csv(
     return "\n".join(lines) + "\n"
 
 
-# One trace row per bit of a feasible slot; the trace CSV's columns, in order.
-TRACE_DTYPE = np.dtype([
-    ("slot", np.int64), ("n_busy_true", np.int64), ("n_est_busy", np.int64),
-    ("n_misdetected", np.int64), ("R", np.float64), ("R_s", np.float64),
-    ("R_MAI", np.float64), ("R_GI", np.float64), ("R_n", np.float64),
-    ("bit", np.int8), ("decided", np.int8),
-])
-TRACE_HEADER = ",".join(TRACE_DTYPE.names)
-_TRACE_ROW = "%d,%d,%d,%d,%.10e,%.10e,%.10e,%.10e,%.10e,%d,%d"
+TRACE_HEADER = ",".join(("n_users", "snr_db", "slots", "bits", "errors", "infeasible_slots",
+                         "stop") + SLOT_STATS)
 
 
-def trace_csv(blocks: list, comments: tuple[str, ...] = ()) -> str:
-    """Trace export: comment block, header, then the rows of every TRACE_DTYPE block."""
+def trace_csv(rows: list[tuple[RunConfig, BerPoint]], comments: tuple[str, ...] = ()) -> str:
+    """Trace export: comment block, header, then one row per simulated (config, point).
+
+    A row holds the point's counts, why it stopped, and the means of its
+    SLOT_STATS over its feasible slots, empty for a point without one.
+    """
     lines = [f"# {c}" for c in comments]
     lines.append(TRACE_HEADER)
-    for block in blocks:
-        lines.extend(map(_TRACE_ROW.__mod__, block.tolist()))
+    for cfg, p in rows:
+        slots = p.trials // cfg.params.bits_per_slot
+        feasible = slots - p.infeasible_slots
+        means = [f"{total / feasible:.10e}" if feasible else "" for total in p.slot_sums]
+        counts = (cfg.params.n_users, f"{p.snr_db:.6g}", slots, p.trials, p.errors,
+                  p.infeasible_slots, p.stop)
+        lines.append(",".join(map(str, counts + tuple(means))))
     return "\n".join(lines) + "\n"

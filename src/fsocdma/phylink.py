@@ -26,8 +26,10 @@ R_GI ~ N(0, sigma_s^2/2 ||w_Lambda||^2) are independent given the slot
 and reach R only through their sum, so this has exactly the
 distribution of drawing complex noise on every subcarrier and
 interference on Lambda and projecting them onto w, at one normal per
-bit interval instead of 2N plus the interference.  The trace splits the
-sum back into R_n and R_GI with a second normal (see components).
+bit interval instead of 2N plus the interference.  Each part's variance
+over the slots is a mean of per-slot terms of the Projection, with no
+bit or normal drawn: of (S - 1)^2 for R_s (E[S] = 1 in units of E_b),
+of sum_k m_k^2 for R_MAI, and of the two noise variances above.
 
 A slot draws only what R depends on.  The OR-fused sensing outcome of a
 subcarrier is one trinomial cell (misdetected, estimated busy, free), so
@@ -323,25 +325,6 @@ def _noise_variances(proj: Projection, params: SystemParams) -> tuple[np.ndarray
     )
 
 
-def _mai(proj: Projection, bits: np.ndarray, sigma=None, z=None) -> np.ndarray:
-    """sum_{k>=2} b_k m_k per bit interval, (B, I); with sigma (B,) and z
-    (B, I), the decisions b_1 S + sum_{k>=2} b_k m_k + sigma z.
-
-    The bits turn float _FLOAT_SLOTS slots at a time, all K users in one
-    contiguous pass, and the product reads the interferers' columns; the
-    signal and noise terms are added to the chunk's rows, in that order.
-    """
-    out = np.empty(bits.shape[:2])
-    for rows in _slot_chunks(len(out)):
-        floats = bits[rows].astype(np.float64)
-        out[rows] = (floats[:, :, 1:] @ proj.mai[rows, :, np.newaxis])[:, :, 0]
-        if sigma is not None:
-            out[rows] += floats[:, :, 0] * proj.signal[rows, np.newaxis]
-            out[rows] += sigma[rows, np.newaxis] * z[rows]
-        del floats  # freed before the next chunk's floats are made
-    return out
-
-
 def receive(proj: Projection, params: SystemParams, bits: np.ndarray, z: np.ndarray) -> np.ndarray:
     """First user's decision variables over a block of bit intervals per slot.
 
@@ -349,40 +332,23 @@ def receive(proj: Projection, params: SystemParams, bits: np.ndarray, z: np.ndar
     keeps a block small) and z shape (B, I) holds one standard normal per
     interval, which scales R_n + R_GI; the slot's projections are held
     for the whole block (slot coherence).  Returns the (B, I) decision
-    variables b_1 S + sum_k b_k m_k + sigma z, summed _FLOAT_SLOTS slots
-    at a time (see _mai).
+    variables b_1 S + sum_k b_k m_k + sigma z, formed _FLOAT_SLOTS slots at
+    a time: the bits turn float, all K users in one contiguous pass, the
+    product reads the interferers' columns, and the signal and noise
+    terms are added to the chunk's rows, in that order.
     """
     bits = np.asarray(bits)
     if bits.ndim != 3 or bits.shape[2] != params.n_users:
         raise ValueError(f"bits must have shape (B, I, {params.n_users})")
     var_n, var_gi = _noise_variances(proj, params)
-    decision = _mai(proj, bits, np.sqrt(var_n + var_gi), z)
+    sigma = np.sqrt(var_n + var_gi)
+    decision = np.empty(bits.shape[:2])
+    for rows in _slot_chunks(len(decision)):
+        floats = bits[rows].astype(np.float64)
+        decision[rows] = (floats[:, :, 1:] @ proj.mai[rows, :, np.newaxis])[:, :, 0]
+        decision[rows] += floats[:, :, 0] * proj.signal[rows, np.newaxis]
+        decision[rows] += sigma[rows, np.newaxis] * z[rows]
+        del floats  # freed before the next chunk's floats are made
     if not np.all(np.isfinite(decision)):
         raise FloatingPointError("non-finite decision variable")
     return decision
-
-
-def components(
-    proj: Projection, params: SystemParams, bits: np.ndarray, z: np.ndarray, v: np.ndarray
-) -> dict:
-    """The four parts R_s, R_MAI, R_GI and R_n of receive's decisions, for the trace.
-
-    receive draws R_n + R_GI as sigma z with sigma^2 = a1^2 + a2^2, a1^2
-    and a2^2 being the variances of R_n and R_GI.  A second standard
-    normal v per interval, independent of z, splits it:
-    R_n = a1 (a1 z - a2 v) / sigma and R_GI = a2 (a2 z + a1 v) / sigma are
-    independent, of variances a1^2 and a2^2, and sum to sigma z; both are
-    zero where sigma is.  Returns a dict of (B, I) arrays.
-    """
-    bits = np.asarray(bits)
-    var_n, var_gi = _noise_variances(proj, params)
-    sigma = np.sqrt(var_n + var_gi)
-    inv = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=sigma > 0)
-    a1 = np.sqrt(var_n)[:, np.newaxis]
-    a2 = np.sqrt(var_gi)[:, np.newaxis]
-    return {
-        "r_signal": bits[:, :, 0] * proj.signal[:, np.newaxis],
-        "r_mai": _mai(proj, bits),
-        "r_gi": a2 * inv[:, np.newaxis] * (a2 * z + a1 * v),
-        "r_noise": a1 * inv[:, np.newaxis] * (a1 * z - a2 * v),
-    }

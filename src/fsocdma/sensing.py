@@ -201,6 +201,8 @@ def pd_rayleigh(cfg: DetectorConfig) -> float:
     x = cfg.threshold / 2.0
     t1 = _poisson_upper(u - 1, x)
     y = x * gbar / (1.0 + gbar)
+    if not math.isfinite(y):  # x * gbar overflowed: its limit, never inf / inf
+        y = x / (1.0 + 1.0 / gbar)
     log_p_low = _log_poisson_lower(u - 1, y)
     if log_p_low == -math.inf:
         return t1

@@ -15,8 +15,9 @@ chip-by-chip convolution of the hit law over all its sums, which the
 windowed fold per squared value replaced.  Beside
 these references to the Gaussian surrogate stand the exact error
 probability of the receiver the simulator implements and a literal
-per-subcarrier version of that receiver, plus the simulator's earlier
-draws: every user's sensing decision OR-fused per subcarrier, and the
+per-subcarrier version of that receiver, the split of that receiver's
+decisions into its four parts (R_s, R_MAI, R_GI, R_n), plus the
+simulator's earlier draws: every user's sensing decision OR-fused per subcarrier, and the
 rechosen signatures stacked one slot at a time.  kron_family composes a
 code family as a whole-matrix Kronecker chain, parse_matrix reads the
 matrix export of `fsocdma codes` back, and bisection_threshold is the
@@ -33,6 +34,7 @@ from scipy.special import gammaln, logsumexp, ndtr
 
 from fsocdma import ber_analysis as ba
 from fsocdma.orthocodes import largest_supported_order, rows
+from fsocdma.phylink import _noise_variances
 
 
 def is_supported(n: int) -> bool:
@@ -254,6 +256,30 @@ def literal_receiver(chips, gains, lam, bits, eb, sn2, ss2, rng):
             sum((noise[i] * w[i]).real for i in range(n)),
         ))
     return np.array(decisions), np.array(parts), sums
+
+
+def components(proj, params, bits, z, v) -> dict:
+    """The four parts R_s, R_MAI, R_GI and R_n of phylink.receive's decisions.
+
+    receive draws R_n + R_GI as sigma z with sigma^2 = a1^2 + a2^2, a1^2
+    and a2^2 being the variances of R_n and R_GI.  A second standard
+    normal v per interval, independent of z, splits it:
+    R_n = a1 (a1 z - a2 v) / sigma and R_GI = a2 (a2 z + a1 v) / sigma are
+    independent, of variances a1^2 and a2^2, and sum to sigma z; both are
+    zero where sigma is.  Returns a dict of (B, I) arrays.
+    """
+    bits = np.asarray(bits)
+    var_n, var_gi = _noise_variances(proj, params)
+    sigma = np.sqrt(var_n + var_gi)
+    inv = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=sigma > 0)
+    a1 = np.sqrt(var_n)[:, np.newaxis]
+    a2 = np.sqrt(var_gi)[:, np.newaxis]
+    return {
+        "r_signal": bits[:, :, 0] * proj.signal[:, np.newaxis],
+        "r_mai": (bits[:, :, 1:].astype(np.float64) @ proj.mai[:, :, np.newaxis])[:, :, 0],
+        "r_gi": a2 * inv[:, np.newaxis] * (a2 * z + a1 * v),
+        "r_noise": a1 * inv[:, np.newaxis] * (a1 * z - a2 * v),
+    }
 
 
 def conditional_pe_from_chips(chips, lam, eb, sn2, ss2):

@@ -23,6 +23,11 @@ def run_cli(args):
     return cli.main(args)
 
 
+def data_rows(text):
+    """The cells of every row of a CSV's text below its comments and header."""
+    return [ln.split(",") for ln in text.splitlines() if not ln.startswith("#")][1:]
+
+
 class TestCodes:
     def test_walsh8_export(self, tmp_path, capsys):
         out = tmp_path / "c8.txt"
@@ -184,8 +189,13 @@ class TestBer:
                       "--set", "run.target_error_events=5"])
         assert rc == 0
         lines = [ln for ln in trace.read_text().splitlines() if not ln.startswith("#")]
-        assert lines[0] == "slot,n_busy_true,n_est_busy,n_misdetected,R,R_s,R_MAI,R_GI,R_n,bit,decided"
-        assert len(lines) > 90
+        assert lines[0] == ("n_users,snr_db,slots,bits,errors,infeasible_slots,stop,"
+                            "n_busy_true,n_est_busy,n_misdetected,var_s,var_mai,var_gi,var_n")
+        assert len(lines) == 2
+        row = lines[1].split(",")
+        assert row[:2] == ["4", "5"] and row[6] == "events"
+        assert int(row[3]) == 48 * 90 and int(row[4]) >= 5
+        assert all(float(cell) >= 0.0 for cell in row[7:])
 
     def test_trace_leaves_the_csv_bytes(self, tmp_path):
         # the trace splits the noise with normals of its own stream, so the
@@ -201,21 +211,59 @@ class TestBer:
 
     def test_group_size_leaves_the_kfixed_bytes(self, tmp_path, monkeypatch):
         # a point runs its batches one array pass per group; with one batch
-        # a group, the benchmark's capped fig3 call writes the same bytes
+        # a group, the benchmark's capped fig3 call writes the same bytes,
+        # and so do its trace and a run over two worker processes
         from fsocdma import montecarlo as mc
 
-        args = ["ber", "--figure", "fig3", "--seed", "24601", "--threads", "1",
+        args = ["ber", "--figure", "fig3", "--seed", "24601",
                 "--set", "run.target_error_events=1000000000",
                 "--set", "run.max_trials=21600"]
         written = []
-        for budget in (mc._GROUP_SLOTS, 1):
+        for budget, threads in ((mc._GROUP_SLOTS, 1), (1, 1), (mc._GROUP_SLOTS, 2)):
             monkeypatch.setattr(mc, "_GROUP_SLOTS", budget)
-            out = tmp_path / f"budget{budget}" / "fig3.csv"
+            out = tmp_path / f"budget{budget}-threads{threads}" / "fig3.csv"
             out.parent.mkdir()
-            assert run_cli(args + ["--out", str(out)]) == 0
-            written.append([(out.parent / f"fig3_snr{s}.csv").read_bytes() for s in (10, 20)])
-        assert written[0] == written[1]
+            trace = out.parent / "trace.csv"
+            assert run_cli(args + ["--threads", str(threads), "--out", str(out),
+                                   "--trace", str(trace)]) == 0
+            written.append([(out.parent / f"fig3_snr{s}.csv").read_bytes() for s in (10, 20)]
+                           + [trace.read_bytes()])
+        assert written[0] == written[1] == written[2]
         assert b",21600," in written[0][0]
+        # one trace row per point, in the CSVs' order, with their bits and errors
+        sim = [cells for csv in written[0][:2] for cells in data_rows(csv.decode())]
+        rows = data_rows(written[0][2].decode())
+        assert [(r[0], r[3], r[4]) for r in rows] == [(c[0], c[4], c[5]) for c in sim]
+        assert [r[1] for r in rows] == ["10"] * 8 + ["20"] * 8
+        assert {(r[2], r[6]) for r in rows} == {("240", "cap")}
+
+    def test_trace_at_full_walsh_order_matches_the_closed_form(self, tmp_path):
+        # at pr_h1=0 every slot spreads over all 32 Walsh chips, so with
+        # g_n ~ Exp(1): S = sum g_n / 32 ~ Gamma(32, 1/32), sum_k m_k^2 =
+        # S / 64 chi^2_3 and R_n's variance sigma_n^2/2 S; no subcarrier is
+        # misdetected, so R_GI is exactly 0
+        trace = tmp_path / "t.csv"
+        assert run_cli(["ber", "--out", str(tmp_path / "o.csv"), "--trace", str(trace),
+                        "--set", "params.pr_h1=0", "--set", "run.snr_grid_db=10",
+                        "--set", "run.target_error_events=1000000000",
+                        "--set", "run.max_trials=216000"]) == 0
+        lines = [ln for ln in trace.read_text().splitlines() if not ln.startswith("#")]
+        row = dict(zip(lines[0].split(","), lines[1].split(",")))
+        slots = int(row["slots"])
+        assert slots == 2400 and row["infeasible_slots"] == "0" and row["stop"] == "cap"
+        assert float(row["n_busy_true"]) == float(row["n_est_busy"]) == 0.0
+        assert float(row["var_gi"]) == 0.0
+        half_noise = 0.5 * 10.0 ** -1.0
+        # (mean, sd) of each slot's term: Gamma(32, 1/32) central moments
+        # mu2 = 1/32 and mu4 = 3 * 32 * 34 / 32^4; E[chi^2_3 ^2] = 15
+        mu2, mu4 = 1.0 / 32, 3.0 * 32 * 34 / 32**4
+        moments = {
+            "var_s": (mu2, math.sqrt(mu4 - mu2**2)),
+            "var_mai": (3.0 / 64, math.sqrt((1 + mu2) * 15 / 64**2 - (3.0 / 64) ** 2)),
+            "var_n": (half_noise, half_noise * math.sqrt(mu2)),
+        }
+        for name, (mean, sd) in moments.items():
+            assert abs(float(row[name]) - mean) <= 4 * sd / math.sqrt(slots), name
 
     def test_ber_headers_carry_stream_version(self, tmp_path):
         from fsocdma.montecarlo import STREAM_VERSION
@@ -240,10 +288,17 @@ class TestBer:
         assert len(indices) == 2 * oc.ORDER_LIMIT
         assert max(indices) < 2**32
 
-    def test_trace_needs_single_point(self, tmp_path, capsys):
-        rc = run_cli(["ber", "--trace", str(tmp_path / "t.csv"),
-                      "--set", "run.snr_grid_db=5,10"])
-        assert rc == 1
+    def test_trace_has_one_row_per_simulated_point(self, tmp_path):
+        # a multi-point grid over the process pool: one row per point, in
+        # the CSV's order, each with the CSV's bits and errors
+        out, trace = tmp_path / "o.csv", tmp_path / "t.csv"
+        assert run_cli(["ber", "--out", str(out), "--trace", str(trace), "--threads", "2",
+                        "--set", "run.snr_grid_db=10,5,30",
+                        "--set", "run.trials_min=100",
+                        "--set", "run.target_error_events=5"]) == 0
+        sim, rows = data_rows(out.read_text()), data_rows(trace.read_text())
+        assert [(r[1], r[3], r[4]) for r in rows] == [(c[0], c[4], c[5]) for c in sim]
+        assert [r[1] for r in rows] == ["5", "10", "30"]
 
 
 class TestParser:
@@ -261,6 +316,27 @@ class TestParser:
         head_a, head_b = self._header(a), self._header(b)
         assert "# set params.n_users=2" in head_a and "# set params.pr_h1=0.2" in head_a
         assert "# set params.n_users=4" in head_b and "# set params.pr_h1=0.3" in head_b
+
+    def test_readme_commands_parse(self, capsys):
+        # every fsocdma command in the README's shell blocks names only
+        # subcommands, flags and choices the parser has (nothing is run)
+        import re
+        import shlex
+
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        commands = []
+        for block in re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S):
+            for line in block.replace("\\\n", " ").splitlines():
+                words = shlex.split(line, comments=True)
+                if words[:1] == ["fsocdma"]:
+                    commands.append(words[1:])
+        assert len(commands) >= 10 and any("--trace" in words for words in commands)
+        for words in commands:
+            try:
+                cli.make_parser().parse_args(words)
+            except SystemExit:
+                pytest.fail(f"README command does not parse: fsocdma {shlex.join(words)}\n"
+                            f"{capsys.readouterr().err}")
 
     @pytest.mark.parametrize("args", [["--help"], ["ber", "--help"], ["sensing", "roc", "--help"]])
     def test_help_text_is_a_fresh_parsers(self, args, capsys):
@@ -465,7 +541,7 @@ class TestConfigHandling:
     @pytest.mark.parametrize(
         "args",
         [
-            ["ber", "--figure", "fig2"],
+            ["ber", "--mode", "analytic", "--figure", "fig2"],
             ["ber", "--mode", "analytic", "--set", "run.snr_grid_db=10"],
         ],
         ids=["figure", "analytic"],
@@ -480,6 +556,31 @@ class TestConfigHandling:
             monkeypatch.setattr(cli, work, forbidden)
         argv = args + ["--out", str(tmp_path / "o.csv"), "--trace", str(tmp_path / "t.csv")]
         assert run_cli(argv) == 1
+        assert "--trace" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "args,trace",
+        [
+            (["--out", "{tmp}/same.csv"], "{tmp}/same.csv"),
+            (["--out", "{tmp}/same.csv"], "{tmp}/./same.csv"),
+            (["--figure", "fig3", "--out", "{tmp}/fig3"], "{tmp}/fig3_snr10.csv"),
+            (["--figure", "fig2", "--out", "{tmp}/f.csv"], "{tmp}/f_k8.csv"),
+        ],
+        ids=["same-path", "same-file", "fig3-derived", "fig2-derived"],
+    )
+    def test_trace_on_a_ber_output_fails_before_any_work(
+        self, tmp_path, capsys, monkeypatch, args, trace
+    ):
+        # the BER CSV would overwrite the trace, or the trace a curve
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("a sweep point ran although --trace names a BER output")
+
+        for work in ("run_points", "derive_sensing"):
+            monkeypatch.setattr(cli, work, forbidden)
+        argv = ["ber", "--set", "run.snr_grid_db=10", "--set", "run.trials_min=100",
+                "--set", "run.target_error_events=5"] + args + ["--trace", trace]
+        assert run_cli([a.format(tmp=tmp_path) for a in argv]) == 1
         assert "--trace" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 

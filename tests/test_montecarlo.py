@@ -165,8 +165,9 @@ class TestEstimateBer:
         model = mc.derive_sensing(cfg).model
         rngs = [RecordingGenerator(np.random.default_rng(seed)) for seed in (5, 6)]
         sizes, n_bits = (48, 20), cfg.params.bits_per_slot
-        errors, feasible, rows = mc._run_group(cfg.params, model, "rechoose", rngs, sizes)
-        assert errors.shape == feasible.shape == (sum(sizes),) and rows is None
+        errors, feasible, stats = mc._run_group(cfg.params, model, "rechoose", rngs, sizes)
+        assert errors.shape == feasible.shape == (sum(sizes),)
+        assert stats.shape == (sum(sizes), len(mc.SLOT_STATS))
         if pr_h1 > 0.5:
             assert not feasible.all()
         for rng, slots in zip(rngs, sizes):
@@ -198,38 +199,20 @@ class TestEstimateBer:
             tracemalloc.stop()
         assert peak <= 1.1e6
 
-    def test_trace_draws_only_from_its_own_stream(self):
-        # a traced group draws the untraced group's numbers and counts the
-        # same errors; the normals that split R_n from R_GI come only from
-        # each batch's trace stream, one per bit interval
+    def test_infeasible_slots_flip_coins_and_add_no_sums(self):
+        # a slot that cannot carry all users has R = 0 and decides +1, so
+        # its errors are its first user's -1 bits (replayed in each batch's
+        # draw order from its own stream), and its SLOT_STATS terms are 0
         cfg = make_config(k=4, params=SystemParams(
             n_subcarriers=32, n_users=4, pr_h1=0.9, noise_psd=0.1, interference_power=0.1
         ))
         model = mc.derive_sensing(cfg).model
         sizes, n_bits = (48, 20), cfg.params.bits_per_slot
-        plain = [RecordingGenerator(np.random.default_rng(seed)) for seed in (5, 6)]
-        errors, feasible, _ = mc._run_group(cfg.params, model, "rechoose", plain, sizes)
-        batch_rngs = [RecordingGenerator(np.random.default_rng(seed)) for seed in (5, 6)]
-        trace_rngs = [RecordingGenerator(np.random.default_rng(seed)) for seed in (7, 8)]
-        traced, traced_feasible, rows = mc._run_group(
-            cfg.params, model, "rechoose", batch_rngs, sizes, trace_rngs, 100
-        )
-        assert [r.draws for r in batch_rngs] == [r.draws for r in plain]
-        assert [r.draws for r in trace_rngs] == [
-            [("standard_normal", np.float64, slots * n_bits)] for slots in sizes
-        ]
-        assert np.array_equal(traced, errors) and np.array_equal(traced_feasible, feasible)
-        assert not feasible.all()
-        # the error count by comparison agrees with the trace's decided bits
-        # on every slot that transmitted
-        sent = np.unique(rows["slot"])
-        assert np.array_equal(sent - 100, np.flatnonzero(feasible))
-        for slot in sent:
-            mine = rows[rows["slot"] == slot]
-            assert errors[slot - 100] == np.count_nonzero(mine["bit"] != mine["decided"])
-        # a slot that cannot carry all users has R = 0 and decides +1, so
-        # its errors are its first user's -1 bits (replayed in each batch's
-        # draw order from its own stream)
+        rngs = [np.random.default_rng(seed) for seed in (5, 6)]
+        errors, feasible, stats = mc._run_group(cfg.params, model, "rechoose", rngs, sizes)
+        assert not feasible.all() and feasible.any()
+        assert not stats[~feasible].any()
+        assert np.all(stats[feasible, 3:] >= 0) and stats[feasible, 6].all()
         first_slot = 0
         for seed, slots in zip((5, 6), sizes):
             replay = np.random.default_rng(seed)
@@ -243,11 +226,13 @@ class TestEstimateBer:
                 assert errors[first_slot + s] == np.count_nonzero(first[s] == 0)
             first_slot += slots
 
-    def test_trace_leaves_the_point_unchanged(self):
+    def test_ber_csv_ignores_the_trace_fields(self):
         cfg = make_config(snr_grid_db=(5.0,), trials_min=2_000, target_error_events=30)
-        rows = []
-        assert mc.estimate_ber(cfg, 5.0, 0, trace=rows) == mc.estimate_ber(cfg, 5.0, 0)
-        assert rows
+        point = mc.estimate_ber(cfg, 5.0, 0)
+        assert point.stop == "events" and len(point.slot_sums) == len(mc.SLOT_STATS)
+        bare = dataclasses.replace(point, stop=None, slot_sums=())
+        digest = mc.config_digest(cfg)
+        assert mc.ber_csv([(5.0, point)], digest) == mc.ber_csv([(5.0, bare)], digest)
 
     def test_zero_errors_rule_of_three(self):
         cfg = make_config(k=1, snr_grid_db=(40.0,), trials_min=1_000, max_trials=20_000)
@@ -281,42 +266,61 @@ class TestEstimateBer:
         assert mc.estimate_ber(cfg, 5.0, 0).trials >= 500
 
     def test_trace_rows(self):
-        cfg = make_config(snr_grid_db=(5.0,), trials_min=100, target_error_events=5)
-        blocks = []
-        p = mc.estimate_ber(cfg, 5.0, 0, trace=blocks)
-        rows = np.concatenate(blocks)
-        # one row per bit of every simulated slot that transmitted, in order
-        assert rows.size == p.trials - p.infeasible_slots * cfg.params.bits_per_slot
-        assert np.all(np.diff(rows["slot"]) >= 0)
-        assert np.count_nonzero(rows["slot"] == 0) == cfg.params.bits_per_slot
-        # decomposition recorded in the trace holds row by row
-        parts = rows["R_s"] + rows["R_MAI"] + rows["R_GI"] + rows["R_n"]
-        assert np.allclose(rows["R"], parts, rtol=1e-9, atol=1e-12)
+        # the trace row's means are the SLOT_STATS terms of the point's
+        # feasible slots, recomputed here slot by slot from replayed draws
+        from fsocdma import phylink as pl
+
+        cfg = make_config(snr_grid_db=(5.0,), trials_min=10_000, target_error_events=30,
+                          params=SystemParams(n_subcarriers=32, n_users=4, pr_h1=0.85,
+                                              noise_psd=0.1, interference_power=0.2))
+        p = mc.estimate_ber(cfg, 5.0, 0)
+        params, model = mc.point_params(cfg, 5.0), mc.derive_sensing(cfg).model
+        n_slots = p.trials // params.bits_per_slot
+        terms = []
+        for b in range(-(-n_slots // mc._BATCH_SLOTS)):
+            size = min(mc._BATCH_SLOTS, n_slots - b * mc._BATCH_SLOTS)
+            u, fade = np.empty((2, size, 32))
+            mai_z = np.empty((size, 3))
+            pl.draw_slot_numbers(mc._stream(cfg.master_seed, mc._PURPOSE_BATCH, 0, b),
+                                 u, fade, mai_z)
+            slots = pl.build_slots(params, model, u, fade, mai_z)
+            proj = pl.project(slots)
+            for s in np.flatnonzero(slots.feasible):
+                terms.append([
+                    slots.occupancy[s].sum(), slots.est_busy[s].sum(),
+                    slots.misdetected[s].sum(), (proj.signal[s] - 1.0) ** 2,
+                    sum(m * m for m in proj.mai[s]),
+                    0.5 * params.interference_power * proj.w2_lambda[s],
+                    0.5 * params.noise_psd * proj.signal[s],
+                ])
+        terms = np.array(terms)
+        assert len(terms) == n_slots - p.infeasible_slots > 0 and p.infeasible_slots > 0
+        assert p.slot_sums == pytest.approx(terms.sum(axis=0).tolist(), rel=1e-12)
+        header, row = mc.trace_csv([(cfg, p)]).splitlines()
+        assert header.split(",")[7:] == list(mc.SLOT_STATS)
+        cells = row.split(",")
+        assert cells[:7] == ["4", "5", str(n_slots), str(p.trials), str(p.errors),
+                             str(p.infeasible_slots), "events"]
+        assert [float(c) for c in cells[7:]] == pytest.approx(
+            terms.mean(axis=0).tolist(), rel=1e-9)
 
     def test_trace_csv_formats_every_row(self):
-        rows = np.zeros(2, mc.TRACE_DTYPE)
-        rows[0] = (3, 1, 2, 0, -0.5, 1.25, -1e-300, 0.0, 2.0 / 3.0, -1, 1)
-        text = mc.trace_csv([rows[:1], rows[1:]], comments=("hello",))
+        cfg = make_config()
+        sums = (6.0, 3.0, 0.75, 0.3, 1.0 / 3.0, 0.0, 1e-300)
+        sent = mc.BerPoint(snr_db=12.5, ber_analytic=0.1, ber_simulated=0.02,
+                           ci_halfwidth=0.01, trials=270, errors=5, infeasible_slots=1,
+                           stop="cap", slot_sums=sums)
+        unsent = dataclasses.replace(sent, snr_db=30.0, trials=90, infeasible_slots=1,
+                                     stop="events", slot_sums=(0.0,) * 7)
+        text = mc.trace_csv([(cfg, sent), (cfg, unsent)], comments=("hello",))
         assert text == (
-            "# hello\n" + mc.TRACE_HEADER + "\n"
-            "3,1,2,0,-5.0000000000e-01,1.2500000000e+00,-1.0000000000e-300,"
-            "0.0000000000e+00,6.6666666667e-01,-1,1\n"
-            "0,0,0,0,0.0000000000e+00,0.0000000000e+00,0.0000000000e+00,"
-            "0.0000000000e+00,0.0000000000e+00,0,0\n"
+            "# hello\n"
+            "n_users,snr_db,slots,bits,errors,infeasible_slots,stop,n_busy_true,n_est_busy,"
+            "n_misdetected,var_s,var_mai,var_gi,var_n\n"
+            "4,12.5,3,270,5,1,cap,3.0000000000e+00,1.5000000000e+00,3.7500000000e-01,"
+            "1.5000000000e-01,1.6666666667e-01,0.0000000000e+00,5.0000000000e-301\n"
+            "4,30,1,90,5,1,events,,,,,,,\n"
         )
-        # the rows read back as the tuples the trace once appended, and
-        # print as that per-row f-string printed them
-        rng = np.random.default_rng(3)
-        rows = np.zeros(500, mc.TRACE_DTYPE)
-        for name in ("R", "R_s", "R_MAI", "R_GI", "R_n"):
-            rows[name] = rng.standard_normal(500) * 10.0 ** rng.integers(-300, 300, 500)
-        rows["slot"] = rng.integers(0, 10**6, 500)
-        rows["bit"] = rng.choice([-1, 1], 500)
-        want = [mc.TRACE_HEADER] + [
-            f"{s},{nb},{ne},{nm},{R:.10e},{rs:.10e},{rm:.10e},{rg:.10e},{rn:.10e},{b},{d}"
-            for s, nb, ne, nm, R, rs, rm, rg, rn, b, d in rows.tolist()
-        ]
-        assert mc.trace_csv([rows[:123], rows[123:]]) == "\n".join(want) + "\n"
 
 
 class TestGroups:
@@ -324,7 +328,7 @@ class TestGroups:
 
     @staticmethod
     def _runs(monkeypatch, cfg, snr, point_index=0):
-        """(point, trace rows, slots drawn) at the default group budget, then at one batch."""
+        """(point, slots drawn, passes) at the default group budget, then at one batch."""
         drawn = []
         run_group = mc._run_group
 
@@ -337,9 +341,8 @@ class TestGroups:
         for budget in (mc._GROUP_SLOTS, 1):
             monkeypatch.setattr(mc, "_GROUP_SLOTS", budget)
             drawn.clear()
-            blocks = []
-            point = mc.estimate_ber(cfg, snr, point_index, trace=blocks)
-            out.append((point, np.concatenate(blocks), sum(drawn), len(drawn)))
+            point = mc.estimate_ber(cfg, snr, point_index)
+            out.append((point, sum(drawn), len(drawn)))
         return out
 
     @pytest.mark.parametrize("case", [
@@ -367,11 +370,11 @@ class TestGroups:
             snr = 5.0
         cfg = make_config(k=params["n_users"], params=SystemParams(**params),
                           snr_grid_db=(snr,), **run)
-        (point, rows, drawn, passes), (one_point, one_rows, one_drawn, one_passes) = (
+        (point, drawn, passes), (one_point, one_drawn, one_passes) = (
             self._runs(monkeypatch, cfg, snr)
         )
-        assert point == one_point
-        assert rows.tolist() == one_rows.tolist()
+        assert point == one_point  # also every slot sum, to the last bit
+        assert point.stop == ("cap" if case == "cap_clipped" else "events")
         assert one_drawn == point.trials // cfg.params.bits_per_slot  # nothing speculative
         assert drawn >= one_drawn and passes < one_passes
         if case == "cap_clipped":
@@ -383,16 +386,13 @@ class TestGroups:
 
     def test_batches_past_the_stop_are_discarded(self, monkeypatch):
         # a closed form ten times too low plans a group past the stop: the
-        # batches after it are drawn and leave no errors, slots or rows
+        # batches after it are drawn and leave no errors, slots or sums
         average_pe = mc.average_pe
         monkeypatch.setattr(mc, "average_pe", lambda *a: average_pe(*a) / 10)
         cfg = make_config(snr_grid_db=(10.0,), target_error_events=50)
-        (point, rows, drawn, _), (one_point, one_rows, one_drawn, _) = (
-            self._runs(monkeypatch, cfg, 10.0)
-        )
+        (point, drawn, _), (one_point, one_drawn, _) = self._runs(monkeypatch, cfg, 10.0)
         assert drawn > one_drawn == point.trials // cfg.params.bits_per_slot
-        assert point == one_point and rows.tolist() == one_rows.tolist()
-        assert rows["slot"].max() < one_drawn
+        assert point == one_point
 
     def test_group_planning(self):
         cfg = make_config(trials_min=2_000, target_error_events=100, max_trials=5_000_000)

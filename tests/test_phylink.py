@@ -16,6 +16,7 @@ from fsocdma.orthocodes import (
 from fsocdma.sensing import SensingOutcome, fuse_or, occupancy_model
 from oracles import (
     chips_for_configuration,
+    components,
     literal_receiver,
     or_fused_draw,
     stacked_signature_matrix,
@@ -73,8 +74,8 @@ def gains_with_fade(fade, k, rng):
 
 def fixed_mask_components(params, est_busy, lam_indices, trials, rng, chunk=10_000):
     """(trials, 4) parts R_s, R_MAI, R_GI, R_n of one all-ones bit interval per
-    slot, R_GI and R_n split from the receiver's normal as the trace splits
-    them; every slot has the given masks and fresh fading."""
+    slot, R_GI and R_n split from the receiver's normal as oracles.components
+    splits them; every slot has the given masks and fresh fading."""
     k, n = params.n_users, params.n_subcarriers
     comps = []
     for start in range(0, trials, chunk):
@@ -83,7 +84,7 @@ def fixed_mask_components(params, est_busy, lam_indices, trials, rng, chunk=10_0
                            rng.standard_normal((b, k - 1)))
         bits = np.ones((b, 1, k))
         z = rng.standard_normal((b, 1, 2))  # the receiver's normal and the split's
-        out = pl.components(pl.project(slot), params, bits,
+        out = components(pl.project(slot), params, bits,
                             z[:, :, 0], z[:, :, 1])
         comps.append(np.column_stack(
             [out[name][:, 0] for name in ("r_signal", "r_mai", "r_gi", "r_noise")]
@@ -332,7 +333,7 @@ class TestTransmitAndReceive:
         z, v = rng.standard_normal((2, 200, 1))
         proj = pl.project(slots)
         decision = pl.receive(proj, PARAMS, bits, z)
-        out = pl.components(proj, PARAMS, bits, z, v)
+        out = components(proj, PARAMS, bits, z, v)
         names = ("r_signal", "r_mai", "r_gi", "r_noise")
         parts = sum(out[name] for name in names)
         scale = np.maximum(1.0, sum(np.abs(out[name]) for name in names))
@@ -346,7 +347,7 @@ class TestTransmitAndReceive:
         z, v = np.random.default_rng(4).standard_normal((2, 1, 5))
         bits = np.ones((1, 5, 4))
         assert not np.any(pl.receive(proj, PARAMS, bits, z))
-        out = pl.components(proj, PARAMS, bits, z, v)
+        out = components(proj, PARAMS, bits, z, v)
         for name in ("r_signal", "r_mai", "r_gi", "r_noise"):
             assert not np.any(out[name]), name
 
@@ -356,7 +357,7 @@ class TestTransmitAndReceive:
         slot = manual_slot(PARAMS, np.zeros(32, bool), [], np.ones(32), np.ones(3))
         proj = pl.project(slot)
         z, v = np.random.default_rng(5).standard_normal((2, 1, 5))
-        out = pl.components(proj, PARAMS, np.ones((1, 5, 4)), z, v)
+        out = components(proj, PARAMS, np.ones((1, 5, 4)), z, v)
         assert not np.any(out["r_gi"])
         sigma = math.sqrt(0.5 * PARAMS.noise_psd * proj.signal[0])
         assert out["r_noise"][0] == pytest.approx(sigma * z[0], rel=1e-12)
@@ -368,7 +369,7 @@ class TestTransmitAndReceive:
         slot = draw_slots(PARAMS, sensing_model(0.2, 0.5, 0.1), rng, 1)
         bits = np.array([[1.0, 1.0, -1.0, 1.0], [-1.0, 1.0, 1.0, -1.0]])
         z, v = rng.standard_normal((2, 1, 2))
-        out = pl.components(pl.project(slot), PARAMS, bits[np.newaxis],
+        out = components(pl.project(slot), PARAMS, bits[np.newaxis],
                             z, v)
         _, parts, _ = literal_receiver(
             slot.chips[0], gains_with_fade(slot.fade[0], 4, rng),
@@ -448,7 +449,7 @@ class TestTransmitAndReceive:
         z, v = rng.standard_normal((2, 6, 3))
 
         def received(proj, bits, z, v):
-            return dict(pl.components(proj, PARAMS, bits, z, v),
+            return dict(components(proj, PARAMS, bits, z, v),
                         decision=pl.receive(proj, PARAMS, bits, z))
 
         block = received(pl.project(slots), bits, z, v)

@@ -103,6 +103,19 @@ class TestPdRayleigh:
             assert all(0.0 <= p <= 1.0 + 1e-12 for p in pds)
             assert all(pd + 1e-9 >= pf for pd, pf in zip(pds, pfas))
 
+    @pytest.mark.parametrize(
+        "samples,zeta,snr_db,limit",
+        [(320, 1e300 / 3, 2525.05, 0.0), (320, 1e300, 2525.05, 0.0), (5, 1e300, 100.0, 0.0),
+         (320, 2e10, 3000.0, 1.0)],
+    )
+    def test_finite_where_x_gbar_overflows(self, samples, zeta, snr_db, limit):
+        # x * gbar / (1 + gbar) is inf / inf there; its limit x / (1 + 1/gbar) is not
+        cfg = sn.DetectorConfig(samples, zeta, snr_db)
+        assert math.isinf(zeta / 2 * cfg.mean_snr_linear)
+        pd = sn.pd_rayleigh(cfg)
+        assert math.isfinite(pd) and sn.pfa(cfg) <= pd <= 1.0
+        assert pd == pytest.approx(limit, abs=1e-12)
+
     def test_increasing_in_snr(self):
         pds = [sn.pd_rayleigh(sn.DetectorConfig(5, 10.0, s)) for s in (-5.0, 0.0, 2.3, 10.0, 20.0)]
         assert all(b > a for a, b in zip(pds, pds[1:]))
