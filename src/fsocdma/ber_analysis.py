@@ -71,7 +71,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -93,25 +92,6 @@ _GRID_LIMIT = (ORDER_LIMIT + 1) * (ORDER_LIMIT + 2) // 2
 _HIT_FLOOR = 1e-30
 _FOLD_FLOOR = 1e-60
 _FOLD_WHOLE = 128
-
-
-@dataclass(frozen=True)
-class BerPoint:
-    """One sweep point: analytic BER plus optional simulation results."""
-
-    snr_db: float
-    ber_analytic: float
-    ber_simulated: float | None = None
-    ci_halfwidth: float | None = None
-    trials: int = 0
-    errors: int = 0
-    infeasible_slots: int = 0
-    stop: str | None = None  # a simulated point's stop reason, "events" or "cap"
-    slot_sums: tuple[float, ...] = ()  # its montecarlo.SLOT_STATS sums, for the trace
-
-    def __post_init__(self):
-        if (self.ber_simulated is None) != (self.ci_halfwidth is None):
-            raise ValueError("ci_halfwidth must accompany ber_simulated")
 
 
 def q_function(x):

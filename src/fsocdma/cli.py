@@ -45,6 +45,7 @@ from .orthocodes import (
 from .phylink import SystemParams
 from .sensing import (
     DetectorConfig,
+    OccupancyModel,
     pd_rayleigh,
     pfa,
     sample_level_rate,
@@ -197,13 +198,25 @@ def fig3_point_index(snr_row: int, k: int) -> int:
     return snr_row * ORDER_LIMIT + k
 
 
-def _check_out_dirs(*paths: str | None) -> None:
-    """Fail before any computation if an output file's directory is missing."""
-    for path in paths:
-        if path is not None and not Path(path).parent.is_dir():
-            raise ValueError(
-                f"output directory {str(Path(path).parent)!r} of {path!r} does not exist"
-            )
+def _check_outputs(config: str | None, outputs: list[tuple[str, str | None]]) -> None:
+    """Fail before any work unless every (option, path) output, None for stdout, is writable.
+
+    A path fails if its directory is missing, if it is a directory, or if it is the same
+    file as the --config file or an earlier output of the run: its write would replace it.
+    """
+    seen = {Path(config).resolve(): f"--config {config}"} if config else {}
+    for option, path in outputs:
+        if path is None:
+            continue
+        target = Path(path)
+        if not target.parent.is_dir():
+            raise ValueError(f"output directory {str(target.parent)!r} of {path!r} does not exist")
+        if target.is_dir():
+            raise ValueError(f"{option} {path} is a directory")
+        target = target.resolve()
+        if target in seen:
+            raise ValueError(f"{option} {path} is the same file as {seen[target]}")
+        seen[target] = f"{option} {path}"
 
 
 def _write_output(path: str | None, text: str) -> None:
@@ -218,7 +231,7 @@ def _write_output(path: str | None, text: str) -> None:
 
 
 def cmd_codes(args) -> int:
-    _check_out_dirs(args.out)
+    _check_outputs(None, [("--out", args.out)])
     code = build(args.n)  # main reports a rejected order
     report = verify(code.entries)
     _write_output(args.out, format_matrix(code))
@@ -232,7 +245,7 @@ def cmd_codes(args) -> int:
 
 def cmd_sensing_roc(args) -> int:
     conf = resolve_config(args.config, args.set, args.seed)
-    _check_out_dirs(args.out)
+    _check_outputs(args.config, [("--out", args.out)])
     detector = build_detector(conf)
     zeta_max = conf["roc.zeta_max"]
     if zeta_max == 0.0:
@@ -277,10 +290,10 @@ def _derived_sensing_comments(rc: RunConfig) -> tuple[str, ...]:
     d = derive_sensing(rc)
     return (
         f"detector.threshold={d.threshold!r}",
-        f"sensing.pd_local={d.probs.pd!r}",
-        f"sensing.pfa_local={d.probs.pfa!r}",
-        f"sensing.fused_qd={d.fused.qd!r}",
-        f"sensing.fused_qfa={d.fused.qfa!r}",
+        f"sensing.pd_local={d.pd_local!r}",
+        f"sensing.pfa_local={d.pfa_local!r}",
+        f"sensing.fused_qd={d.qd!r}",
+        f"sensing.fused_qfa={d.qfa!r}",
         f"occupancy.p_zero={d.model.p_zero!r}",
         f"occupancy.p_mis={d.model.p_mis!r}",
     )
@@ -348,11 +361,8 @@ def cmd_ber(args) -> int:
     if args.trace and mode == "analytic":
         print("error: --trace needs simulated points; --mode analytic has none", file=sys.stderr)
         return 1
-    outs = _ber_paths(args.figure, args.out)
-    if args.trace and Path(args.trace).resolve() in {Path(p).resolve() for p in outs}:
-        print(f"error: --trace {args.trace} is also a BER output of this run", file=sys.stderr)
-        return 1
-    _check_out_dirs(args.out, args.trace)
+    outs = [("--out", path) for path in _ber_paths(args.figure, args.out)]
+    _check_outputs(args.config, outs + [("--trace", args.trace)])
 
     rerun = f"fsocdma ber --mode {mode}" + (f" --figure {args.figure}" if args.figure else "")
 
@@ -439,9 +449,7 @@ def _selftest_sensing(seed: int) -> str:
 
 
 def _selftest_ber_average() -> str:
-    from .sensing import FusionResult, occupancy_model
-
-    model = occupancy_model(0.2, FusionResult(qfa=0.05, qd=0.95))
+    model = OccupancyModel.from_fused(0.2, qd=0.95, qfa=0.05)
     for n, policy, k in itertools.product((4, 6), ("rechoose", "fixed"), (1, 2)):
         params = SystemParams(n_subcarriers=n, n_users=k, pr_h1=0.2)
         fast = average_pe(params, model, policy)
@@ -457,7 +465,7 @@ def _selftest_ber_average() -> str:
 
 def cmd_selftest(args) -> int:
     conf = resolve_config(args.config, args.set, args.seed)
-    _check_out_dirs(args.out)
+    _check_outputs(args.config, [("--out", args.out)])
     seed = conf["run.master_seed"]
     groups = (
         ("codes", _selftest_codes),

@@ -34,7 +34,8 @@ interval on the mean error count per slot.
 
 SNR is the per-bit ratio E_b / noise_psd, with energies in units of E_b;
 a sweep sets the noise PSD to 1 / SNR per point and keeps the configured
-interference-to-noise ratio fixed.
+interference-to-noise ratio fixed.  The SNR leaves the sensing operating
+point alone: the points of one RunConfig share one sensing.operating_point.
 """
 
 from __future__ import annotations
@@ -43,11 +44,11 @@ import dataclasses
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
-from .ber_analysis import BerPoint, average_pe, fixed_chip_classes
+from .ber_analysis import average_pe, fixed_chip_classes
 from .phylink import (
     SystemParams,
     _noise_variances,
@@ -57,17 +58,7 @@ from .phylink import (
     project,
     receive,
 )
-from .sensing import (
-    DetectorConfig,
-    FusionResult,
-    OccupancyModel,
-    SensingOutcome,
-    fuse_or,
-    local_probability,
-    occupancy_model,
-    pfa,
-    solve_threshold,
-)
+from .sensing import DetectorConfig, OperatingPoint, operating_point
 
 try:  # CPython's own SHA-256, as random.py takes it: hashlib would load OpenSSL
     from _sha2 import sha256 as _sha256  # Python 3.12+
@@ -149,13 +140,22 @@ class RunConfig:
 
 
 @dataclass(frozen=True)
-class SensingDerivation:
-    """Solved sensing operating point shared by analysis and simulation."""
+class BerPoint:
+    """One sweep point: analytic BER plus optional simulation results."""
 
-    probs: SensingOutcome  # per-user local pd/pfa
-    threshold: float
-    fused: FusionResult
-    model: OccupancyModel
+    snr_db: float
+    ber_analytic: float
+    ber_simulated: float | None = None
+    ci_halfwidth: float | None = None
+    trials: int = 0
+    errors: int = 0
+    infeasible_slots: int = 0
+    stop: str | None = None  # a simulated point's stop reason, "events" or "cap"
+    slot_sums: tuple[float, ...] = ()  # its SLOT_STATS sums, for the trace
+
+    def __post_init__(self):
+        if (self.ber_simulated is None) != (self.ci_halfwidth is None):
+            raise ValueError("ci_halfwidth must accompany ber_simulated")
 
 
 def sha256_hex(text: str) -> str:
@@ -176,30 +176,9 @@ def config_digest(cfg: RunConfig) -> str:
     return sha256_hex("\n".join(sorted(parts)))
 
 
-def derive_sensing(cfg: RunConfig) -> SensingDerivation:
-    """Solve the detector threshold for the fused detection target.
-
-    The per-user local detection probability is the K-th OR-root of the
-    fused target; the threshold is solved against the Rayleigh-averaged
-    closed form and the resulting false-alarm rate is carried through,
-    never assumed zero.  Configs that agree on the inputs below share one
-    solve.
-    """
-    return _solve_sensing(cfg.params.n_users, cfg.target_pd, cfg.detector, cfg.params.pr_h1)
-
-
-@lru_cache(maxsize=64)
-def _solve_sensing(
-    k: int, target_pd: float, detector: DetectorConfig, pr_h1: float
-) -> SensingDerivation:
-    pd_local = local_probability(target_pd, k)
-    zeta = solve_threshold(detector.samples, pd_local, "for_pd", detector.mean_snr_db)
-    solved = DetectorConfig(
-        samples=detector.samples, threshold=zeta, mean_snr_db=detector.mean_snr_db
-    )
-    probs = SensingOutcome(pfa=pfa(solved), pd=pd_local)
-    fused = fuse_or([probs] * k)
-    return SensingDerivation(probs, zeta, fused, occupancy_model(pr_h1, fused))
+def derive_sensing(cfg: RunConfig) -> OperatingPoint:
+    """The run's sensing operating point; configs that agree on its inputs share one solve."""
+    return operating_point(cfg.params.n_users, cfg.target_pd, cfg.detector, cfg.params.pr_h1)
 
 
 def point_params(cfg: RunConfig, snr_db: float) -> SystemParams:
@@ -374,8 +353,7 @@ def estimate_ber(cfg: RunConfig, snr_db: float, point_index: int) -> BerPoint:
 def analytic_point(cfg: RunConfig, snr_db: float) -> BerPoint:
     """Closed-form BER only, no simulation."""
     params = point_params(cfg, snr_db)
-    derived = derive_sensing(cfg)
-    return BerPoint(snr_db=snr_db, ber_analytic=average_pe(params, derived.model, cfg.code_policy))
+    return BerPoint(snr_db, average_pe(params, derive_sensing(cfg).model, cfg.code_policy))
 
 
 def grid_jobs(cfg: RunConfig) -> list[tuple[RunConfig, float, int]]:

@@ -1,12 +1,13 @@
-"""Energy-detection spectrum sensing statistics and OR-rule fusion.
+"""Energy-detection spectrum sensing statistics and the cooperative operating point.
 
 Closed forms for the false-alarm and Rayleigh-averaged detection
 probabilities of an energy detector collecting an integer number of
-samples, a threshold solver (a bisection that evaluates the closed
-form only where earlier evaluations leave a comparison open),
-cooperative OR fusion across users, and the per-subcarrier chip-zeroing
-/ misdetection model that both the BER analysis and the link simulator
-consume.
+samples, a threshold solver (a bisection that evaluates the closed form
+only where earlier evaluations leave a comparison open), and the
+operating point of K users under OR fusion: the threshold that meets a
+fused detection target, the local and fused rates it gives, and the
+per-subcarrier chip-zeroing / misdetection model that both the BER
+analysis and the link simulator consume.
 
 The detection statistic is chi-squared with 2*samples degrees of
 freedom: central under the idle hypothesis, noncentral with parameter
@@ -25,7 +26,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Literal
+from functools import lru_cache
+from typing import Literal
 
 import numpy as np
 
@@ -72,42 +74,34 @@ class DetectorConfig:
 
 
 @dataclass(frozen=True)
-class SensingOutcome:
-    """Per-user false-alarm and detection probabilities."""
-
-    pfa: float
-    pd: float
-
-    def __post_init__(self):
-        for name, v in (("pfa", self.pfa), ("pd", self.pd)):
-            if not (-1e-12 <= v <= 1.0 + 1e-12):
-                raise ValueError(f"{name}={v} outside [0, 1]")
-
-
-@dataclass(frozen=True)
-class FusionResult:
-    """OR-fused false-alarm and detection probabilities of the CR users."""
-
-    qfa: float
-    qd: float
-
-
-@dataclass(frozen=True)
 class OccupancyModel:
-    """Per-subcarrier chip-zeroing and misdetection probabilities.
-
-    p_zero: chip set to zero (estimated busy), pr_h1*qd + (1-pr_h1)*qfa
-    p_mis:  occupied but estimated free, (1-qd)*pr_h1
-    """
+    """Per-subcarrier chip-zeroing and misdetection probabilities."""
 
     pr_h1: float
-    p_zero: float
-    p_mis: float
+    p_zero: float  # chip set to zero (estimated busy)
+    p_mis: float  # occupied but estimated free
 
     @property
     def p_free(self) -> float:
         """Idle and correctly estimated free: the remaining trinomial mass."""
         return 1.0 - self.p_zero - self.p_mis
+
+    @classmethod
+    def from_fused(cls, pr_h1: float, qd: float, qfa: float) -> OccupancyModel:
+        """The model of fused rates qd and qfa, every subcarrier busy with probability pr_h1."""
+        return cls(pr_h1, pr_h1 * qd + (1.0 - pr_h1) * qfa, (1.0 - qd) * pr_h1)
+
+
+@dataclass(frozen=True)
+class OperatingPoint:
+    """Solved cooperative sensing point shared by analysis and simulation."""
+
+    threshold: float  # the energy threshold every user applies
+    pd_local: float  # one user's detection and false-alarm probabilities
+    pfa_local: float
+    qd: float  # the K users' OR-fused detection and false-alarm probabilities
+    qfa: float
+    model: OccupancyModel  # the per-subcarrier model of the fused decisions
 
 
 def _log_prefactor(a: int, x: float) -> float:
@@ -361,35 +355,24 @@ def solve_threshold(
     return 0.5 * (lo + hi)
 
 
-def fuse_or(outcomes: Iterable[SensingOutcome]) -> FusionResult:
-    """OR-rule decision fusion: busy if any CR reports busy."""
-    outcomes = list(outcomes)
-    if not outcomes:
-        raise ValueError("fuse_or needs at least one sensing outcome")
-    miss_fa = 1.0
-    miss_d = 1.0
-    for o in outcomes:
-        miss_fa *= 1.0 - o.pfa
-        miss_d *= 1.0 - o.pd
-    return FusionResult(qfa=1.0 - miss_fa, qd=1.0 - miss_d)
+@lru_cache(maxsize=64)
+def operating_point(
+    k: int, target_pd: float, detector: DetectorConfig, pr_h1: float
+) -> OperatingPoint:
+    """The operating point of k users whose OR-fused detection probability is target_pd.
 
-
-def local_probability(fused_target: float, k_users: int) -> float:
-    """Per-user probability whose K-fold OR fusion equals the fused target."""
-    if not (0.0 <= fused_target < 1.0):
-        raise ValueError("fused target must lie in [0, 1)")
-    if k_users < 1:
-        raise ValueError("k_users must be >= 1")
-    return 1.0 - (1.0 - fused_target) ** (1.0 / k_users)
-
-
-def occupancy_model(pr_h1: float, fused: FusionResult) -> OccupancyModel:
-    """Chip-zeroing and misdetection probabilities from the fused decisions.
-
-    All subcarriers share the same occupancy prior.
+    Each user's pd is the k-th OR-root of the target, and the threshold (not
+    detector.threshold) is solved for it against the Rayleigh-averaged closed
+    form; its false-alarm rate is carried through, never assumed zero.
     """
-    if not (0.0 <= pr_h1 <= 1.0):
-        raise ValueError("pr_h1 must lie in [0, 1]")
-    p_zero = pr_h1 * fused.qd + (1.0 - pr_h1) * fused.qfa
-    p_mis = (1.0 - fused.qd) * pr_h1
-    return OccupancyModel(pr_h1=pr_h1, p_zero=p_zero, p_mis=p_mis)
+    pd_local = 1.0 - (1.0 - target_pd) ** (1.0 / k)
+    zeta = solve_threshold(detector.samples, pd_local, "for_pd", detector.mean_snr_db)
+    pfa_local = pfa(DetectorConfig(detector.samples, zeta, detector.mean_snr_db))
+    miss_fa = miss_d = 1.0
+    for _ in range(k):  # OR rule: decided free only if every user decides it free
+        miss_fa *= 1.0 - pfa_local
+        miss_d *= 1.0 - pd_local
+    qd, qfa = 1.0 - miss_d, 1.0 - miss_fa
+    return OperatingPoint(
+        zeta, pd_local, pfa_local, qd, qfa, OccupancyModel.from_fused(pr_h1, qd, qfa)
+    )

@@ -19,7 +19,7 @@ from fsocdma import orthocodes as oc
 from fsocdma import sensing as sn
 from fsocdma.ber_analysis import average_pe
 from fsocdma.phylink import SystemParams
-from fsocdma.sensing import DetectorConfig, FusionResult, occupancy_model
+from fsocdma.sensing import DetectorConfig, OccupancyModel
 from oracles import enum_average_pe, exact_average_pe, loop_average_pe
 from test_phylink import fixed_mask_components
 
@@ -102,7 +102,7 @@ def test_criterion_2_sensing_formulas():
 def test_criterion_3_average_pe_oracle_equivalence():
     t0 = time.perf_counter()
     failures = []
-    model = occupancy_model(0.2, FusionResult(qfa=0.05, qd=0.95))
+    model = OccupancyModel.from_fused(0.2, qd=0.95, qfa=0.05)
     cases = [(n, k, "rechoose") for n in (4, 6) for k in (1, 2)]
     # the fixed policy's sum over chip classes: the one class of order 4 and
     # multi-level families with 2 to 6 classes, against both oracles

@@ -17,7 +17,7 @@ from fsocdma import cli
 from fsocdma import montecarlo as mc
 from fsocdma.orthocodes import INT64_MAX, build, supported_orders
 from fsocdma.phylink import SystemParams, project, receive, signature_matrix
-from fsocdma.sensing import FusionResult, OccupancyModel, occupancy_model
+from fsocdma.sensing import OccupancyModel
 from oracles import (
     chips_for_configuration,
     conditional_pe_from_chips,
@@ -318,7 +318,7 @@ def make_params(n, k, sn2=0.1, ss2=0.1):
     )
 
 
-MODEL = occupancy_model(0.2, FusionResult(qfa=0.05, qd=0.95))
+MODEL = OccupancyModel.from_fused(0.2, qd=0.95, qfa=0.05)
 
 
 class TestAveragePe:
@@ -406,7 +406,7 @@ class TestAveragePe:
 
     def test_degenerate_reduces_to_single_cell(self):
         # nothing busy, nothing misdetected: the all-free order-16 family
-        model = occupancy_model(0.0, FusionResult(qfa=0.0, qd=1.0))
+        model = OccupancyModel.from_fused(0.0, qd=1.0, qfa=0.0)
         params = make_params(16, 1)
         got = ba.average_pe(params, model)
         want = order_sum_average_pe(params, model)
@@ -444,7 +444,7 @@ class TestAveragePe:
     def test_monotone_in_misdetection(self):
         vals = []
         for qd in (0.99, 0.95, 0.80):
-            model = occupancy_model(0.2, FusionResult(qfa=0.05, qd=qd))
+            model = OccupancyModel.from_fused(0.2, qd=qd, qfa=0.05)
             vals.append(ba.average_pe(make_params(32, 4, ss2=1.0), model))
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
@@ -654,8 +654,8 @@ class TestExactOracle:
 class TestBerPoint:
     def test_ci_requires_simulation(self):
         with pytest.raises(ValueError):
-            ba.BerPoint(snr_db=0.0, ber_analytic=0.1, ber_simulated=0.1)
+            mc.BerPoint(snr_db=0.0, ber_analytic=0.1, ber_simulated=0.1)
 
     def test_plain_analytic_point(self):
-        p = ba.BerPoint(snr_db=5.0, ber_analytic=0.01)
+        p = mc.BerPoint(snr_db=5.0, ber_analytic=0.01)
         assert p.ber_simulated is None and p.trials == 0

@@ -587,6 +587,58 @@ class TestConfigHandling:
     @pytest.mark.parametrize(
         "args",
         [
+            ["ber", "--mode", "analytic", "--set", "run.snr_grid_db=10", "--out", "{cfg}"],
+            ["ber", "--set", "run.snr_grid_db=10", "--out", "{tmp}/o.csv", "--trace", "{cfg}"],
+            ["sensing", "roc", "--out", "{tmp}/./exp.cfg"],
+            ["selftest", "--out", "{cfg}"],
+        ],
+        ids=["ber", "ber-trace", "sensing-roc", "selftest"],
+    )
+    def test_output_on_the_config_fails_before_any_work(
+        self, tmp_path, capsys, monkeypatch, args
+    ):
+        # the output would replace the configuration the run was read from
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("work ran although an output is the --config file")
+
+        for work in ("run_points", "derive_sensing", "solve_threshold"):
+            monkeypatch.setattr(cli, work, forbidden)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("params.n_users=2\n")
+        argv = [a.format(tmp=tmp_path, cfg=cfg) for a in args] + ["--config", str(cfg)]
+        assert run_cli(argv) == 1
+        assert f"--config {cfg}" in capsys.readouterr().err
+        assert cfg.read_text() == "params.n_users=2\n"
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize(
+        "args,work",
+        [
+            (["ber", "--set", "run.snr_grid_db=10", "--out", "{dir}"], "run_points"),
+            (["ber", "--set", "run.snr_grid_db=10", "--out", "{tmp}/o.csv", "--trace", "{dir}"],
+             "run_points"),
+            (["sensing", "roc", "--out", "{dir}"], "solve_threshold"),
+            (["codes", "8", "--out", "{dir}"], "build"),
+            (["selftest", "--out", "{dir}"], "_selftest_codes"),
+        ],
+        ids=["ber", "ber-trace", "sensing-roc", "codes", "selftest"],
+    )
+    def test_directory_output_fails_before_any_work(
+        self, tmp_path, capsys, monkeypatch, args, work
+    ):
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError(f"{work} ran although an output is a directory")
+
+        monkeypatch.setattr(cli, work, forbidden)
+        adir = tmp_path / "adir"
+        adir.mkdir()
+        assert run_cli([a.format(tmp=tmp_path, dir=adir) for a in args]) == 1
+        assert f"{adir} is a directory" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [adir] and not list(adir.iterdir())
+
+    @pytest.mark.parametrize(
+        "args",
+        [
             ["codes", "8", "--seed", "1"],
             ["codes", "8", "--threads", "2"],
             ["codes", "8", "--set", "params.n_users=2"],
@@ -916,4 +968,5 @@ def test_import_leaves_caches_empty():
     assert "fsocdma.orthocodes.rows" in sizes
     assert "fsocdma.ber_analysis._hit_distribution" in sizes
     assert "fsocdma.ber_analysis._rechoose_table" in sizes
+    assert "fsocdma.sensing.operating_point" in sizes
     assert {name: n for name, n in sizes.items() if n} == {}

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fsocdma import montecarlo as mc
+from fsocdma import sensing as sn
 from fsocdma.phylink import SystemParams
 from fsocdma.sensing import DetectorConfig
 
@@ -71,9 +72,9 @@ class TestDeriveSensing:
     def test_fused_target_met(self):
         cfg = make_config()
         d = mc.derive_sensing(cfg)
-        assert d.fused.qd == pytest.approx(cfg.target_pd, abs=1e-8)
-        assert 0.0 <= d.fused.qfa < 1e-12  # negligible at this operating point
-        assert d.model.p_zero == pytest.approx(0.2 * 0.95 + 0.8 * d.fused.qfa, abs=1e-9)
+        assert d.qd == pytest.approx(cfg.target_pd, abs=1e-8)
+        assert 0.0 <= d.qfa < 1e-12  # negligible at this operating point
+        assert d.model.p_zero == pytest.approx(0.2 * 0.95 + 0.8 * d.qfa, abs=1e-9)
         assert d.model.p_mis == pytest.approx(0.05 * 0.2, abs=1e-9)
 
     def test_threshold_round_trips(self):
@@ -84,14 +85,15 @@ class TestDeriveSensing:
         achieved = pd_rayleigh(
             DetectorConfig(cfg.detector.samples, d.threshold, cfg.detector.mean_snr_db)
         )
-        assert achieved == pytest.approx(d.probs.pd, abs=1e-9)
+        assert achieved == pytest.approx(d.pd_local, abs=1e-9)
 
     def test_one_solve_per_sensing_input(self, monkeypatch):
         # the threshold depends on K, the target, the detector and pr_h1
         # only, so configs that differ in their SNR grid share one solve
         calls = []
-        solve = mc.solve_threshold
-        monkeypatch.setattr(mc, "solve_threshold", lambda *a: calls.append(a) or solve(*a))
+        solve = sn.solve_threshold
+        monkeypatch.setattr(sn, "solve_threshold", lambda *a: calls.append(a) or solve(*a))
+        sn.operating_point.cache_clear()
         a = make_config(target_pd=0.9371, snr_grid_db=(10.0,))
         b = make_config(target_pd=0.9371, snr_grid_db=(20.0,))
         assert mc.derive_sensing(a) is mc.derive_sensing(b)

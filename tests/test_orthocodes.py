@@ -9,7 +9,7 @@ from fsocdma import montecarlo as mc
 from fsocdma import orthocodes as oc
 from fsocdma.ber_analysis import average_pe
 from fsocdma.phylink import SystemParams, signature_matrix
-from fsocdma.sensing import DetectorConfig, FusionResult, occupancy_model
+from fsocdma.sensing import DetectorConfig, OccupancyModel
 from oracles import kron_family, parse_matrix
 
 
@@ -292,7 +292,7 @@ def test_library_reads_families_by_rows_only(monkeypatch):
                 monkeypatch.setattr(module, attr, whole_matrix)
             elif hasattr(value, "cache_clear"):
                 value.cache_clear()  # so that no family is served from an earlier test
-    model = occupancy_model(0.2, FusionResult(qfa=0.05, qd=0.95))
+    model = OccupancyModel.from_fused(0.2, qd=0.95, qfa=0.05)
     for n, policy in ((48, "rechoose"), (16, "fixed")):
         params = SystemParams(n_subcarriers=n, n_users=4, pr_h1=0.2)
         assert 0.0 < average_pe(params, model, policy) < 0.5

@@ -13,7 +13,7 @@ from fsocdma.orthocodes import (
     prime_base,
     supported_orders,
 )
-from fsocdma.sensing import SensingOutcome, fuse_or, occupancy_model
+from fsocdma.sensing import OccupancyModel
 from oracles import (
     chips_for_configuration,
     components,
@@ -25,7 +25,7 @@ from oracles import (
 
 def sensing_model(pr_h1, pd, pfa, k=4):
     """Occupancy model of k users that sense with local pd and pfa, OR-fused."""
-    return occupancy_model(pr_h1, fuse_or([SensingOutcome(pfa=pfa, pd=pd)] * k))
+    return OccupancyModel.from_fused(pr_h1, qd=1.0 - (1.0 - pd) ** k, qfa=1.0 - (1.0 - pfa) ** k)
 
 
 def draw_slots(params, model, rng, n_slots, code_policy="rechoose"):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -302,7 +303,7 @@ class TestSolveThreshold:
     def test_default_solve_takes_half_the_evaluations(self, monkeypatch):
         # the fig2 K=8 solve: the per-user pd of a 0.95 fused target at the
         # default 320 samples and 2.3 dB per sample
-        args = (320, sn.local_probability(0.95, 8), "for_pd", 2.3 + 10 * math.log10(320))
+        args = (320, 1.0 - (1.0 - 0.95) ** (1 / 8), "for_pd", 2.3 + 10 * math.log10(320))
         bisected = []
         want = bisection_threshold(*args, calls=bisected)
         calls = []
@@ -312,52 +313,55 @@ class TestSolveThreshold:
         assert len(calls) <= len(bisected) // 2
 
 
+# detectors as the CLI builds them, SNR accumulated over the samples: the
+# default, where pfa_local underflows against 1, and two at -10 dB per
+# sample, where it does not
+DETECTORS = [sn.DetectorConfig(u, 0.0, snr + 10 * math.log10(u))
+             for u, snr in ((320, 2.3), (40, -10.0), (640, -10.0))]
+
+
 class TestFusion:
     def test_single_user_identity(self):
-        f = sn.fuse_or([sn.SensingOutcome(pfa=0.1, pd=0.6)])
-        assert f.qfa == pytest.approx(0.1) and f.qd == pytest.approx(0.6)
+        op = sn.operating_point(1, 0.6, DETECTORS[1], 0.2)
+        assert op.qfa == pytest.approx(op.pfa_local) and op.qd == pytest.approx(0.6)
 
     def test_two_users(self):
-        f = sn.fuse_or([sn.SensingOutcome(pfa=0.1, pd=0.5)] * 2)
-        assert f.qfa == pytest.approx(0.19)
-
-    def test_zero_pd_stays_zero(self):
-        f = sn.fuse_or([sn.SensingOutcome(pfa=0.2, pd=0.0)] * 5)
-        assert f.qd == 0.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            sn.fuse_or([])
+        op = sn.operating_point(2, 0.75, DETECTORS[1], 0.2)
+        assert op.pd_local == pytest.approx(0.5)
+        assert op.qfa == pytest.approx(op.pfa_local * (2.0 - op.pfa_local))
 
     def test_local_probability_round_trip(self):
         for k in (1, 2, 4, 8):
-            local = sn.local_probability(0.95, k)
-            fused = sn.fuse_or([sn.SensingOutcome(pfa=0.0, pd=local)] * k)
-            assert fused.qd == pytest.approx(0.95, abs=1e-12)
+            assert sn.operating_point(k, 0.95, DETECTORS[0], 0.2).qd == pytest.approx(
+                0.95, abs=1e-12
+            )
 
-
-@settings(max_examples=60, deadline=None)
-@given(
-    probs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
-    extra=st.floats(0.0, 1.0),
-)
-def test_fusion_monotone_in_users(probs, extra):
-    outcomes = [sn.SensingOutcome(pfa=p, pd=p) for p in probs]
-    base = sn.fuse_or(outcomes)
-    grown = sn.fuse_or(outcomes + [sn.SensingOutcome(pfa=extra, pd=extra)])
-    assert grown.qfa >= base.qfa - 1e-12
-    assert grown.qd >= base.qd - 1e-12
-    assert base.qfa >= max(o.pfa for o in outcomes) - 1e-12
+    def test_operating_point(self):
+        cases = itertools.product(DETECTORS, range(1, 9), (0.5, 0.75, 0.9, 0.95, 0.99, 0.999))
+        for detector, k, target in cases:
+            op = sn.operating_point(k, target, detector, 0.2)
+            assert abs(op.qd - target) <= sn._TOL, (detector, k, target)
+            # the K-fold product of 1 - pfa_local rounds to k ulps of 1, which
+            # outweighs 1e-15 of qfa where pfa_local is small
+            exact = -math.expm1(k * math.log1p(-op.pfa_local))
+            assert op.qfa == pytest.approx(exact, rel=1e-15, abs=k * math.ulp(1.0))
+            solved = sn.DetectorConfig(detector.samples, op.threshold, detector.mean_snr_db)
+            assert op.pfa_local == sn.pfa(solved)
+            m = op.model
+            assert m.p_zero + m.p_mis + m.p_free == pytest.approx(1.0, rel=0.0, abs=math.ulp(1.0))
+        # at the default detector pfa_local is far below an ulp of 1, so qfa is exactly 0
+        op = sn.operating_point(8, 0.95, DETECTORS[0], 0.2)
+        assert 0.0 < op.pfa_local < 1e-100 and op.qfa == 0.0
 
 
 class TestOccupancyModel:
     def test_example_values(self):
-        m = sn.occupancy_model(0.2, sn.FusionResult(qfa=0.05, qd=0.95))
+        m = sn.OccupancyModel.from_fused(0.2, qd=0.95, qfa=0.05)
         assert m.p_zero == pytest.approx(0.23)
         assert m.p_mis == pytest.approx(0.01)
 
     def test_no_primary(self):
-        m = sn.occupancy_model(0.0, sn.FusionResult(qfa=0.3, qd=0.9))
+        m = sn.OccupancyModel.from_fused(0.0, qd=0.9, qfa=0.3)
         assert m.p_zero == pytest.approx(0.3)
         assert m.p_mis == 0.0
 
@@ -370,7 +374,7 @@ class TestOccupancyModel:
     def test_event_table_partition(self, pr, qd, qfa):
         # the 2x2 (occupied x decided-busy) table must cover all mass:
         # zeroed + misdetected + idle-and-estimated-free == 1
-        m = sn.occupancy_model(pr, sn.FusionResult(qfa=qfa, qd=qd))
+        m = sn.OccupancyModel.from_fused(pr, qd=qd, qfa=qfa)
         table = {
             ("occ", "busy"): pr * qd,
             ("occ", "free"): pr * (1 - qd),
