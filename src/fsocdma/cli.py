@@ -46,9 +46,9 @@ from .phylink import SystemParams
 from .sensing import (
     DetectorConfig,
     OccupancyModel,
+    decision_rates,
     pd_rayleigh,
     pfa,
-    sample_level_rate,
     solve_threshold,
 )
 
@@ -250,8 +250,7 @@ def cmd_sensing_roc(args) -> int:
     zeta_max = conf["roc.zeta_max"]
     if zeta_max == 0.0:
         zeta_max = solve_threshold(detector.samples, 1e-8, "for_pfa")
-    points = conf["roc.points"]
-    grid = np.linspace(0.0, zeta_max, points)
+    grid = np.linspace(0.0, zeta_max, conf["roc.points"])
 
     rerun = "fsocdma sensing roc" + (" --validate" if args.validate else "")
     derived = (f"detector.effective_snr_db={detector.mean_snr_db!r}",)
@@ -263,22 +262,21 @@ def cmd_sensing_roc(args) -> int:
     _write_output(args.out, "\n".join(lines) + "\n")
 
     if args.validate:
-        trials = conf["roc.validate_trials"]
+        trials, worst = conf["roc.validate_trials"], 0.0
         rng = np.random.default_rng(conf["run.master_seed"])
-        worst = 0.0
-        for frac in (0.25, 0.5, 0.75):
-            zeta = float(zeta_max * frac)
-            cfg = DetectorConfig(detector.samples, zeta, detector.mean_snr_db)
-            for occupied, closed in ((False, pfa(cfg)), (True, pd_rayleigh(cfg))):
-                emp = sample_level_rate(cfg, occupied, trials, rng)
-                se = math.sqrt(max(closed * (1 - closed), 1e-12) / trials)
-                dev = abs(emp - closed) / se
+        u, snr_db = detector.samples, detector.mean_snr_db
+        # thresholds where a rate can miss its closed form, each checked
+        # against the rate it was solved for
+        for kind, targets in (("pfa", (0.5, 0.1, 0.01)), ("pd", (0.5, 0.9, 0.99))):
+            zetas = tuple(solve_threshold(u, t, f"for_{kind}", snr_db) for t in targets)
+            rates = decision_rates(detector, kind == "pd", zetas, trials, rng)
+            for zeta, emp in zip(zetas, rates):
+                cfg = DetectorConfig(u, zeta, snr_db)
+                closed = pd_rayleigh(cfg) if kind == "pd" else pfa(cfg)
+                dev = abs(emp - closed) / math.sqrt(closed * (1 - closed) / trials)
                 worst = max(worst, dev)
-                kind = "pd" if occupied else "pfa"
-                print(
-                    f"validate zeta={zeta:.4g} {kind}: closed={closed:.6f} "
-                    f"empirical={emp:.6f} deviation={dev:.2f} stderr"
-                )
+                print(f"validate zeta={zeta:.4g} {kind}: closed={closed:.6f} "
+                      f"empirical={emp:.6f} deviation={dev:.2f} stderr")
         print(f"validate: max deviation {worst:.2f} stderr over {trials} trials")
         if worst > 3.0:
             print("validate: FAILED (deviation above 3 stderr)", file=sys.stderr)
@@ -435,17 +433,13 @@ def _selftest_sensing(seed: int) -> str:
             achieved = pfa(cfg) if mode == "for_pfa" else pd_rayleigh(cfg)
             if abs(achieved - target) > 1e-8:
                 raise AssertionError(f"threshold round-trip failed ({mode}, {target})")
-    rng = np.random.default_rng(seed)
-    trials = 20_000
+    rng, trials = np.random.default_rng(seed), 20_000
     cfg = DetectorConfig(5, 10.0, 2.3)
     for occupied, closed in ((False, pfa(cfg)), (True, pd_rayleigh(cfg))):
-        emp = sample_level_rate(cfg, occupied, trials, rng)
-        se = math.sqrt(closed * (1 - closed) / trials)
-        if abs(emp - closed) > 3.5 * se:
-            raise AssertionError(
-                f"sample-level rate {emp:.4f} deviates from {closed:.4f}"
-            )
-    return "closed forms, round-trips and sample-level rates agree"
+        (emp,) = decision_rates(cfg, occupied, (cfg.threshold,), trials, rng)
+        if abs(emp - closed) > 3.5 * math.sqrt(closed * (1 - closed) / trials):
+            raise AssertionError(f"sampled rate {emp:.4f} deviates from {closed:.4f}")
+    return "closed forms, round-trips and sampled rates agree"
 
 
 def _selftest_ber_average() -> str:
@@ -524,7 +518,7 @@ def make_parser() -> argparse.ArgumentParser:
     sensing_sub = p_sensing.add_subparsers(dest="sensing_command", required=True)
     p_roc = sensing_sub.add_parser("roc", help="export the detector ROC over a threshold grid")
     p_roc.add_argument("--validate", action="store_true",
-                       help="cross-check the closed forms with sample-level draws")
+                       help="cross-check the closed forms with draws of the energy statistic")
     _add_common(p_roc)
     p_roc.set_defaults(func=cmd_sensing_roc)
 

@@ -12,14 +12,16 @@ analysis and the link simulator consume.
 The detection statistic is chi-squared with 2*samples degrees of
 freedom: central under the idle hypothesis, noncentral with parameter
 2*gamma under the occupied hypothesis, gamma exponentially distributed
-over the Rayleigh sensing channel.  Both closed forms are regularized
-incomplete gamma functions at integer shape (Digham, Alouini & Simon,
-IEEE Trans. Commun. 2007), evaluated here with the standard library's
-math module: the power series of P below x = a + 1 and the continued
-fraction of Q above it, each scaled by exp(a ln x - x - lgamma(a)).  The
-Rayleigh-averaged detection probability uses exp(-zeta/(2*(1+gbar)))
-in its second term; the (1-gbar) variant sometimes seen in print
-diverges near gbar=1 and is not physical.
+over the Rayleigh sensing channel (Urkowitz, Proc. IEEE 1967);
+`decision_rates` draws it from this law to check the closed forms.
+Both closed forms are regularized incomplete gamma functions at integer
+shape (Digham, Alouini & Simon, IEEE Trans. Commun. 2007), evaluated
+here with the standard library's math module: the power series of P
+below x = a + 1 and the continued fraction of Q above it, each scaled
+by exp(a ln x - x - lgamma(a)).  The Rayleigh-averaged detection
+probability uses exp(-zeta/(2*(1+gbar))) in its second term; the
+(1-gbar) variant sometimes seen in print diverges near gbar=1 and is
+not physical.
 """
 
 from __future__ import annotations
@@ -204,40 +206,28 @@ def pd_rayleigh(cfg: DetectorConfig) -> float:
     return t1 + math.exp(min(log_t2, 0.0))
 
 
-# Sample-level trials per chunk: an occupied chunk draws its trials' normals,
-# then their SNRs.  The normals come in pieces of whole trials, about
-# _RATE_PIECE normals each, so a call holds one piece and two floats per
-# trial of its chunk, whatever the number of samples.
-_RATE_CHUNK = 50_000
-_RATE_PIECE = 1 << 18
+# Trials drawn at a time, so memory stays flat in the number of trials.
+_DRAW_CHUNK = 1 << 16
 
 
-def sample_level_rate(
-    cfg: DetectorConfig, occupied: bool, trials: int, rng: np.random.Generator
-) -> float:
-    """Empirical decision rate over many sample-level trials, _RATE_CHUNK at a time.
+def decision_rates(
+    detector: DetectorConfig, occupied: bool, thresholds: tuple, trials: int, rng
+) -> list[float]:
+    """Share of `trials` draws of the energy statistic above each threshold.
 
-    A trial keeps its first normal and the sum of squares of the other
-    2u - 1; under H1 the first is shifted by sqrt(2 gamma) once the
-    chunk's SNRs gamma are drawn.
+    A chunk at a time from its law: 2 Gamma(u, 1) idle; occupied, the SNRs
+    gamma ~ Exp(gbar), then noncentral chi-squared (2u, 2 gamma).
     """
-    width = 2 * cfg.samples
-    rows = max(1, _RATE_PIECE // width)
-    hits = 0
-    done = 0
-    while done < trials:
-        b = min(_RATE_CHUNK, trials - done)
-        first, rest = np.empty(b), np.empty(b)
-        for lo in range(0, b, rows):
-            z = rng.standard_normal((min(rows, b - lo), width))
-            first[lo:lo + len(z)] = z[:, 0]
-            rest[lo:lo + len(z)] = np.einsum("ij,ij->i", z[:, 1:], z[:, 1:])
-            del z  # the next piece is drawn with this one freed
+    hits = np.zeros(len(thresholds), dtype=np.int64)
+    for done in range(0, trials, _DRAW_CHUNK):
+        b = min(_DRAW_CHUNK, trials - done)
         if occupied:
-            first += np.sqrt(2.0 * rng.exponential(cfg.mean_snr_linear, size=b))
-        hits += int(np.count_nonzero(first * first + rest > cfg.threshold))
-        done += b
-    return hits / trials
+            nonc = 2.0 * rng.exponential(detector.mean_snr_linear, size=b)
+            stat = rng.noncentral_chisquare(2 * detector.samples, nonc)
+        else:
+            stat = 2.0 * rng.standard_gamma(detector.samples, size=b)
+        hits += np.count_nonzero(stat[:, None] > np.asarray(thresholds), axis=0)
+    return (hits / trials).tolist()
 
 
 # The solved threshold's probability lies within _TOL of the target.
@@ -368,11 +358,10 @@ def operating_point(
     pd_local = 1.0 - (1.0 - target_pd) ** (1.0 / k)
     zeta = solve_threshold(detector.samples, pd_local, "for_pd", detector.mean_snr_db)
     pfa_local = pfa(DetectorConfig(detector.samples, zeta, detector.mean_snr_db))
-    miss_fa = miss_d = 1.0
-    for _ in range(k):  # OR rule: decided free only if every user decides it free
-        miss_fa *= 1.0 - pfa_local
-        miss_d *= 1.0 - pd_local
-    qd, qfa = 1.0 - miss_d, 1.0 - miss_fa
+    # OR rule: decided free only if every user decides it free.  qfa is
+    # 1 - (1 - pfa_local)^k without the cancellation that loses a small rate.
+    qd = 1.0 - math.prod([1.0 - pd_local] * k)
+    qfa = -math.expm1(k * math.log1p(-pfa_local))
     return OperatingPoint(
         zeta, pd_local, pfa_local, qd, qfa, OccupancyModel.from_fused(pr_h1, qd, qfa)
     )

@@ -20,8 +20,10 @@ decisions into its four parts (R_s, R_MAI, R_GI, R_n), plus the
 simulator's earlier draws: every user's sensing decision OR-fused per subcarrier, and the
 rechosen signatures stacked one slot at a time.  kron_family composes a
 code family as a whole-matrix Kronecker chain, parse_matrix reads the
-matrix export of `fsocdma codes` back, and bisection_threshold is the
-plain bisection that the library's threshold solver replays.
+matrix export of `fsocdma codes` back, bisection_threshold is the
+plain bisection that the library's threshold solver replays, and
+sample_level_rate draws the energy detector's 2u normals per trial, the
+sampler that the library's draws from the statistic's law replaced.
 """
 
 import itertools
@@ -35,6 +37,7 @@ from scipy.special import gammaln, logsumexp, ndtr
 from fsocdma import ber_analysis as ba
 from fsocdma.orthocodes import largest_supported_order, rows
 from fsocdma.phylink import _noise_variances
+from fsocdma.sensing import DetectorConfig
 
 
 def is_supported(n: int) -> bool:
@@ -640,3 +643,39 @@ def bisection_threshold(samples, target, mode, mean_snr_db=0.0, tol=1e-12, calls
         if hi - lo <= max(1e-14, 1e-14 * hi):
             break
     return 0.5 * (lo + hi)
+
+
+# Sample-level trials per chunk: an occupied chunk draws its trials' normals,
+# then their SNRs.  The normals come in pieces of whole trials, about
+# _RATE_PIECE normals each, so a call holds one piece and two floats per
+# trial of its chunk, whatever the number of samples.
+_RATE_CHUNK = 50_000
+_RATE_PIECE = 1 << 18
+
+
+def sample_level_rate(
+    cfg: DetectorConfig, occupied: bool, trials: int, rng: np.random.Generator
+) -> float:
+    """Empirical decision rate over many sample-level trials, _RATE_CHUNK at a time.
+
+    A trial keeps its first normal and the sum of squares of the other
+    2u - 1; under H1 the first is shifted by sqrt(2 gamma) once the
+    chunk's SNRs gamma are drawn.
+    """
+    width = 2 * cfg.samples
+    rows = max(1, _RATE_PIECE // width)
+    hits = 0
+    done = 0
+    while done < trials:
+        b = min(_RATE_CHUNK, trials - done)
+        first, rest = np.empty(b), np.empty(b)
+        for lo in range(0, b, rows):
+            z = rng.standard_normal((min(rows, b - lo), width))
+            first[lo:lo + len(z)] = z[:, 0]
+            rest[lo:lo + len(z)] = np.einsum("ij,ij->i", z[:, 1:], z[:, 1:])
+            del z  # the next piece is drawn with this one freed
+        if occupied:
+            first += np.sqrt(2.0 * rng.exponential(cfg.mean_snr_linear, size=b))
+        hits += int(np.count_nonzero(first * first + rest > cfg.threshold))
+        done += b
+    return hits / trials

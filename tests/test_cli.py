@@ -83,6 +83,31 @@ class TestSensingRoc:
         printed = capsys.readouterr().out
         assert "max deviation" in printed
 
+    def test_validate_checks_rates_that_can_fail(self, tmp_path, capsys):
+        # at the default detector, every check sits where its rate can be
+        # told from 0 and from 1
+        run_cli(["sensing", "roc", "--validate", "--set", "roc.validate_trials=2000",
+                 "--out", str(tmp_path / "roc.csv")])
+        checks = [ln for ln in capsys.readouterr().out.splitlines()
+                  if ln.startswith("validate zeta=")]
+        assert len(checks) == 6
+        for line in checks:
+            closed = float(line.partition("closed=")[2].split()[0])
+            assert 1e-3 <= closed <= 1 - 1e-3, line
+
+    def test_biased_sampler_fails_validation(self, tmp_path, capsys, monkeypatch):
+        real = cli.decision_rates
+
+        def biased(detector, occupied, thresholds, trials, rng):
+            # a statistic that reads 5% high
+            return real(detector, occupied, tuple(z / 1.05 for z in thresholds), trials, rng)
+
+        monkeypatch.setattr(cli, "decision_rates", biased)
+        rc = run_cli(["sensing", "roc", "--validate", "--set", "roc.validate_trials=20000",
+                      "--out", str(tmp_path / "roc.csv")])
+        assert rc == 1
+        assert "validate: FAILED" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "item",
         ["roc.validate_trials=0", "roc.points=-1", "roc.points=0", "roc.zeta_max=-5.0"],

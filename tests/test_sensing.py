@@ -10,8 +10,15 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 from scipy.special import gammainc, gammaincc
 
+import oracles
 from fsocdma import sensing as sn
-from oracles import bisection_threshold, log_poisson_lower, pd_rayleigh_series, pfa_series
+from oracles import (
+    bisection_threshold,
+    log_poisson_lower,
+    pd_rayleigh_series,
+    pfa_series,
+    sample_level_rate,
+)
 
 
 def poisson_partial_sum(terms, x):
@@ -125,7 +132,7 @@ class TestPdRayleigh:
         cfg = sn.DetectorConfig(5, 10.0, 2.3)
         rng = np.random.default_rng(1234)
         trials = 200_000
-        emp = sn.sample_level_rate(cfg, True, trials, rng)
+        emp = sample_level_rate(cfg, True, trials, rng)
         closed = sn.pd_rayleigh(cfg)
         se = math.sqrt(closed * (1 - closed) / trials)
         assert abs(emp - closed) <= 3 * se
@@ -219,17 +226,37 @@ class TestIncompleteGammaAgainstMpmath:
         assert sn._log_poisson_lower(320, 1e4) == 0.0
 
 
+# (samples, per-sample SNR in dB): the selftest's and default detectors, and
+# two low-SNR ones where false alarms are frequent
+LAW_CASES = [(2, 2.3), (5, 2.3), (320, 2.3), (40, -10.0), (640, -10.0)]
+
+
+def law_case(samples, snr_db):
+    """Detectors at the thresholds solved for pfa = 0.5 and for pd = 0.5."""
+    accumulated = snr_db + 10.0 * math.log10(samples)
+    return [
+        sn.DetectorConfig(samples, sn.solve_threshold(samples, 0.5, mode, accumulated), accumulated)
+        for mode in ("for_pfa", "for_pd")
+    ]
+
+
+def within_3_se(emp, closed, trials):
+    return abs(emp - closed) <= 3 * math.sqrt(closed * (1 - closed) / trials)
+
+
 class TestSampleLevel:
+    """The per-sample oracle: 2u normals a trial."""
+
     def test_zero_threshold_always_true(self):
         rng = np.random.default_rng(0)
         cfg = sn.DetectorConfig(5, 0.0, 2.3)
-        assert sn.sample_level_rate(cfg, False, 50, rng) == 1.0
+        assert sample_level_rate(cfg, False, 50, rng) == 1.0
 
     def test_idle_rate_matches_pfa(self):
         cfg = sn.DetectorConfig(5, 10.0, 2.3)
         rng = np.random.default_rng(77)
         trials = 200_000
-        emp = sn.sample_level_rate(cfg, False, trials, rng)
+        emp = sample_level_rate(cfg, False, trials, rng)
         closed = sn.pfa(cfg)
         se = math.sqrt(closed * (1 - closed) / trials)
         assert abs(emp - closed) <= 3 * se
@@ -247,9 +274,9 @@ class TestSampleLevel:
             if occupied:
                 z[:, 0] += np.sqrt(2.0 * rng.exponential(cfg.mean_snr_linear, size=b))
             hits += int(np.count_nonzero(np.einsum("ij,ij->i", z, z) > cfg.threshold))
-        monkeypatch.setattr(sn, "_RATE_CHUNK", chunk)
-        monkeypatch.setattr(sn, "_RATE_PIECE", 70)  # 7 trials a piece, the last one short
-        got = sn.sample_level_rate(cfg, occupied, trials, np.random.default_rng(8))
+        monkeypatch.setattr(oracles, "_RATE_CHUNK", chunk)
+        monkeypatch.setattr(oracles, "_RATE_PIECE", 70)  # 7 trials a piece, the last one short
+        got = sample_level_rate(cfg, occupied, trials, np.random.default_rng(8))
         assert got == hits / trials
 
     def test_memory_is_bounded_by_normals_not_trials(self):
@@ -257,11 +284,68 @@ class TestSampleLevel:
         cfg = sn.DetectorConfig(320, 640.0, 2.3)
         tracemalloc.start()
         try:
-            sn.sample_level_rate(cfg, True, 100_000, np.random.default_rng(3))
+            sample_level_rate(cfg, True, 100_000, np.random.default_rng(3))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 32 * 2**20
+
+    @pytest.mark.parametrize("samples,snr_db", LAW_CASES)
+    def test_rates_match_closed_forms(self, samples, snr_db):
+        idle, occupied = law_case(samples, snr_db)
+        rng = np.random.default_rng(24601)  # the default run.master_seed
+        trials = 20_000
+        assert within_3_se(sample_level_rate(idle, False, trials, rng), sn.pfa(idle), trials)
+        emp = sample_level_rate(occupied, True, trials, rng)
+        assert within_3_se(emp, sn.pd_rayleigh(occupied), trials)
+
+
+class TestDecisionRates:
+    """The library's sampler: the energy statistic drawn from its law."""
+
+    @pytest.mark.parametrize("samples,snr_db", LAW_CASES)
+    def test_rates_match_closed_forms(self, samples, snr_db):
+        idle, occupied = law_case(samples, snr_db)
+        rng = np.random.default_rng(24601)  # the default run.master_seed
+        trials = 200_000
+        (emp,) = sn.decision_rates(idle, False, (idle.threshold,), trials, rng)
+        assert within_3_se(emp, sn.pfa(idle), trials)
+        (emp,) = sn.decision_rates(occupied, True, (occupied.threshold,), trials, rng)
+        assert within_3_se(emp, sn.pd_rayleigh(occupied), trials)
+
+    def test_zero_threshold_always_true(self):
+        cfg = sn.DetectorConfig(5, 0.0, 2.3)
+        assert sn.decision_rates(cfg, True, (0.0,), 50, np.random.default_rng(0)) == [1.0]
+
+    @pytest.mark.parametrize("occupied", [False, True])
+    def test_chunks_draw_in_stream_order(self, monkeypatch, occupied):
+        # each chunk draws its SNRs, then its statistics; every threshold
+        # counts the same draws
+        cfg = sn.DetectorConfig(5, 0.0, 2.3)
+        zetas = (6.0, 10.0, 14.0)
+        trials = 2_500
+        rng = np.random.default_rng(8)
+        hits = np.zeros(len(zetas), dtype=int)
+        for b in (1_000, 1_000, 500):
+            if occupied:
+                stat = rng.noncentral_chisquare(10, 2.0 * rng.exponential(cfg.mean_snr_linear, b))
+            else:
+                stat = 2.0 * rng.standard_gamma(5, b)
+            hits += [np.count_nonzero(stat > z) for z in zetas]
+        monkeypatch.setattr(sn, "_DRAW_CHUNK", 1_000)
+        got = sn.decision_rates(cfg, occupied, zetas, trials, np.random.default_rng(8))
+        assert got == [h / trials for h in hits]
+
+    def test_memory_is_bounded_by_the_chunk(self):
+        # 10^6 trials drawn at once would hold 8 MB per array
+        cfg = sn.DetectorConfig(320, 0.0, 27.35)
+        tracemalloc.start()
+        try:
+            sn.decision_rates(cfg, True, (640.0, 700.0), 1_000_000, np.random.default_rng(3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 8 * sn._DRAW_CHUNK
 
 
 class TestSolveThreshold:
@@ -341,17 +425,18 @@ class TestFusion:
         for detector, k, target in cases:
             op = sn.operating_point(k, target, detector, 0.2)
             assert abs(op.qd - target) <= sn._TOL, (detector, k, target)
-            # the K-fold product of 1 - pfa_local rounds to k ulps of 1, which
-            # outweighs 1e-15 of qfa where pfa_local is small
-            exact = -math.expm1(k * math.log1p(-op.pfa_local))
-            assert op.qfa == pytest.approx(exact, rel=1e-15, abs=k * math.ulp(1.0))
+            # 1 - (1 - pfa_local)^k at 400 digits, enough to keep a pfa_local of 1e-300
+            with mpmath.workdps(400):
+                exact = float(1 - (1 - mpmath.mpf(op.pfa_local)) ** k)
+            assert op.qfa == pytest.approx(exact, rel=2 * math.ulp(1.0), abs=0.0)
             solved = sn.DetectorConfig(detector.samples, op.threshold, detector.mean_snr_db)
             assert op.pfa_local == sn.pfa(solved)
             m = op.model
             assert m.p_zero + m.p_mis + m.p_free == pytest.approx(1.0, rel=0.0, abs=math.ulp(1.0))
-        # at the default detector pfa_local is far below an ulp of 1, so qfa is exactly 0
+        # at the default detector pfa_local is far below an ulp of 1, and qfa keeps it
         op = sn.operating_point(8, 0.95, DETECTORS[0], 0.2)
-        assert 0.0 < op.pfa_local < 1e-100 and op.qfa == 0.0
+        assert 0.0 < op.pfa_local < 1e-100
+        assert 0.0 < op.qfa == -math.expm1(8 * math.log1p(-op.pfa_local))
 
 
 class TestOccupancyModel:
