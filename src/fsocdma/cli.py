@@ -158,9 +158,7 @@ def build_detector(conf: dict) -> DetectorConfig:
     samples; detector.mean_snr_db is the per-sample sensing SNR, accumulated
     over the u samples (quasi-static channel over the sensing window)."""
     snr_db = conf["detector.mean_snr_db"] + 10.0 * math.log10(conf["detector.samples"])
-    return DetectorConfig(
-        samples=conf["detector.samples"], threshold=0.0, mean_snr_db=snr_db
-    )
+    return DetectorConfig(samples=conf["detector.samples"], mean_snr_db=snr_db)
 
 
 def build_run_config(conf: dict, n_users: int | None = None, snr_grid=None) -> RunConfig:
@@ -249,30 +247,28 @@ def cmd_sensing_roc(args) -> int:
     detector = build_detector(conf)
     zeta_max = conf["roc.zeta_max"]
     if zeta_max == 0.0:
-        zeta_max = solve_threshold(detector.samples, 1e-8, "for_pfa")
+        zeta_max = solve_threshold(detector, 1e-8, "for_pfa")
     grid = np.linspace(0.0, zeta_max, conf["roc.points"])
 
     rerun = "fsocdma sensing roc" + (" --validate" if args.validate else "")
     derived = (f"detector.effective_snr_db={detector.mean_snr_db!r}",)
     lines = [f"# {c}" for c in config_comments(conf, rerun, derived)]
     lines.append("zeta,pfa,pd")
-    for zeta in grid:
-        cfg = DetectorConfig(detector.samples, float(zeta), detector.mean_snr_db)
-        lines.append(f"{zeta:.10e},{pfa(cfg):.10e},{pd_rayleigh(cfg):.10e}")
+    for zeta in grid.tolist():
+        lines.append(f"{zeta:.10e},{pfa(detector, zeta):.10e},{pd_rayleigh(detector, zeta):.10e}")
     _write_output(args.out, "\n".join(lines) + "\n")
 
     if args.validate:
         trials, worst = conf["roc.validate_trials"], 0.0
         rng = np.random.default_rng(conf["run.master_seed"])
-        u, snr_db = detector.samples, detector.mean_snr_db
         # thresholds where a rate can miss its closed form, each checked
         # against the rate it was solved for
         for kind, targets in (("pfa", (0.5, 0.1, 0.01)), ("pd", (0.5, 0.9, 0.99))):
-            zetas = tuple(solve_threshold(u, t, f"for_{kind}", snr_db) for t in targets)
+            zetas = tuple(solve_threshold(detector, t, f"for_{kind}") for t in targets)
             rates = decision_rates(detector, kind == "pd", zetas, trials, rng)
+            closed_form = pd_rayleigh if kind == "pd" else pfa
             for zeta, emp in zip(zetas, rates):
-                cfg = DetectorConfig(u, zeta, snr_db)
-                closed = pd_rayleigh(cfg) if kind == "pd" else pfa(cfg)
+                closed = closed_form(detector, zeta)
                 dev = abs(emp - closed) / math.sqrt(closed * (1 - closed) / trials)
                 worst = max(worst, dev)
                 print(f"validate zeta={zeta:.4g} {kind}: closed={closed:.6f} "
@@ -416,27 +412,26 @@ def _poisson_partial_sum(terms: int, x: float) -> float:
 
 
 def _selftest_sensing(seed: int) -> str:
-    for samples in (2, 5, 320):
+    detectors = {samples: DetectorConfig(samples, 2.3) for samples in (2, 5, 320)}
+    for samples, detector in detectors.items():
         for zeta in (0.0, 0.5 * samples, 2.0 * samples, 4.0 * samples):
-            cfg = DetectorConfig(samples, zeta, 2.3)
-            closed = pfa(cfg)
+            closed = pfa(detector, zeta)
             ref = _poisson_partial_sum(samples, zeta / 2.0)
             if abs(closed - ref) > 1e-12 * ref:
                 raise AssertionError(f"pfa mismatch at samples={samples} zeta={zeta}")
-            pd = pd_rayleigh(cfg)
+            pd = pd_rayleigh(detector, zeta)
             if not (-1e-12 <= pd <= 1 + 1e-12) or pd + 1e-12 < closed:
                 raise AssertionError(f"pd out of range at samples={samples} zeta={zeta}")
+    detector = detectors[5]
     for target in (0.1, 0.5, 0.9):
-        for mode in ("for_pfa", "for_pd"):
-            zeta = solve_threshold(5, target, mode, mean_snr_db=2.3)
-            cfg = DetectorConfig(5, zeta, 2.3)
-            achieved = pfa(cfg) if mode == "for_pfa" else pd_rayleigh(cfg)
+        for mode, closed_form in (("for_pfa", pfa), ("for_pd", pd_rayleigh)):
+            achieved = closed_form(detector, solve_threshold(detector, target, mode))
             if abs(achieved - target) > 1e-8:
                 raise AssertionError(f"threshold round-trip failed ({mode}, {target})")
     rng, trials = np.random.default_rng(seed), 20_000
-    cfg = DetectorConfig(5, 10.0, 2.3)
-    for occupied, closed in ((False, pfa(cfg)), (True, pd_rayleigh(cfg))):
-        (emp,) = decision_rates(cfg, occupied, (cfg.threshold,), trials, rng)
+    for occupied, closed_form in ((False, pfa), (True, pd_rayleigh)):
+        closed = closed_form(detector, 10.0)
+        (emp,) = decision_rates(detector, occupied, (10.0,), trials, rng)
         if abs(emp - closed) > 3.5 * math.sqrt(closed * (1 - closed) / trials):
             raise AssertionError(f"sampled rate {emp:.4f} deviates from {closed:.4f}")
     return "closed forms, round-trips and sampled rates agree"

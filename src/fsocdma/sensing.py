@@ -2,12 +2,13 @@
 
 Closed forms for the false-alarm and Rayleigh-averaged detection
 probabilities of an energy detector collecting an integer number of
-samples, a threshold solver (a bisection that evaluates the closed form
-only where earlier evaluations leave a comparison open), and the
-operating point of K users under OR fusion: the threshold that meets a
-fused detection target, the local and fused rates it gives, and the
-per-subcarrier chip-zeroing / misdetection model that both the BER
-analysis and the link simulator consume.
+samples, each at a threshold passed beside the detector; a threshold
+solver (a bisection that evaluates the closed form only where earlier
+evaluations leave a comparison open); and the operating point of K
+users under OR fusion: the threshold that meets a fused detection
+target, the local and fused rates it gives, and the per-subcarrier
+chip-zeroing / misdetection model that both the BER analysis and the
+link simulator consume.
 
 The detection statistic is chi-squared with 2*samples degrees of
 freedom: central under the idle hypothesis, noncentral with parameter
@@ -42,24 +43,20 @@ class NoSolutionError(ValueError):
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    """Energy detector operating point.
+    """Energy detector: its sensing time and its mean sensing SNR.
 
     samples: number of collected samples (time-bandwidth product), >= 2
-    threshold: decision threshold on the energy statistic
     mean_snr_db: mean sensing SNR (dB) entering the Rayleigh average
+
+    The decision threshold zeta is an argument of the closed forms, not a field.
     """
 
     samples: int
-    threshold: float
     mean_snr_db: float
 
     def __post_init__(self):
         if self.samples < 2:
             raise ValueError(f"detector.samples={self.samples} must be at least 2")
-        if not (math.isfinite(self.threshold) and self.threshold >= 0):
-            raise ValueError(
-                f"detector.threshold={self.threshold!r} must be finite and nonnegative"
-            )
         try:
             linear = self.mean_snr_linear
         except OverflowError:
@@ -170,17 +167,24 @@ def _poisson_upper(a: int, x: float) -> float:
     return math.exp(_log_prefactor(a, x)) * _upper_fraction(a, x)
 
 
-def pfa(cfg: DetectorConfig) -> float:
-    """False-alarm probability of the energy detector.
+def _half(zeta: float) -> float:
+    """zeta / 2, the incomplete-gamma argument of a threshold that is finite and >= 0."""
+    if not (math.isfinite(zeta) and zeta >= 0):
+        raise ValueError(f"threshold zeta={zeta!r} must be finite and nonnegative")
+    return zeta / 2.0
+
+
+def pfa(detector: DetectorConfig, zeta: float) -> float:
+    """False-alarm probability of the energy detector at threshold zeta.
 
     The regularized upper incomplete gamma Q(samples, zeta/2).  Strictly
     decreasing in the threshold.
     """
-    return _poisson_upper(cfg.samples, cfg.threshold / 2.0)
+    return _poisson_upper(detector.samples, _half(zeta))
 
 
-def pd_rayleigh(cfg: DetectorConfig) -> float:
-    """Detection probability averaged over Rayleigh fading.
+def pd_rayleigh(detector: DetectorConfig, zeta: float) -> float:
+    """Detection probability at threshold zeta, averaged over Rayleigh fading.
 
     With u = samples, x = zeta/2, gbar the linear mean SNR:
 
@@ -192,9 +196,9 @@ def pd_rayleigh(cfg: DetectorConfig) -> float:
     prefactor and small P(u-1, .) never overflow or underflow on their
     own.
     """
-    u = cfg.samples
-    gbar = cfg.mean_snr_linear
-    x = cfg.threshold / 2.0
+    u = detector.samples
+    gbar = detector.mean_snr_linear
+    x = _half(zeta)
     t1 = _poisson_upper(u - 1, x)
     y = x * gbar / (1.0 + gbar)
     if not math.isfinite(y):  # x * gbar overflowed: its limit, never inf / inf
@@ -245,12 +249,9 @@ def _logit(q: float) -> float:
 
 
 def solve_threshold(
-    samples: int,
-    target: float,
-    mode: Literal["for_pfa", "for_pd"],
-    mean_snr_db: float = 0.0,
+    detector: DetectorConfig, target: float, mode: Literal["for_pfa", "for_pd"]
 ) -> float:
-    """Threshold zeta achieving the target false-alarm or detection probability.
+    """Threshold zeta at which the detector meets a false-alarm or detection target.
 
     Bisection on the monotone (decreasing) map zeta -> probability; the
     upper bracket is grown geometrically until it straddles the target.
@@ -265,13 +266,9 @@ def solve_threshold(
     """
     if not (0.0 < target < 1.0):
         raise NoSolutionError(f"target {target} outside the open interval (0, 1)")
-
-    def f(zeta: float) -> float:
-        cfg = DetectorConfig(samples=samples, threshold=zeta, mean_snr_db=mean_snr_db)
-        return pfa(cfg) if mode == "for_pfa" else pd_rayleigh(cfg)
-
     if mode not in ("for_pfa", "for_pd"):
         raise ValueError(f"unknown mode {mode!r}")
+    closed_form = pfa if mode == "for_pfa" else pd_rayleigh
 
     seen = {0.0: 1.0}  # both probabilities are 1 at zeta = 0
     above, below = 0.0, math.inf  # the closest thresholds known outside the band
@@ -283,7 +280,7 @@ def solve_threshold(
             return seen[above]
         if zeta >= below:
             return seen[below]
-        v = seen[zeta] = f(zeta)
+        v = seen[zeta] = closed_form(detector, zeta)
         if v > target + _TOL + _MARGIN:
             above = zeta
         elif v < target - _TOL - _MARGIN:
@@ -328,8 +325,8 @@ def solve_threshold(
         lo, hi = hi, hi * 2.0
     else:
         raise NoSolutionError(
-            f"no threshold reaches target {target} with detector.samples={samples} "
-            f"at detector.mean_snr_db={mean_snr_db!r} dB (accumulated)"
+            f"no threshold reaches target {target} with detector.samples={detector.samples} "
+            f"at detector.mean_snr_db={detector.mean_snr_db!r} dB (accumulated)"
         )
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -351,13 +348,13 @@ def operating_point(
 ) -> OperatingPoint:
     """The operating point of k users whose OR-fused detection probability is target_pd.
 
-    Each user's pd is the k-th OR-root of the target, and the threshold (not
-    detector.threshold) is solved for it against the Rayleigh-averaged closed
-    form; its false-alarm rate is carried through, never assumed zero.
+    Each user's pd is the k-th OR-root of the target, and the threshold is
+    solved for it against the Rayleigh-averaged closed form; its false-alarm
+    rate is carried through, never assumed zero.
     """
     pd_local = 1.0 - (1.0 - target_pd) ** (1.0 / k)
-    zeta = solve_threshold(detector.samples, pd_local, "for_pd", detector.mean_snr_db)
-    pfa_local = pfa(DetectorConfig(detector.samples, zeta, detector.mean_snr_db))
+    zeta = solve_threshold(detector, pd_local, "for_pd")
+    pfa_local = pfa(detector, zeta)
     # OR rule: decided free only if every user decides it free.  qfa is
     # 1 - (1 - pfa_local)^k without the cancellation that loses a small rate.
     qd = 1.0 - math.prod([1.0 - pd_local] * k)

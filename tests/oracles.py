@@ -612,21 +612,22 @@ def exact_average_pe(n, k, p_zero, p_mis, eb, sn2, ss2):
     return erased / 2.0 + _below_zero(mixed, feasible)
 
 
-def bisection_threshold(samples, target, mode, mean_snr_db=0.0, tol=1e-12, calls=None):
-    """The sensing threshold by plain bisection, the solver the library had before.
+def bisection_threshold(detector, target, mode, tol=1e-12, calls=None):
+    """The detector's sensing threshold by plain bisection, the solver the library had before.
 
     The upper bracket doubles from 1 until the probability falls below
     the target, then the bracket halves until the probability is within
     tol or the bracket is 1e-14 of its upper end.  calls, a list, gets
     every threshold evaluated.
     """
-    from fsocdma.sensing import DetectorConfig, pd_rayleigh, pfa
+    from fsocdma.sensing import pd_rayleigh, pfa
+
+    closed_form = pfa if mode == "for_pfa" else pd_rayleigh
 
     def f(zeta):
         if calls is not None:
             calls.append(zeta)
-        cfg = DetectorConfig(samples=samples, threshold=zeta, mean_snr_db=mean_snr_db)
-        return pfa(cfg) if mode == "for_pfa" else pd_rayleigh(cfg)
+        return closed_form(detector, zeta)
 
     lo, hi = 0.0, 1.0
     while f(hi) >= target:
@@ -654,15 +655,16 @@ _RATE_PIECE = 1 << 18
 
 
 def sample_level_rate(
-    cfg: DetectorConfig, occupied: bool, trials: int, rng: np.random.Generator
+    detector: DetectorConfig, occupied: bool, zeta: float, trials: int,
+    rng: np.random.Generator,
 ) -> float:
-    """Empirical decision rate over many sample-level trials, _RATE_CHUNK at a time.
+    """Share of sample-level trials above threshold zeta, _RATE_CHUNK trials at a time.
 
     A trial keeps its first normal and the sum of squares of the other
     2u - 1; under H1 the first is shifted by sqrt(2 gamma) once the
     chunk's SNRs gamma are drawn.
     """
-    width = 2 * cfg.samples
+    width = 2 * detector.samples
     rows = max(1, _RATE_PIECE // width)
     hits = 0
     done = 0
@@ -675,7 +677,7 @@ def sample_level_rate(
             rest[lo:lo + len(z)] = np.einsum("ij,ij->i", z[:, 1:], z[:, 1:])
             del z  # the next piece is drawn with this one freed
         if occupied:
-            first += np.sqrt(2.0 * rng.exponential(cfg.mean_snr_linear, size=b))
-        hits += int(np.count_nonzero(first * first + rest > cfg.threshold))
+            first += np.sqrt(2.0 * rng.exponential(detector.mean_snr_linear, size=b))
+        hits += int(np.count_nonzero(first * first + rest > zeta))
         done += b
     return hits / trials

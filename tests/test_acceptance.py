@@ -67,12 +67,12 @@ def test_criterion_2_sensing_formulas():
     trials = 1_000_000
     cases = [(5, 10.0), (320, 640.0)]
     for samples, zeta in cases:
-        cfg = DetectorConfig(samples, zeta, 2.3)
+        detector = DetectorConfig(samples, 2.3)
         for occupied, closed, name in (
-            (False, sn.pfa(cfg), "pfa"),
-            (True, sn.pd_rayleigh(cfg), "pd"),
+            (False, sn.pfa(detector, zeta), "pfa"),
+            (True, sn.pd_rayleigh(detector, zeta), "pd"),
         ):
-            emp = sample_level_rate(cfg, occupied, trials, rng)
+            emp = sample_level_rate(detector, occupied, zeta, trials, rng)
             se = math.sqrt(closed * (1.0 - closed) / trials)
             dev = abs(emp - closed) / se
             if dev > 3.0:
@@ -80,11 +80,11 @@ def test_criterion_2_sensing_formulas():
                     f"{name} at samples={samples}: {emp:.6f} vs {closed:.6f} ({dev:.1f} se)"
                 )
     for samples in (5, 320):
-        for mode in ("for_pfa", "for_pd"):
+        detector = DetectorConfig(samples, 2.3)
+        for mode, closed_form in (("for_pfa", sn.pfa), ("for_pd", sn.pd_rayleigh)):
             for target in np.arange(0.01, 0.999, 0.02):
-                zeta = sn.solve_threshold(samples, float(target), mode, mean_snr_db=2.3)
-                cfg = DetectorConfig(samples, zeta, 2.3)
-                achieved = sn.pfa(cfg) if mode == "for_pfa" else sn.pd_rayleigh(cfg)
+                zeta = sn.solve_threshold(detector, float(target), mode)
+                achieved = closed_form(detector, zeta)
                 if abs(achieved - target) > 1e-8:
                     failures.append(f"round-trip {mode}@{samples} target {target:.2f}")
                     break
@@ -137,7 +137,7 @@ def _fig_run_config(k: int, **overrides) -> mc.RunConfig:
     params = SystemParams(
         n_subcarriers=32, n_users=k, pr_h1=0.2, noise_psd=0.1, interference_power=0.1
     )
-    det = DetectorConfig(320, 0.0, 2.3 + 10 * math.log10(320))
+    det = DetectorConfig(320, 2.3 + 10 * math.log10(320))
     defaults = dict(
         params=params,
         detector=det,

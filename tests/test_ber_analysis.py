@@ -227,7 +227,7 @@ class TestPeOfCounts:
         from fsocdma.sensing import DetectorConfig
 
         with pytest.raises(ValueError) as parsed:
-            mc.RunConfig(params=make_params(45, 4), detector=DetectorConfig(320, 0.0, 2.3),
+            mc.RunConfig(params=make_params(45, 4), detector=DetectorConfig(320, 2.3),
                          code_policy="fixed")
 
         def no_grid(*args):
@@ -453,7 +453,7 @@ class TestAveragePe:
         from fsocdma.montecarlo import RunConfig, analytic_point
         from fsocdma.sensing import DetectorConfig
 
-        det = DetectorConfig(320, 0.0, 2.3 + 10 * math.log10(320))
+        det = DetectorConfig(320, 2.3 + 10 * math.log10(320))
         k8 = RunConfig(params=make_params(32, 8), detector=det, snr_grid_db=(20.0, 30.0))
         r8 = analytic_point(k8, 30.0).ber_analytic / analytic_point(k8, 20.0).ber_analytic
         assert r8 > 0.5

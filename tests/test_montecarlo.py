@@ -15,9 +15,7 @@ def make_config(k=4, **overrides):
     params = SystemParams(
         n_subcarriers=32, n_users=k, pr_h1=0.2, noise_psd=0.1, interference_power=0.1
     )
-    detector = DetectorConfig(
-        samples=320, threshold=0.0, mean_snr_db=2.3 + 10 * math.log10(320)
-    )
+    detector = DetectorConfig(samples=320, mean_snr_db=2.3 + 10 * math.log10(320))
     defaults = dict(params=params, detector=detector, snr_grid_db=(5.0, 10.0))
     defaults.update(overrides)
     return mc.RunConfig(**defaults)
@@ -82,9 +80,7 @@ class TestDeriveSensing:
 
         cfg = make_config(k=8)
         d = mc.derive_sensing(cfg)
-        achieved = pd_rayleigh(
-            DetectorConfig(cfg.detector.samples, d.threshold, cfg.detector.mean_snr_db)
-        )
+        achieved = pd_rayleigh(cfg.detector, d.threshold)
         assert achieved == pytest.approx(d.pd_local, abs=1e-9)
 
     def test_one_solve_per_sensing_input(self, monkeypatch):

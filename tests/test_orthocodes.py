@@ -299,7 +299,7 @@ def test_library_reads_families_by_rows_only(monkeypatch):
     for policy in ("rechoose", "fixed"):
         cfg = mc.RunConfig(
             params=SystemParams(n_subcarriers=32, n_users=4, pr_h1=0.2),
-            detector=DetectorConfig(samples=320, threshold=0.0, mean_snr_db=27.35),
+            detector=DetectorConfig(samples=320, mean_snr_db=27.35),
             snr_grid_db=(10.0,), trials_min=90, max_trials=900, code_policy=policy,
         )
         point = mc.estimate_ber(cfg, 10.0, 0)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -28,21 +29,22 @@ def poisson_partial_sum(terms, x):
 
 class TestPfa:
     def test_zero_threshold(self):
-        assert sn.pfa(sn.DetectorConfig(5, 0.0, 2.3)) == 1.0
+        assert sn.pfa(sn.DetectorConfig(5, 2.3), 0.0) == 1.0
 
     def test_example_mu_tau_5(self):
-        got = sn.pfa(sn.DetectorConfig(5, 10.0, 2.3))
+        got = sn.pfa(sn.DetectorConfig(5, 2.3), 10.0)
         want = poisson_partial_sum(5, 5.0)  # 0.440493...
         assert abs(got - want) < 1e-14
         assert abs(got - 0.440493) < 1e-6
 
     def test_large_threshold_vanishes(self):
-        assert sn.pfa(sn.DetectorConfig(5, 200.0, 2.3)) < 1e-12
+        assert sn.pfa(sn.DetectorConfig(5, 2.3), 200.0) < 1e-12
 
     @pytest.mark.parametrize("samples", [2, 5, 50, 320])
     def test_matches_incomplete_gamma(self, samples):
+        detector = sn.DetectorConfig(samples, 0.0)
         for zeta in np.linspace(0.1, 6.0 * samples, 23):
-            got = sn.pfa(sn.DetectorConfig(samples, float(zeta), 0.0))
+            got = sn.pfa(detector, float(zeta))
             ref = float(gammaincc(samples, zeta / 2.0))
             assert abs(got - ref) <= 1e-12
 
@@ -55,8 +57,9 @@ class TestPfa:
 )
 def test_pfa_decreasing_in_threshold(samples, z1, z2):
     lo, hi = sorted((z1, z2))
-    p_lo = sn.pfa(sn.DetectorConfig(samples, lo, 0.0))
-    p_hi = sn.pfa(sn.DetectorConfig(samples, hi, 0.0))
+    detector = sn.DetectorConfig(samples, 0.0)
+    p_lo = sn.pfa(detector, lo)
+    p_hi = sn.pfa(detector, hi)
     assert p_hi <= p_lo + 1e-12
 
 
@@ -71,25 +74,29 @@ def pd_quadrature(samples, zeta, gbar):
     "kwargs,key",
     [
         ({"samples": 1}, "detector.samples"),
-        ({"threshold": -1.0}, "detector.threshold"),
-        ({"threshold": math.nan}, "detector.threshold"),
-        ({"threshold": math.inf}, "detector.threshold"),
+        ({"zeta": -1.0}, "zeta"),
+        ({"zeta": math.nan}, "zeta"),
+        ({"zeta": math.inf}, "zeta"),
         ({"mean_snr_db": math.nan}, "detector.mean_snr_db"),
         ({"mean_snr_db": math.inf}, "detector.mean_snr_db"),
     ],
 )
 def test_bad_detector_config_names_its_key(kwargs, key):
-    fields = {"samples": 5, "threshold": 10.0, "mean_snr_db": 2.3, **kwargs}
-    with pytest.raises(ValueError, match=key):
-        sn.DetectorConfig(**fields)
+    # a detector field is checked when the detector is built, the
+    # threshold zeta by each closed form it is passed to
+    fields = {"samples": 5, "mean_snr_db": 2.3, "zeta": 10.0, **kwargs}
+    zeta = fields.pop("zeta")
+    for closed_form in (sn.pfa, sn.pd_rayleigh):
+        with pytest.raises(ValueError, match=key):
+            closed_form(sn.DetectorConfig(**fields), zeta)
 
 
 class TestPdRayleigh:
     def test_zero_threshold(self):
-        assert sn.pd_rayleigh(sn.DetectorConfig(5, 0.0, 2.3)) == 1.0
+        assert sn.pd_rayleigh(sn.DetectorConfig(5, 2.3), 0.0) == 1.0
 
     def test_infinite_snr_limit(self):
-        pd = sn.pd_rayleigh(sn.DetectorConfig(5, 10.0, 90.0))
+        pd = sn.pd_rayleigh(sn.DetectorConfig(5, 90.0), 10.0)
         assert abs(pd - 1.0) < 1e-6
 
     @pytest.mark.parametrize(
@@ -97,16 +104,17 @@ class TestPdRayleigh:
         [(5, 10.0, 2.3), (5, 3.0, -3.0), (320, 640.0, 2.3), (320, 1335.8, 27.35), (2, 1.0, 5.0)],
     )
     def test_matches_quadrature(self, samples, zeta, snr_db):
-        cfg = sn.DetectorConfig(samples, zeta, snr_db)
-        got = sn.pd_rayleigh(cfg)
-        want = pd_quadrature(samples, zeta, cfg.mean_snr_linear)
+        detector = sn.DetectorConfig(samples, snr_db)
+        got = sn.pd_rayleigh(detector, zeta)
+        want = pd_quadrature(samples, zeta, detector.mean_snr_linear)
         assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
     def test_monotone_grid(self):
         for samples in (2, 5, 320):
-            cfgs = [sn.DetectorConfig(samples, z, 2.3) for z in np.linspace(0, 5 * samples, 40)]
-            pds = [sn.pd_rayleigh(c) for c in cfgs]
-            pfas = [sn.pfa(c) for c in cfgs]
+            detector = sn.DetectorConfig(samples, 2.3)
+            zetas = np.linspace(0, 5 * samples, 40).tolist()
+            pds = [sn.pd_rayleigh(detector, z) for z in zetas]
+            pfas = [sn.pfa(detector, z) for z in zetas]
             assert all(a + 1e-12 >= b for a, b in zip(pds, pds[1:]))
             assert all(0.0 <= p <= 1.0 + 1e-12 for p in pds)
             assert all(pd + 1e-9 >= pf for pd, pf in zip(pds, pfas))
@@ -118,22 +126,22 @@ class TestPdRayleigh:
     )
     def test_finite_where_x_gbar_overflows(self, samples, zeta, snr_db, limit):
         # x * gbar / (1 + gbar) is inf / inf there; its limit x / (1 + 1/gbar) is not
-        cfg = sn.DetectorConfig(samples, zeta, snr_db)
-        assert math.isinf(zeta / 2 * cfg.mean_snr_linear)
-        pd = sn.pd_rayleigh(cfg)
-        assert math.isfinite(pd) and sn.pfa(cfg) <= pd <= 1.0
+        detector = sn.DetectorConfig(samples, snr_db)
+        assert math.isinf(zeta / 2 * detector.mean_snr_linear)
+        pd = sn.pd_rayleigh(detector, zeta)
+        assert math.isfinite(pd) and sn.pfa(detector, zeta) <= pd <= 1.0
         assert pd == pytest.approx(limit, abs=1e-12)
 
     def test_increasing_in_snr(self):
-        pds = [sn.pd_rayleigh(sn.DetectorConfig(5, 10.0, s)) for s in (-5.0, 0.0, 2.3, 10.0, 20.0)]
+        pds = [sn.pd_rayleigh(sn.DetectorConfig(5, s), 10.0) for s in (-5.0, 0.0, 2.3, 10.0, 20.0)]
         assert all(b > a for a, b in zip(pds, pds[1:]))
 
     def test_matches_sample_level(self):
-        cfg = sn.DetectorConfig(5, 10.0, 2.3)
+        detector = sn.DetectorConfig(5, 2.3)
         rng = np.random.default_rng(1234)
         trials = 200_000
-        emp = sample_level_rate(cfg, True, trials, rng)
-        closed = sn.pd_rayleigh(cfg)
+        emp = sample_level_rate(detector, True, 10.0, trials, rng)
+        closed = sn.pd_rayleigh(detector, 10.0)
         se = math.sqrt(closed * (1 - closed) / trials)
         assert abs(emp - closed) <= 3 * se
 
@@ -156,15 +164,16 @@ class TestAgainstPoissonSeries:
     @pytest.mark.parametrize("snr_db", [2.3, 27.35])
     @pytest.mark.parametrize("samples", SERIES_SAMPLES)
     def test_closed_forms(self, samples, snr_db):
+        detector = sn.DetectorConfig(samples, snr_db)
         for zeta in series_thresholds(samples):
-            cfg = sn.DetectorConfig(samples, zeta, snr_db)
             want_pfa = pfa_series(samples, zeta)
-            want_pd = pd_rayleigh_series(samples, zeta, cfg.mean_snr_linear)
-            assert sn.pfa(cfg) == pytest.approx(want_pfa, rel=1e-12, abs=0.0), zeta
-            assert sn.pd_rayleigh(cfg) == pytest.approx(want_pd, rel=1e-12, abs=0.0), zeta
+            want_pd = pd_rayleigh_series(samples, zeta, detector.mean_snr_linear)
+            assert sn.pfa(detector, zeta) == pytest.approx(want_pfa, rel=1e-12, abs=0.0), zeta
+            got = sn.pd_rayleigh(detector, zeta)
+            assert got == pytest.approx(want_pd, rel=1e-12, abs=0.0), zeta
 
     def test_deep_tail_is_resolved(self):
-        got = sn.pfa(sn.DetectorConfig(320, FIG2_K8_THRESHOLD, 27.35))
+        got = sn.pfa(sn.DetectorConfig(320, 27.35), FIG2_K8_THRESHOLD)
         assert got == pytest.approx(7.1417414059899174e-126, rel=1e-12)  # mpmath, 40 digits
 
     @pytest.mark.parametrize("samples", SERIES_SAMPLES)
@@ -178,8 +187,8 @@ class TestAgainstPoissonSeries:
     def test_grid_reaches_the_fallback(self):
         tiny = np.finfo(float).tiny
         assert gammainc(49, 1e-5) < tiny and gammainc(319, 13.0) < tiny
-        cfg = sn.DetectorConfig(50, 1e-7, 27.35)
-        y = 0.5e-7 * cfg.mean_snr_linear / (1.0 + cfg.mean_snr_linear)
+        gbar = sn.DetectorConfig(50, 27.35).mean_snr_linear
+        y = 0.5e-7 * gbar / (1.0 + gbar)
         assert gammainc(49, y) < tiny
 
 
@@ -232,12 +241,10 @@ LAW_CASES = [(2, 2.3), (5, 2.3), (320, 2.3), (40, -10.0), (640, -10.0)]
 
 
 def law_case(samples, snr_db):
-    """Detectors at the thresholds solved for pfa = 0.5 and for pd = 0.5."""
-    accumulated = snr_db + 10.0 * math.log10(samples)
-    return [
-        sn.DetectorConfig(samples, sn.solve_threshold(samples, 0.5, mode, accumulated), accumulated)
-        for mode in ("for_pfa", "for_pd")
-    ]
+    """The detector, and its thresholds solved for pfa = 0.5 and for pd = 0.5."""
+    detector = sn.DetectorConfig(samples, snr_db + 10.0 * math.log10(samples))
+    idle, occupied = (sn.solve_threshold(detector, 0.5, mode) for mode in ("for_pfa", "for_pd"))
+    return detector, idle, occupied
 
 
 def within_3_se(emp, closed, trials):
@@ -249,15 +256,15 @@ class TestSampleLevel:
 
     def test_zero_threshold_always_true(self):
         rng = np.random.default_rng(0)
-        cfg = sn.DetectorConfig(5, 0.0, 2.3)
-        assert sample_level_rate(cfg, False, 50, rng) == 1.0
+        detector = sn.DetectorConfig(5, 2.3)
+        assert sample_level_rate(detector, False, 0.0, 50, rng) == 1.0
 
     def test_idle_rate_matches_pfa(self):
-        cfg = sn.DetectorConfig(5, 10.0, 2.3)
+        detector = sn.DetectorConfig(5, 2.3)
         rng = np.random.default_rng(77)
         trials = 200_000
-        emp = sample_level_rate(cfg, False, trials, rng)
-        closed = sn.pfa(cfg)
+        emp = sample_level_rate(detector, False, 10.0, trials, rng)
+        closed = sn.pfa(detector, 10.0)
         se = math.sqrt(closed * (1 - closed) / trials)
         assert abs(emp - closed) <= 3 * se
 
@@ -265,26 +272,26 @@ class TestSampleLevel:
     def test_pieces_draw_what_one_draw_per_chunk_draws(self, monkeypatch, occupied):
         # each chunk's normals in one call, then its SNRs: the pieces must
         # take the same numbers from the stream in the same order
-        cfg = sn.DetectorConfig(5, 10.0, 2.3)
+        detector = sn.DetectorConfig(5, 2.3)
         trials, chunk = 2_500, 1_000
         rng = np.random.default_rng(8)
         hits = 0
         for b in (1_000, 1_000, 500):
             z = rng.standard_normal((b, 10))
             if occupied:
-                z[:, 0] += np.sqrt(2.0 * rng.exponential(cfg.mean_snr_linear, size=b))
-            hits += int(np.count_nonzero(np.einsum("ij,ij->i", z, z) > cfg.threshold))
+                z[:, 0] += np.sqrt(2.0 * rng.exponential(detector.mean_snr_linear, size=b))
+            hits += int(np.count_nonzero(np.einsum("ij,ij->i", z, z) > 10.0))
         monkeypatch.setattr(oracles, "_RATE_CHUNK", chunk)
         monkeypatch.setattr(oracles, "_RATE_PIECE", 70)  # 7 trials a piece, the last one short
-        got = sample_level_rate(cfg, occupied, trials, np.random.default_rng(8))
+        got = sample_level_rate(detector, occupied, 10.0, trials, np.random.default_rng(8))
         assert got == hits / trials
 
     def test_memory_is_bounded_by_normals_not_trials(self):
         # a chunk of 50,000 trials at u=320 is 244 MiB of normals in one draw
-        cfg = sn.DetectorConfig(320, 640.0, 2.3)
+        detector = sn.DetectorConfig(320, 2.3)
         tracemalloc.start()
         try:
-            sample_level_rate(cfg, True, 100_000, np.random.default_rng(3))
+            sample_level_rate(detector, True, 640.0, 100_000, np.random.default_rng(3))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -292,12 +299,13 @@ class TestSampleLevel:
 
     @pytest.mark.parametrize("samples,snr_db", LAW_CASES)
     def test_rates_match_closed_forms(self, samples, snr_db):
-        idle, occupied = law_case(samples, snr_db)
+        detector, idle, occupied = law_case(samples, snr_db)
         rng = np.random.default_rng(24601)  # the default run.master_seed
         trials = 20_000
-        assert within_3_se(sample_level_rate(idle, False, trials, rng), sn.pfa(idle), trials)
-        emp = sample_level_rate(occupied, True, trials, rng)
-        assert within_3_se(emp, sn.pd_rayleigh(occupied), trials)
+        emp = sample_level_rate(detector, False, idle, trials, rng)
+        assert within_3_se(emp, sn.pfa(detector, idle), trials)
+        emp = sample_level_rate(detector, True, occupied, trials, rng)
+        assert within_3_se(emp, sn.pd_rayleigh(detector, occupied), trials)
 
 
 class TestDecisionRates:
@@ -305,43 +313,44 @@ class TestDecisionRates:
 
     @pytest.mark.parametrize("samples,snr_db", LAW_CASES)
     def test_rates_match_closed_forms(self, samples, snr_db):
-        idle, occupied = law_case(samples, snr_db)
+        detector, idle, occupied = law_case(samples, snr_db)
         rng = np.random.default_rng(24601)  # the default run.master_seed
         trials = 200_000
-        (emp,) = sn.decision_rates(idle, False, (idle.threshold,), trials, rng)
-        assert within_3_se(emp, sn.pfa(idle), trials)
-        (emp,) = sn.decision_rates(occupied, True, (occupied.threshold,), trials, rng)
-        assert within_3_se(emp, sn.pd_rayleigh(occupied), trials)
+        (emp,) = sn.decision_rates(detector, False, (idle,), trials, rng)
+        assert within_3_se(emp, sn.pfa(detector, idle), trials)
+        (emp,) = sn.decision_rates(detector, True, (occupied,), trials, rng)
+        assert within_3_se(emp, sn.pd_rayleigh(detector, occupied), trials)
 
     def test_zero_threshold_always_true(self):
-        cfg = sn.DetectorConfig(5, 0.0, 2.3)
-        assert sn.decision_rates(cfg, True, (0.0,), 50, np.random.default_rng(0)) == [1.0]
+        detector = sn.DetectorConfig(5, 2.3)
+        assert sn.decision_rates(detector, True, (0.0,), 50, np.random.default_rng(0)) == [1.0]
 
     @pytest.mark.parametrize("occupied", [False, True])
     def test_chunks_draw_in_stream_order(self, monkeypatch, occupied):
         # each chunk draws its SNRs, then its statistics; every threshold
         # counts the same draws
-        cfg = sn.DetectorConfig(5, 0.0, 2.3)
+        detector = sn.DetectorConfig(5, 2.3)
         zetas = (6.0, 10.0, 14.0)
         trials = 2_500
         rng = np.random.default_rng(8)
         hits = np.zeros(len(zetas), dtype=int)
         for b in (1_000, 1_000, 500):
             if occupied:
-                stat = rng.noncentral_chisquare(10, 2.0 * rng.exponential(cfg.mean_snr_linear, b))
+                nonc = 2.0 * rng.exponential(detector.mean_snr_linear, b)
+                stat = rng.noncentral_chisquare(10, nonc)
             else:
                 stat = 2.0 * rng.standard_gamma(5, b)
             hits += [np.count_nonzero(stat > z) for z in zetas]
         monkeypatch.setattr(sn, "_DRAW_CHUNK", 1_000)
-        got = sn.decision_rates(cfg, occupied, zetas, trials, np.random.default_rng(8))
+        got = sn.decision_rates(detector, occupied, zetas, trials, np.random.default_rng(8))
         assert got == [h / trials for h in hits]
 
     def test_memory_is_bounded_by_the_chunk(self):
         # 10^6 trials drawn at once would hold 8 MB per array
-        cfg = sn.DetectorConfig(320, 0.0, 27.35)
+        detector = sn.DetectorConfig(320, 27.35)
         tracemalloc.start()
         try:
-            sn.decision_rates(cfg, True, (640.0, 700.0), 1_000_000, np.random.default_rng(3))
+            sn.decision_rates(detector, True, (640.0, 700.0), 1_000_000, np.random.default_rng(3))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -350,24 +359,24 @@ class TestDecisionRates:
 
 class TestSolveThreshold:
     def test_inverse_of_pfa_example(self):
-        zeta = sn.solve_threshold(5, poisson_partial_sum(5, 5.0), "for_pfa")
+        zeta = sn.solve_threshold(sn.DetectorConfig(5, 2.3), poisson_partial_sum(5, 5.0), "for_pfa")
         assert abs(zeta - 10.0) < 1e-6
 
     def test_target_one_rejected(self):
         with pytest.raises(sn.NoSolutionError):
-            sn.solve_threshold(5, 1.0, "for_pfa")
+            sn.solve_threshold(sn.DetectorConfig(5, 2.3), 1.0, "for_pfa")
 
     def test_pd_fixed_point(self):
-        zeta = sn.solve_threshold(5, 0.95, "for_pd", mean_snr_db=2.3)
-        achieved = sn.pd_rayleigh(sn.DetectorConfig(5, zeta, 2.3))
+        detector = sn.DetectorConfig(5, 2.3)
+        achieved = sn.pd_rayleigh(detector, sn.solve_threshold(detector, 0.95, "for_pd"))
         assert abs(achieved - 0.95) <= 1e-9
 
     @pytest.mark.parametrize("mode", ["for_pfa", "for_pd"])
     def test_round_trip_grid(self, mode):
+        detector = sn.DetectorConfig(5, 2.3)
+        closed_form = sn.pfa if mode == "for_pfa" else sn.pd_rayleigh
         for target in np.arange(0.01, 1.0, 0.07):
-            zeta = sn.solve_threshold(5, float(target), mode, mean_snr_db=2.3)
-            cfg = sn.DetectorConfig(5, zeta, 2.3)
-            achieved = sn.pfa(cfg) if mode == "for_pfa" else sn.pd_rayleigh(cfg)
+            achieved = closed_form(detector, sn.solve_threshold(detector, float(target), mode))
             assert abs(achieved - target) <= 1e-8
 
     @pytest.mark.parametrize("mode", ["for_pfa", "for_pd"])
@@ -381,18 +390,25 @@ class TestSolveThreshold:
         if samples in (5, 320):
             cases += [(2.3, float(t)) for t in np.arange(0.01, 0.999, 0.02)]
         for snr, target in cases:
-            want = bisection_threshold(samples, target, mode, snr)
-            assert sn.solve_threshold(samples, target, mode, snr) == want, (snr, target)
+            detector = sn.DetectorConfig(samples, snr)
+            want = bisection_threshold(detector, target, mode)
+            assert sn.solve_threshold(detector, target, mode) == want, (snr, target)
 
     def test_default_solve_takes_half_the_evaluations(self, monkeypatch):
         # the fig2 K=8 solve: the per-user pd of a 0.95 fused target at the
         # default 320 samples and 2.3 dB per sample
-        args = (320, 1.0 - (1.0 - 0.95) ** (1 / 8), "for_pd", 2.3 + 10 * math.log10(320))
+        detector = sn.DetectorConfig(320, 2.3 + 10 * math.log10(320))
+        args = (detector, 1.0 - (1.0 - 0.95) ** (1 / 8), "for_pd")
         bisected = []
         want = bisection_threshold(*args, calls=bisected)
         calls = []
         pd_rayleigh = sn.pd_rayleigh
-        monkeypatch.setattr(sn, "pd_rayleigh", lambda cfg: calls.append(cfg) or pd_rayleigh(cfg))
+
+        def counted(detector, zeta):
+            calls.append(zeta)
+            return pd_rayleigh(detector, zeta)
+
+        monkeypatch.setattr(sn, "pd_rayleigh", counted)
         assert sn.solve_threshold(*args) == want
         assert len(calls) <= len(bisected) // 2
 
@@ -400,7 +416,7 @@ class TestSolveThreshold:
 # detectors as the CLI builds them, SNR accumulated over the samples: the
 # default, where pfa_local underflows against 1, and two at -10 dB per
 # sample, where it does not
-DETECTORS = [sn.DetectorConfig(u, 0.0, snr + 10 * math.log10(u))
+DETECTORS = [sn.DetectorConfig(u, snr + 10 * math.log10(u))
              for u, snr in ((320, 2.3), (40, -10.0), (640, -10.0))]
 
 
@@ -429,14 +445,23 @@ class TestFusion:
             with mpmath.workdps(400):
                 exact = float(1 - (1 - mpmath.mpf(op.pfa_local)) ** k)
             assert op.qfa == pytest.approx(exact, rel=2 * math.ulp(1.0), abs=0.0)
-            solved = sn.DetectorConfig(detector.samples, op.threshold, detector.mean_snr_db)
-            assert op.pfa_local == sn.pfa(solved)
+            assert op.pfa_local == sn.pfa(detector, op.threshold)
             m = op.model
             assert m.p_zero + m.p_mis + m.p_free == pytest.approx(1.0, rel=0.0, abs=math.ulp(1.0))
         # at the default detector pfa_local is far below an ulp of 1, and qfa keeps it
         op = sn.operating_point(8, 0.95, DETECTORS[0], 0.2)
         assert 0.0 < op.pfa_local < 1e-100
         assert 0.0 < op.qfa == -math.expm1(8 * math.log1p(-op.pfa_local))
+
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(sn.DetectorConfig)])
+    def test_every_detector_field_moves_the_operating_point(self, field):
+        # the detector holds only what the solve reads: a field that no run
+        # reads leaves the threshold and the model where they were
+        detector = DETECTORS[0]
+        moved = dataclasses.replace(detector, **{field: getattr(detector, field) + 1})
+        base, other = (sn.operating_point(4, 0.95, d, 0.2) for d in (detector, moved))
+        assert (other.threshold, other.model) != (base.threshold, base.model)
 
 
 class TestOccupancyModel:
