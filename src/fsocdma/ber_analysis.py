@@ -341,11 +341,7 @@ def _fixed_pe(n, p0, free, r, q, k_users, sn2, ss2) -> float:
     return total
 
 
-def average_pe(
-    params: SystemParams,
-    model: OccupancyModel,
-    code_policy: str = "rechoose",
-) -> float:
+def average_pe(params: SystemParams, model: OccupancyModel) -> float:
     """Slot-average error probability over the per-subcarrier trinomial.
 
     The trinomial is factored into P(m) estimated-busy subcarriers and
@@ -362,10 +358,8 @@ def average_pe(
     r, q = (pm / free, pf / free) if free > 0.0 else (0.0, 1.0)
     n = params.n_subcarriers
     sn2, ss2 = params.noise_psd, params.interference_power
-    if code_policy == "fixed":
+    if params.code_policy == "fixed":
         return _fixed_pe(n, p0, free, r, q, params.n_users, sn2, ss2)
-    if code_policy != "rechoose":
-        raise ValueError(f"unknown code policy {code_policy!r}")
     erased, groups = _rechoose_table(n, params.n_users, p0, free, r, q)
     total = 0.5 * erased
     for mass, fourth, cross, energy, sizes, laws in groups:
@@ -385,11 +379,7 @@ def average_pe(
     return total
 
 
-def average_pe_enumerated(
-    params: SystemParams,
-    model: OccupancyModel,
-    code_policy: str = "rechoose",
-) -> float:
+def average_pe_enumerated(params: SystemParams, model: OccupancyModel) -> float:
     """Exact expectation by enumerating every per-subcarrier state (3^N).
 
     Each subcarrier is estimated-busy, misdetected, or properly free; the
@@ -408,6 +398,6 @@ def average_pe_enumerated(
         if w == 0.0:
             continue
         state = np.array(states)
-        chips, _ = signature_matrix((state == 1)[np.newaxis], params.n_users, code_policy)
+        chips, _ = signature_matrix((state == 1)[np.newaxis], params.n_users, params.code_policy)
         total += w * _chip_pe(chips[0].astype(np.float64), state == 2, *terms)
     return total

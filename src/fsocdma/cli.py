@@ -150,6 +150,7 @@ def build_system_params(conf: dict, n_users: int | None = None) -> SystemParams:
         pr_h1=conf["params.pr_h1"],
         interference_power=SystemParams.noise_psd * 10.0 ** (conf["params.inr_db"] / 10.0),
         bits_per_slot=conf["params.bits_per_slot"],
+        code_policy=conf["codes.policy"],
     )
 
 
@@ -171,7 +172,6 @@ def build_run_config(conf: dict, n_users: int | None = None, snr_grid=None) -> R
         target_error_events=conf["run.target_error_events"],
         max_trials=conf["run.max_trials"],
         master_seed=conf["run.master_seed"],
-        code_policy=conf["codes.policy"],
     )
 
 
@@ -440,9 +440,9 @@ def _selftest_sensing(seed: int) -> str:
 def _selftest_ber_average() -> str:
     model = OccupancyModel.from_fused(0.2, qd=0.95, qfa=0.05)
     for n, policy, k in itertools.product((4, 6), ("rechoose", "fixed"), (1, 2)):
-        params = SystemParams(n_subcarriers=n, n_users=k, pr_h1=0.2)
-        fast = average_pe(params, model, policy)
-        slow = average_pe_enumerated(params, model, policy)
+        params = SystemParams(n_subcarriers=n, n_users=k, pr_h1=0.2, code_policy=policy)
+        fast = average_pe(params, model)
+        slow = average_pe_enumerated(params, model)
         if abs(fast - slow) > 1e-12:
             raise AssertionError(
                 f"averaged error probability mismatch (N={n}, policy={policy}, K={k}): "

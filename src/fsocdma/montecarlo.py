@@ -53,7 +53,6 @@ from .phylink import (
     SystemParams,
     _noise_variances,
     build_slots,
-    check_code_policy,
     draw_slot_numbers,
     project,
     receive,
@@ -108,7 +107,6 @@ class RunConfig:
     target_error_events: int = 100  # stop once this many bit errors observed
     max_trials: int = 5_000_000  # hard cap on bits per point
     master_seed: int = 24601
-    code_policy: str = "rechoose"
 
     def __post_init__(self):
         at_least_one = "trials_min and target_error_events must be >= 1"
@@ -134,8 +132,7 @@ class RunConfig:
                     f"run.snr_grid_db={snr!r}: the point's noise PSD 10^(-SNR/10) and its "
                     "interference power, params.inr_db above it, must be finite and positive"
                 )
-        check_code_policy(self.code_policy, self.params.n_subcarriers)
-        if self.code_policy == "fixed":
+        if self.params.code_policy == "fixed":  # its grid limit, which phylink cannot check
             fixed_chip_classes(self.params.n_subcarriers, self.params.n_users)
 
 
@@ -209,7 +206,7 @@ def _stream(
     return Generator(Philox(counter=counter, key=key))
 
 
-def _run_group(params, model, code_policy, rngs, sizes):
+def _run_group(params, model, rngs, sizes):
     """Simulate consecutive batches in one array pass; batch j has sizes[j] slots.
 
     Batch j draws from rngs[j] exactly what it would draw alone, in the
@@ -240,7 +237,7 @@ def _run_group(params, model, code_policy, rngs, sizes):
         start += n_slots
     bits *= 2
     bits -= 1
-    batch = build_slots(params, model, u, fade, mai_z, code_policy)
+    batch = build_slots(params, model, u, fade, mai_z)
     proj = project(batch)
     decision = receive(proj, params, bits, z)
     errors = np.count_nonzero((decision >= 0.0) != (bits[:, :, 0] > 0), axis=1)
@@ -302,7 +299,7 @@ def estimate_ber(cfg: RunConfig, snr_db: float, point_index: int) -> BerPoint:
     """
     params = point_params(cfg, snr_db)
     derived = derive_sensing(cfg)
-    analytic = average_pe(params, derived.model, cfg.code_policy)
+    analytic = average_pe(params, derived.model)
 
     bits_per_slot = params.bits_per_slot
     cap_slots = -(-cfg.max_trials // bits_per_slot)
@@ -320,7 +317,7 @@ def estimate_ber(cfg: RunConfig, snr_db: float, point_index: int) -> BerPoint:
         ]
         indices = range(batch_index, batch_index + len(sizes))
         rngs = [_stream(cfg.master_seed, _PURPOSE_BATCH, point_index, b) for b in indices]
-        errors, feasible, stats = _run_group(params, derived.model, cfg.code_policy, rngs, sizes)
+        errors, feasible, stats = _run_group(params, derived.model, rngs, sizes)
         start = 0
         for n_slots in sizes:  # the stop rule, batch by batch, as if run one at a time
             batch = slice(start, start + n_slots)
@@ -353,7 +350,7 @@ def estimate_ber(cfg: RunConfig, snr_db: float, point_index: int) -> BerPoint:
 def analytic_point(cfg: RunConfig, snr_db: float) -> BerPoint:
     """Closed-form BER only, no simulation."""
     params = point_params(cfg, snr_db)
-    return BerPoint(snr_db, average_pe(params, derive_sensing(cfg).model, cfg.code_policy))
+    return BerPoint(snr_db, average_pe(params, derive_sensing(cfg).model))
 
 
 def grid_jobs(cfg: RunConfig) -> list[tuple[RunConfig, float, int]]:

@@ -63,7 +63,9 @@ class SystemParams:
     """Static link parameters shared by the analysis and the simulator.
 
     Energies are in units of the energy per bit E_b: user k's power is
-    P_k = 1 / sum_n c_kn^2, and the SNR is 1 / noise_psd.
+    P_k = 1 / sum_n c_kn^2, and the SNR is 1 / noise_psd.  code_policy
+    lays the CR users' codes on the estimated-free subcarriers, see
+    signature_matrix.
     """
 
     n_subcarriers: int
@@ -72,6 +74,7 @@ class SystemParams:
     noise_psd: float = 0.1
     interference_power: float = 0.1
     bits_per_slot: int = 90  # bit intervals that share a fading draw and a sensing outcome
+    code_policy: str = "rechoose"  # codes.policy, one of CODE_POLICIES
 
     def __post_init__(self):
         one = "need at least one subcarrier and one user"
@@ -90,28 +93,21 @@ class SystemParams:
         for field, ok, why in checks:
             if not ok:
                 raise ValueError(f"params.{field}={getattr(self, field)!r}: {why}")
-
-
-def check_code_policy(code_policy: str, n_subcarriers: int) -> None:
-    """Raise a ValueError naming the configuration key if the policy cannot code N.
-
-    The fixed policy spreads over one length-N family, so N itself must be
-    a supported order.
-    """
-    if code_policy not in CODE_POLICIES:
-        raise ValueError(
-            f"codes.policy={code_policy!r} is not one of {', '.join(CODE_POLICIES)}"
-        )
-    if code_policy == "fixed" and not is_supported_order(n_subcarriers):
-        why = (
-            f"exceeds the order limit {ORDER_LIMIT}"
-            if n_subcarriers > ORDER_LIMIT
-            else f"has a prime factor outside {SUPPORTED_PRIMES}"
-        )
-        raise ValueError(
-            f"params.n_subcarriers={n_subcarriers} {why}, so codes.policy=fixed "
-            "has no code family for it"
-        )
+        if self.code_policy not in CODE_POLICIES:
+            raise ValueError(
+                f"codes.policy={self.code_policy!r} is not one of {', '.join(CODE_POLICIES)}"
+            )
+        # the fixed policy spreads over one length-N family
+        if self.code_policy == "fixed" and not is_supported_order(self.n_subcarriers):
+            why = (
+                f"exceeds the order limit {ORDER_LIMIT}"
+                if self.n_subcarriers > ORDER_LIMIT
+                else f"has a prime factor outside {SUPPORTED_PRIMES}"
+            )
+            raise ValueError(
+                f"params.n_subcarriers={self.n_subcarriers} {why}, so codes.policy=fixed "
+                "has no code family for it"
+            )
 
 
 def _int16_chips(chips: np.ndarray) -> np.ndarray:
@@ -163,7 +159,7 @@ def _placements(k: int, n: int, n_free: np.ndarray) -> tuple[np.ndarray, np.ndar
     return table, energy
 
 
-def signature_matrix(est_busy, k: int, code_policy: str = "rechoose"):
+def signature_matrix(est_busy, k: int, code_policy: str):
     """Chips and energies of the first k users for a batch of busy masks.
 
     est_busy has shape (B, N).  Returns chips (B, k, N) int16, zero on
@@ -248,7 +244,6 @@ def build_slots(
     u: np.ndarray,
     fade: np.ndarray,
     mai_z: np.ndarray,
-    code_policy: str = "rechoose",
 ) -> SlotBatch:
     """The slots of draw_slot_numbers' draws: sensing outcomes and codes.
 
@@ -259,7 +254,7 @@ def build_slots(
     """
     misdetected = u < model.p_mis
     est_busy = ~misdetected & (u < model.p_mis + model.p_zero)
-    chips, energies = signature_matrix(est_busy, params.n_users, code_policy)
+    chips, energies = signature_matrix(est_busy, params.n_users, params.code_policy)
     return SlotBatch(
         occupancy=u < model.pr_h1,
         est_busy=est_busy,

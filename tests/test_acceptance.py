@@ -110,9 +110,9 @@ def test_criterion_3_average_pe_oracle_equivalence():
     for n, k, policy in cases:
         params = SystemParams(
             n_subcarriers=n, n_users=k, pr_h1=0.2,
-            noise_psd=0.1, interference_power=0.1,
+            noise_psd=0.1, interference_power=0.1, code_policy=policy,
         )
-        got = average_pe(params, model, policy)
+        got = average_pe(params, model)
         args = (n, k, model.p_zero, model.p_mis, 1.0, 0.1, 0.1, policy)
         oracles = {"enumeration": enum_average_pe(*args)}
         if policy == "fixed":

@@ -136,7 +136,7 @@ class TestVarianceTerms:
     def test_deactivated_misdetection_contributes_nothing(self):
         # a misdetected subcarrier whose chip was zeroed adds no variance
         busy = np.array([False, True, False, False, False, True])
-        chips = signature_matrix(busy[np.newaxis], 2)[0][0].astype(np.float64)
+        chips = signature_matrix(busy[np.newaxis], 2, "rechoose")[0][0].astype(np.float64)
         assert np.array_equal(chips[:, busy], np.zeros((2, 2)))
         with_gi = ba._chip_pe(chips, mask(6, [1]), 0.1, 0.9)
         assert with_gi == ba._chip_pe(chips, mask(6, []), 0.1, 0.9)
@@ -219,7 +219,7 @@ class TestPeOfCounts:
         # p_zero = 1 zeroes every chip: exactly the erasure value, at any N
         for n, policy in [(32, "rechoose"), (32, "fixed"), (12, "fixed"), (1030, "rechoose"),
                           (1024, "fixed")]:
-            assert ba.average_pe(make_params(n, 4), model_of(1.0, 0.0), policy) == 0.5
+            assert ba.average_pe(make_params(n, 4, policy=policy), model_of(1.0, 0.0)) == 0.5
 
     def test_fixed_grid_too_large_is_rejected_before_any_grid(self, monkeypatch):
         # N=45, K=4 has 12 chip classes; the run configuration and the closed
@@ -227,15 +227,15 @@ class TestPeOfCounts:
         from fsocdma.sensing import DetectorConfig
 
         with pytest.raises(ValueError) as parsed:
-            mc.RunConfig(params=make_params(45, 4), detector=DetectorConfig(320, 2.3),
-                         code_policy="fixed")
+            mc.RunConfig(params=make_params(45, 4, policy="fixed"),
+                         detector=DetectorConfig(320, 2.3))
 
         def no_grid(*args):
             raise AssertionError("a grid was built")
 
         monkeypatch.setattr(ba, "_binomial_pmf", no_grid)
         with pytest.raises(ValueError) as direct:
-            ba.average_pe(make_params(45, 4), MODEL, "fixed")
+            ba.average_pe(make_params(45, 4, policy="fixed"), MODEL)
         assert str(direct.value) == str(parsed.value)
         for key in ("codes.policy", "params.n_subcarriers=45", "params.n_users=4"):
             assert key in str(direct.value)
@@ -312,9 +312,10 @@ class TestPeOfCounts:
             assert float(probs @ sums) == pytest.approx(r * energy, rel=1e-12, abs=1e-12)
 
 
-def make_params(n, k, sn2=0.1, ss2=0.1):
+def make_params(n, k, sn2=0.1, ss2=0.1, policy="rechoose"):
     return SystemParams(
-        n_subcarriers=n, n_users=k, pr_h1=0.2, noise_psd=sn2, interference_power=ss2
+        n_subcarriers=n, n_users=k, pr_h1=0.2, noise_psd=sn2, interference_power=ss2,
+        code_policy=policy,
     )
 
 
@@ -424,11 +425,11 @@ class TestAveragePe:
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("policy", ["rechoose", "fixed"])
     def test_matches_exhaustive_enumeration(self, n, k, policy):
-        params = make_params(n, k)
-        got = ba.average_pe(params, MODEL, policy)
+        params = make_params(n, k, policy=policy)
+        got = ba.average_pe(params, MODEL)
         want = enum_average_pe(n, k, MODEL.p_zero, MODEL.p_mis, 1.0, 0.1, 0.1, policy)
         assert got == pytest.approx(want, abs=1e-12)
-        builtin = ba.average_pe_enumerated(params, MODEL, policy)
+        builtin = ba.average_pe_enumerated(params, MODEL)
         assert builtin == pytest.approx(want, abs=1e-12)
 
     def test_monotone_in_users(self):
@@ -462,9 +463,9 @@ class TestAveragePe:
         assert r1 < 0.1
 
 
-def fig2_points(n, k):
-    """(model, params) at the six fig2 SNRs with N subcarriers and K users."""
-    conf = cli.resolve_config(None, [f"params.n_subcarriers={n}"], None)
+def fig2_points(n, k, policy="rechoose"):
+    """(model, params) at the six fig2 SNRs with N subcarriers, K users and a code policy."""
+    conf = cli.resolve_config(None, [f"params.n_subcarriers={n}", f"codes.policy={policy}"], None)
     cfg = cli.build_run_config(conf, n_users=k)
     model = mc.derive_sensing(cfg).model
     return [(model, mc.point_params(cfg, snr)) for snr in cfg.snr_grid_db]
@@ -483,8 +484,8 @@ class TestTableForm:
 
     @pytest.mark.parametrize("n,k,policy", TABLE_CASES)
     def test_matches_cell_loop(self, n, k, policy):
-        for model, pp in fig2_points(n, k):
-            got = ba.average_pe(pp, model, policy)
+        for model, pp in fig2_points(n, k, policy):
+            got = ba.average_pe(pp, model)
             want = loop_average_pe(
                 n, k, model.p_zero, model.p_mis,
                 1.0, pp.noise_psd, pp.interference_power, policy,
@@ -503,7 +504,7 @@ class TestTableForm:
         if policy == "fixed":
             for _ in range(8):
                 p0, pm = rng.dirichlet(np.ones(3))[:2].tolist()
-                got = ba.average_pe(make_params(n, k, sn2, ss2), model_of(p0, pm), "fixed")
+                got = ba.average_pe(make_params(n, k, sn2, ss2, "fixed"), model_of(p0, pm))
                 want = loop_average_pe(n, k, p0, pm, eb, sn2, ss2, "fixed")
                 assert got == pytest.approx(want, rel=1e-13, abs=0.0), (p0, pm)
             return
@@ -523,18 +524,18 @@ class TestTableForm:
         # the class grid in blocks of 7 cells against one block of all cells
         cases = [(n, k, p0, pm) for n, k in ((12, 4), (24, 4), (15, 4))
                  for p0, pm in ((0.0, 0.3), (0.23, 0.07), (0.9, 0.05))]
-        whole = [ba.average_pe(make_params(n, k), model_of(p0, pm), "fixed")
+        whole = [ba.average_pe(make_params(n, k, policy="fixed"), model_of(p0, pm))
                  for n, k, p0, pm in cases]
         monkeypatch.setattr(ba, "_Q_CHUNK", 7)
         for (n, k, p0, pm), want in zip(cases, whole):
-            got = ba.average_pe(make_params(n, k), model_of(p0, pm), "fixed")
+            got = ba.average_pe(make_params(n, k, policy="fixed"), model_of(p0, pm))
             assert got == pytest.approx(want, rel=1e-13, abs=0.0), (n, k, p0, pm)
 
     def test_cells_are_error_probabilities(self):
         # fixed: a unit-chip and a two-class family, the erasure at p_zero = 1
         for n in (8, 12):
             for p0, pm in [(0.0, 0.0), (0.0, 1.0), (0.3, 0.2), (0.9, 0.05), (1.0, 0.0)]:
-                pe = ba.average_pe(make_params(n, 2), model_of(p0, pm), "fixed")
+                pe = ba.average_pe(make_params(n, 2, policy="fixed"), model_of(p0, pm))
                 assert 0.0 < pe <= 0.5
                 assert (pe == 0.5) == (p0 == 1.0)
         # rechoose: nothing busy, so the one supported order of N carries

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import itertools
@@ -16,6 +17,7 @@ import fsocdma
 from fsocdma import cli
 from fsocdma import montecarlo as mc
 from fsocdma import orthocodes as oc
+from fsocdma.phylink import SystemParams
 from oracles import parse_matrix
 
 
@@ -816,6 +818,27 @@ class TestKeyCoverage:
         assert sorted(keys) == sorted(cli.DEFAULTS)
         for key, _, value in pairs:
             assert cli._parse_value(key, value) == cli.DEFAULTS[key], key
+
+    def test_dataclass_defaults_restate_the_cli_defaults(self):
+        # stated twice, in the dataclasses and in cli.DEFAULTS: RunConfig's run
+        # defaults, SystemParams' bits_per_slot and code_policy, and the 0 dB
+        # INR of its interference_power over its noise_psd
+        run = {f.name: f.default for f in dataclasses.fields(mc.RunConfig)
+               if f.default is not dataclasses.MISSING}
+        assert sorted(f"run.{name}" for name in run) == sorted(
+            key for key in cli.DEFAULTS if key.startswith("run."))
+        for name, value in run.items():
+            assert value == cli.DEFAULTS[f"run.{name}"], name
+        params = {f.name: f.default for f in dataclasses.fields(SystemParams)}
+        assert params["bits_per_slot"] == cli.DEFAULTS["params.bits_per_slot"]
+        assert params["code_policy"] == cli.DEFAULTS["codes.policy"]
+        inr_db = 10.0 * math.log10(params["interference_power"] / params["noise_psd"])
+        assert inr_db == cli.DEFAULTS["params.inr_db"]
+        # so the default configuration is the one the bare dataclasses make
+        built = cli.build_run_config(cli.resolve_config(None, [], None))
+        p = built.params
+        bare = SystemParams(n_subcarriers=p.n_subcarriers, n_users=p.n_users, pr_h1=p.pr_h1)
+        assert mc.RunConfig(params=bare, detector=built.detector) == built
 
 
 def readme_section_tables(heading: str) -> dict[str, list[str]]:

@@ -163,7 +163,7 @@ class TestEstimateBer:
         model = mc.derive_sensing(cfg).model
         rngs = [RecordingGenerator(np.random.default_rng(seed)) for seed in (5, 6)]
         sizes, n_bits = (48, 20), cfg.params.bits_per_slot
-        errors, feasible, stats = mc._run_group(cfg.params, model, "rechoose", rngs, sizes)
+        errors, feasible, stats = mc._run_group(cfg.params, model, rngs, sizes)
         assert errors.shape == feasible.shape == (sum(sizes),)
         assert stats.shape == (sum(sizes), len(mc.SLOT_STATS))
         if pr_h1 > 0.5:
@@ -187,11 +187,11 @@ class TestEstimateBer:
         params, model = mc.point_params(cfg, 10.0), mc.derive_sensing(cfg).model
         sizes = [48] * 5
         rngs = [mc._stream(1, mc._PURPOSE_BATCH, 0, b) for b in range(len(sizes))]
-        mc._run_group(params, model, "rechoose", rngs, sizes)  # fills the placement table
+        mc._run_group(params, model, rngs, sizes)  # fills the placement table
         rngs = [mc._stream(1, mc._PURPOSE_BATCH, 0, b) for b in range(len(sizes))]
         tracemalloc.start()
         try:
-            mc._run_group(params, model, "rechoose", rngs, sizes)
+            mc._run_group(params, model, rngs, sizes)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -207,7 +207,7 @@ class TestEstimateBer:
         model = mc.derive_sensing(cfg).model
         sizes, n_bits = (48, 20), cfg.params.bits_per_slot
         rngs = [np.random.default_rng(seed) for seed in (5, 6)]
-        errors, feasible, stats = mc._run_group(cfg.params, model, "rechoose", rngs, sizes)
+        errors, feasible, stats = mc._run_group(cfg.params, model, rngs, sizes)
         assert not feasible.all() and feasible.any()
         assert not stats[~feasible].any()
         assert np.all(stats[feasible, 3:] >= 0) and stats[feasible, 6].all()
@@ -330,9 +330,9 @@ class TestGroups:
         drawn = []
         run_group = mc._run_group
 
-        def counting(params, model, policy, rngs, sizes, *rest):
+        def counting(params, model, rngs, sizes, *rest):
             drawn.append(sum(sizes))
-            return run_group(params, model, policy, rngs, sizes, *rest)
+            return run_group(params, model, rngs, sizes, *rest)
 
         monkeypatch.setattr(mc, "_run_group", counting)
         out = []
@@ -361,7 +361,7 @@ class TestGroups:
             run = dict(target_error_events=5_000)
         elif case == "fixed":
             params["n_subcarriers"] = 16
-            run = dict(code_policy="fixed")
+            params["code_policy"] = "fixed"
             snr = 15.0
         elif case == "k1":
             params["n_users"] = 1

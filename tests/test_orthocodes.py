@@ -229,7 +229,7 @@ class TestVerify:
 
 def embed(k, busy):
     """signature_matrix of one busy mask: chips (k, N) and energies (k,)."""
-    chips, energies = signature_matrix(np.asarray(busy, dtype=bool)[np.newaxis], k)
+    chips, energies = signature_matrix(np.asarray(busy, dtype=bool)[np.newaxis], k, "rechoose")
     return chips[0], energies[0]
 
 
@@ -294,13 +294,13 @@ def test_library_reads_families_by_rows_only(monkeypatch):
                 value.cache_clear()  # so that no family is served from an earlier test
     model = OccupancyModel.from_fused(0.2, qd=0.95, qfa=0.05)
     for n, policy in ((48, "rechoose"), (16, "fixed")):
-        params = SystemParams(n_subcarriers=n, n_users=4, pr_h1=0.2)
-        assert 0.0 < average_pe(params, model, policy) < 0.5
+        params = SystemParams(n_subcarriers=n, n_users=4, pr_h1=0.2, code_policy=policy)
+        assert 0.0 < average_pe(params, model) < 0.5
     for policy in ("rechoose", "fixed"):
         cfg = mc.RunConfig(
-            params=SystemParams(n_subcarriers=32, n_users=4, pr_h1=0.2),
+            params=SystemParams(n_subcarriers=32, n_users=4, pr_h1=0.2, code_policy=policy),
             detector=DetectorConfig(samples=320, mean_snr_db=27.35),
-            snr_grid_db=(10.0,), trials_min=90, max_trials=900, code_policy=policy,
+            snr_grid_db=(10.0,), trials_min=90, max_trials=900,
         )
         point = mc.estimate_ber(cfg, 10.0, 0)
         assert point.trials == 900

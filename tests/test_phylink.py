@@ -28,15 +28,15 @@ def sensing_model(pr_h1, pd, pfa, k=4):
     return OccupancyModel.from_fused(pr_h1, qd=1.0 - (1.0 - pd) ** k, qfa=1.0 - (1.0 - pfa) ** k)
 
 
-def draw_slots(params, model, rng, n_slots, code_policy="rechoose"):
+def draw_slots(params, model, rng, n_slots):
     """n_slots slots drawn from rng as the simulator draws one batch's slots."""
     u, fade = np.empty((2, n_slots, params.n_subcarriers))
     mai_z = np.empty((n_slots, params.n_users - 1))
     pl.draw_slot_numbers(rng, u, fade, mai_z)
-    return pl.build_slots(params, model, u, fade, mai_z, code_policy)
+    return pl.build_slots(params, model, u, fade, mai_z)
 
 
-def manual_slot(params, est_busy, lam_indices, fade, mai_z, code_policy="rechoose"):
+def manual_slot(params, est_busy, lam_indices, fade, mai_z):
     """Slots with fixed masks and given fading (no randomness).
 
     fade holds |beta_1n|^2, shape (N,) for one slot or (B, N) for B slots
@@ -48,7 +48,7 @@ def manual_slot(params, est_busy, lam_indices, fade, mai_z, code_policy="rechoos
     est_busy = np.tile(np.asarray(est_busy, dtype=bool), (b, 1))
     misdetected = np.zeros_like(est_busy)
     misdetected[:, list(lam_indices)] = True
-    chips, energies = pl.signature_matrix(est_busy, k, code_policy)
+    chips, energies = pl.signature_matrix(est_busy, k, params.code_policy)
     return pl.SlotBatch(
         occupancy=est_busy | misdetected,
         est_busy=est_busy,
@@ -104,6 +104,20 @@ class TestSystemParams:
     def test_too_many_users_rejected(self):
         with pytest.raises(ValueError):
             pl.SystemParams(n_subcarriers=4, n_users=5, pr_h1=0.1)
+
+    @pytest.mark.parametrize("policy,n,words", [
+        ("bogus", 32, ("codes.policy='bogus'", "rechoose, fixed")),
+        ("fixed", 11, ("params.n_subcarriers=11", "prime factor outside")),
+        ("fixed", 2 * ORDER_LIMIT, (f"params.n_subcarriers={2 * ORDER_LIMIT}", "order limit")),
+    ], ids=["unknown-policy", "fixed-unsupported-factor", "fixed-above-order-limit"])
+    def test_bad_code_policy_names_its_key(self, policy, n, words):
+        with pytest.raises(ValueError) as err:
+            pl.SystemParams(n_subcarriers=n, n_users=4, pr_h1=0.2, code_policy=policy)
+        for word in ("codes.policy", *words):
+            assert word in str(err.value)
+        # every changed copy is checked too, as each sweep point's params are
+        with pytest.raises(ValueError, match="codes.policy"):
+            dataclasses.replace(PARAMS, n_subcarriers=n, code_policy=policy)
 
 
 class TestDrawSlot:
@@ -199,7 +213,7 @@ class TestDrawSlot:
         # 31 free -> largest supported order is 30, one free subcarrier idles
         est = np.zeros((1, 32), dtype=bool)
         est[0, 7] = True
-        chips, _ = pl.signature_matrix(est, 4)
+        chips, _ = pl.signature_matrix(est, 4, "rechoose")
         free_positions = np.flatnonzero(chips[0, 0] != 0)
         assert free_positions.size == 30
         assert 7 not in free_positions
@@ -207,7 +221,8 @@ class TestDrawSlot:
 
     def test_fixed_policy_zeroes_in_place(self):
         rng = np.random.default_rng(6)
-        slots = draw_slots(PARAMS, sensing_model(0.2, 0.6, 0.1), rng, 20, "fixed")
+        fixed = dataclasses.replace(PARAMS, code_policy="fixed")
+        slots = draw_slots(fixed, sensing_model(0.2, 0.6, 0.1), rng, 20)
         family = build(32)
         for s in range(20):
             free = ~slots.est_busy[s]
@@ -272,7 +287,7 @@ class TestDrawSlot:
         monkeypatch.setattr(pl, "rows", lambda n, k: np.full((k, n), limit + 1))
         try:
             with pytest.raises(OverflowError):
-                pl.signature_matrix(np.zeros((1, 7), bool), 2)
+                pl.signature_matrix(np.zeros((1, 7), bool), 2, "rechoose")
         finally:
             pl._placement_table.cache_clear()
 
@@ -388,8 +403,8 @@ class TestTransmitAndReceive:
         est[[0, 4, 5, 22]] = True
         lam = [2, 9, 30]
         fade = rng.standard_exponential((3, 32))
-        slots = manual_slot(PARAMS, est, lam, fade, rng.standard_normal((3, 3)),
-                            code_policy=policy)
+        params = dataclasses.replace(PARAMS, code_policy=policy)
+        slots = manual_slot(params, est, lam, fade, rng.standard_normal((3, 3)))
         proj = pl.project(slots)
         bits = rng.integers(0, 2, (5, 4)) * 2.0 - 1.0
         for s in range(3):
@@ -421,12 +436,12 @@ class TestTransmitAndReceive:
                 chips, gains, [], np.empty((0, 4)), 1.0,
                 PARAMS.noise_psd, PARAMS.interference_power, rng,
             )[2]["mai"]
+        params = dataclasses.replace(PARAMS, code_policy=policy)
         drawn = pl.project(
-            manual_slot(PARAMS, est, [], np.tile(fade, (trials, 1)),
-                        rng.standard_normal((trials, 3)), code_policy=policy),
+            manual_slot(params, est, [], np.tile(fade, (trials, 1)),
+                        rng.standard_normal((trials, 3))),
         ).mai
-        scale = pl.project(manual_slot(PARAMS, est, [], fade, np.ones(3),
-                                       code_policy=policy)).mai[0]
+        scale = pl.project(manual_slot(params, est, [], fade, np.ones(3))).mai[0]
         for sample in (literal, drawn):
             assert np.all(np.abs(sample.mean(axis=0)) <= 4 * scale / math.sqrt(trials))
 
