@@ -42,6 +42,9 @@ COMMANDS = {  # name: CLI arguments
               "--out", "n1100.csv"),
     "fixed_n16": ("ber", "--set", "codes.policy=fixed", "--set", "params.n_subcarriers=16",
                   "--out", "fixed_n16.csv"),
+    # the trace's variance terms under the fixed policy
+    "fixed_trace": ("ber", "--set", "codes.policy=fixed", "--set", "params.n_subcarriers=16",
+                    "--trace", "fixed_trace.csv", "--out", "fixed_traced.csv"),
     # the fixed policy reaches the worker processes inside the params
     "fixed_fig3": ("ber", "--figure", "fig3", "--set", "codes.policy=fixed", "--threads", "2",
                    "--out", "fixed_fig3.csv"),

@@ -6,4 +6,4 @@ Rayleigh fading with primary-user interference, and the matching
 closed-form BER analysis.
 """
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"

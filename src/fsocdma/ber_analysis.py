@@ -56,15 +56,16 @@ The fixed policy keeps its length-N family and zeroes chips in place.
 Its variance depends only on E = sum c1^2, 2F + X = sum (2 c1^4 +
 sum_{k>=2} c1^2 ck^2) over the not-busy chips and G = sum c1^2 over the
 misdetected ones.  So the chips fall into classes of equal (c1^2,
-2 c1^4 + sum_k c1^2 ck^2), and only the counts of a class's b busy and
-l misdetected positions matter: b is Binom(n_c, p_zero) and l is
-Binom(n_c - b, r), independently across classes.  average_pe sums Q over
-the product of the classes' (b, l) grids, (n_c + 1)(n_c + 2)/2 cells
-each, exactly, _Q_CHUNK cells at a time; a cell without chips is the
-erasure value 1/2.  A Walsh family is one class.  A product grid
-larger than the one class of order 4096 is rejected, naming the keys,
-when the run configuration is built: for every K <= 8 that keeps N <= 20,
-the powers of two and 24, 28, 40, 48, 56, 80, 96, 112 and 160.
+2 c1^4 + sum_k c1^2 ck^2), orthocodes.fixed_chip_classes, and only the
+counts of a class's b busy and l misdetected positions matter: b is
+Binom(n_c, p_zero) and l is Binom(n_c - b, r), independently across
+classes.  average_pe sums Q over the product of the classes' (b, l)
+grids, (n_c + 1)(n_c + 2)/2 cells each, exactly, _Q_CHUNK cells at a
+time; a cell without chips is the erasure value 1/2.  A Walsh family is
+one class.  A product grid larger than the one class of order 4096 is
+rejected, naming the keys, when the SystemParams are built: for every
+K <= 8 that keeps N <= 20, the powers of two and 24, 28, 40, 48, 56, 80,
+96, 112 and 160.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .orthocodes import ORDER_LIMIT, first_row_moments, is_supported_order, rows
+from .orthocodes import fixed_chip_classes, first_row_moments, is_supported_order, rows
 from .phylink import SystemParams, signature_matrix
 from .sensing import OccupancyModel
 
@@ -83,8 +84,6 @@ _SQRT2 = math.sqrt(2.0)
 # values per batch: Python floats in q_function, law values per rechoose
 # order group, cells per fixed-policy block
 _Q_CHUNK = 1 << 16
-# the largest fixed-policy grid: the one chip class of the largest Walsh order
-_GRID_LIMIT = (ORDER_LIMIT + 1) * (ORDER_LIMIT + 2) // 2
 # mass a hit law may leave outside its window, and far below it, the mass
 # each fold may drop at either end of its partial law and its binomial;
 # a fold keeps arrays of at most _FOLD_WHOLE values whole, as their cut
@@ -266,31 +265,6 @@ def _rechoose_table(n, k_users, p0, free, r, q) -> tuple[float, tuple[tuple, ...
         sizes = np.array([sums.size for sums, _ in laws])
         groups.append((np.array(mass_a), fourth, cross, energy, sizes, laws))
     return erased, tuple(groups)
-
-
-@lru_cache(maxsize=1024)
-def fixed_chip_classes(n_subcarriers: int, n_users: int) -> tuple[tuple[int, int, int], ...]:
-    """(positions, c1^2, 2 c1^4 + sum_{k>=2} c1^2 ck^2) per fixed-policy chip class.
-
-    A class gathers the positions of the order-N family's first K rows on
-    which both quantities are equal; the largest class comes first.  A
-    class of n_c positions has (n_c + 1)(n_c + 2)/2 (busy, misdetected)
-    cells, and a product grid larger than the one class of the largest
-    Walsh order raises a ValueError that names the keys.
-    """
-    family = rows(n_subcarriers, n_users)
-    sq = family[0] ** 2
-    spread = 2 * sq * sq + np.sum(sq * family[1:] ** 2, axis=0)
-    keys, counts = np.unique(np.stack([sq, spread]), axis=1, return_counts=True)
-    cells = math.prod((c + 1) * (c + 2) // 2 for c in counts.tolist())
-    if cells > _GRID_LIMIT:
-        raise ValueError(
-            f"codes.policy=fixed at params.n_subcarriers={n_subcarriers} and "
-            f"params.n_users={n_users} needs a closed-form grid of {cells} cells over "
-            f"{counts.size} chip classes, more than the {_GRID_LIMIT} of order {ORDER_LIMIT}"
-        )
-    order = np.argsort(-counts, kind="stable").tolist()
-    return tuple((int(counts[i]), int(keys[0, i]), int(keys[1, i])) for i in order)
 
 
 def _fixed_pe(n, p0, free, r, q, k_users, sn2, ss2) -> float:

@@ -9,12 +9,14 @@ evaluated at batch boundaries, keeping the set of simulated slots a pure
 function of the configuration.  The last batch is clipped to the slots
 that reach max_trials, so a point never simulates past its cap.
 
+Every random number of a BER run is drawn in _run_group; phylink draws none.
 A batch draws, per slot, one uniform and one Exp(1) fade per subcarrier,
 one normal per interferer, the K bits of every bit interval packed eight
-to a byte, and one normal per bit interval (see phylink).  Alongside the
-error counts, a point sums SLOT_STATS over its feasible slots, from each
-slot's masks and projections: they draw no random number, and the means
-of the last four are the variances of R_s, R_MAI, R_GI and R_n.
+to a byte, and one normal per bit interval (see phylink for why these
+suffice).  Alongside the error counts, a point sums SLOT_STATS over its
+feasible slots, from each slot's masks and projections: they draw no
+random number, and the means of the last four are the variances of R_s,
+R_MAI, R_GI and R_n.
 
 A point runs its batches in groups, one array pass per group: every
 batch of a group draws from its own stream into its rows of the group's
@@ -48,15 +50,8 @@ from functools import partial
 
 import numpy as np
 
-from .ber_analysis import average_pe, fixed_chip_classes
-from .phylink import (
-    SystemParams,
-    _noise_variances,
-    build_slots,
-    draw_slot_numbers,
-    project,
-    receive,
-)
+from .ber_analysis import average_pe
+from .phylink import SystemParams, build_slots, project, receive
 from .sensing import DetectorConfig, OperatingPoint, operating_point
 
 try:  # CPython's own SHA-256, as random.py takes it: hashlib would load OpenSSL
@@ -117,6 +112,8 @@ class RunConfig:
             ("target_error_events", self.target_error_events >= 1, at_least_one),
             ("max_trials", self.max_trials >= self.trials_min,
              f"max_trials must be >= trials_min={self.trials_min}"),
+            # a seed outside the 64-bit Philox key would alias another seed's streams
+            ("master_seed", 0 <= self.master_seed <= _MASK64, "must lie in [0, 2^64)"),
         )
         for field, ok, why in checks:
             if not ok:
@@ -132,8 +129,6 @@ class RunConfig:
                     f"run.snr_grid_db={snr!r}: the point's noise PSD 10^(-SNR/10) and its "
                     "interference power, params.inr_db above it, must be finite and positive"
                 )
-        if self.params.code_policy == "fixed":  # its grid limit, which phylink cannot check
-            fixed_chip_classes(self.params.n_subcarriers, self.params.n_users)
 
 
 @dataclass(frozen=True)
@@ -197,8 +192,6 @@ def _stream(
     """
     from numpy.random import Generator, Philox
 
-    if not 0 <= master_seed <= _MASK64:
-        raise ValueError(f"master seed {master_seed} outside [0, 2^64)")
     if not 0 <= point_index < _POINT_LIMIT:
         raise ValueError(f"point index {point_index} outside [0, 2^32)")
     key = np.array([master_seed, (purpose << 32) | point_index], dtype=np.uint64)
@@ -210,8 +203,9 @@ def _run_group(params, model, rngs, sizes):
     """Simulate consecutive batches in one array pass; batch j has sizes[j] slots.
 
     Batch j draws from rngs[j] exactly what it would draw alone, in the
-    same order: its slots (draw_slot_numbers), its bits (packed), then
-    its receiver normals, each into its rows of the group's arrays.  The
+    same order: one uniform per subcarrier, one Exp(1) fade per
+    subcarrier, one normal per interferer, its bits (packed), then its
+    receiver normals, each into its rows of the group's arrays.  The
     slots are then built, projected and received once for the group.  A
     slot that cannot carry all users has R = 0 and decides +1, so each of
     its bits is an error with probability 1/2, a coin flip.
@@ -229,7 +223,9 @@ def _run_group(params, model, rngs, sizes):
     start = 0
     for rng, n_slots in zip(rngs, sizes):
         mine = slice(start, start + n_slots)
-        draw_slot_numbers(rng, u[mine], fade[mine], mai_z[mine])
+        rng.random(out=u[mine])
+        rng.standard_exponential(out=fade[mine])
+        rng.standard_normal(out=mai_z[mine])
         n_sent = n_slots * n_bits * k
         packed = rng.integers(0, 256, -(-n_sent // 8), dtype=np.uint8)
         bits[mine] = np.unpackbits(packed, count=n_sent).reshape(n_slots, n_bits, k)
@@ -238,15 +234,16 @@ def _run_group(params, model, rngs, sizes):
     bits *= 2
     bits -= 1
     batch = build_slots(params, model, u, fade, mai_z)
-    proj = project(batch)
-    decision = receive(proj, params, bits, z)
+    proj = project(batch, params)
+    decision = receive(proj, bits, z)
     errors = np.count_nonzero((decision >= 0.0) != (bits[:, :, 0] > 0), axis=1)
     stats = np.empty((total, len(SLOT_STATS)))
     for col, mask in enumerate((batch.occupancy, batch.est_busy, batch.misdetected)):
         stats[:, col] = np.count_nonzero(mask, axis=1)
     stats[:, 3] = np.square(proj.signal - 1.0)
     stats[:, 4] = np.square(proj.mai).sum(axis=1)
-    stats[:, 6], stats[:, 5] = _noise_variances(proj, params)
+    stats[:, 5] = proj.var_gi
+    stats[:, 6] = proj.var_n
     stats[~batch.feasible] = 0.0
     return errors, batch.feasible, stats
 

@@ -244,6 +244,21 @@ def first_row_moments(n: int, k: int) -> tuple[int, int, int]:
     return terms[0], sum(terms[1:]), energy
 
 
+@lru_cache(maxsize=1024)
+def fixed_chip_classes(n: int, k: int) -> tuple[tuple[int, int, int], ...]:
+    """(positions, c1^2, 2 c1^4 + sum_{i>=2} c1^2 ci^2) per chip class of the order-n family.
+
+    A class gathers the positions of the first k rows on which both
+    quantities are equal; the largest class comes first.
+    """
+    family = rows(n, k)
+    sq = family[0] ** 2
+    spread = 2 * sq * sq + np.sum(sq * family[1:] ** 2, axis=0)
+    keys, counts = np.unique(np.stack([sq, spread]), axis=1, return_counts=True)
+    order = np.argsort(-counts, kind="stable").tolist()
+    return tuple((int(counts[i]), int(keys[0, i]), int(keys[1, i])) for i in order)
+
+
 def build(n: int) -> CodeMatrix:
     """The whole order-n family and its Gram diagonal (for export and checks)."""
     entries = rows(n, n)

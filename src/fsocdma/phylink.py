@@ -13,7 +13,7 @@ interference and noise components.  Each subcarrier is flat; no time
 domain waveform is synthesized.
 
 Once a slot's masks, chips and gains are fixed, R is linear in the bits,
-the noise and the primary interference, so the receiver draws only its
+the noise and the primary interference, so the receiver needs only its
 projections.  With w_n = sqrt(P_1) c_1n conj(beta_1n),
 
     R = b_1 S + sum_{k>=2} b_k m_k
@@ -29,11 +29,13 @@ interference on Lambda and projecting them onto w, at one normal per
 bit interval instead of 2N plus the interference.  Each part's variance
 over the slots is a mean of per-slot terms of the Projection, with no
 bit or normal drawn: of (S - 1)^2 for R_s (E[S] = 1 in units of E_b),
-of sum_k m_k^2 for R_MAI, and of the two noise variances above.
+of sum_k m_k^2 for R_MAI, and of the two noise variances above, which
+the Projection holds as var_n and var_gi.
 
-A slot draws only what R depends on.  The OR-fused sensing outcome of a
-subcarrier is one trinomial cell (misdetected, estimated busy, free), so
-one uniform per subcarrier picks it.  |w_n|^2 needs only |beta_1n|^2,
+This module draws no random number: montecarlo draws a batch's numbers,
+and a slot takes only what R depends on.  The OR-fused sensing outcome
+of a subcarrier is one trinomial cell (misdetected, estimated busy,
+free), so one uniform per subcarrier picks it.  |w_n|^2 needs only |beta_1n|^2,
 an Exp(1) draw.  Given w, each beta_kn (k >= 2) is circular CN(0, 1) and
 independent across (k, n), so m_k is exactly
 N(0, P_k/2 sum_n c_kn^2 |w_n|^2): one standard normal per interferer.
@@ -41,6 +43,7 @@ N(0, P_k/2 sum_n c_kn^2 |w_n|^2): one standard normal per interferer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -49,6 +52,7 @@ import numpy as np
 from .orthocodes import (
     ORDER_LIMIT,
     SUPPORTED_PRIMES,
+    fixed_chip_classes,
     is_supported_order,
     largest_supported_order,
     rows,
@@ -56,6 +60,8 @@ from .orthocodes import (
 from .sensing import OccupancyModel
 
 CODE_POLICIES = ("rechoose", "fixed")
+# the largest fixed-policy closed-form grid: the one chip class of the largest Walsh order
+_GRID_LIMIT = (ORDER_LIMIT + 1) * (ORDER_LIMIT + 2) // 2
 
 
 @dataclass(frozen=True)
@@ -65,7 +71,9 @@ class SystemParams:
     Energies are in units of the energy per bit E_b: user k's power is
     P_k = 1 / sum_n c_kn^2, and the SNR is 1 / noise_psd.  code_policy
     lays the CR users' codes on the estimated-free subcarriers, see
-    signature_matrix.
+    signature_matrix.  The fixed policy needs a code family of order N
+    whose chip classes (orthocodes.fixed_chip_classes) give a closed-form
+    grid of at most _GRID_LIMIT cells, see ber_analysis.
     """
 
     n_subcarriers: int
@@ -97,16 +105,25 @@ class SystemParams:
             raise ValueError(
                 f"codes.policy={self.code_policy!r} is not one of {', '.join(CODE_POLICIES)}"
             )
-        # the fixed policy spreads over one length-N family
-        if self.code_policy == "fixed" and not is_supported_order(self.n_subcarriers):
+        if self.code_policy != "fixed":
+            return
+        n, k = self.n_subcarriers, self.n_users  # the fixed policy spreads over one family
+        if not is_supported_order(n):
             why = (
                 f"exceeds the order limit {ORDER_LIMIT}"
-                if self.n_subcarriers > ORDER_LIMIT
+                if n > ORDER_LIMIT
                 else f"has a prime factor outside {SUPPORTED_PRIMES}"
             )
             raise ValueError(
-                f"params.n_subcarriers={self.n_subcarriers} {why}, so codes.policy=fixed "
-                "has no code family for it"
+                f"params.n_subcarriers={n} {why}, so codes.policy=fixed has no code family for it"
+            )
+        classes = fixed_chip_classes(n, k)
+        cells = math.prod((c + 1) * (c + 2) // 2 for c, _, _ in classes)
+        if cells > _GRID_LIMIT:
+            raise ValueError(
+                f"codes.policy=fixed at params.n_subcarriers={n} and params.n_users={k} "
+                f"needs a closed-form grid of {cells} cells over {len(classes)} chip classes, "
+                f"more than the {_GRID_LIMIT} of order {ORDER_LIMIT}"
             )
 
 
@@ -223,21 +240,6 @@ class SlotBatch:
         return self.energies[:, 0] > 0
 
 
-def draw_slot_numbers(
-    rng: np.random.Generator, u: np.ndarray, fade: np.ndarray, mai_z: np.ndarray
-) -> None:
-    """Fill one batch's slot draws from rng, in their fixed order.
-
-    u (B, N) gets one uniform per subcarrier, then fade (B, N) one Exp(1)
-    per subcarrier, then mai_z (B, K-1) one normal per interferer, so a
-    seeded stream reproduces the batch bit for bit.  The arrays may be
-    rows of larger ones: the draws land in place.
-    """
-    rng.random(out=u)
-    rng.standard_exponential(out=fade)
-    rng.standard_normal(out=mai_z)
-
-
 def build_slots(
     params: SystemParams,
     model: OccupancyModel,
@@ -245,8 +247,10 @@ def build_slots(
     fade: np.ndarray,
     mai_z: np.ndarray,
 ) -> SlotBatch:
-    """The slots of draw_slot_numbers' draws: sensing outcomes and codes.
+    """The slots of one batch's numbers: sensing outcomes and codes.
 
+    u (B, N) holds one uniform per subcarrier, fade (B, N) one Exp(1)
+    per subcarrier and mai_z (B, K-1) one standard normal per interferer.
     u picks the subcarrier's cell of the OR-fused sensing model:
     misdetected below p_mis, estimated busy on [p_mis, p_mis + p_zero),
     free above.  It is occupied below pr_h1, so the busy cell splits into
@@ -272,12 +276,15 @@ class Projection:
 
     signal is the desired-signal gain S, which equals ||w||^2 and so also
     scales the noise; mai holds m_k for k >= 2; w2_lambda is the squared
-    norm of w on the misdetected subcarriers.
+    norm of w on the misdetected subcarriers.  var_n and var_gi are the
+    variances of R_n and R_GI given the slot.
     """
 
     signal: np.ndarray  # (B,)
     mai: np.ndarray  # (B, K-1)
     w2_lambda: np.ndarray  # (B,)
+    var_n: np.ndarray  # (B,) sigma_n^2/2 S
+    var_gi: np.ndarray  # (B,) sigma_s^2/2 ||w_Lambda||^2
 
 
 # Slots whose chips or bits are turned into floats at a time, so a large
@@ -290,8 +297,8 @@ def _slot_chunks(n_slots: int):
     return (slice(start, start + _FLOAT_SLOTS) for start in range(0, n_slots, _FLOAT_SLOTS))
 
 
-def project(batch: SlotBatch) -> Projection:
-    """S, m_k and ||w_Lambda||^2 of every slot (all zero where infeasible).
+def project(batch: SlotBatch, params: SystemParams) -> Projection:
+    """S, m_k, ||w_Lambda||^2, var_n and var_gi of every slot (all zero where infeasible).
 
     The chips square exactly in float64: the first user's for w, the
     interferers' _FLOAT_SLOTS slots at a time for their variances.
@@ -305,22 +312,18 @@ def project(batch: SlotBatch) -> Projection:
         mai_var[rows] = np.einsum("bkn,bn->bk", chips2, w2[rows])
         del chips2  # freed before the next chunk's squares are made
     mai_var *= 0.5 * power[:, 1:]
+    signal = w2.sum(axis=1)
+    w2_lambda = np.sum(w2, axis=1, where=batch.misdetected)
     return Projection(
-        signal=w2.sum(axis=1),
+        signal=signal,
         mai=np.sqrt(mai_var) * batch.mai_z,
-        w2_lambda=np.sum(w2, axis=1, where=batch.misdetected),
+        w2_lambda=w2_lambda,
+        var_n=0.5 * params.noise_psd * signal,
+        var_gi=0.5 * params.interference_power * w2_lambda,
     )
 
 
-def _noise_variances(proj: Projection, params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
-    """Per-slot variances of R_n and R_GI: sigma_n^2/2 S and sigma_s^2/2 ||w_Lambda||^2."""
-    return (
-        0.5 * params.noise_psd * proj.signal,
-        0.5 * params.interference_power * proj.w2_lambda,
-    )
-
-
-def receive(proj: Projection, params: SystemParams, bits: np.ndarray, z: np.ndarray) -> np.ndarray:
+def receive(proj: Projection, bits: np.ndarray, z: np.ndarray) -> np.ndarray:
     """First user's decision variables over a block of bit intervals per slot.
 
     bits has shape (B, I, K) with entries +-1 (any numeric dtype; int8
@@ -333,10 +336,10 @@ def receive(proj: Projection, params: SystemParams, bits: np.ndarray, z: np.ndar
     terms are added to the chunk's rows, in that order.
     """
     bits = np.asarray(bits)
-    if bits.ndim != 3 or bits.shape[2] != params.n_users:
-        raise ValueError(f"bits must have shape (B, I, {params.n_users})")
-    var_n, var_gi = _noise_variances(proj, params)
-    sigma = np.sqrt(var_n + var_gi)
+    k = proj.mai.shape[1] + 1
+    if bits.ndim != 3 or bits.shape[2] != k:
+        raise ValueError(f"bits must have shape (B, I, {k})")
+    sigma = np.sqrt(proj.var_n + proj.var_gi)
     decision = np.empty(bits.shape[:2])
     for rows in _slot_chunks(len(decision)):
         floats = bits[rows].astype(np.float64)

@@ -36,7 +36,6 @@ from scipy.special import gammaln, logsumexp, ndtr
 
 from fsocdma import ber_analysis as ba
 from fsocdma.orthocodes import largest_supported_order, rows
-from fsocdma.phylink import _noise_variances
 from fsocdma.sensing import DetectorConfig
 
 
@@ -265,14 +264,16 @@ def components(proj, params, bits, z, v) -> dict:
     """The four parts R_s, R_MAI, R_GI and R_n of phylink.receive's decisions.
 
     receive draws R_n + R_GI as sigma z with sigma^2 = a1^2 + a2^2, a1^2
-    and a2^2 being the variances of R_n and R_GI.  A second standard
+    and a2^2 being the variances of R_n and R_GI, sigma_n^2/2 S and
+    sigma_s^2/2 ||w_Lambda||^2, formed here from params.  A second standard
     normal v per interval, independent of z, splits it:
     R_n = a1 (a1 z - a2 v) / sigma and R_GI = a2 (a2 z + a1 v) / sigma are
     independent, of variances a1^2 and a2^2, and sum to sigma z; both are
     zero where sigma is.  Returns a dict of (B, I) arrays.
     """
     bits = np.asarray(bits)
-    var_n, var_gi = _noise_variances(proj, params)
+    var_n = 0.5 * params.noise_psd * proj.signal
+    var_gi = 0.5 * params.interference_power * proj.w2_lambda
     sigma = np.sqrt(var_n + var_gi)
     inv = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=sigma > 0)
     a1 = np.sqrt(var_n)[:, np.newaxis]

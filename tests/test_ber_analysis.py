@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import time
@@ -222,22 +223,20 @@ class TestPeOfCounts:
             assert ba.average_pe(make_params(n, 4, policy=policy), model_of(1.0, 0.0)) == 0.5
 
     def test_fixed_grid_too_large_is_rejected_before_any_grid(self, monkeypatch):
-        # N=45, K=4 has 12 chip classes; the run configuration and the closed
-        # form raise the same error, and the closed form builds no cell first
-        from fsocdma.sensing import DetectorConfig
-
-        with pytest.raises(ValueError) as parsed:
-            mc.RunConfig(params=make_params(45, 4, policy="fixed"),
-                         detector=DetectorConfig(320, 2.3))
-
+        # N=45, K=4 has 12 chip classes, a closed-form grid of 1.8e12 cells:
+        # the link parameters reject it, built directly or changed to it, and
+        # no cell is built first
         def no_grid(*args):
             raise AssertionError("a grid was built")
 
         monkeypatch.setattr(ba, "_binomial_pmf", no_grid)
         with pytest.raises(ValueError) as direct:
-            ba.average_pe(make_params(45, 4, policy="fixed"), MODEL)
-        assert str(direct.value) == str(parsed.value)
-        for key in ("codes.policy", "params.n_subcarriers=45", "params.n_users=4"):
+            make_params(45, 4, policy="fixed")
+        with pytest.raises(ValueError) as replaced:
+            dataclasses.replace(make_params(45, 4), code_policy="fixed")
+        assert str(direct.value) == str(replaced.value)
+        for key in ("codes.policy", "params.n_subcarriers=45", "params.n_users=4",
+                    "closed-form grid of", "over 12 chip classes"):
             assert key in str(direct.value)
 
     def test_too_many_users_is_erasure(self):
@@ -644,8 +643,8 @@ class TestExactOracle:
         fade = rng.standard_exponential((slots, n))
         mai_z = rng.standard_normal((slots, k - 1))
         bits = rng.integers(0, 2, (slots, bits_per_slot, k)) * 2 - 1
-        proj = project(manual_slot(params, est, lam, fade, mai_z))
-        decision = receive(proj, params, bits, rng.standard_normal((slots, bits_per_slot)))
+        proj = project(manual_slot(params, est, lam, fade, mai_z), params)
+        decision = receive(proj, bits, rng.standard_normal((slots, bits_per_slot)))
         rates = np.mean(np.where(decision >= 0.0, 1, -1) != bits[:, :, 0], axis=1)
         se = float(np.std(rates, ddof=1)) / math.sqrt(slots)
         assert abs(float(np.mean(rates)) - want) <= 3 * se

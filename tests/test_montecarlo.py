@@ -255,11 +255,11 @@ class TestEstimateBer:
         assert mc.estimate_ber(cfg, 5.0, point_index=2**32 - 1).trials >= 500
 
     def test_master_seed_must_fit_the_key(self):
-        # masking a seed outside [0, 2^64) would alias another seed's streams
+        # masking a seed outside [0, 2^64) would alias another seed's streams;
+        # the run configuration rejects it before any point, closed form included
         for bad in (-1, 2**64):
-            cfg = make_config(trials_min=500, target_error_events=20, master_seed=bad)
-            with pytest.raises(ValueError, match="master seed"):
-                mc.estimate_ber(cfg, 5.0, 0)
+            with pytest.raises(ValueError, match=rf"run\.master_seed={bad}: must lie in"):
+                make_config(trials_min=500, target_error_events=20, master_seed=bad)
         cfg = make_config(trials_min=500, target_error_events=20, master_seed=2**64 - 1)
         assert mc.estimate_ber(cfg, 5.0, 0).trials >= 500
 
@@ -277,12 +277,12 @@ class TestEstimateBer:
         terms = []
         for b in range(-(-n_slots // mc._BATCH_SLOTS)):
             size = min(mc._BATCH_SLOTS, n_slots - b * mc._BATCH_SLOTS)
-            u, fade = np.empty((2, size, 32))
-            mai_z = np.empty((size, 3))
-            pl.draw_slot_numbers(mc._stream(cfg.master_seed, mc._PURPOSE_BATCH, 0, b),
-                                 u, fade, mai_z)
+            rng = mc._stream(cfg.master_seed, mc._PURPOSE_BATCH, 0, b)
+            u = rng.random((size, 32))
+            fade = rng.standard_exponential((size, 32))
+            mai_z = rng.standard_normal((size, 3))
             slots = pl.build_slots(params, model, u, fade, mai_z)
-            proj = pl.project(slots)
+            proj = pl.project(slots, params)
             for s in np.flatnonzero(slots.feasible):
                 terms.append([
                     slots.occupancy[s].sum(), slots.est_busy[s].sum(),

@@ -213,6 +213,26 @@ def test_first_row_moments_reject_what_rows_rejects(n, k):
     assert str(moments.value) == str(from_rows.value)
 
 
+@pytest.mark.parametrize("n", [16, 24, 36, 48])
+def test_fixed_chip_classes_partition_the_positions(n):
+    # every position lies in the one class of its (c1^2, 2 c1^4 + sum_i c1^2 ci^2),
+    # counted here position by position from the rows; largest class first
+    for k in range(2, 9):
+        family = oc.rows(n, k).tolist()
+        want = {}
+        for j in range(n):
+            sq = family[0][j] ** 2
+            key = (sq, 2 * sq * sq + sum(sq * row[j] ** 2 for row in family[1:]))
+            want[key] = want.get(key, 0) + 1
+        classes = oc.fixed_chip_classes(n, k)
+        counts = [count for count, _, _ in classes]
+        assert sum(counts) == n
+        assert {(sq, spread): count for count, sq, spread in classes} == want
+        assert len(classes) == len(want)
+        assert counts == sorted(counts, reverse=True)
+        assert all(type(v) is int for cls in classes for v in cls)
+
+
 class TestVerify:
     def test_walsh_ok(self):
         r = oc.verify(oc.build(2**2).entries)

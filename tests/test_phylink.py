@@ -30,9 +30,9 @@ def sensing_model(pr_h1, pd, pfa, k=4):
 
 def draw_slots(params, model, rng, n_slots):
     """n_slots slots drawn from rng as the simulator draws one batch's slots."""
-    u, fade = np.empty((2, n_slots, params.n_subcarriers))
-    mai_z = np.empty((n_slots, params.n_users - 1))
-    pl.draw_slot_numbers(rng, u, fade, mai_z)
+    u = rng.random((n_slots, params.n_subcarriers))
+    fade = rng.standard_exponential((n_slots, params.n_subcarriers))
+    mai_z = rng.standard_normal((n_slots, params.n_users - 1))
     return pl.build_slots(params, model, u, fade, mai_z)
 
 
@@ -84,7 +84,7 @@ def fixed_mask_components(params, est_busy, lam_indices, trials, rng, chunk=10_0
                            rng.standard_normal((b, k - 1)))
         bits = np.ones((b, 1, k))
         z = rng.standard_normal((b, 1, 2))  # the receiver's normal and the split's
-        out = components(pl.project(slot), params, bits,
+        out = components(pl.project(slot, params), params, bits,
                             z[:, :, 0], z[:, :, 1])
         comps.append(np.column_stack(
             [out[name][:, 0] for name in ("r_signal", "r_mai", "r_gi", "r_noise")]
@@ -109,7 +109,10 @@ class TestSystemParams:
         ("bogus", 32, ("codes.policy='bogus'", "rechoose, fixed")),
         ("fixed", 11, ("params.n_subcarriers=11", "prime factor outside")),
         ("fixed", 2 * ORDER_LIMIT, (f"params.n_subcarriers={2 * ORDER_LIMIT}", "order limit")),
-    ], ids=["unknown-policy", "fixed-unsupported-factor", "fixed-above-order-limit"])
+        # 12 chip classes: a closed-form grid of 1.8e12 cells
+        ("fixed", 45, ("params.n_subcarriers=45", "params.n_users=4", "closed-form grid")),
+    ], ids=["unknown-policy", "fixed-unsupported-factor", "fixed-above-order-limit",
+            "fixed-grid-too-large"])
     def test_bad_code_policy_names_its_key(self, policy, n, words):
         with pytest.raises(ValueError) as err:
             pl.SystemParams(n_subcarriers=n, n_users=4, pr_h1=0.2, code_policy=policy)
@@ -318,8 +321,18 @@ class TestTransmitAndReceive:
         )
         slot = manual_slot(params, np.zeros(4, bool), [], np.ones(4), [])
         z = np.random.default_rng(0).standard_normal((1, 1))
-        decision = pl.receive(pl.project(slot), params, np.ones((1, 1, 1)), z)
+        decision = pl.receive(pl.project(slot, params), np.ones((1, 1, 1)), z)
         assert decision[0, 0] == 1.0
+
+    def test_bits_need_one_column_per_user_of_the_projection(self):
+        # the projection of K=4 users takes bits of width 4, and no other
+        proj = pl.project(manual_slot(PARAMS, np.zeros(32, bool), [], np.ones(32), np.ones(3)),
+                          PARAMS)
+        z = np.zeros((1, 2))
+        assert pl.receive(proj, np.ones((1, 2, 4)), z).shape == (1, 2)
+        for bad in (np.ones((1, 2, 3)), np.ones((1, 2, 5)), np.ones((1, 4))):
+            with pytest.raises(ValueError, match=r"bits must have shape \(B, I, 4\)"):
+                pl.receive(proj, bad, z)
 
     def test_flat_channel_mai_vanishes_with_rechosen_codes(self):
         # 30 free, supported: the rechosen rows are orthogonal, so a flat
@@ -346,8 +359,8 @@ class TestTransmitAndReceive:
         slots = draw_slots(PARAMS, sensing_model(0.2, 0.5, 0.1), rng, 200)
         bits = rng.integers(0, 2, (200, 1, 4)) * 2.0 - 1.0
         z, v = rng.standard_normal((2, 200, 1))
-        proj = pl.project(slots)
-        decision = pl.receive(proj, PARAMS, bits, z)
+        proj = pl.project(slots, PARAMS)
+        decision = pl.receive(proj, bits, z)
         out = components(proj, PARAMS, bits, z, v)
         names = ("r_signal", "r_mai", "r_gi", "r_noise")
         parts = sum(out[name] for name in names)
@@ -358,10 +371,10 @@ class TestTransmitAndReceive:
         # a slot that cannot carry the users has S = ||w_Lambda||^2 = 0, so
         # R = 0 and the split's 0/0 reads as zero, not nan
         slot = manual_slot(PARAMS, np.ones(32, bool), [], np.ones(32), np.zeros(3))
-        proj = pl.project(slot)
+        proj = pl.project(slot, PARAMS)
         z, v = np.random.default_rng(4).standard_normal((2, 1, 5))
         bits = np.ones((1, 5, 4))
-        assert not np.any(pl.receive(proj, PARAMS, bits, z))
+        assert not np.any(pl.receive(proj, bits, z))
         out = components(proj, PARAMS, bits, z, v)
         for name in ("r_signal", "r_mai", "r_gi", "r_noise"):
             assert not np.any(out[name]), name
@@ -370,7 +383,7 @@ class TestTransmitAndReceive:
         # no misdetected subcarrier: R_GI is zero and R_n is the whole of
         # the receiver's noise, whatever v is
         slot = manual_slot(PARAMS, np.zeros(32, bool), [], np.ones(32), np.ones(3))
-        proj = pl.project(slot)
+        proj = pl.project(slot, PARAMS)
         z, v = np.random.default_rng(5).standard_normal((2, 1, 5))
         out = components(proj, PARAMS, np.ones((1, 5, 4)), z, v)
         assert not np.any(out["r_gi"])
@@ -384,7 +397,7 @@ class TestTransmitAndReceive:
         slot = draw_slots(PARAMS, sensing_model(0.2, 0.5, 0.1), rng, 1)
         bits = np.array([[1.0, 1.0, -1.0, 1.0], [-1.0, 1.0, 1.0, -1.0]])
         z, v = rng.standard_normal((2, 1, 2))
-        out = components(pl.project(slot), PARAMS, bits[np.newaxis],
+        out = components(pl.project(slot, PARAMS), PARAMS, bits[np.newaxis],
                             z, v)
         _, parts, _ = literal_receiver(
             slot.chips[0], gains_with_fade(slot.fade[0], 4, rng),
@@ -405,7 +418,7 @@ class TestTransmitAndReceive:
         fade = rng.standard_exponential((3, 32))
         params = dataclasses.replace(PARAMS, code_policy=policy)
         slots = manual_slot(params, est, lam, fade, rng.standard_normal((3, 3)))
-        proj = pl.project(slots)
+        proj = pl.project(slots, params)
         bits = rng.integers(0, 2, (5, 4)) * 2.0 - 1.0
         for s in range(3):
             decisions, parts, sums = literal_receiver(
@@ -415,6 +428,10 @@ class TestTransmitAndReceive:
             assert proj.signal[s] == pytest.approx(sums["signal"], rel=1e-12)
             assert proj.signal[s] == pytest.approx(sums["w2"], rel=1e-12)
             assert proj.w2_lambda[s] == pytest.approx(sums["w2_lambda"], rel=1e-12)
+            assert proj.var_n[s] == pytest.approx(
+                0.5 * PARAMS.noise_psd * sums["w2"], rel=1e-12)
+            assert proj.var_gi[s] == pytest.approx(
+                0.5 * PARAMS.interference_power * sums["w2_lambda"], rel=1e-12)
             assert decisions == pytest.approx(parts.sum(axis=1), rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("policy", pl.CODE_POLICIES)
@@ -440,8 +457,9 @@ class TestTransmitAndReceive:
         drawn = pl.project(
             manual_slot(params, est, [], np.tile(fade, (trials, 1)),
                         rng.standard_normal((trials, 3))),
+            params,
         ).mai
-        scale = pl.project(manual_slot(params, est, [], fade, np.ones(3))).mai[0]
+        scale = pl.project(manual_slot(params, est, [], fade, np.ones(3)), params).mai[0]
         for sample in (literal, drawn):
             assert np.all(np.abs(sample.mean(axis=0)) <= 4 * scale / math.sqrt(trials))
 
@@ -465,13 +483,13 @@ class TestTransmitAndReceive:
 
         def received(proj, bits, z, v):
             return dict(components(proj, PARAMS, bits, z, v),
-                        decision=pl.receive(proj, PARAMS, bits, z))
+                        decision=pl.receive(proj, bits, z))
 
-        block = received(pl.project(slots), bits, z, v)
+        block = received(pl.project(slots, PARAMS), bits, z, v)
         for s in range(6):
             one = manual_slot(PARAMS, slots.est_busy[s], np.flatnonzero(slots.misdetected[s]),
                               slots.fade[s], slots.mai_z[s])
-            single = received(pl.project(one),
+            single = received(pl.project(one, PARAMS),
                               bits[s : s + 1], z[s : s + 1], v[s : s + 1])
             for name in ("decision", "r_noise", "r_gi"):
                 assert np.array_equal(single[name][0], block[name][s])
