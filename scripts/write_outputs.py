@@ -27,6 +27,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 KFIXED = ("--set", "run.target_error_events=1000000000", "--set", "run.max_trials=21600")
 
 COMMANDS = {  # name: CLI arguments
+    "codes": ("codes", "12", "--out", "codes12.txt"),  # multi-level: 2 * 2 * 3
     "ber": ("ber", "--out", "ber.csv"),
     "ber_analytic": ("ber", "--mode", "analytic", "--out", "ber_analytic.csv"),
     "fig2": ("ber", "--figure", "fig2", "--out", "fig2.csv"),

@@ -1,11 +1,14 @@
 """Command-line front end: codes, sensing roc, ber, selftest.
 
 Configuration is a flat key=value file plus repeatable --set overrides;
-unknown keys are hard errors.  Every CSV produced by `sensing roc` and
-`ber` starts with a comment block echoing the resolved configuration and
-a rerun line, so any output file can be reproduced byte for byte from
-its own header.  Matrix exports from `codes` use the bare matrix format
-(n=<order> first line) and are a pure function of the order.
+unknown keys are hard errors.  This module writes every byte of every
+output file; the library computes the points.  Every CSV produced by
+`sensing roc` and `ber` starts with a comment block echoing the resolved
+configuration and a rerun line, so any output file can be reproduced
+byte for byte from its own header.  Matrix exports from `codes` use the
+bare matrix format (n=<order> first line) and are a pure function of the
+order.  A command whose data goes to stdout prints its report lines to
+stderr, so stdout holds the bytes that --out would write.
 """
 
 from __future__ import annotations
@@ -22,15 +25,13 @@ import numpy as np
 from . import __version__
 from .ber_analysis import average_pe, average_pe_enumerated
 from .montecarlo import (
+    SLOT_STATS,
     STREAM_VERSION,
+    BerPoint,
     RunConfig,
-    ber_csv,
-    config_digest,
     derive_sensing,
     grid_jobs,
     run_points,
-    sha256_hex,
-    trace_csv,
 )
 from .orthocodes import (
     ORDER_LIMIT,
@@ -233,11 +234,12 @@ def cmd_codes(args) -> int:
     code = build(args.n)  # main reports a rejected order
     report = verify(code.entries)
     _write_output(args.out, format_matrix(code))
+    log = sys.stderr if args.out is None else sys.stdout  # stdout holds only the data
     if args.out is not None:
         print(f"wrote order-{code.n} matrix to {args.out}")
-    print(f"gram_diag: {' '.join(str(int(v)) for v in code.gram_diag)}")
-    print(f"orthogonal: {'true' if report.is_orthogonal else 'false'}")
-    print(f"all_nonzero: {'true' if report.all_nonzero else 'false'}")
+    print(f"gram_diag: {' '.join(str(int(v)) for v in code.gram_diag)}", file=log)
+    print(f"orthogonal: {'true' if report.is_orthogonal else 'false'}", file=log)
+    print(f"all_nonzero: {'true' if report.all_nonzero else 'false'}", file=log)
     return 0 if (report.is_orthogonal and report.all_nonzero) else 1
 
 
@@ -259,6 +261,7 @@ def cmd_sensing_roc(args) -> int:
     _write_output(args.out, "\n".join(lines) + "\n")
 
     if args.validate:
+        log = sys.stderr if args.out is None else sys.stdout  # stdout holds only the data
         trials, worst = conf["roc.validate_trials"], 0.0
         rng = np.random.default_rng(conf["run.master_seed"])
         # thresholds where a rate can miss its closed form, each checked
@@ -272,8 +275,8 @@ def cmd_sensing_roc(args) -> int:
                 dev = abs(emp - closed) / math.sqrt(closed * (1 - closed) / trials)
                 worst = max(worst, dev)
                 print(f"validate zeta={zeta:.4g} {kind}: closed={closed:.6f} "
-                      f"empirical={emp:.6f} deviation={dev:.2f} stderr")
-        print(f"validate: max deviation {worst:.2f} stderr over {trials} trials")
+                      f"empirical={emp:.6f} deviation={dev:.2f} stderr", file=log)
+        print(f"validate: max deviation {worst:.2f} stderr over {trials} trials", file=log)
         if worst > 3.0:
             print("validate: FAILED (deviation above 3 stderr)", file=sys.stderr)
             return 1
@@ -304,7 +307,7 @@ def _curve_output(
     conf: dict, rc: RunConfig, path: str, rerun: str, derived: tuple[str, ...] = ()
 ) -> tuple:
     comments = _ber_comments(conf, rerun, derived + _derived_sensing_comments(rc))
-    return path, "snr_db", comments, config_digest(rc), [(job[1], job) for job in grid_jobs(rc)]
+    return path, "snr_db", comments, [(job[1], job) for job in grid_jobs(rc)]
 
 
 _FIG2_USERS = (4, 8)
@@ -321,7 +324,7 @@ def _ber_paths(figure: str | None, out: str | None) -> list[str]:
 
 
 def _ber_outputs(conf: dict, figure: str | None, out: str | None, rerun: str) -> list:
-    """The files of one ber run: (path, key column, comments, digest, keyed jobs) each.
+    """The files of one ber run: (path, key column, comments, keyed jobs) each.
 
     A keyed job pairs a row's value in the key column with the point job
     behind the row.
@@ -340,13 +343,59 @@ def _ber_outputs(conf: dict, figure: str | None, out: str | None, rerun: str) ->
                   for k in range(1, 9)]
             for si, snr in enumerate(_FIG3_SNRS_DB)
         }
-        digests = [config_digest(job[0]) for keyed in by_snr.values() for _, job in keyed]
-        bundle = sha256_hex("\n".join(digests))
         return [
-            (path, "k_users", _ber_comments(conf, rerun, (f"fig3.snr_db={snr!r}",)), bundle, keyed)
+            (path, "k_users", _ber_comments(conf, rerun, (f"fig3.snr_db={snr!r}",)), keyed)
             for path, (snr, keyed) in zip(paths, by_snr.items())
         ]
     return [_curve_output(conf, build_run_config(conf), paths[0], rerun)]
+
+
+def ber_csv(
+    rows: list[tuple[float, BerPoint]],
+    comments: tuple[str, ...] = (),
+    key: str = "snr_db",
+) -> str:
+    """BER export: comment block, then one (key value, point) row each.
+
+    The simulation columns appear when any point was simulated, and are
+    empty for a point that was not.
+    """
+    simulated = any(p.ber_simulated is not None for _, p in rows)
+    lines = [f"# {c}" for c in comments]
+    header = f"{key},ber_analytic"
+    if simulated:
+        header += ",ber_sim,ci_halfwidth,trials,errors"
+    lines.append(header)
+    for value, p in rows:
+        line = f"{value:.6g},{p.ber_analytic:.10e}"
+        if simulated:
+            sim = "" if p.ber_simulated is None else f"{p.ber_simulated:.10e}"
+            ci = "" if p.ci_halfwidth is None else f"{p.ci_halfwidth:.10e}"
+            line += f",{sim},{ci},{p.trials},{p.errors}"
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+TRACE_HEADER = ",".join(("n_users", "snr_db", "slots", "bits", "errors", "infeasible_slots",
+                         "stop") + SLOT_STATS)
+
+
+def trace_csv(rows: list[tuple[RunConfig, BerPoint]], comments: tuple[str, ...] = ()) -> str:
+    """Trace export: comment block, header, then one row per simulated (config, point).
+
+    A row holds the point's counts, why it stopped, and the means of its
+    SLOT_STATS over its feasible slots, empty for a point without one.
+    """
+    lines = [f"# {c}" for c in comments]
+    lines.append(TRACE_HEADER)
+    for cfg, p in rows:
+        slots = p.trials // cfg.params.bits_per_slot
+        feasible = slots - p.infeasible_slots
+        means = [f"{total / feasible:.10e}" if feasible else "" for total in p.slot_sums]
+        counts = (cfg.params.n_users, f"{p.snr_db:.6g}", slots, p.trials, p.errors,
+                  p.infeasible_slots, p.stop)
+        lines.append(",".join(map(str, counts + tuple(means))))
+    return "\n".join(lines) + "\n"
 
 
 def cmd_ber(args) -> int:
@@ -368,9 +417,9 @@ def cmd_ber(args) -> int:
         _write_output(args.trace, trace_csv(rows, _ber_comments(conf, rerun)))
         print(f"wrote trace {args.trace}")
     points = iter(points)
-    for path, key, comments, digest, keyed in outputs:
+    for path, key, comments, keyed in outputs:
         rows = [(value, next(points)) for value, _ in keyed]
-        _write_output(path, ber_csv(rows, digest, comments, key))
+        _write_output(path, ber_csv(rows, comments, key))
         print(f"wrote {path}")
     return 0
 

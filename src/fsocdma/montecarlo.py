@@ -54,14 +54,6 @@ from .ber_analysis import average_pe
 from .phylink import SystemParams, build_slots, project, receive
 from .sensing import DetectorConfig, OperatingPoint, operating_point
 
-try:  # CPython's own SHA-256, as random.py takes it: hashlib would load OpenSSL
-    from _sha2 import sha256 as _sha256  # Python 3.12+
-except ImportError:
-    try:
-        from _sha256 import sha256 as _sha256  # Python 3.10, 3.11
-    except ImportError:
-        from hashlib import sha256 as _sha256
-
 # Version of the mapping from (config, seed) to random draws.  Bump it
 # whenever a change alters which numbers a run draws or how it uses them;
 # every ber CSV header records it.  Version 1 drew one stream per slot and
@@ -148,24 +140,6 @@ class BerPoint:
     def __post_init__(self):
         if (self.ber_simulated is None) != (self.ci_halfwidth is None):
             raise ValueError("ci_halfwidth must accompany ber_simulated")
-
-
-def sha256_hex(text: str) -> str:
-    """Hex SHA-256 digest of the UTF-8 bytes of text."""
-    return _sha256(text.encode()).hexdigest()
-
-
-def config_digest(cfg: RunConfig) -> str:
-    """Content hash over every field that can change the results."""
-    parts = []
-    for obj, prefix in ((cfg.params, "params"), (cfg.detector, "detector")):
-        for f in dataclasses.fields(obj):
-            parts.append(f"{prefix}.{f.name}={getattr(obj, f.name)!r}")
-    for f in dataclasses.fields(cfg):
-        if f.name in ("params", "detector"):
-            continue
-        parts.append(f"{f.name}={getattr(cfg, f.name)!r}")
-    return sha256_hex("\n".join(sorted(parts)))
 
 
 def derive_sensing(cfg: RunConfig) -> OperatingPoint:
@@ -394,53 +368,3 @@ def run_points(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(partial(_run_job, simulate=simulate), jobs))
     return [_run_job(job, simulate) for job in jobs]
-
-
-def ber_csv(
-    rows: list[tuple[float, BerPoint]],
-    digest: str,
-    comments: tuple[str, ...] = (),
-    key: str = "snr_db",
-) -> str:
-    """BER export: comment block, digest, then one (key value, point) row each.
-
-    The simulation columns appear when any point was simulated, and are
-    empty for a point that was not.
-    """
-    simulated = any(p.ber_simulated is not None for _, p in rows)
-    lines = [f"# {c}" for c in comments]
-    lines.append(f"# digest={digest}")
-    header = f"{key},ber_analytic"
-    if simulated:
-        header += ",ber_sim,ci_halfwidth,trials,errors"
-    lines.append(header)
-    for value, p in rows:
-        line = f"{value:.6g},{p.ber_analytic:.10e}"
-        if simulated:
-            sim = "" if p.ber_simulated is None else f"{p.ber_simulated:.10e}"
-            ci = "" if p.ci_halfwidth is None else f"{p.ci_halfwidth:.10e}"
-            line += f",{sim},{ci},{p.trials},{p.errors}"
-        lines.append(line)
-    return "\n".join(lines) + "\n"
-
-
-TRACE_HEADER = ",".join(("n_users", "snr_db", "slots", "bits", "errors", "infeasible_slots",
-                         "stop") + SLOT_STATS)
-
-
-def trace_csv(rows: list[tuple[RunConfig, BerPoint]], comments: tuple[str, ...] = ()) -> str:
-    """Trace export: comment block, header, then one row per simulated (config, point).
-
-    A row holds the point's counts, why it stopped, and the means of its
-    SLOT_STATS over its feasible slots, empty for a point without one.
-    """
-    lines = [f"# {c}" for c in comments]
-    lines.append(TRACE_HEADER)
-    for cfg, p in rows:
-        slots = p.trials // cfg.params.bits_per_slot
-        feasible = slots - p.infeasible_slots
-        means = [f"{total / feasible:.10e}" if feasible else "" for total in p.slot_sums]
-        counts = (cfg.params.n_users, f"{p.snr_db:.6g}", slots, p.trials, p.errors,
-                  p.infeasible_slots, p.stop)
-        lines.append(",".join(map(str, counts + tuple(means))))
-    return "\n".join(lines) + "\n"

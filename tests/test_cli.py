@@ -1,6 +1,5 @@
 import contextlib
 import dataclasses
-import hashlib
 import io
 import itertools
 import json
@@ -48,6 +47,17 @@ class TestCodes:
         assert "gram_diag: 18 18 18 18 18 18" in printed
         assert "orthogonal: true" in printed
 
+    def test_stdout_holds_only_the_matrix(self, tmp_path, capsys):
+        # without --out the report lines go to stderr, so stdout is the file
+        out = tmp_path / "c12.txt"
+        assert run_cli(["codes", "12", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert run_cli(["codes", "12"]) == 0
+        printed = capsys.readouterr()
+        assert printed.out == out.read_text()
+        assert np.array_equal(parse_matrix(printed.out), oc.build(12).entries)
+        assert "orthogonal: true" in printed.err
+
     def test_unsupported_order_names_factor(self, tmp_path, capsys):
         assert run_cli(["codes", "22"]) == 1
         err = capsys.readouterr().err
@@ -84,6 +94,18 @@ class TestSensingRoc:
         assert rc == 0
         printed = capsys.readouterr().out
         assert "max deviation" in printed
+
+    def test_validate_stdout_holds_only_the_csv(self, tmp_path, capsys):
+        # without --out the validate lines go to stderr, so stdout is the file
+        out = tmp_path / "roc.csv"
+        common = ["sensing", "roc", "--validate", "--set", "roc.validate_trials=2000",
+                  "--seed", "3"]
+        assert run_cli(common + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        assert run_cli(common) == 0
+        printed = capsys.readouterr()
+        assert printed.out == out.read_text()
+        assert "validate: max deviation" in printed.err
 
     def test_validate_checks_rates_that_can_fail(self, tmp_path, capsys):
         # at the default detector, every check sits where its rate can be
@@ -160,14 +182,24 @@ class TestBer:
             assert files[4] == files[1], name
 
     def test_rerun_from_header_reproduces_bytes(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        run_cli(["ber", "--seed", "9", "--out", str(a)] + self.FAST)
-        sets = []
-        for line in a.read_text().splitlines():
-            if line.startswith("# set "):
-                sets += ["--set", line[len("# set "):]]
-        assert run_cli(["ber", "--out", str(b)] + sets) == 0
-        assert a.read_bytes() == b.read_bytes()
+        # each file's own rerun line and set lines rebuild every file of its run
+        for name, figure in (("plain", []), ("fig2", ["--figure", "fig2"]),
+                             ("fig3", ["--figure", "fig3"])):
+            first = tmp_path / name
+            first.mkdir()
+            argv = ["ber", "--seed", "9", "--out", str(first / "r.csv")] + figure + self.FAST
+            assert run_cli(argv) == 0
+            written = {f.name: f.read_bytes() for f in first.iterdir()}
+            assert len(written) == (2 if figure else 1), name
+            for i, path in enumerate(sorted(first.iterdir())):
+                header = [ln[2:] for ln in path.read_text().splitlines() if ln.startswith("# ")]
+                (rerun,) = [ln.split()[2:] for ln in header if ln.startswith("rerun: fsocdma ")]
+                sets = [arg for ln in header if ln.startswith("set ")
+                        for arg in ("--set", ln[len("set "):])]
+                again = tmp_path / f"{name}_rerun{i}"
+                again.mkdir()
+                assert run_cli(rerun + ["--out", str(again / "r.csv")] + sets) == 0
+                assert {f.name: f.read_bytes() for f in again.iterdir()} == written, path.name
 
     def test_default_batch_in_header(self, tmp_path):
         out = tmp_path / "a.csv"
@@ -969,38 +1001,6 @@ def test_simulated_point_loads_numpy_random(tmp_path):
     calls = [["ber", "--set", "run.snr_grid_db=10", "--set", "run.trials_min=90",
               "--set", "run.max_trials=90", "--out", str(tmp_path / "ber.csv")]]
     assert "numpy.random" in random_stack_after(calls)
-
-
-def ber_digests() -> list:
-    """The digest of every file of the plain, fig2 and fig3 ber runs."""
-    conf = cli.resolve_config(None, [], None)
-    return [out[3] for figure in (None, "fig2", "fig3")
-            for out in cli._ber_outputs(conf, figure, None, "rerun")]
-
-
-def test_digests_equal_hashlib(monkeypatch):
-    # config_digest and the fig3 bundle through CPython's built-in SHA-256
-    # are hashlib's digests of the same text
-    got = ber_digests()
-    monkeypatch.setattr(mc, "_sha256", hashlib.sha256)
-    assert ber_digests() == got
-
-
-def test_digests_fall_back_to_hashlib():
-    # where neither built-in module exists, hashlib gives the same digests
-    code = (
-        "import json, sys\n"
-        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
-        "from fsocdma import cli, montecarlo\n"
-        "conf = cli.resolve_config(None, [], None)\n"
-        "digests = [out[3] for figure in (None, 'fig2', 'fig3')\n"
-        "           for out in cli._ber_outputs(conf, figure, None, 'rerun')]\n"
-        "import hashlib\n"
-        "print(json.dumps([montecarlo._sha256 is hashlib.sha256, digests]))"
-    )
-    fell_back, digests = json.loads(fresh_python(code).splitlines()[-1])
-    assert fell_back
-    assert digests == ber_digests()
 
 
 def test_import_leaves_caches_empty():

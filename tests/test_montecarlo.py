@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fsocdma import cli
 from fsocdma import montecarlo as mc
 from fsocdma import sensing as sn
 from fsocdma.phylink import SystemParams
@@ -229,8 +230,7 @@ class TestEstimateBer:
         point = mc.estimate_ber(cfg, 5.0, 0)
         assert point.stop == "events" and len(point.slot_sums) == len(mc.SLOT_STATS)
         bare = dataclasses.replace(point, stop=None, slot_sums=())
-        digest = mc.config_digest(cfg)
-        assert mc.ber_csv([(5.0, point)], digest) == mc.ber_csv([(5.0, bare)], digest)
+        assert cli.ber_csv([(5.0, point)]) == cli.ber_csv([(5.0, bare)])
 
     def test_zero_errors_rule_of_three(self):
         cfg = make_config(k=1, snr_grid_db=(40.0,), trials_min=1_000, max_trials=20_000)
@@ -294,7 +294,7 @@ class TestEstimateBer:
         terms = np.array(terms)
         assert len(terms) == n_slots - p.infeasible_slots > 0 and p.infeasible_slots > 0
         assert p.slot_sums == pytest.approx(terms.sum(axis=0).tolist(), rel=1e-12)
-        header, row = mc.trace_csv([(cfg, p)]).splitlines()
+        header, row = cli.trace_csv([(cfg, p)]).splitlines()
         assert header.split(",")[7:] == list(mc.SLOT_STATS)
         cells = row.split(",")
         assert cells[:7] == ["4", "5", str(n_slots), str(p.trials), str(p.errors),
@@ -310,7 +310,7 @@ class TestEstimateBer:
                            stop="cap", slot_sums=sums)
         unsent = dataclasses.replace(sent, snr_db=30.0, trials=90, infeasible_slots=1,
                                      stop="events", slot_sums=(0.0,) * 7)
-        text = mc.trace_csv([(cfg, sent), (cfg, unsent)], comments=("hello",))
+        text = cli.trace_csv([(cfg, sent), (cfg, unsent)], comments=("hello",))
         assert text == (
             "# hello\n"
             "n_users,snr_db,slots,bits,errors,infeasible_slots,stop,n_busy_true,n_est_busy,"
@@ -420,9 +420,8 @@ class TestSweep:
         p1 = mc.run_points(jobs, workers=1)
         p3 = mc.run_points(jobs, workers=3)
         assert p1 == p3
-        digest = mc.config_digest(cfg)
-        assert mc.ber_csv([(p.snr_db, p) for p in p1], digest) == mc.ber_csv(
-            [(p.snr_db, p) for p in p3], digest
+        assert cli.ber_csv([(p.snr_db, p) for p in p1]) == cli.ber_csv(
+            [(p.snr_db, p) for p in p3]
         )
 
     def test_points_sorted_and_digest_stable(self):
@@ -432,28 +431,20 @@ class TestSweep:
         assert snrs == sorted(snrs)
         # each point keeps the stream of its position on the configured grid
         assert points[0] == mc.estimate_ber(cfg, 5.0, 1)
-        same = make_config(snr_grid_db=(10.0, 5.0), trials_min=500, target_error_events=20)
-        assert mc.config_digest(same) == mc.config_digest(cfg)
-        assert len(mc.config_digest(cfg)) == 64
-
-    def test_digest_sensitive_to_seed(self):
-        a = mc.config_digest(make_config())
-        b = mc.config_digest(make_config(master_seed=1))
-        assert a != b
 
     def test_analytic_only(self):
         cfg = make_config()
         points = mc.run_points(mc.grid_jobs(cfg), simulate=False)
         assert all(p.ber_simulated is None for p in points)
         rows = [(p.snr_db, p) for p in points]
-        short = mc.ber_csv(rows, mc.config_digest(cfg)).splitlines()
-        assert short[1] == "snr_db,ber_analytic"
-        assert all(len(line.split(",")) == 2 for line in short[1:])
+        short = cli.ber_csv(rows).splitlines()
+        assert short[0] == "snr_db,ber_analytic"
+        assert all(len(line.split(",")) == 2 for line in short)
         # one simulated point brings the simulation columns, empty on the rest
         mixed = rows[:1] + [(5.0, mc.estimate_ber(make_config(trials_min=90, max_trials=90), 5.0, 0))]
-        lines = mc.ber_csv(mixed, mc.config_digest(cfg)).splitlines()
-        assert lines[1] == "snr_db,ber_analytic,ber_sim,ci_halfwidth,trials,errors"
-        assert lines[2].endswith(",,,0,0") and lines[3].split(",")[2]
+        lines = cli.ber_csv(mixed).splitlines()
+        assert lines[0] == "snr_db,ber_analytic,ber_sim,ci_halfwidth,trials,errors"
+        assert lines[1].endswith(",,,0,0") and lines[2].split(",")[2]
 
     def test_pool_workers_capped_by_jobs_and_cores(self, recording_pool, monkeypatch):
         jobs = mc.grid_jobs(make_config(snr_grid_db=(5.0, 10.0, 15.0, 20.0, 25.0)))
@@ -486,11 +477,11 @@ class TestSweep:
         cfg = make_config(trials_min=500, target_error_events=20)
         points = mc.run_points(mc.grid_jobs(cfg))
         rows = [(p.snr_db, p) for p in points]
-        lines = mc.ber_csv(rows, mc.config_digest(cfg), comments=("hello",)).splitlines()
+        lines = cli.ber_csv(rows, comments=("hello",)).splitlines()
         assert lines[0] == "# hello"
-        assert lines[1].startswith("# digest=")
-        assert lines[2] == "snr_db,ber_analytic,ber_sim,ci_halfwidth,trials,errors"
-        assert len(lines) == 3 + len(points)
+        # the column header directly follows the comments
+        assert lines[1] == "snr_db,ber_analytic,ber_sim,ci_halfwidth,trials,errors"
+        assert len(lines) == 2 + len(points)
 
 
 class TestStatistics:
