@@ -31,6 +31,8 @@ COMMANDS = {  # name: CLI arguments
     "ber": ("ber", "--out", "ber.csv"),
     "ber_analytic": ("ber", "--mode", "analytic", "--out", "ber_analytic.csv"),
     "fig2": ("ber", "--figure", "fig2", "--out", "fig2.csv"),
+    # a single-curve trace: its header carries the curve's derived sensing lines
+    "trace": ("ber", "--trace", "trace.csv", "--out", "traced.csv"),
     "fig3_threads1": ("ber", "--figure", "fig3", "--threads", "1", "--out", "fig3_t1.csv"),
     "fig3_threads2": ("ber", "--figure", "fig3", "--threads", "2", "--out", "fig3_t2.csv"),
     "fig3_trace": ("ber", "--figure", "fig3", "--trace", "fig3_trace.csv",

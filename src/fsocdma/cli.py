@@ -414,7 +414,10 @@ def cmd_ber(args) -> int:
     points = run_points(jobs, simulate=(mode != "analytic"), workers=args.threads)
     if args.trace:
         rows = [(job[0], point) for job, point in zip(jobs, points)]
-        _write_output(args.trace, trace_csv(rows, _ber_comments(conf, rerun)))
+        # a figure's sensing point moves with its curve, so its trace derives none
+        derived = () if args.figure else _derived_sensing_comments(jobs[0][0])
+        comments = _ber_comments(conf, f"{rerun} --trace {Path(args.trace).name}", derived)
+        _write_output(args.trace, trace_csv(rows, comments))
         print(f"wrote trace {args.trace}")
     points = iter(points)
     for path, key, comments, keyed in outputs:

@@ -4,8 +4,10 @@ Orthogonal bases of the primes 2 (the Walsh kernel), 3, 5 and 7 compose,
 as Kronecker products, to every order whose prime factors lie in that
 table.  The library reads a family as its first k rows, composed row by
 row; only the matrix export and the checks form whole matrices.  All
-arithmetic is exact integer arithmetic with an explicit 64-bit overflow
-check -- orthogonality is never a floating point statement here.
+arithmetic is exact int64 arithmetic: verify admits a matrix only when
+max|c|^2 * n fits signed 64 bits, so no Gram entry, and no product of two
+admitted entries, can overflow -- orthogonality is never a floating point
+statement here.  Every supported family peaks at |c| = 3^5 = 243.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ class OrderLimitError(ValueError):
 
 
 class EntryOverflowError(OverflowError):
-    """Exact integer entry or Gram value does not fit in signed 64 bits."""
+    """A matrix's max|c|^2 * n exceeds signed 64 bits, so its Gram could overflow."""
 
 
 @dataclass(frozen=True)
@@ -91,30 +93,22 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _exact_gram(entries: np.ndarray) -> np.ndarray:
-    """C @ C.T in exact integer arithmetic, raising on 64-bit overflow."""
-    n = entries.shape[0]
-    bound = int(np.max(np.abs(entries))) if entries.size else 0
-    if bound * bound * max(n, 1) <= INT64_MAX:
-        # products cannot overflow, use fast int64 matmul
-        return entries @ entries.T
-    gram_obj = entries.astype(object) @ entries.astype(object).T
-    if int(np.max(np.abs(gram_obj))) > INT64_MAX:
-        raise EntryOverflowError("Gram matrix exceeds signed 64-bit range")
-    return gram_obj.astype(np.int64)
-
-
 def verify(candidate) -> GramReport:
     """Compute the exact Gram matrix of a square integer matrix.
 
     Diagnostic only: never raises on a non-orthogonal input, the flags
-    report what was found.
+    report what was found.  Raises EntryOverflowError unless max|c|^2 * n
+    fits signed 64 bits, which bounds every Gram entry.
     """
     entries = np.asarray(candidate, dtype=np.int64)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {entries.shape}")
-    gram = _exact_gram(entries)
-    off = gram[~np.eye(entries.shape[0], dtype=bool)]
+    n = entries.shape[0]
+    bound = max(int(entries.max()), -int(entries.min())) if entries.size else 0
+    if bound * bound * n > INT64_MAX:
+        raise EntryOverflowError(f"max|c|^2 * n = {bound * bound * n} exceeds 64 bits")
+    gram = entries @ entries.T
+    off = gram[~np.eye(n, dtype=bool)]
     is_orth = bool(off.size == 0 or not np.any(off))
     all_nz = bool(np.all(entries != 0))
     return GramReport(gram=_freeze(gram), is_orthogonal=is_orth, all_nonzero=all_nz)
@@ -150,25 +144,14 @@ def compose(outer: CodeMatrix, inner: CodeMatrix) -> CodeMatrix:
     """Block composition: the (i, j) block of the result is outer[i][j] * inner.
 
     This is the Kronecker product outer (x) inner; the Gram matrix of the
-    result is the Kronecker product of the input Gram matrices.
+    result is the Kronecker product of the input Gram matrices.  Each
+    admitted factor has max|c|^2 < 2^63, so the product of two entries fits
+    int64, and from_entries admits, checks and measures the result.
     """
     n = outer.n * inner.n
     if n > ORDER_LIMIT:
         raise OrderLimitError(f"composed order {n} exceeds the limit {ORDER_LIMIT}")
-    bound_out = int(np.max(np.abs(outer.entries)))
-    bound_in = int(np.max(np.abs(inner.entries)))
-    if bound_out * bound_in > INT64_MAX:
-        raise EntryOverflowError("composed entries exceed signed 64-bit range")
-    entries = np.kron(outer.entries, inner.entries)
-    # Gram diagonal composes as the Kronecker product of the diagonals.
-    diag_out = outer.gram_diag.astype(object)
-    diag_in = inner.gram_diag.astype(object)
-    diag = np.kron(diag_out, diag_in)
-    if int(max(diag)) > INT64_MAX:
-        raise EntryOverflowError("composed Gram diagonal exceeds signed 64-bit range")
-    return CodeMatrix(
-        n=n, entries=_freeze(entries), gram_diag=_freeze(diag.astype(np.int64))
-    )
+    return from_entries(np.kron(outer.entries, inner.entries))
 
 
 def _factor(n: int) -> tuple[list[int], int]:

@@ -127,17 +127,6 @@ class SystemParams:
             )
 
 
-def _int16_chips(chips: np.ndarray) -> np.ndarray:
-    """Integer chips as int16, raising OverflowError if an entry does not fit.
-
-    Entries are products of prime-base entries, at most 3^5 = 243 in
-    magnitude at every supported order, so int16 holds every family.
-    """
-    if np.abs(chips).max() > np.iinfo(np.int16).max:
-        raise OverflowError("a chip entry does not fit int16")
-    return chips.astype(np.int16)
-
-
 @lru_cache(maxsize=16)  # one entry per (K, N) in use; fig3 uses 8
 def _placement_table(k: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The zeroed tables of _placements: chips, energies and filled rows.
@@ -170,7 +159,7 @@ def _placements(k: int, n: int, n_free: np.ndarray) -> tuple[np.ndarray, np.ndar
         n_active = largest_supported_order(f)
         if n_active >= k:
             chips = rows(n_active, k)
-            table[f, :, :n_active] = _int16_chips(chips)
+            table[f, :, :n_active] = chips
             energy[f] = np.square(chips).sum(axis=1)
         filled[f] = True
     return table, energy
@@ -210,7 +199,7 @@ def signature_matrix(est_busy, k: int, code_policy: str):
         return chips, energy[n_free]
     if code_policy == "fixed":
         family = rows(n, k)
-        chips = _int16_chips(family) * free[:, np.newaxis, :]
+        chips = family.astype(np.int16) * free[:, np.newaxis, :]
         # exact integer sums of the squares a slot keeps, one per user
         return chips, free @ np.square(family).T
     raise ValueError(f"unknown code policy {code_policy!r}")

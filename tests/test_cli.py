@@ -201,6 +201,32 @@ class TestBer:
                 assert run_cli(rerun + ["--out", str(again / "r.csv")] + sets) == 0
                 assert {f.name: f.read_bytes() for f in again.iterdir()} == written, path.name
 
+    def test_trace_rerun_from_header_reproduces_bytes(self, tmp_path):
+        # a trace's own rerun line names the trace, so with its set lines it
+        # rebuilds the trace and every BER file of its run
+        for name, figure in (("plain", []), ("fig3", ["--figure", "fig3"])):
+            first = tmp_path / name
+            first.mkdir()
+            argv = (["ber", "--seed", "9", "--out", str(first / "r.csv"),
+                     "--trace", str(first / "t.csv")] + figure + self.FAST)
+            assert run_cli(argv) == 0
+            written = {f.name: f.read_bytes() for f in first.iterdir()}
+            header = [ln[2:] for ln in (first / "t.csv").read_text().splitlines()
+                      if ln.startswith("# ")]
+            (rerun,) = [ln.split()[2:] for ln in header if ln.startswith("rerun: fsocdma ")]
+            assert rerun[-2:] == ["--trace", "t.csv"], name
+            # a single curve's trace derives the sensing point its BER CSV derives
+            want = [] if figure else [ln[2:] for ln in (first / "r.csv").read_text().splitlines()
+                                      if ln.startswith("# derived ")]
+            assert [ln for ln in header if ln.startswith("derived ")] == want, name
+            sets = [arg for ln in header if ln.startswith("set ")
+                    for arg in ("--set", ln[len("set "):])]
+            again = tmp_path / f"{name}_rerun"
+            again.mkdir()
+            rerun[-1] = str(again / rerun[-1])
+            assert run_cli(rerun + ["--out", str(again / "r.csv")] + sets) == 0
+            assert {f.name: f.read_bytes() for f in again.iterdir()} == written, name
+
     def test_default_batch_in_header(self, tmp_path):
         out = tmp_path / "a.csv"
         assert run_cli(["ber", "--out", str(out), "--seed", "9"] + self.FAST) == 0

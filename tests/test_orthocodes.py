@@ -102,6 +102,17 @@ class TestCompose:
         with pytest.raises(oc.EntryOverflowError):
             oc.from_entries([[big, big], [big, -big]])
 
+    def test_entry_bound_rejects_a_gram_that_would_fit(self):
+        # orthogonal, and its Gram diag(b^2 + 1) fits int64, but max|c|^2 * n
+        # does not: the rule reads the entries, never the Gram
+        b = 2_500_000_000
+        assert b * b + 1 <= oc.INT64_MAX < b * b * 2
+        with pytest.raises(oc.EntryOverflowError):
+            oc.verify([[b, 1], [-1, b]])
+        # |int64 min| wraps to itself under np.abs, so the bound reads max and min
+        with pytest.raises(oc.EntryOverflowError):
+            oc.verify([[np.iinfo(np.int64).min, 1], [1, 1]])
+
 
 BASE_PRIMES = [2, 3, 5, 7]
 

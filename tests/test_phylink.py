@@ -7,6 +7,7 @@ from scipy import stats
 
 from fsocdma import phylink as pl
 from fsocdma.orthocodes import (
+    INT64_MAX,
     ORDER_LIMIT,
     SUPPORTED_PRIMES,
     build,
@@ -276,23 +277,12 @@ class TestDrawSlot:
 
         orders = supported_orders(ORDER_LIMIT)
         assert max(map(family_peak, orders)) == 3 ** 5 <= np.iinfo(np.int16).max
+        # and every family passes verify's admission rule max|c|^2 * n <= INT64_MAX
+        assert all(family_peak(n) ** 2 * n <= INT64_MAX for n in orders)
         for n in orders[:40]:
             entries = build(n).entries
             assert np.abs(entries).max() == family_peak(n)
-            assert np.array_equal(pl._int16_chips(entries), entries)
-
-    def test_int16_guard_raises(self, monkeypatch):
-        limit = np.iinfo(np.int16).max
-        assert pl._int16_chips(np.array([[limit, -limit]])).dtype == np.int16
-        with pytest.raises(OverflowError):
-            pl._int16_chips(np.array([[1, limit + 1]]))
-        # the placement table checks each family it stores
-        monkeypatch.setattr(pl, "rows", lambda n, k: np.full((k, n), limit + 1))
-        try:
-            with pytest.raises(OverflowError):
-                pl.signature_matrix(np.zeros((1, 7), bool), 2, "rechoose")
-        finally:
-            pl._placement_table.cache_clear()
+            assert np.array_equal(entries.astype(np.int16), entries)
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
